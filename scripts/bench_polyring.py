@@ -1,0 +1,97 @@
+#!/usr/bin/env python3
+"""Time the polynomial kernel and matrix interning keys in one process.
+
+Usage, from the root of a checkout:
+
+    PYTHONPATH=src python3 scripts/bench_polyring.py [--repeat 7]
+
+Prints one JSON object: nanoseconds per operation (best of the repeats)
+for ``Polynomial`` multiplication, addition and ``split``, and for the
+first ``MorphismMatrix.key()`` call on freshly composed matrices.  The
+operands are fixed: seeded random integer-coefficient polynomials of rank
+4 (1-4 terms, exponents up to 2, the shape of the S_4 sweep's matrix
+entries) and the matrices of seeded random walks on the conflated graph of 12321.  Only public
+names are used, so the script runs unchanged against older versions of
+the package.
+"""
+
+from __future__ import annotations
+
+import argparse
+import json
+import random
+import time
+
+from rexcalc import ConflatedMorphisms, Polynomial, graph_for_word
+
+RANK = 4
+
+
+def random_polys(rng: random.Random, count: int) -> list[Polynomial]:
+    polys = []
+    for _ in range(count):
+        terms = {}
+        for _ in range(rng.randint(1, 4)):
+            mono = tuple(rng.randint(0, 2) for _ in range(RANK))
+            terms[mono] = terms.get(mono, 0) + rng.choice((-2, -1, 1, 1, 2, 3))
+        polys.append(Polynomial(RANK, terms))
+    return polys
+
+
+def best_ns(fn, ops: int, repeat: int) -> float:
+    """Fastest of ``repeat`` runs of fn(), in nanoseconds per operation."""
+    best = float("inf")
+    for _ in range(repeat):
+        start = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - start)
+    return best / ops * 1e9
+
+
+def fresh_matrices(cm: ConflatedMorphisms, walks) -> list:
+    return [cm.path_matrix(walk) for walk in walks]
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--repeat", type=int, default=7)
+    args = parser.parse_args()
+    rng = random.Random(2024)
+    left, right = random_polys(rng, 2000), random_polys(rng, 2000)
+    pairs = list(zip(left, right))
+
+    rex, conf = graph_for_word((1, 2, 3, 2, 1), rank=RANK)
+    cm = ConflatedMorphisms(rex, conf)
+    walks = []
+    for k in range(60):
+        walk = [conf.clouds[k % len(conf.clouds)].representative]
+        for _ in range(1 + k % 10):
+            neighbors = sorted(d.representative for d in conf.neighbors(conf.cloud(walk[-1])))
+            walk.append(rng.choice(neighbors))
+        walks.append(walk)
+
+    def time_key():
+        # key() caches on the matrix, so each repeat keys new matrices
+        best = float("inf")
+        for _ in range(args.repeat):
+            mats = fresh_matrices(cm, walks)
+            start = time.perf_counter()
+            for m in mats:
+                m.key()
+            best = min(best, time.perf_counter() - start)
+        return best / len(walks) * 1e9
+
+    result = {
+        "unit": "ns/op",
+        "mul": best_ns(lambda: [p * q for p, q in pairs], len(pairs), args.repeat),
+        "add": best_ns(lambda: [p + q for p, q in pairs], len(pairs), args.repeat),
+        "split": best_ns(lambda: [p.split(1 + k % 3) for k, p in enumerate(left)], len(left), args.repeat),
+        "matrix_key": time_key(),
+        "matrix_key_walks": len(walks),
+    }
+    print(json.dumps(result, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    raise SystemExit(main())

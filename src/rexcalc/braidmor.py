@@ -283,13 +283,12 @@ class MorphismMatrix:
         return BSElement(self.rank, self.codomain, acc)
 
     def key(self) -> tuple:
-        """Canonical hashable form for interning and comparison."""
+        """Hashable form for interning: keys are equal exactly when the matrices are."""
         if self._key is None:
-            entries = []
-            for c in sorted(self.cols):
-                for r in sorted(self.cols[c]):
-                    entries.append((r, c, self.cols[c][r].key()))
-            self._key = (self.domain, self.codomain, tuple(entries))
+            entries = frozenset(
+                (r, c, p) for c, col in self.cols.items() for r, p in col.items()
+            )
+            self._key = (self.rank, self.domain, self.codomain, entries)
         return self._key
 
     def __eq__(self, other) -> bool:

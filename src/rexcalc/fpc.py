@@ -55,6 +55,16 @@ def matrix_budget() -> int:
     return int(raw) if raw else DEFAULT_BUDGET
 
 
+def _budget_in_force(budget: int | None) -> tuple[int, str]:
+    """The matrix budget a search runs under, and the setting that chose it."""
+    if budget is not None:
+        return budget, f"--budget {budget}, which overrides REXCALC_BUDGET"
+    if os.environ.get("REXCALC_BUDGET"):
+        limit = matrix_budget()
+        return limit, f"REXCALC_BUDGET={limit}"
+    return DEFAULT_BUDGET, f"the default budget of {DEFAULT_BUDGET:,}"
+
+
 @lru_cache(maxsize=8)
 def _calculus(word: Word, rank: int):
     rex = build_rex_graph(word_to_perm(word, rank))
@@ -109,8 +119,9 @@ class FpcVerdict:
 class _MatrixPool:
     """Interns matrices by value and caches products with edge matrices."""
 
-    def __init__(self, budget: int):
+    def __init__(self, budget: int, source: str):
         self.budget = budget
+        self.source = source
         self.ids: dict[tuple, int] = {}
         self.mats: list[MorphismMatrix] = []
         self.products: dict[tuple[int, tuple[Word, Word]], int] = {}
@@ -122,8 +133,8 @@ class _MatrixPool:
             return found
         if len(self.mats) >= self.budget:
             raise BudgetExceededError(
-                f"more than {self.budget} distinct morphism matrices; "
-                "raise REXCALC_BUDGET to continue"
+                f"more than {self.budget} distinct morphism matrices, "
+                f"the limit set by {self.source}; raise it to continue"
             )
         self.ids[key] = len(self.mats)
         self.mats.append(m)
@@ -169,7 +180,7 @@ def _value_search(
     neigh = {
         r: sorted(d.representative for d in conf.neighbors(conf.cloud(r))) for r in reps
     }
-    pool = _MatrixPool(budget if budget is not None else matrix_budget())
+    pool = _MatrixPool(*_budget_in_force(budget))
     starts = reps if endpoints is None else [tuple(endpoints[0])]
     target_end = None if endpoints is None else tuple(endpoints[1])
     # per start: frontier of (state -> representative path), global seen states

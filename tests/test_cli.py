@@ -3,6 +3,11 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 from rexcalc.cli import main, parse_word
 
@@ -165,3 +170,35 @@ def test_output_is_deterministic(capsys):
     _, first, _ = run(capsys, *argv)
     _, second, _ = run(capsys, *argv)
     assert first == second
+
+
+def test_budget_error_names_the_flag(capsys):
+    code, _, err = run(
+        capsys, "verify", "refined", "--rank", "3", "--max-len", "8", "--budget", "2"
+    )
+    assert code == 3
+    assert "--budget 2" in err
+
+
+def test_budget_error_names_the_environment_variable(capsys, monkeypatch):
+    monkeypatch.setenv("REXCALC_BUDGET", "2")
+    code, _, err = run(capsys, "verify", "refined", "--rank", "3", "--max-len", "8")
+    assert code == 3
+    assert "REXCALC_BUDGET=2" in err and "--budget" not in err
+
+
+def test_huge_exponent_is_a_usage_error():
+    # expanding x1^99999999 used to hang; it must be refused at parse time
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    argv = ["eval", "12321", "--path", "s,c,t,c", "--element", "1,1,1,1,1,x1^99999999"]
+    start = time.perf_counter()
+    proc = subprocess.run(
+        [sys.executable, "-m", "rexcalc.cli", *argv],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert elapsed < 5

@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from rexcalc.polyring import Polynomial, parse_polynomial
+from rexcalc.polyring import MAX_DEGREE, ExponentOverflowError, Polynomial, parse_polynomial
 from rexcalc.symgroup import Permutation
 
 from conftest import random_permutation, random_polynomial
@@ -27,7 +27,7 @@ def divide_by_variable_difference(p: Polynomial, i: int) -> Polynomial:
     rank = p.rank
     # view p as a polynomial in x_i with coefficients in the other variables
     by_deg: dict[int, Polynomial] = {}
-    for mono, c in p.terms.items():
+    for mono, c in p.iter_terms():
         d = mono[i - 1]
         rest = mono[: i - 1] + (0,) + mono[i:]
         by_deg.setdefault(d, Polynomial.zero(rank))
@@ -189,3 +189,24 @@ def test_parse_inputs():
         parse_polynomial("x9", 4)
     with pytest.raises(ValueError):
         parse_polynomial("x1 x2", 4)
+
+
+# -- exponent bounds ----------------------------------------------------------------
+
+
+def test_degree_overflow_is_a_value_error():
+    big = x(1) ** 1500
+    with pytest.raises(ExponentOverflowError):
+        big * big
+    with pytest.raises(ValueError):
+        big * x(2) ** 600
+    assert (x(1) ** MAX_DEGREE).degree() == 2 * MAX_DEGREE
+    with pytest.raises(ExponentOverflowError):
+        Polynomial(4, {(MAX_DEGREE, 1, 0, 0): 1})
+
+
+def test_parse_bounds_degree():
+    assert parse_polynomial("x1^128", 4).degree() == 256
+    for text in ("x1^99999999", "x1^129", "(x1^100)^2", "x1^100*x2^100", "(x1^100*x1^100)"):
+        with pytest.raises(ValueError, match="degree limit"):
+            parse_polynomial(text, 4)
