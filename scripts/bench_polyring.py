@@ -1,18 +1,23 @@
 #!/usr/bin/env python3
-"""Time the polynomial kernel and matrix interning keys in one process.
+"""Time the polynomial kernel, matrix interning keys and edge-matrix builds.
 
 Usage, from the root of a checkout:
 
-    PYTHONPATH=src python3 scripts/bench_polyring.py [--repeat 7]
+    PYTHONPATH=src python3 scripts/bench_polyring.py [--repeat 7] [--w0-rank5]
 
 Prints one JSON object: nanoseconds per operation (best of the repeats)
-for ``Polynomial`` multiplication, addition and ``split``, and for the
-first ``MorphismMatrix.key()`` call on freshly composed matrices.  The
-operands are fixed: seeded random integer-coefficient polynomials of rank
-4 (1-4 terms, exponents up to 2, the shape of the S_4 sweep's matrix
-entries) and the matrices of seeded random walks on the conflated graph of 12321.  Only public
-names are used, so the script runs unchanged against older versions of
-the package.
+for ``Polynomial`` multiplication, addition and ``split``, for the first
+``MorphismMatrix.key()`` call on freshly composed matrices, and for
+``MorphismMatrix.for_edge`` on one distant and one adjacent move of the
+word 123545321 of the element 123454321 (512 columns), with the package's
+cached tables cleared before each repeat.  ``--w0-rank5`` also times one
+cold ``ConflatedMorphisms`` build for the longest element of S_5, in
+seconds.  The operands are fixed: seeded random integer-coefficient
+polynomials of rank 4 (1-4 terms, exponents up to 2, the shape of the S_4
+sweep's matrix entries) and the matrices of seeded random walks on the
+conflated graph of 12321.  Apart from clearing the cached tables, only
+public names are used, so the script runs unchanged against older
+versions of the package.
 """
 
 from __future__ import annotations
@@ -22,9 +27,16 @@ import json
 import random
 import time
 
-from rexcalc import ConflatedMorphisms, Polynomial, graph_for_word
+from rexcalc import BraidMove, ConflatedMorphisms, MorphismMatrix, Polynomial, braidmor, graph_for_word
+from rexcalc.symgroup import longest_element
 
 RANK = 4
+
+EDGE_WORD = (1, 2, 3, 5, 4, 5, 3, 2, 1)
+EDGE_MOVES = {
+    "for_edge_distant": BraidMove(2, "distant", 3, 5),
+    "for_edge_adjacent": BraidMove(3, "down", 4),
+}
 
 
 def random_polys(rng: random.Random, count: int) -> list[Polynomial]:
@@ -48,6 +60,31 @@ def best_ns(fn, ops: int, repeat: int) -> float:
     return best / ops * 1e9
 
 
+def clear_tables() -> None:
+    for name in ("_adjacent_table", "_distant_table", "_edge_matrix_cached"):
+        getattr(braidmor, name).cache_clear()
+
+
+def time_for_edge(move: BraidMove, repeat: int) -> float:
+    """Fastest cold build of one edge matrix of EDGE_WORD, in nanoseconds."""
+    best = float("inf")
+    for _ in range(repeat):
+        clear_tables()
+        start = time.perf_counter()
+        MorphismMatrix.for_edge(move, EDGE_WORD, 6)
+        best = min(best, time.perf_counter() - start)
+    return best * 1e9
+
+
+def time_w0_rank5() -> float:
+    """Seconds for one cold ConflatedMorphisms build of the longest element of S_5."""
+    clear_tables()
+    rex, conf = graph_for_word(longest_element(5), rank=5)
+    start = time.perf_counter()
+    ConflatedMorphisms(rex, conf)
+    return time.perf_counter() - start
+
+
 def fresh_matrices(cm: ConflatedMorphisms, walks) -> list:
     return [cm.path_matrix(walk) for walk in walks]
 
@@ -55,6 +92,7 @@ def fresh_matrices(cm: ConflatedMorphisms, walks) -> list:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7)
+    parser.add_argument("--w0-rank5", action="store_true", help="also time the rank-5 w0 tables")
     args = parser.parse_args()
     rng = random.Random(2024)
     left, right = random_polys(rng, 2000), random_polys(rng, 2000)
@@ -89,6 +127,10 @@ def main() -> int:
         "matrix_key": time_key(),
         "matrix_key_walks": len(walks),
     }
+    for name, move in EDGE_MOVES.items():
+        result[name] = time_for_edge(move, args.repeat)
+    if args.w0_rank5:
+        result["w0_rank5_tables_s"] = time_w0_rank5()
     print(json.dumps(result, indent=2))
     return 0
 

@@ -25,10 +25,24 @@ hard error rather than a silent extension.
 
 Whole-word edge morphisms Id (x) f (x) Id act on a stored basis term by
 looking up the window mask in the table, multiplying the image's left
-coefficient into the slot left of the window, and renormalizing.  Path
-morphisms are ordered products of edge matrices over the normal-form
+coefficient into the slot left of the window, and renormalizing
+(``apply_edge``).  The edge matrix is built window-locally from the same
+rule.  A basis column splits into prefix bits p (left of the window),
+window bits wm and suffix bits.  Renormalization runs right to left, and
+every slot right of the window holds 1 or its own letter's variable, so
+the suffix bits pass through unchanged and only the prefix is rewritten:
+each term (imask, icoeff) of the image of wm contributes the normal form
+of the prefix tensor of p with icoeff in its last slot, with imask in the
+window.  So the part of a column left of the suffix is computed once per
+(p, wm), the prefix normal form once per (p, icoeff), and every suffix
+reuses it with shifted row indices.  A distant move has icoeff = 1
+throughout, and its matrix is a permutation built without polynomial
+arithmetic.
+
+Path morphisms are ordered products of edge matrices over the normal-form
 bases; they are faithful because those bases are free, so path equality
-questions reduce to entrywise polynomial equality.
+questions reduce to entrywise polynomial equality.  A column holding a
+single entry 1 only reindexes in a product.
 """
 
 from __future__ import annotations
@@ -216,7 +230,7 @@ class MorphismMatrix:
     morphisms is entrywise polynomial equality.
     """
 
-    __slots__ = ("rank", "domain", "codomain", "cols", "_key")
+    __slots__ = ("rank", "domain", "codomain", "cols", "_key", "_units")
 
     def __init__(self, rank: int, domain: Word, codomain: Word, cols):
         if len(domain) != len(codomain):
@@ -230,6 +244,15 @@ class MorphismMatrix:
         }
         self.cols = {c: col for c, col in self.cols.items() if col}
         self._key = None
+        self._units: dict[int, int] | None = None
+
+    @classmethod
+    def _make(cls, rank: int, domain: Word, codomain: Word, cols) -> MorphismMatrix:
+        """Trusted constructor: word tuples, no zero entry and no empty column."""
+        m = object.__new__(cls)
+        m.rank, m.domain, m.codomain, m.cols = rank, domain, codomain, cols
+        m._key = m._units = None
+        return m
 
     @classmethod
     def identity(cls, word: Word, rank: int) -> MorphismMatrix:
@@ -239,33 +262,98 @@ class MorphismMatrix:
 
     @classmethod
     def for_edge(cls, move: BraidMove, word: Word, rank: int) -> MorphismMatrix:
-        """Matrix of apply_edge over all domain basis masks."""
+        """Matrix of apply_edge over all domain basis masks, built window-locally.
+
+        Column bits split into prefix p, window wm and suffix, as the
+        module docstring explains; the suffix bits pass through unchanged.
+        """
         word = tuple(word)
+        if not move.applies_to(word):
+            raise ValueError(f"move {move} does not apply to word {word}")
+        table = derive_local_table(move, rank)
+        pos, m = move.position, move.width
+        prefix = word[:pos]
+        one = Polynomial.one(rank)
+        renormalized: dict[tuple[int, Polynomial], dict[int, Polynomial]] = {}
+
+        def prefix_normal(p: int, coeff: Polynomial) -> dict[int, Polynomial]:
+            if coeff.is_one():
+                return {p: one}  # a basis tensor is already in normal form
+            found = renormalized.get((p, coeff))
+            if found is None:
+                slots = [one] + [
+                    _x(letter, rank) if (p >> t) & 1 else one for t, letter in enumerate(prefix)
+                ]
+                slots[-1] = slots[-1] * coeff
+                found = renormalized[(p, coeff)] = from_tensor(prefix, slots, rank).coeffs
+            return found
+
+        low_mask = (1 << (pos + m)) - 1
+        partials: dict[int, dict[int, Polynomial]] = {}
         cols = {}
-        target = None
         for c in range(1 << len(word)):
-            img = apply_edge(BSElement.basis(word, c, rank), move)
-            target = img.word
-            cols[c] = dict(img.coeffs)
-        return cls(rank, word, target, cols)
+            low, suffix = c & low_mask, c & ~low_mask
+            partial = partials.get(low)
+            if partial is None:
+                p, wm = low & ((1 << pos) - 1), low >> pos
+                partial = partials[low] = {
+                    r | imask << pos: coeff
+                    for imask, icoeff in table.images[wm].coeffs.items()
+                    for r, coeff in prefix_normal(p, icoeff).items()
+                }
+            cols[c] = {r | suffix: coeff for r, coeff in partial.items()}
+        return cls._make(rank, word, prefix + table.target_window + word[pos + m:], cols)
 
     def entry(self, row: int, col: int) -> Polynomial:
         return self.cols.get(col, {}).get(row, Polynomial.zero(self.rank))
 
+    def _unit_columns(self) -> dict[int, int]:
+        """Row of every column holding a single entry equal to one."""
+        if self._units is None:
+            self._units = {
+                c: r
+                for c, col in self.cols.items()
+                if len(col) == 1
+                for r, p in col.items()
+                if p.is_one()
+            }
+        return self._units
+
     def compose(self, other: MorphismMatrix) -> MorphismMatrix:
-        """self after other (matrix product self . other)."""
+        """self after other (matrix product self . other).
+
+        Unit columns, which make up distant edges and the identity, only
+        reindex: no polynomial is multiplied for them on either side.
+        """
         if other.codomain != self.domain or other.rank != self.rank:
             raise ValueError("composition shape mismatch")
+        units = self._unit_columns()
         cols: dict[int, dict[int, Polynomial]] = {}
         for c, col in other.cols.items():
+            if len(col) == 1:
+                ((m, pmc),) = col.items()
+                if pmc.is_one():
+                    if m in self.cols:
+                        cols[c] = self.cols[m]  # columns are never mutated, so share it
+                    continue
             acc: dict[int, Polynomial] = {}
             for m, pmc in col.items():
-                for r, prm in self.cols.get(m, {}).items():
-                    prod = prm * pmc
+                r = units.get(m)
+                if r is not None:
+                    images = ((r, pmc),)
+                else:
+                    images = [(r, prm * pmc) for r, prm in self.cols.get(m, {}).items()]
+                for r, term in images:
                     cur = acc.get(r)
-                    acc[r] = prod if cur is None else cur + prod
-            cols[c] = acc
-        return MorphismMatrix(self.rank, other.domain, self.codomain, cols)
+                    if cur is None:
+                        acc[r] = term
+                    elif (total := cur + term).is_zero():
+                        del acc[r]
+                    else:
+                        acc[r] = total
+            if acc:
+                cols[c] = acc
+        return MorphismMatrix._make(self.rank, other.domain, self.codomain, cols)
 
     def __mul__(self, other: MorphismMatrix) -> MorphismMatrix:
         return self.compose(other)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from dataclasses import dataclass
 
@@ -105,6 +106,13 @@ def _alias_vertices(conf: ConflatedGraph) -> dict[str, Word]:
     return aliases
 
 
+def _cloud_representative(conf: ConflatedGraph, word: Word) -> Word:
+    try:
+        return conf.cloud(word).representative
+    except KeyError:
+        raise UsageError(f"{word_label(word)} is not a reduced word of this element") from None
+
+
 def parse_path_spec(spec: str, rex: RexGraph, conf: ConflatedGraph) -> Path:
     """A path is comma- or arrow-separated vertices; s/t/c name conflated clouds."""
     raw = [tok.strip() for tok in spec.replace("->", ",").split(",") if tok.strip()]
@@ -120,12 +128,12 @@ def parse_path_spec(spec: str, rex: RexGraph, conf: ConflatedGraph) -> Path:
                     raise UsageError(f"alias {tok!r} undefined for this element")
                 vertices.append(aliases[tok])
             else:
-                vertices.append(conf.cloud(parse_word(tok)).representative)
+                vertices.append(_cloud_representative(conf, parse_word(tok)))
         return Path(CONFLATED, tuple(vertices))
     vertices = [parse_word(tok) for tok in raw]
     if all(v in rex.adjacency for v in vertices):
         return Path(EXPANDED, tuple(vertices))
-    return Path(CONFLATED, tuple(conf.cloud(v).representative for v in vertices))
+    return Path(CONFLATED, tuple(_cloud_representative(conf, v) for v in vertices))
 
 
 def parse_element_spec(spec: str, word: Word, rank: int) -> BSElement:
@@ -349,17 +357,25 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
-    try:
-        return args.func(args)
+        try:
+            args = parser.parse_args(argv)
+        except SystemExit as exc:
+            code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
+        else:
+            code = args.func(args)
+        sys.stdout.flush()
+        return code
     except fpc.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE
+    except BrokenPipeError:
+        # the reader stopped early (say, `| head`); point stdout at devnull so
+        # the flush at interpreter exit does not fail a second time
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_OK
 
 
 if __name__ == "__main__":

@@ -476,11 +476,35 @@ def check_dud_udu(n: int, x, y) -> bool:
     return dud_matrix(n, x, y) == udu_matrix(n, x, y)
 
 
+def dud_udu_pairs(n: int):
+    """(x, y, down-up-down, up-down-up) for every ordered pair of conflated vertices.
+
+    Each path half depends on one endpoint only, so the runs into and out
+    of the source and sink are composed once per vertex, and every pair
+    costs two compositions.  ``dud_matrix`` and ``udu_matrix`` build the
+    same matrices one pair at a time.
+    """
+    rex, conf, cm = _zam_calculus(n)
+    s, t = source_sink(conf)
+    sr, tr = s.representative, t.representative
+    reps = sorted(c.representative for c in conf.clouds)
+
+    def run(x, y, direction):
+        return cm.path_matrix(_oriented_run(conf, x, y, direction))
+
+    up_ts, down_st = run(tr, sr, "up"), run(sr, tr, "down")
+    dud_head = {x: up_ts.compose(run(x, tr, "down")) for x in reps}
+    udu_head = {x: down_st.compose(run(x, sr, "up")) for x in reps}
+    dud_tail = {y: run(sr, y, "down") for y in reps}
+    udu_tail = {y: run(tr, y, "up") for y in reps}
+    for x in reps:
+        for y in reps:
+            yield x, y, dud_tail[y].compose(dud_head[x]), udu_tail[y].compose(udu_head[x])
+
+
 def check_dud_udu_all(n: int) -> bool:
     """Check the law for every ordered pair of conflated vertices."""
-    rex, conf, cm = _zam_calculus(n)
-    reps = sorted(c.representative for c in conf.clouds)
-    return all(check_dud_udu(n, x, y) for x in reps for y in reps)
+    return all(dud == udu for _, _, dud, udu in dud_udu_pairs(n))
 
 
 # -- equivalence lemmas -------------------------------------------------------
@@ -761,11 +785,16 @@ def check_simplify_soundness(n: int = 4, max_len: int = 10) -> bool:
     reps = sorted(c.representative for c in conf.clouds)
     cache: dict[tuple[Word, ...], MorphismMatrix] = {}
 
-    def matrix(vertices) -> MorphismMatrix:
-        key = tuple(vertices)
-        if key not in cache:
-            cache[key] = cm.path_matrix(key)
-        return cache[key]
+    def matrix(vertices: tuple[Word, ...]) -> MorphismMatrix:
+        # paths stream in prefix order, so each one costs a single step
+        found = cache.get(vertices)
+        if found is None:
+            if len(vertices) == 1:
+                found = MorphismMatrix.identity(vertices[0], n)
+            else:
+                found = cm.step_matrix(*vertices[-2:]).compose(matrix(vertices[:-1]))
+            cache[vertices] = found
+        return found
 
     for a in reps:
         for z in reps:

@@ -27,9 +27,10 @@ from rexcalc.rexgraph import (
     lift_conflated_path,
     source_sink,
 )
-from rexcalc.symgroup import BraidMove, braid_moves, longest_element
+from rexcalc.fpc import family_word
+from rexcalc.symgroup import BraidMove, braid_moves, longest_element, reduced_words, word_to_perm
 
-from conftest import random_polynomial
+from conftest import random_polynomial, random_reduced_word
 
 
 def x(i, rank=4):
@@ -213,6 +214,49 @@ def test_bimodule_linearity_randomized():
         p = random_polynomial(rng, 4)
         assert apply_edge(left_mul(p, e), UP_MOVE) == left_mul(p, apply_edge(e, UP_MOVE))
         assert apply_edge(right_mul(e, p), UP_MOVE) == right_mul(apply_edge(e, UP_MOVE), p)
+
+
+def _column_by_column(move, word, rank):
+    """The direct build of an edge matrix: apply_edge on every basis tensor."""
+    cols, target = {}, None
+    for c in range(1 << len(word)):
+        image = apply_edge(BSElement.basis(word, c, rank), move)
+        target, cols[c] = image.word, dict(image.coeffs)
+    return MorphismMatrix(rank, word, target, cols)
+
+
+def _cross_check_words():
+    cases = [
+        (u, n)
+        for w, n in [(family_word(5), 5), (longest_element(4), 4), ((1, 3, 2, 3, 1), 4)]
+        for u in reduced_words(word_to_perm(w, n))
+    ]
+    rng = random.Random(61)
+    for n in (5, 6):
+        picked = 0
+        while picked < 4:
+            word = random_reduced_word(rng, n, moves=4)
+            if 4 <= len(word) <= 8 and braid_moves(word):
+                cases.append((word, n))
+                picked += 1
+    return cases
+
+
+def test_for_edge_matches_column_by_column_apply_edge():
+    positions = set()
+    for word, rank in _cross_check_words():
+        for move, _ in braid_moves(word):
+            fast = MorphismMatrix.for_edge(move, word, rank)
+            direct = _column_by_column(move, word, rank)
+            assert fast.domain == direct.domain == word
+            assert fast.codomain == direct.codomain == move.apply(word)
+            assert fast.cols == direct.cols, (word, move)
+            positions.add(
+                "first" if move.position == 0
+                else "last" if move.position + move.width == len(word)
+                else "inner"
+            )
+    assert positions == {"first", "last", "inner"}
 
 
 # -- path morphisms ----------------------------------------------------------------

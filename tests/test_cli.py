@@ -202,3 +202,46 @@ def test_huge_exponent_is_a_usage_error():
     assert "Traceback" not in proc.stderr
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert elapsed < 5
+
+
+def _run_cli(*argv, **kwargs):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    return subprocess.run(
+        [sys.executable, "-m", "rexcalc.cli", *argv], text=True, env=env, timeout=60, **kwargs
+    )
+
+
+def test_dense_power_is_a_usage_error():
+    # within the degree limit, but it expands to 635,376 terms
+    argv = ["eval", "12321", "--path", "s,c,t,c", "--element", "1,1,1,1,1,(x1+x2+x3+x4+1)^60"]
+    start = time.perf_counter()
+    proc = _run_cli(*argv, capture_output=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "term limit" in proc.stderr
+    assert elapsed < 5
+
+
+def test_unknown_path_vertex_is_a_usage_error():
+    for path in ("s,99", "12321,99"):
+        proc = _run_cli("eval", "12321", "--path", path, "--element", "1,1,1,1,1,1", capture_output=True)
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+
+
+def test_closed_stdout_exits_quietly():
+    # the reader of the pipe is gone before the first write, as after `| head`
+    for argv in (["graph", "121321"], ["--help"]):
+        read_end, write_end = os.pipe()
+        os.close(read_end)
+        try:
+            proc = _run_cli(*argv, stdout=write_end, stderr=subprocess.PIPE)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr == ""

@@ -113,6 +113,18 @@ def test_dud_ts_is_the_reverse_morphism_rank_four():
     assert fpc.udu_matrix(4, s, t) == z
 
 
+def test_shared_halves_match_per_pair_matrices_rank_four():
+    # check_dud_udu_all reuses per-vertex path halves; dud_matrix and
+    # udu_matrix rebuild every path for one pair and are the oracle
+    pairs = list(fpc.dud_udu_pairs(4))
+    assert len(pairs) == 8 * 8
+    for x, y, dud, udu in pairs:
+        assert dud == fpc.dud_matrix(4, x, y)
+        assert udu == fpc.udu_matrix(4, x, y)
+        assert dud == udu
+    assert fpc.check_dud_udu_all(4)
+
+
 def test_budget_env_variable(monkeypatch):
     monkeypatch.setenv("REXCALC_BUDGET", "123")
     assert fpc.matrix_budget() == 123

@@ -210,3 +210,15 @@ def test_parse_bounds_degree():
     for text in ("x1^99999999", "x1^129", "(x1^100)^2", "x1^100*x2^100", "(x1^100*x1^100)"):
         with pytest.raises(ValueError, match="degree limit"):
             parse_polynomial(text, 4)
+
+
+def test_parse_bounds_term_count():
+    assert len(parse_polynomial("(x1+x2+x3+x4+1)^19", 4).terms) == 8855
+    assert len(parse_polynomial("(x1+x2)^128", 2).terms) == 129
+    for text in (
+        "(x1+x2+x3+x4+1)^60",
+        "(x1+x2+x3+x4+1)^20",
+        "(x1+x2+x3+x4+1)^10*(x1+x2+x3+x4+1)^9",
+    ):
+        with pytest.raises(ValueError, match="term limit"):
+            parse_polynomial(text, 4)
