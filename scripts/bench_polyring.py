@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the polynomial kernel, matrix interning keys and edge-matrix builds.
+"""Time the polynomial kernel, matrix keys, edge matrices and the graph layer.
 
 Usage, from the root of a checkout:
 
@@ -10,25 +10,32 @@ for ``Polynomial`` multiplication, addition and ``split``, for the first
 ``MorphismMatrix.key()`` call on freshly composed matrices, and for
 ``MorphismMatrix.for_edge`` on one distant and one adjacent move of the
 word 123545321 of the element 123454321 (512 columns), with the package's
-cached tables cleared before each repeat.  ``--w0-rank5`` also times one
-cold ``ConflatedMorphisms`` build for the longest element of S_5, in
-seconds.  The operands are fixed: seeded random integer-coefficient
-polynomials of rank 4 (1-4 terms, exponents up to 2, the shape of the S_4
-sweep's matrix entries) and the matrices of seeded random walks on the
-conflated graph of 12321.  Apart from clearing the cached tables, only
-public names are used, so the script runs unchanged against older
-versions of the package.
+cached tables cleared before each repeat.  The graph rows time, best of
+``GRAPH_REPEAT`` runs and in nanoseconds, ``reduced_words``,
+``build_rex_graph`` and ``build_conflated`` on the element 121321432154 of
+S_6 (5,775 words, 17,486 edges, 82 clouds) and the JSON emission of its
+``rexcalc graph --format json`` payload (``cli._emit``, into /dev/null).
+``--w0-rank5`` also times one cold ``ConflatedMorphisms`` build for the
+longest element of S_5, in seconds.  The operands are fixed: seeded
+random integer-coefficient polynomials of rank 4 (1-4 terms, exponents up
+to 2, the shape of the S_4 sweep's matrix entries) and the matrices of
+seeded random walks on the conflated graph of 12321.  Apart from clearing
+the cached tables and ``cli._emit``, only public names are used, so the
+script runs unchanged against older versions of the package.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
+import os
 import random
 import time
 
-from rexcalc import BraidMove, ConflatedMorphisms, MorphismMatrix, Polynomial, braidmor, graph_for_word
-from rexcalc.symgroup import longest_element
+from rexcalc import BraidMove, ConflatedMorphisms, MorphismMatrix, Polynomial, braidmor, cli, graph_for_word
+from rexcalc.rexgraph import build_conflated, build_rex_graph
+from rexcalc.symgroup import longest_element, reduced_words, word_to_perm
 
 RANK = 4
 
@@ -37,6 +44,9 @@ EDGE_MOVES = {
     "for_edge_distant": BraidMove(2, "distant", 3, 5),
     "for_edge_adjacent": BraidMove(3, "down", 4),
 }
+
+GRAPH_WORD = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)
+GRAPH_REPEAT = 5
 
 
 def random_polys(rng: random.Random, count: int) -> list[Polynomial]:
@@ -85,6 +95,28 @@ def time_w0_rank5() -> float:
     return time.perf_counter() - start
 
 
+def time_graph_layer() -> dict:
+    """Best-of times of the graph layer on GRAPH_WORD, in nanoseconds."""
+    perm = word_to_perm(GRAPH_WORD, 6)
+    rex = build_rex_graph(perm)
+    payload = {
+        "element": "121321432154",
+        "vertices": [list(w) for w in rex.words],
+        "edges": [{"source": list(u), "target": list(v), "kind": m.kind} for u, v, m in rex.edges],
+    }
+
+    def emit_json():
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            cli._emit(payload, "json", ())
+
+    return {
+        "reduced_words": best_ns(lambda: reduced_words(perm), 1, GRAPH_REPEAT),
+        "build_rex_graph": best_ns(lambda: build_rex_graph(perm), 1, GRAPH_REPEAT),
+        "build_conflated": best_ns(lambda: build_conflated(rex), 1, GRAPH_REPEAT),
+        "emit_graph_json": best_ns(emit_json, 1, GRAPH_REPEAT),
+    }
+
+
 def fresh_matrices(cm: ConflatedMorphisms, walks) -> list:
     return [cm.path_matrix(walk) for walk in walks]
 
@@ -129,6 +161,7 @@ def main() -> int:
     }
     for name, move in EDGE_MOVES.items():
         result[name] = time_for_edge(move, args.repeat)
+    result.update(time_graph_layer())
     if args.w0_rank5:
         result["w0_rank5_tables_s"] = time_w0_rank5()
     print(json.dumps(result, indent=2))

@@ -10,14 +10,16 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
+from itertools import chain
 
 from . import fpc
 from .braidmor import ConflatedMorphisms, path_morphism
 from .bsbimod import BSElement, from_tensor
-from .polyring import parse_polynomial
+from .polyring import MAX_INPUT_TERMS, parse_polynomial
 from .rexgraph import (
     CONFLATED,
     EXPANDED,
@@ -28,6 +30,7 @@ from .rexgraph import (
     build_rex_graph,
     source_sink,
     to_dot,
+    word_label,
 )
 from .symgroup import Word, is_reduced, word_to_perm
 
@@ -71,12 +74,6 @@ def parse_word(text: str) -> Word:
         return tuple(int(p) for p in parts)
     except ValueError:
         raise UsageError(f"cannot parse word {text!r}")
-
-
-def word_label(word: Word) -> str:
-    if not word:
-        return "e"
-    return "".join(map(str, word)) if all(l <= 9 for l in word) else ",".join(map(str, word))
 
 
 def _resolve_config(args, require_reduced=True) -> RunConfig:
@@ -142,12 +139,45 @@ def parse_element_spec(spec: str, word: Word, rank: int) -> BSElement:
         raise UsageError(
             f"element needs {len(word) + 1} slot polynomials for {word_label(word)}, got {len(slots)}"
         )
+    # the normal form and its image can hold the product of the slot sizes
+    size = math.prod(len(p.terms) for p in slots)
+    if size > MAX_INPUT_TERMS:
+        raise UsageError(
+            f"the slot term counts multiply to {size}, above the input term limit {MAX_INPUT_TERMS}"
+        )
     return from_tensor(word, slots, rank)
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _dumps(value, newline: str = "\n") -> str:
+    """The text of json.dumps(value, indent=2, sort_keys=True), built directly.
+
+    Python's json module falls back to its pure-Python encoder whenever
+    indent is set.  Strings, ints and non-empty lists, tuples and
+    str-keyed dicts are written here; any other value goes to json.dumps
+    and is re-indented to its depth, which is exactly how nested values
+    are indented there.
+    """
+    if type(value) is str:
+        return _encode_str(value)
+    if type(value) is int:
+        return repr(value)
+    inner = newline + "  "
+    if type(value) in (list, tuple) and value:
+        items = [repr(v) if type(v) is int else _dumps(v, inner) for v in value]
+        return "[" + inner + ("," + inner).join(items) + newline + "]"
+    if type(value) is dict and value and all(type(k) is str for k in value):
+        items = [_encode_str(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items())]
+        return "{" + inner + ("," + inner).join(items) + newline + "}"
+    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+
+
 def _emit(payload, fmt: str, text_lines) -> None:
+    # text_lines may be lazy: it is read only for text output
     if fmt == "json":
-        print(json.dumps(payload, indent=2, sort_keys=True))
+        print(_dumps(payload))
     else:
         for line in text_lines:
             print(line)
@@ -156,10 +186,9 @@ def _emit(payload, fmt: str, text_lines) -> None:
 def cmd_graph(args) -> int:
     cfg = _resolve_config(args)
     rex = build_rex_graph(word_to_perm(cfg.word, cfg.rank))
-    conf = build_conflated(rex)
-    graph = conf if args.conflated else rex
+    conf = build_conflated(rex) if args.conflated else None
     if cfg.output_format == "dot":
-        print(to_dot(graph))
+        print(to_dot(conf or rex))
         return EXIT_OK
     if args.conflated:
         payload = {
@@ -173,12 +202,14 @@ def cmd_graph(args) -> int:
                 for e in conf.edges
             ],
         }
-        lines = [f"conflated graph of {word_label(cfg.word)} (rank {cfg.rank})"]
-        lines += [f"  cloud {c}: {{{', '.join(word_label(w) for w in c.members)}}}" for c in conf.clouds]
-        lines += [
-            f"  {word_label(e.source.representative)} -> {word_label(e.target.representative)}"
-            for e in conf.edges
-        ]
+        lines = chain(
+            [f"conflated graph of {word_label(cfg.word)} (rank {cfg.rank})"],
+            (f"  cloud {c}: {{{', '.join(word_label(w) for w in c.members)}}}" for c in conf.clouds),
+            (
+                f"  {word_label(e.source.representative)} -> {word_label(e.target.representative)}"
+                for e in conf.edges
+            ),
+        )
     else:
         payload = {
             "element": word_label(cfg.word),
@@ -188,9 +219,11 @@ def cmd_graph(args) -> int:
                 for u, v, m in rex.edges
             ],
         }
-        lines = [f"expanded graph of {word_label(cfg.word)} (rank {cfg.rank})"]
-        lines += [f"  {word_label(w)}" for w in rex.words]
-        lines += [f"  {word_label(u)} -- {word_label(v)} [{m.kind}]" for u, v, m in rex.edges]
+        lines = chain(
+            [f"expanded graph of {word_label(cfg.word)} (rank {cfg.rank})"],
+            (f"  {word_label(w)}" for w in rex.words),
+            (f"  {word_label(u)} -- {word_label(v)} [{m.kind}]" for u, v, m in rex.edges),
+        )
     _emit(payload, cfg.output_format, lines)
     return EXIT_OK
 

@@ -15,12 +15,19 @@ a unique source and sink.
 
 Paths are vertex sequences; the length of a path is the number of
 vertices it lists.  A complete path visits every vertex at least once.
+
+Construction takes the words from the ``reduced_words`` closure and the
+moves from ``braid_moves`` (direct window rewrites, interned moves).  Each
+word's neighbour list is sorted once and the edge list is read off those
+lists in word order, so no global sort is needed; clouds grow from the
+words in order, and conflation keys cloud pairs by their representatives.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from operator import itemgetter
 from typing import Iterator, Sequence
 
 from .symgroup import (
@@ -177,30 +184,29 @@ class ConflatedGraph:
 def build_rex_graph(perm: Permutation) -> RexGraph:
     """Construct the expanded expressions graph of a permutation."""
     words = tuple(reduced_words(perm))
-    adjacency: dict[Word, list[tuple[Word, BraidMove]]] = {w: [] for w in words}
+    adjacency: dict[Word, tuple[tuple[Word, BraidMove], ...]] = {}
     edges = []
     for w in words:
-        for move, w2 in braid_moves(w):
-            adjacency[w].append((w2, move))
-            if w < w2:
-                edges.append((w, w2, move))
-    for w in adjacency:
-        adjacency[w].sort(key=lambda vm: (vm[0], vm[1].position, vm[1].kind))
-    return RexGraph(
-        rank=perm.n,
-        element=perm,
-        words=words,
-        edges=tuple(sorted(edges, key=lambda e: (e[0], e[1]))),
-        adjacency={w: tuple(neigh) for w, neigh in adjacency.items()},
-    )
+        # no two moves give one word (their windows differ), so sorting by
+        # the neighbour word alone keeps the (position, kind) tie-break
+        neigh = sorted([(w2, move) for move, w2 in braid_moves(w)], key=itemgetter(0))
+        adjacency[w] = tuple(neigh)
+        # words ascend and each neighbour list ascends, so edges come sorted
+        edges.extend((w, w2, move) for w2, move in neigh if w < w2)
+    return RexGraph(rank=perm.n, element=perm, words=words, edges=tuple(edges), adjacency=adjacency)
 
 
 def clouds(graph: RexGraph) -> list[Cloud]:
-    """Connected components of the distant-edge subgraph, sorted."""
-    remaining = set(graph.words)
+    """Connected components of the distant-edge subgraph, sorted.
+
+    Seeds are taken in word order, so each is the least word of its
+    component and the components come out sorted.
+    """
+    seen: set[Word] = set()
     out = []
-    while remaining:
-        seed = min(remaining)
+    for seed in graph.words:
+        if seed in seen:
+            continue
         component = {seed}
         queue = deque([seed])
         while queue:
@@ -209,9 +215,9 @@ def clouds(graph: RexGraph) -> list[Cloud]:
                 if v not in component:
                     component.add(v)
                     queue.append(v)
-        remaining -= component
+        seen |= component
         out.append(Cloud(tuple(component)))
-    return sorted(out)
+    return out
 
 
 def build_conflated(graph: RexGraph) -> ConflatedGraph:
@@ -223,30 +229,33 @@ def build_conflated(graph: RexGraph) -> ConflatedGraph:
     """
     cloud_list = clouds(graph)
     cloud_of = {w: c for c in cloud_list for w in c.members}
-    # candidate oriented edges per cloud pair, following the up direction
-    candidates: dict[tuple[Cloud, Cloud], list[tuple[Word, Word, BraidMove]]] = {}
+    # least up-oriented representative per pair of cloud representatives
+    # (hashing a Cloud would rehash all its members)
+    rep_of = {w: c.representative for w, c in cloud_of.items()}
+    retained: dict[tuple[Word, Word], tuple[Word, Word, BraidMove]] = {}
     for u, v, move in graph.edges:
         if move.kind == DISTANT:
             continue
         if move.kind != UP:
             u, v, move = v, u, move.reversed()
-        cu, cv = cloud_of[u], cloud_of[v]
-        if cu == cv:
+        pair = (rep_of[u], rep_of[v])
+        if pair[0] == pair[1]:
             raise AssertionError("adjacent edge inside a cloud contradicts the N statistic")
-        candidates.setdefault((cu, cv), []).append((u, v, move))
-    edges = []
-    seen_pairs = set()
-    for (cu, cv), cand in sorted(candidates.items(), key=lambda kv: (kv[0][0], kv[0][1])):
-        unordered = frozenset((cu, cv))
-        if unordered in seen_pairs:
-            # the quotient orientation is proper; two directions between one
-            # cloud pair would contradict that
-            raise AssertionError("conflicting orientation between clouds")
-        seen_pairs.add(unordered)
-        u, v, move = min(cand)
-        edges.append(ConflatedEdge(cu, cv, u, v, move))
-    sources = [c for c in cloud_list if not any(e.target == c for e in edges)]
-    sinks = [c for c in cloud_list if not any(e.source == c for e in edges)]
+        best = retained.get(pair)
+        if best is None or (u, v) < best[:2]:
+            retained[pair] = (u, v, move)
+    if any((b, a) in retained for a, b in retained):
+        # the quotient orientation is proper; two directions between one
+        # cloud pair would contradict that
+        raise AssertionError("conflicting orientation between clouds")
+    edges = [
+        ConflatedEdge(cloud_of[a], cloud_of[b], u, v, move)
+        for (a, b), (u, v, move) in sorted(retained.items(), key=itemgetter(0))
+    ]
+    has_in = {a for _, a in retained}
+    has_out = {a for a, _ in retained}
+    sources = [c for c in cloud_list if c.representative not in has_in]
+    sinks = [c for c in cloud_list if c.representative not in has_out]
     return ConflatedGraph(
         rank=graph.rank,
         element=graph.element,
@@ -482,21 +491,21 @@ def to_dot(graph) -> str:
     lines = ["digraph rexgraph {"]
     if isinstance(graph, RexGraph):
         for w in graph.words:
-            lines.append(f'  "{_label(w)}";')
+            lines.append(f'  "{word_label(w)}";')
         for u, v, move in graph.edges:
             if move.kind == DISTANT:
-                lines.append(f'  "{_label(u)}" -> "{_label(v)}" [style=dashed, dir=none];')
+                lines.append(f'  "{word_label(u)}" -> "{word_label(v)}" [style=dashed, dir=none];')
             else:
                 if move.kind != UP:
                     u, v = v, u
-                lines.append(f'  "{_label(u)}" -> "{_label(v)}" [style=solid];')
+                lines.append(f'  "{word_label(u)}" -> "{word_label(v)}" [style=solid];')
     elif isinstance(graph, ConflatedGraph):
         for c in graph.clouds:
-            lines.append(f'  "{_label(c.representative)}";')
+            lines.append(f'  "{word_label(c.representative)}";')
         for e in graph.edges:
             lines.append(
-                f'  "{_label(e.source.representative)}" -> '
-                f'"{_label(e.target.representative)}" [style=solid];'
+                f'  "{word_label(e.source.representative)}" -> '
+                f'"{word_label(e.target.representative)}" [style=solid];'
             )
     else:
         raise TypeError(f"not a graph: {graph!r}")
@@ -504,10 +513,11 @@ def to_dot(graph) -> str:
     return "\n".join(lines)
 
 
-def _label(word: Word) -> str:
+def word_label(word: Word) -> str:
+    """Digits run together (12321); with a letter above 9 they are comma-separated."""
     if not word:
         return "e"
-    return "".join(map(str, word)) if all(l <= 9 for l in word) else ",".join(map(str, word))
+    return ("" if max(word) <= 9 else ",").join(map(str, word))
 
 
 def graph_for_word(word, rank: int | None = None) -> tuple[RexGraph, ConflatedGraph]:

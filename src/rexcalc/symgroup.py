@@ -11,6 +11,11 @@ distant relation s_i s_j = s_j s_i for |i - j| >= 2.  The closure of one
 reduced word under single braid moves is the full set of reduced words,
 which is how ``reduced_words`` enumerates them.
 
+``braid_moves`` rewrites each matching window of a word directly, slicing
+the result together, and takes its ``BraidMove`` values from a small
+interned constructor keyed by (position, kind, i, j): moves are frozen,
+so every word of a graph shares the few instances of each position.
+
 >>> word_to_perm((1, 2, 1), 3).images
 (3, 2, 1)
 >>> longest_element(4)
@@ -22,7 +27,7 @@ which is how ``reduced_words`` enumerates them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 Word = tuple[int, ...]
 
@@ -131,8 +136,8 @@ class BraidMove:
 
     def reversed(self) -> BraidMove:
         if self.kind == DISTANT:
-            return BraidMove(self.position, DISTANT, self.j, self.i)
-        return BraidMove(self.position, UP if self.kind == DOWN else DOWN, self.i)
+            return _move(self.position, DISTANT, self.j, self.i)
+        return _move(self.position, UP if self.kind == DOWN else DOWN, self.i)
 
     def applies_to(self, word: Word) -> bool:
         p = self.position
@@ -185,27 +190,31 @@ def longest_element(n: int) -> Word:
     return tuple(word)
 
 
-_KIND_ORDER = {DISTANT: 0, UP: 1, DOWN: 2}
+@cache
+def _move(position: int, kind: str, i: int, j: int = 0) -> BraidMove:
+    # moves are frozen values, so one instance per (position, kind, i, j) is shared
+    return BraidMove(position, kind, i, j)
 
 
 def braid_moves(word) -> list[tuple[BraidMove, Word]]:
     """All single braid moves applicable to a word, with their results.
 
-    Results are listed deterministically by (position, kind).  If the
-    input is reduced, every result is reduced and represents the same
-    group element.
+    Results are listed deterministically by (position, kind); at most one
+    move applies at each position, so scanning the positions in order
+    lists them sorted.  Each result is the word with its window rewritten
+    directly.  If the input is reduced, every result is reduced and
+    represents the same group element.
     """
     word = tuple(word)
     found: list[tuple[BraidMove, Word]] = []
     for p in range(len(word) - 1):
         a, b = word[p], word[p + 1]
         if abs(a - b) >= 2:
-            found.append((BraidMove(p, DISTANT, a, b), None))
-        elif p + 2 < len(word) and word[p + 2] == a:
-            kind = UP if b == a + 1 else DOWN
-            found.append((BraidMove(p, kind, min(a, b)), None))
-    found.sort(key=lambda mw: (mw[0].position, _KIND_ORDER[mw[0].kind]))
-    return [(move, move.apply(word)) for move, _ in found]
+            found.append((_move(p, DISTANT, a, b), word[:p] + (b, a) + word[p + 2:]))
+        elif abs(a - b) == 1 and p + 2 < len(word) and word[p + 2] == a:
+            move = _move(p, UP if b == a + 1 else DOWN, min(a, b))
+            found.append((move, word[:p] + (b, a, b) + word[p + 3:]))
+    return found
 
 
 def _seed_reduced_word(perm: Permutation) -> Word:

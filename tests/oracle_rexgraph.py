@@ -1,0 +1,150 @@
+# Reference implementation for the cross-checks in test_rexgraph_oracle.py:
+# the braid-move enumeration, reduced-word closure, expanded-graph build,
+# cloud search and conflation that preceded the direct window rewrite and
+# the representative-keyed conflation, kept verbatim below.  They build
+# the package's own graph types.  Not used by the package.
+
+from __future__ import annotations
+
+from collections import deque
+
+from rexcalc.rexgraph import Cloud, ConflatedEdge, ConflatedGraph, RexGraph
+from rexcalc.symgroup import DISTANT, DOWN, UP, BraidMove, Permutation, Word
+
+_KIND_ORDER = {DISTANT: 0, UP: 1, DOWN: 2}
+
+
+def braid_moves(word) -> list[tuple[BraidMove, Word]]:
+    """All single braid moves applicable to a word, with their results.
+
+    Results are listed deterministically by (position, kind).  If the
+    input is reduced, every result is reduced and represents the same
+    group element.
+    """
+    word = tuple(word)
+    found: list[tuple[BraidMove, Word]] = []
+    for p in range(len(word) - 1):
+        a, b = word[p], word[p + 1]
+        if abs(a - b) >= 2:
+            found.append((BraidMove(p, DISTANT, a, b), None))
+        elif p + 2 < len(word) and word[p + 2] == a:
+            kind = UP if b == a + 1 else DOWN
+            found.append((BraidMove(p, kind, min(a, b)), None))
+    found.sort(key=lambda mw: (mw[0].position, _KIND_ORDER[mw[0].kind]))
+    return [(move, move.apply(word)) for move, _ in found]
+
+
+def _seed_reduced_word(perm: Permutation) -> Word:
+    # peel right descents: w(i) > w(i+1) means l(w s_i) = l(w) - 1
+    word: list[int] = []
+    q = perm
+    while not q.is_identity():
+        i = next(i for i in range(1, q.n) if q(i) > q(i + 1))
+        word.append(i)
+        q = q * Permutation.simple_reflection(i, q.n)
+    return tuple(reversed(word))
+
+
+def reduced_words(perm: Permutation) -> list[Word]:
+    """All reduced words of a permutation, sorted lexicographically.
+
+    Computed as the breadth-first closure of one reduced word under
+    single braid moves; the closure does not depend on the seed.
+    """
+    seed = _seed_reduced_word(perm)
+    seen = {seed}
+    frontier = [seed]
+    while frontier:
+        nxt = []
+        for w in frontier:
+            for _, w2 in braid_moves(w):
+                if w2 not in seen:
+                    seen.add(w2)
+                    nxt.append(w2)
+        frontier = nxt
+    return sorted(seen)
+
+
+def build_rex_graph(perm: Permutation) -> RexGraph:
+    """Construct the expanded expressions graph of a permutation."""
+    words = tuple(reduced_words(perm))
+    adjacency: dict[Word, list[tuple[Word, BraidMove]]] = {w: [] for w in words}
+    edges = []
+    for w in words:
+        for move, w2 in braid_moves(w):
+            adjacency[w].append((w2, move))
+            if w < w2:
+                edges.append((w, w2, move))
+    for w in adjacency:
+        adjacency[w].sort(key=lambda vm: (vm[0], vm[1].position, vm[1].kind))
+    return RexGraph(
+        rank=perm.n,
+        element=perm,
+        words=words,
+        edges=tuple(sorted(edges, key=lambda e: (e[0], e[1]))),
+        adjacency={w: tuple(neigh) for w, neigh in adjacency.items()},
+    )
+
+
+def clouds(graph: RexGraph) -> list[Cloud]:
+    """Connected components of the distant-edge subgraph, sorted."""
+    remaining = set(graph.words)
+    out = []
+    while remaining:
+        seed = min(remaining)
+        component = {seed}
+        queue = deque([seed])
+        while queue:
+            w = queue.popleft()
+            for v, _ in graph.distant_neighbors(w):
+                if v not in component:
+                    component.add(v)
+                    queue.append(v)
+        remaining -= component
+        out.append(Cloud(tuple(component)))
+    return sorted(out)
+
+
+def build_conflated(graph: RexGraph) -> ConflatedGraph:
+    """Quotient by distant edges with the Manin-Schechtman orientation.
+
+    Multiple adjacent edges projecting onto the same cloud pair collapse
+    to the one whose (source word, target word) pair is lexicographically
+    least among the up-oriented representatives.
+    """
+    cloud_list = clouds(graph)
+    cloud_of = {w: c for c in cloud_list for w in c.members}
+    # candidate oriented edges per cloud pair, following the up direction
+    candidates: dict[tuple[Cloud, Cloud], list[tuple[Word, Word, BraidMove]]] = {}
+    for u, v, move in graph.edges:
+        if move.kind == DISTANT:
+            continue
+        if move.kind != UP:
+            u, v, move = v, u, move.reversed()
+        cu, cv = cloud_of[u], cloud_of[v]
+        if cu == cv:
+            raise AssertionError("adjacent edge inside a cloud contradicts the N statistic")
+        candidates.setdefault((cu, cv), []).append((u, v, move))
+    edges = []
+    seen_pairs = set()
+    for (cu, cv), cand in sorted(candidates.items(), key=lambda kv: (kv[0][0], kv[0][1])):
+        unordered = frozenset((cu, cv))
+        if unordered in seen_pairs:
+            # the quotient orientation is proper; two directions between one
+            # cloud pair would contradict that
+            raise AssertionError("conflicting orientation between clouds")
+        seen_pairs.add(unordered)
+        u, v, move = min(cand)
+        edges.append(ConflatedEdge(cu, cv, u, v, move))
+    sources = [c for c in cloud_list if not any(e.target == c for e in edges)]
+    sinks = [c for c in cloud_list if not any(e.source == c for e in edges)]
+    return ConflatedGraph(
+        rank=graph.rank,
+        element=graph.element,
+        clouds=tuple(cloud_list),
+        edges=tuple(edges),
+        cloud_of=cloud_of,
+        source=sources[0] if len(sources) == 1 else None,
+        sink=sinks[0] if len(sinks) == 1 else None,
+    )
+

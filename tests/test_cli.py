@@ -9,7 +9,11 @@ import sys
 import time
 from pathlib import Path
 
-from rexcalc.cli import main, parse_word
+import pytest
+from hypothesis import example, given, strategies as st
+
+from rexcalc import cli
+from rexcalc.cli import _dumps, main, parse_word
 
 
 def run(capsys, *argv):
@@ -245,3 +249,95 @@ def test_closed_stdout_exits_quietly():
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
         assert proc.stderr == ""
+
+
+def test_element_term_product_is_a_usage_error():
+    # each slot is within the term limit, but the two slots together span
+    # 3,060^2 term products, which from_tensor and apply would multiply out
+    big = "(x1+x2+x3+x4+1)^14"
+    argv = ["eval", "12321", "--path", "s,c,t,c", "--element", f"{big},1,1,1,1,{big}"]
+    start = time.perf_counter()
+    proc = _run_cli(*argv, capture_output=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "term limit" in proc.stderr
+    assert proc.stdout == ""
+    assert elapsed < 5
+
+
+def _reference_dumps(value) -> str:
+    return json.dumps(value, indent=2, sort_keys=True)
+
+
+_json_strings = st.text() | st.sampled_from(["", '"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r", "é€😀\ud800"])
+_json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.integers(min_value=2**64, max_value=2**80)
+    | st.integers(min_value=-(2**80), max_value=-(2**64))
+    | _json_strings
+)
+_json_values = st.recursive(
+    _json_scalars,
+    lambda inner: st.lists(inner, max_size=4)
+    | st.lists(inner, max_size=3).map(tuple)
+    | st.dictionaries(_json_strings, inner, max_size=4),
+    max_leaves=40,
+)
+
+
+@given(_json_values)
+@example([])
+@example({})
+@example([[], [[]], {"a": {}, "b": [{}]}, (), [1, [2, [True, None]]]])
+def test_dumps_matches_json_dumps(value):
+    assert _dumps(value) == _reference_dumps(value)
+
+
+CLI_MIX_FIXED = [
+    "graph 121321 --conflated --format dot",
+    "graph 1213214321 --format json",
+    "graph 121321432154 --format json",
+    "graph 121321432154 --conflated --format text",
+    "eval 13231 --path 13231,31231,31213,32123,31213,13213,13231,12321,13231 --element 1,1,1,x3,1,1",
+    "eval 12321 --path s,c,t,c --element 1,x2,1,1,1,1",
+    "verify zam --rank 3 --format json",
+    "verify refined --rank 3 --format json",
+    "verify family --rank 4 --format json",
+    "verify family --rank 5 --format json",
+    "verify lemmas --format json",
+]
+
+
+def assert_same_text(got: str, want: str, label: str) -> None:
+    # pytest's own diff of two multi-megabyte strings would take minutes
+    if got != want:
+        at = next((i for i, (a, b) in enumerate(zip(got, want)) if a != b), min(len(got), len(want)))
+        lo = max(0, at - 30)
+        pytest.fail(f"{label}: text differs at {at}: {got[lo:at + 30]!r} != {want[lo:at + 30]!r}")
+
+
+def test_dumps_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
+    payloads = []
+    emit = cli._emit
+
+    def spy(payload, fmt, text_lines):
+        payloads.append(payload)
+        emit(payload, fmt, text_lines)
+
+    monkeypatch.setattr(cli, "_emit", spy)
+    for command in CLI_MIX_FIXED:
+        before = len(payloads)
+        code, out, _ = run(capsys, *command.split())
+        assert code == 0, command
+        if "--format dot" in command:
+            continue
+        assert len(payloads) == before + 1, command
+        payload = payloads[-1]
+        reference = _reference_dumps(payload)
+        assert_same_text(_dumps(payload), reference, command)
+        if "--format text" not in command:
+            assert_same_text(out, reference + "\n", command)
