@@ -15,7 +15,10 @@ cached tables cleared before each repeat.  The graph rows time, best of
 ``build_rex_graph`` and ``build_conflated`` on the element 121321432154 of
 S_6 (5,775 words, 17,486 edges, 82 clouds) and the JSON emission of its
 ``rexcalc graph --format json`` payload (``cli._emit``, into /dev/null).
-``--w0-rank5`` also times one cold ``ConflatedMorphisms`` build for the
+The ``value_search`` row times one ``fpc.check_fpc`` of ``SEARCH_WORD``
+(12321, the S_4 counterexample) at bound ``SEARCH_BOUND`` on rank 4, with
+its graphs and edge matrices already built by a first call, so it
+measures the path search alone.  ``--w0-rank5`` also times one cold ``ConflatedMorphisms`` build for the
 longest element of S_5, in seconds.  The operands are fixed: seeded
 random integer-coefficient polynomials of rank 4 (1-4 terms, exponents up
 to 2, the shape of the S_4 sweep's matrix entries) and the matrices of
@@ -33,7 +36,7 @@ import os
 import random
 import time
 
-from rexcalc import BraidMove, ConflatedMorphisms, MorphismMatrix, Polynomial, braidmor, cli, graph_for_word
+from rexcalc import BraidMove, ConflatedMorphisms, MorphismMatrix, Polynomial, braidmor, cli, fpc, graph_for_word
 from rexcalc.rexgraph import build_conflated, build_rex_graph
 from rexcalc.symgroup import longest_element, reduced_words, word_to_perm
 
@@ -47,6 +50,9 @@ EDGE_MOVES = {
 
 GRAPH_WORD = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)
 GRAPH_REPEAT = 5
+
+SEARCH_WORD = (1, 2, 3, 2, 1)
+SEARCH_BOUND = 9
 
 
 def random_polys(rng: random.Random, count: int) -> list[Polynomial]:
@@ -117,6 +123,12 @@ def time_graph_layer() -> dict:
     }
 
 
+def time_value_search(repeat: int) -> float:
+    """Fastest check_fpc of SEARCH_WORD with its tables warm, in nanoseconds."""
+    fpc.check_fpc(SEARCH_WORD, SEARCH_BOUND, rank=RANK)
+    return best_ns(lambda: fpc.check_fpc(SEARCH_WORD, SEARCH_BOUND, rank=RANK), 1, repeat)
+
+
 def fresh_matrices(cm: ConflatedMorphisms, walks) -> list:
     return [cm.path_matrix(walk) for walk in walks]
 
@@ -162,6 +174,7 @@ def main() -> int:
     for name, move in EDGE_MOVES.items():
         result[name] = time_for_edge(move, args.repeat)
     result.update(time_graph_layer())
+    result["value_search"] = time_value_search(args.repeat)
     if args.w0_rank5:
         result["w0_rank5_tables_s"] = time_w0_rank5()
     print(json.dumps(result, indent=2))

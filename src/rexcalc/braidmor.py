@@ -41,8 +41,9 @@ arithmetic.
 
 Path morphisms are ordered products of edge matrices over the normal-form
 bases; they are faithful because those bases are free, so path equality
-questions reduce to entrywise polynomial equality.  A column holding a
-single entry 1 only reindexes in a product.
+questions reduce to entrywise polynomial equality.  Products are taken
+one column at a time (``column_image``), and a column holding a single
+entry 1 only reindexes in a product.
 """
 
 from __future__ import annotations
@@ -319,40 +320,46 @@ class MorphismMatrix:
             }
         return self._units
 
-    def compose(self, other: MorphismMatrix) -> MorphismMatrix:
-        """self after other (matrix product self . other).
+    def column_image(self, col: dict[int, Polynomial]) -> dict[int, Polynomial]:
+        """Image under self of one column of a right factor, empty if it is zero.
 
-        Unit columns, which make up distant edges and the identity, only
-        reindex: no polynomial is multiplied for them on either side.
+        Column c of self . other is self.column_image(other.cols[c]).  Unit
+        columns, which make up distant edges and the identity, only
+        reindex: no polynomial is multiplied for them on either side, and a
+        unit column of the right factor returns the column of self it
+        selects, shared, since columns are never mutated.
         """
+        if len(col) == 1:
+            ((m, pmc),) = col.items()
+            if pmc.is_one():
+                return self.cols.get(m, {})
+        units = self._unit_columns()
+        acc: dict[int, Polynomial] = {}
+        for m, pmc in col.items():
+            r = units.get(m)
+            if r is not None:
+                images = ((r, pmc),)
+            else:
+                images = [(r, prm * pmc) for r, prm in self.cols.get(m, {}).items()]
+            for r, term in images:
+                cur = acc.get(r)
+                if cur is None:
+                    acc[r] = term
+                elif (total := cur + term).is_zero():
+                    del acc[r]
+                else:
+                    acc[r] = total
+        return acc
+
+    def compose(self, other: MorphismMatrix) -> MorphismMatrix:
+        """self after other (matrix product self . other), column by column."""
         if other.codomain != self.domain or other.rank != self.rank:
             raise ValueError("composition shape mismatch")
-        units = self._unit_columns()
         cols: dict[int, dict[int, Polynomial]] = {}
         for c, col in other.cols.items():
-            if len(col) == 1:
-                ((m, pmc),) = col.items()
-                if pmc.is_one():
-                    if m in self.cols:
-                        cols[c] = self.cols[m]  # columns are never mutated, so share it
-                    continue
-            acc: dict[int, Polynomial] = {}
-            for m, pmc in col.items():
-                r = units.get(m)
-                if r is not None:
-                    images = ((r, pmc),)
-                else:
-                    images = [(r, prm * pmc) for r, prm in self.cols.get(m, {}).items()]
-                for r, term in images:
-                    cur = acc.get(r)
-                    if cur is None:
-                        acc[r] = term
-                    elif (total := cur + term).is_zero():
-                        del acc[r]
-                    else:
-                        acc[r] = total
-            if acc:
-                cols[c] = acc
+            image = self.column_image(col)
+            if image:
+                cols[c] = image
         return MorphismMatrix._make(self.rank, other.domain, self.codomain, cols)
 
     def __mul__(self, other: MorphismMatrix) -> MorphismMatrix:

@@ -313,8 +313,7 @@ def cmd_verify(args) -> int:
             rank = args.rank or max(word) + 1
             if not is_reduced(word, rank):
                 raise UsageError(f"word {word_label(word)} is not reduced")
-            rex = build_rex_graph(word_to_perm(word, rank))
-            conf = build_conflated(rex)
+            _, conf, _ = fpc._calculus(word, rank)
             bound = args.max_len or fpc.sweep_max_len(len(conf.clouds))
             verdict = fpc.check_fpc(word, bound, rank=rank, budget=budget)
             _emit(verdict.to_json(), fmt, _verdict_lines(verdict))

@@ -5,7 +5,10 @@ always induce the same morphism?  The harness answers it exhaustively
 up to a path-length bound by a value search: walks are explored as
 states (current vertex, visited set, morphism value), morphism values
 are interned exactly, and states that agree in all three components are
-merged, which is sound because such states have identical futures.  A
+merged, which is sound because such states have identical futures.
+Values share most of their columns, so the columns are interned by
+content and a value is keyed by its column ids; a step multiplies each
+distinct column once and memoizes the image per (step, column).  A
 verdict is either Holds or a reproducible counterexample consisting of
 two concrete paths plus a basis column on which their matrices differ.
 
@@ -47,7 +50,11 @@ DEFAULT_BUDGET = 50_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a search would intern more matrices than allowed."""
+    """Raised when a search would intern more matrices than allowed.
+
+    The message names the setting that chose the limit, the path length
+    the search had reached and the number of states it had explored.
+    """
 
 
 def matrix_budget() -> int:
@@ -65,9 +72,14 @@ def _budget_in_force(budget: int | None) -> tuple[int, str]:
     return DEFAULT_BUDGET, f"the default budget of {DEFAULT_BUDGET:,}"
 
 
-@lru_cache(maxsize=8)
 def _calculus(word: Word, rank: int):
-    rex = build_rex_graph(word_to_perm(word, rank))
+    """Expanded graph, conflated graph and edge matrices of the element a word spells."""
+    return _element_calculus(word_to_perm(word, rank))
+
+
+@lru_cache(maxsize=8)
+def _element_calculus(perm: Permutation):
+    rex = build_rex_graph(perm)
     conf = build_conflated(rex)
     return rex, conf, ConflatedMorphisms(rex, conf)
 
@@ -117,34 +129,73 @@ class FpcVerdict:
 
 
 class _MatrixPool:
-    """Interns matrices by value and caches products with edge matrices."""
+    """Interns search values by content, column by column, and memoizes products.
+
+    Each distinct column (a dict row -> polynomial) gets an id, interned by
+    its exact content; a matrix is keyed by its rank, domain, codomain and
+    (column, column id) pairs in column order, so equal keys mean equal
+    matrices.  Extending a value by a step maps each of its column ids
+    through that step's memo of column images, so a column shared by many
+    values is multiplied once per step.  The matrices are kept, their
+    column dicts shared, for the witnesses.
+    """
 
     def __init__(self, budget: int, source: str):
         self.budget = budget
         self.source = source
+        self.col_ids: dict[frozenset, int] = {}
+        self.cols: list[dict[int, Polynomial]] = []
         self.ids: dict[tuple, int] = {}
         self.mats: list[MorphismMatrix] = []
+        self.pairs: list[tuple[tuple[int, int], ...]] = []
         self.products: dict[tuple[int, tuple[Word, Word]], int] = {}
+        # per step: column id -> id of its image, or -1 for a zero image
+        self.images: dict[tuple[Word, Word], dict[int, int]] = {}
 
-    def intern(self, m: MorphismMatrix) -> int:
-        key = m.key()
+    def _column_id(self, col: dict[int, Polynomial]) -> int:
+        content = frozenset(col.items())
+        found = self.col_ids.get(content)
+        if found is None:
+            found = self.col_ids[content] = len(self.cols)
+            self.cols.append(col)
+        return found
+
+    def _intern(self, rank: int, domain: Word, codomain: Word, pairs: tuple) -> int:
+        key = (rank, domain, codomain, pairs)
         found = self.ids.get(key)
         if found is not None:
             return found
         if len(self.mats) >= self.budget:
             raise BudgetExceededError(
                 f"more than {self.budget} distinct morphism matrices, "
-                f"the limit set by {self.source}; raise it to continue"
+                f"the limit set by {self.source}"
             )
+        cols = self.cols
         self.ids[key] = len(self.mats)
-        self.mats.append(m)
+        self.mats.append(MorphismMatrix._make(rank, domain, codomain, {c: cols[i] for c, i in pairs}))
+        self.pairs.append(pairs)
         return len(self.mats) - 1
+
+    def intern(self, m: MorphismMatrix) -> int:
+        pairs = tuple((c, self._column_id(m.cols[c])) for c in sorted(m.cols))
+        return self._intern(m.rank, m.domain, m.codomain, pairs)
 
     def extend(self, cm: ConflatedMorphisms, mat_id: int, step: tuple[Word, Word]) -> int:
         key = (mat_id, step)
         found = self.products.get(key)
         if found is None:
-            found = self.intern(cm.step_matrix(*step).compose(self.mats[mat_id]))
+            step_mat = cm.step_matrix(*step)
+            memo = self.images.setdefault(step, {})
+            pairs = []
+            for c, i in self.pairs[mat_id]:
+                j = memo.get(i)
+                if j is None:
+                    image = step_mat.column_image(self.cols[i])
+                    j = memo[i] = self._column_id(image) if image else -1
+                if j >= 0:
+                    pairs.append((c, j))
+            mat = self.mats[mat_id]
+            found = self._intern(mat.rank, mat.domain, step_mat.codomain, tuple(pairs))
             self.products[key] = found
         return found
 
@@ -206,32 +257,40 @@ def _value_search(
         known[mat_id] = path
         return None
 
-    for start in starts:
-        ident = pool.intern(MorphismMatrix.identity(start, rank))
-        state = (start, flag_of(start), ident)
-        frontiers[start] = {state: (start,)}
-        seen[start] = {state}
-        witness = record(start, state, (start,))
-        if witness is not None:
-            return FpcVerdict(word, max_len, False, witness)
-
-    for _level in range(2, max_len + 1):
+    level = 1
+    try:
         for start in starts:
-            frontier = frontiers[start]
-            nxt: dict[tuple, tuple[Word, ...]] = {}
-            for state, path in sorted(frontier.items(), key=lambda kv: kv[1]):
-                v, flags, mat_id = state
-                for w in neigh[v]:
-                    new_state = (w, flags | flag_of(w), pool.extend(cm, mat_id, (v, w)))
-                    if new_state in seen[start]:
-                        continue
-                    seen[start].add(new_state)
-                    new_path = path + (w,)
-                    nxt[new_state] = new_path
-                    witness = record(start, new_state, new_path)
-                    if witness is not None:
-                        return FpcVerdict(word, max_len, False, witness)
-            frontiers[start] = nxt
+            ident = pool.intern(MorphismMatrix.identity(start, rank))
+            state = (start, flag_of(start), ident)
+            frontiers[start] = {state: (start,)}
+            seen[start] = {state}
+            witness = record(start, state, (start,))
+            if witness is not None:
+                return FpcVerdict(word, max_len, False, witness)
+
+        for level in range(2, max_len + 1):
+            for start in starts:
+                frontier = frontiers[start]
+                nxt: dict[tuple, tuple[Word, ...]] = {}
+                for state, path in sorted(frontier.items(), key=lambda kv: kv[1]):
+                    v, flags, mat_id = state
+                    for w in neigh[v]:
+                        new_state = (w, flags | flag_of(w), pool.extend(cm, mat_id, (v, w)))
+                        if new_state in seen[start]:
+                            continue
+                        seen[start].add(new_state)
+                        new_path = path + (w,)
+                        nxt[new_state] = new_path
+                        witness = record(start, new_state, new_path)
+                        if witness is not None:
+                            return FpcVerdict(word, max_len, False, witness)
+                frontiers[start] = nxt
+    except BudgetExceededError as exc:
+        states = sum(map(len, seen.values()))
+        raise BudgetExceededError(
+            f"{exc}; the search had reached path length {level} of {max_len} "
+            f"and explored {states:,} states; raise the limit to continue"
+        ) from None
     return FpcVerdict(word, max_len, True, None)
 
 
@@ -664,8 +723,7 @@ def check_s4_sweep(max_len: int | None = None, budget: int | None = None) -> Swe
     rows = []
     for images in sorted(iperm((1, 2, 3, 4))):
         perm = Permutation(images)
-        rex = build_rex_graph(perm)
-        conf = build_conflated(rex)
+        rex, conf, _ = _element_calculus(perm)
         label = rex.words[0]
         bound = max_len if max_len is not None else sweep_max_len(len(conf.clouds))
         verdict = check_fpc(label, bound, rank=4, budget=budget)

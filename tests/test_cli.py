@@ -12,8 +12,9 @@ from pathlib import Path
 import pytest
 from hypothesis import example, given, strategies as st
 
-from rexcalc import cli
+from rexcalc import cli, fpc
 from rexcalc.cli import _dumps, main, parse_word
+from rexcalc.rexgraph import build_rex_graph
 
 
 def run(capsys, *argv):
@@ -189,6 +190,35 @@ def test_budget_error_names_the_environment_variable(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "refined", "--rank", "3", "--max-len", "8")
     assert code == 3
     assert "REXCALC_BUDGET=2" in err and "--budget" not in err
+
+
+def test_budget_error_reports_search_progress(capsys):
+    code, out, err = run(
+        capsys, "verify", "refined", "--rank", "3", "--max-len", "8", "--budget", "5"
+    )
+    assert code == 3 and out == ""
+    assert "--budget 5" in err
+    assert "path length 3 of 8" in err and "explored 5 states" in err
+    # the levels below the one reported finish within the same budget
+    code, _, _ = run(
+        capsys, "verify", "refined", "--rank", "3", "--max-len", "2", "--budget", "5"
+    )
+    assert code == 0
+
+
+def test_family_word_builds_the_graph_once(capsys, monkeypatch):
+    calls = []
+
+    def counting_build(perm):
+        calls.append(perm)
+        return build_rex_graph(perm)
+
+    monkeypatch.setattr(cli, "build_rex_graph", counting_build)
+    monkeypatch.setattr(fpc, "build_rex_graph", counting_build)
+    fpc._element_calculus.cache_clear()
+    code, out, _ = run(capsys, "verify", "family", "--word", "12134325")
+    assert code == 0 and "COUNTEREXAMPLE (bound 14)" in out
+    assert len(calls) == 1
 
 
 def test_huge_exponent_is_a_usage_error():

@@ -2,10 +2,15 @@
 
 from __future__ import annotations
 
+import random
+from types import SimpleNamespace
+
+import oracle_fpc
 import pytest
+from conftest import random_reduced_word
 
 from rexcalc import fpc
-from rexcalc.braidmor import ConflatedMorphisms
+from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix
 from rexcalc.bsbimod import BSElement, from_tensor, left_mul
 from rexcalc.polyring import Polynomial
 from rexcalc.rexgraph import build_conflated, build_rex_graph, graph_for_word, source_sink
@@ -182,3 +187,139 @@ def test_verdict_json_round_trip():
     payload = json.loads(json.dumps(verdict.to_json()))
     assert payload["holds"] is False
     assert payload["counterexample"]["witness_mask"] == verdict.counterexample.witness_mask
+
+
+def test_sweep_builds_each_graph_once(monkeypatch):
+    calls = []
+
+    def counting_build(perm):
+        calls.append(perm)
+        return build_rex_graph(perm)
+
+    monkeypatch.setattr(fpc, "build_rex_graph", counting_build)
+    fpc._element_calculus.cache_clear()
+    assert fpc.check_s4_sweep().all_expected
+    assert len(calls) == len(set(calls)) == 24
+
+
+# -- the column-interned pool against the whole-matrix pool -----------------
+
+
+def _search_with(monkeypatch, pool_cls, check):
+    """Verdict, extended value ids in order, and the interned matrices of check()."""
+    pools, ids = [], []
+
+    class Logged(pool_cls):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+        def extend(self, cm, mat_id, step):
+            found = super().extend(cm, mat_id, step)
+            ids.append(found)
+            return found
+
+    monkeypatch.setattr(fpc, "_MatrixPool", Logged)
+    verdict = check()
+    return verdict, ids, [m for pool in pools for m in pool.mats]
+
+
+def _assert_same_search(monkeypatch, check):
+    verdict, ids, mats = _search_with(monkeypatch, fpc._MatrixPool, check)
+    expected, oracle_ids, oracle_mats = _search_with(monkeypatch, oracle_fpc._MatrixPool, check)
+    assert ids == oracle_ids
+    assert mats == oracle_mats
+    assert verdict == expected
+    assert verdict.to_json() == expected.to_json()
+    return verdict
+
+
+def test_pool_matches_oracle_on_s4_sweep(monkeypatch):
+    sweep = _assert_same_search(monkeypatch, fpc.check_s4_sweep)
+    assert len(sweep.rows) == 24
+    assert sweep.to_json()["all_expected"]
+    assert [r.verdict.holds for r in sweep.rows].count(False) == 1
+
+
+@pytest.mark.parametrize("rank", [3, 4])
+def test_pool_matches_oracle_on_refined_conjecture(monkeypatch, rank):
+    assert _assert_same_search(monkeypatch, lambda: fpc.check_refined_conjecture(rank, 10)).holds
+
+
+def _random_rank_five_words(count=6):
+    # elements of 3 to 6 clouds keep the search at desk scale
+    rng = random.Random(2025)
+    words = []
+    while len(words) < count:
+        w = random_reduced_word(rng, 5)
+        if w not in words and 3 <= len(fpc._calculus(w, 5)[1].clouds) <= 6:
+            words.append(w)
+    return words
+
+
+@pytest.mark.parametrize("word", _random_rank_five_words())
+def test_pool_matches_oracle_on_random_rank_five_words(monkeypatch, word):
+    bound = len(fpc._calculus(word, 5)[1].clouds) + 2
+    _assert_same_search(monkeypatch, lambda: fpc.check_fpc(word, bound, rank=5))
+
+
+@pytest.mark.parametrize(
+    "word, bound, budget",
+    [((1, 2, 3, 2, 1), 9, 1), ((1, 2, 3, 2, 1), 9, 10), ((1, 2, 3, 1, 2, 1), 20, 300)],
+)
+def test_pool_budget_error_matches_oracle(monkeypatch, word, bound, budget):
+    # both pools run out at the same level after the same states
+    messages = []
+    for pool_cls in (fpc._MatrixPool, oracle_fpc._MatrixPool):
+        monkeypatch.setattr(fpc, "_MatrixPool", pool_cls)
+        with pytest.raises(fpc.BudgetExceededError) as err:
+            fpc.check_fpc(word, bound, rank=4, budget=budget)
+        messages.append(str(err.value).replace("; raise it to continue", ""))
+    assert messages[0] == messages[1]
+    assert f"more than {budget} distinct" in messages[0]
+
+
+def test_pool_interns_values_by_exact_content():
+    # on 13 (four basis columns): the identity, the matrix swapping columns
+    # 1 and 2, and a projection whose image drops columns 1 and 2
+    w = (1, 3)
+    ident = MorphismMatrix.identity(w, 4)
+    swap = MorphismMatrix(4, w, w, {0: {0: one()}, 1: {2: one()}, 2: {1: one()}, 3: {3: one()}})
+    proj = MorphismMatrix(4, w, w, {0: {0: one()}, 3: {3: x(1) + x(3)}})
+    steps = {("w", "swap"): swap, ("w", "proj"): proj}
+    cm = SimpleNamespace(step_matrix=lambda *step: steps[step])
+    pool = fpc._MatrixPool(10, "a test")
+    i = pool.intern(ident)
+    assert pool.intern(MorphismMatrix.identity(w, 4)) == i
+    s = pool.intern(swap)
+    assert s != i  # the same columns in other places
+    assert pool.extend(cm, i, ("w", "swap")) == s
+    p = pool.extend(cm, i, ("w", "proj"))
+    assert pool.mats[p] == proj and pool.intern(proj) == p  # zero columns dropped
+    assert pool.extend(cm, s, ("w", "swap")) == i
+    assert pool.extend(cm, s, ("w", "proj")) == p  # proj . swap == proj
+    assert pool.extend(cm, p, ("w", "swap")) == p  # swap . proj == proj
+    assert pool.mats == [ident, swap, proj]
+
+
+@pytest.mark.parametrize("word", [(1, 2, 3, 2, 1), (1, 2, 1, 3, 2, 1)])
+def test_column_image_is_a_one_column_product(word):
+    rex, conf, cm = fpc._calculus(word, 4)
+    steps = {**cm.forward, **cm.backward}
+    for (a, b), step in steps.items():
+        # columns of every value a search can hold at a: the identity, the
+        # steps into a and the two-step walks into a
+        into = [MorphismMatrix.identity(a, 4)]
+        into += [m for (_, v), m in steps.items() if v == a]
+        into += [
+            m.compose(n)
+            for (_, v), m in steps.items()
+            if v == a
+            for (_, u), n in steps.items()
+            if u == m.domain
+        ]
+        for right in into:
+            assert step.compose(right) == oracle_fpc.compose(step, right)
+            for c, col in right.cols.items():
+                one_column = MorphismMatrix(4, right.domain, a, {c: col})
+                assert step.column_image(col) == oracle_fpc.compose(step, one_column).cols.get(c, {})
