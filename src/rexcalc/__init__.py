@@ -17,7 +17,6 @@ from .braidmor import (
     conflated_path_morphism,
     derive_local_table,
     edge_matrix,
-    matrices_equal,
     path_morphism,
 )
 from .polyring import Polynomial, parse_polynomial

@@ -305,9 +305,6 @@ class MorphismMatrix:
             cols[c] = {r | suffix: coeff for r, coeff in partial.items()}
         return cls._make(rank, word, prefix + table.target_window + word[pos + m:], cols)
 
-    def entry(self, row: int, col: int) -> Polynomial:
-        return self.cols.get(col, {}).get(row, Polynomial.zero(self.rank))
-
     def _unit_columns(self) -> dict[int, int]:
         """Row of every column holding a single entry equal to one."""
         if self._units is None:
@@ -369,13 +366,7 @@ class MorphismMatrix:
         """Evaluate the morphism on a normal-form element."""
         if elem.word != self.domain or elem.rank != self.rank:
             raise ValueError("element does not live in the domain bimodule")
-        acc: dict[int, Polynomial] = {}
-        for c, coeff in elem.coeffs.items():
-            for r, p in self.cols.get(c, {}).items():
-                prod = coeff * p
-                cur = acc.get(r)
-                acc[r] = prod if cur is None else cur + prod
-        return BSElement(self.rank, self.codomain, acc)
+        return BSElement(self.rank, self.codomain, self.column_image(elem.coeffs))
 
     def key(self) -> tuple:
         """Hashable form for interning: keys are equal exactly when the matrices are."""
@@ -413,15 +404,6 @@ class MorphismMatrix:
             for c in sorted(self.cols)
             for r in sorted(self.cols[c])
         ]
-
-    def to_json(self) -> dict:
-        return {
-            "domain": list(self.domain),
-            "codomain": list(self.codomain),
-            "entries": [
-                {"row": r, "col": c, "poly": str(p)} for r, c, p in self.nonzero_entries()
-            ],
-        }
 
     def __repr__(self) -> str:
         return (
@@ -465,13 +447,6 @@ def conflated_path_morphism(
     """Morphism of a conflated path via its lift, with representative endpoints."""
     lifted = lift_conflated_path(conflated, graph, path)
     return path_morphism(lifted, graph.rank)
-
-
-def matrices_equal(a: MorphismMatrix, b: MorphismMatrix) -> bool:
-    """Entrywise equality; raises on domain or codomain mismatch."""
-    if a.domain != b.domain or a.codomain != b.codomain:
-        raise ValueError("matrix shape mismatch")
-    return a == b
 
 
 class ConflatedMorphisms:

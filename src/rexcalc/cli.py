@@ -3,7 +3,7 @@
 Exit codes: 0 all verdicts as expected, 1 unexpected mathematical
 verdict, 2 usage error, 3 resource budget exceeded.  The environment
 variable REXCALC_BUDGET caps the number of distinct morphism matrices a
-search may intern.
+search may intern, and a rank outside 1..MAX_RANK is a usage error.
 """
 
 from __future__ import annotations
@@ -13,7 +13,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
 from itertools import chain
 
 from . import fpc
@@ -34,6 +33,10 @@ from .rexgraph import (
 )
 from .symgroup import Word, is_reduced, word_to_perm
 
+# the largest rank any command accepts: the cost of a rank-n element grows
+# with n^2 before any graph is built; 11 admits README's 1,2,10
+MAX_RANK = 11
+
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_USAGE = 2
@@ -45,17 +48,6 @@ SHAPE_DISPLAY = {
     fpc.LINE3: "*->*->*",
     fpc.CYCLE8: "Zam",
 }
-
-
-@dataclass(frozen=True)
-class RunConfig:
-    """Resolved invocation parameters shared by the subcommands."""
-
-    rank: int
-    word: Word
-    max_len: int | None
-    output_format: str
-    budget: int | None
 
 
 class UsageError(ValueError):
@@ -76,20 +68,21 @@ def parse_word(text: str) -> Word:
         raise UsageError(f"cannot parse word {text!r}")
 
 
-def _resolve_config(args, require_reduced=True) -> RunConfig:
+def _check_rank(rank: int) -> None:
+    if not 1 <= rank <= MAX_RANK:
+        raise UsageError(f"rank {rank} is outside the supported range 1..{MAX_RANK}")
+
+
+def _resolve_config(args) -> tuple[Word, int]:
+    """The reduced word of ``args.word`` and the rank it is read in."""
     word = parse_word(args.word)
-    rank = args.rank if args.rank else (max(word) + 1 if word else 2)
+    rank = args.rank or (max(word) + 1 if word else 2)
+    _check_rank(rank)
     if any(not 1 <= l <= rank - 1 for l in word):
         raise UsageError(f"letters of {word_label(word)} out of range for rank {rank}")
-    if require_reduced and not is_reduced(word, rank):
+    if not is_reduced(word, rank):
         raise UsageError(f"word {word_label(word)} is not reduced")
-    return RunConfig(
-        rank=rank,
-        word=word,
-        max_len=getattr(args, "max_len", None),
-        output_format=getattr(args, "format", "text"),
-        budget=getattr(args, "budget", None),
-    )
+    return word, rank
 
 
 def _alias_vertices(conf: ConflatedGraph) -> dict[str, Word]:
@@ -184,15 +177,15 @@ def _emit(payload, fmt: str, text_lines) -> None:
 
 
 def cmd_graph(args) -> int:
-    cfg = _resolve_config(args)
-    rex = build_rex_graph(word_to_perm(cfg.word, cfg.rank))
+    word, rank = _resolve_config(args)
+    rex = build_rex_graph(word_to_perm(word, rank))
     conf = build_conflated(rex) if args.conflated else None
-    if cfg.output_format == "dot":
+    if args.format == "dot":
         print(to_dot(conf or rex))
         return EXIT_OK
     if args.conflated:
         payload = {
-            "element": word_label(cfg.word),
+            "element": word_label(word),
             "vertices": [[list(w) for w in c.members] for c in conf.clouds],
             "edges": [
                 {
@@ -203,7 +196,7 @@ def cmd_graph(args) -> int:
             ],
         }
         lines = chain(
-            [f"conflated graph of {word_label(cfg.word)} (rank {cfg.rank})"],
+            [f"conflated graph of {word_label(word)} (rank {rank})"],
             (f"  cloud {c}: {{{', '.join(word_label(w) for w in c.members)}}}" for c in conf.clouds),
             (
                 f"  {word_label(e.source.representative)} -> {word_label(e.target.representative)}"
@@ -212,7 +205,7 @@ def cmd_graph(args) -> int:
         )
     else:
         payload = {
-            "element": word_label(cfg.word),
+            "element": word_label(word),
             "vertices": [list(w) for w in rex.words],
             "edges": [
                 {"source": list(u), "target": list(v), "kind": m.kind}
@@ -220,26 +213,26 @@ def cmd_graph(args) -> int:
             ],
         }
         lines = chain(
-            [f"expanded graph of {word_label(cfg.word)} (rank {cfg.rank})"],
+            [f"expanded graph of {word_label(word)} (rank {rank})"],
             (f"  {word_label(w)}" for w in rex.words),
             (f"  {word_label(u)} -- {word_label(v)} [{m.kind}]" for u, v, m in rex.edges),
         )
-    _emit(payload, cfg.output_format, lines)
+    _emit(payload, args.format, lines)
     return EXIT_OK
 
 
 def cmd_eval(args) -> int:
-    cfg = _resolve_config(args)
-    rex = build_rex_graph(word_to_perm(cfg.word, cfg.rank))
+    word, rank = _resolve_config(args)
+    rex = build_rex_graph(word_to_perm(word, rank))
     conf = build_conflated(rex)
     path = parse_path_spec(args.path, rex, conf)
-    element = parse_element_spec(args.element, cfg.word, cfg.rank)
+    element = parse_element_spec(args.element, word, rank)
     if path.kind == EXPANDED:
-        if path.start != cfg.word:
+        if path.start != word:
             raise UsageError("expanded path must start at the element word")
-        matrix = path_morphism(path, cfg.rank)
+        matrix = path_morphism(path, rank)
     else:
-        if cfg.word != path.start:
+        if word != path.start:
             raise UsageError(
                 "conflated paths act on elements over the starting cloud representative, "
                 f"here {word_label(path.start)}"
@@ -251,7 +244,7 @@ def cmd_eval(args) -> int:
         "element": element.to_json(),
         "image": image.to_json(),
     }
-    _emit(payload, cfg.output_format, [f"image: {image}", f"over word {word_label(image.word)}"])
+    _emit(payload, args.format, [f"image: {image}", f"over word {word_label(image.word)}"])
     return EXIT_OK
 
 
@@ -309,12 +302,9 @@ def cmd_verify(args) -> int:
     if suite == "family":
         if args.word:
             # exploratory mode: run the bounded comparison on a given element
-            word = parse_word(args.word)
-            rank = args.rank or max(word) + 1
-            if not is_reduced(word, rank):
-                raise UsageError(f"word {word_label(word)} is not reduced")
+            word, rank = _resolve_config(args)
             _, conf, _ = fpc._calculus(word, rank)
-            bound = args.max_len or fpc.sweep_max_len(len(conf.clouds))
+            bound = fpc.sweep_max_len(len(conf.clouds)) if args.max_len is None else args.max_len
             verdict = fpc.check_fpc(word, bound, rank=rank, budget=budget)
             _emit(verdict.to_json(), fmt, _verdict_lines(verdict))
             return EXIT_OK
@@ -341,7 +331,7 @@ def cmd_verify(args) -> int:
         n = args.rank or 3
         if n not in (3, 4):
             raise UsageError("the refined suite runs at rank 3 or 4")
-        bound = args.max_len or 10
+        bound = 10 if args.max_len is None else args.max_len
         verdict = fpc.check_refined_conjecture(n, bound, budget=budget)
         lines = _verdict_lines(verdict)
         if not verdict.holds:
@@ -361,9 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_graph = sub.add_parser("graph", help="print the expanded or conflated graph")
     p_graph.add_argument("word", help="reduced word, e.g. 12321 or 1,2,3,2,1")
     p_graph.add_argument("--rank", type=int, default=None, help="rank n (default: max letter + 1)")
-    mode = p_graph.add_mutually_exclusive_group()
-    mode.add_argument("--expanded", action="store_true", default=True)
-    mode.add_argument("--conflated", action="store_true", default=False)
+    p_graph.add_argument("--conflated", action="store_true", help="print the conflated graph")
     p_graph.add_argument("--format", choices=("dot", "json", "text"), default="text")
     p_graph.set_defaults(func=cmd_graph)
 
@@ -394,6 +382,8 @@ def main(argv=None) -> int:
         except SystemExit as exc:
             code = EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
         else:
+            if args.rank is not None:
+                _check_rank(args.rank)
             code = args.func(args)
         sys.stdout.flush()
         return code

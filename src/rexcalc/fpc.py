@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .bsbimod import BSElement, dot_cap, from_tensor
-from .braidmor import ConflatedMorphisms, MorphismMatrix, matrices_equal, path_morphism
+from .braidmor import ConflatedMorphisms, MorphismMatrix, path_morphism
 from .polyring import Polynomial
 from .rexgraph import (
     EXPANDED,
@@ -41,10 +41,11 @@ from .rexgraph import (
     build_conflated,
     build_rex_graph,
     enumerate_complete_paths,
+    oriented_run,
     simplify_path,
     source_sink,
 )
-from .symgroup import Permutation, Word, is_reduced, longest_element, word_to_perm
+from .symgroup import Permutation, Word, all_permutations, is_reduced, longest_element, word_to_perm
 
 DEFAULT_BUDGET = 50_000
 
@@ -224,7 +225,9 @@ def _value_search(
     with accumulated flags ``full_flags`` is eligible and its morphism
     value joins the group of its (start, end) pair.  The first group
     holding two distinct values yields the counterexample, with the
-    lexicographically least representative paths.
+    lexicographically least representative paths.  The search stops
+    early once every frontier is empty, and a bound under which no walk
+    is eligible is a ValueError, not a vacuous Holds.
     """
     rex, conf, cm = _calculus(word, rank)
     reps = sorted(c.representative for c in conf.clouds)
@@ -269,6 +272,8 @@ def _value_search(
                 return FpcVerdict(word, max_len, False, witness)
 
         for level in range(2, max_len + 1):
+            if not any(frontiers.values()):
+                break  # every walk has been extended as far as it can go
             for start in starts:
                 frontier = frontiers[start]
                 nxt: dict[tuple, tuple[Word, ...]] = {}
@@ -291,6 +296,8 @@ def _value_search(
             f"{exc}; the search had reached path length {level} of {max_len} "
             f"and explored {states:,} states; raise the limit to continue"
         ) from None
+    if not groups:
+        raise ValueError(f"no walk of at most {max_len} vertices is eligible, so no paths were compared")
     return FpcVerdict(word, max_len, True, None)
 
 
@@ -426,33 +433,13 @@ def reproduce_counterexample() -> CounterexampleReport:
         path_b=COUNTEREXAMPLE_PATH_B,
         image_a=image_a,
         image_b=image_b,
-        matrices_differ=not matrices_equal(mat_a, mat_b),
+        matrices_differ=mat_a != mat_b,
         dots_a=dots_a,
         dots_b=dots_b,
     )
 
 
 # -- longest-element identities -----------------------------------------------
-
-
-def _oriented_run(conf: ConflatedGraph, x: Word, y: Word, direction: str) -> list[Word]:
-    """Lex-least monotone vertex run from x to y along (or against) the orientation."""
-    if x == y:
-        return [x]
-    found: list[list[Word]] = []
-    stack = [[x]]
-    while stack:
-        p = stack.pop()
-        if p[-1] == y:
-            found.append(p)
-            continue
-        cl = conf.cloud(p[-1])
-        nxt = conf.out_neighbors(cl) if direction == "down" else conf.in_neighbors(cl)
-        for d in reversed(nxt):
-            stack.append(p + [d.representative])
-    if not found:
-        raise ValueError(f"no {direction} run from {x} to {y}")
-    return min(found)
 
 
 @dataclass(frozen=True)
@@ -477,14 +464,23 @@ class ZamReport:
         }
 
 
-def source_sink_morphisms(n: int) -> tuple[MorphismMatrix, MorphismMatrix]:
-    """Z (source to sink, oriented) and Zb (sink to source, reverse-oriented)."""
+def _zam_runs(n: int):
+    """Conflated graph of the longest element of S_n, the representatives of
+    its source and sink, and the matrix of the lex-least oriented run
+    between two vertices."""
     rex, conf, cm = _zam_calculus(n)
     s, t = source_sink(conf)
-    sr, tr = s.representative, t.representative
-    z = cm.path_matrix(_oriented_run(conf, sr, tr, "down"))
-    zb = cm.path_matrix(_oriented_run(conf, tr, sr, "up"))
-    return z, zb
+
+    def run(x: Word, y: Word, direction: str) -> MorphismMatrix:
+        return cm.path_matrix(oriented_run(conf, x, y, direction))
+
+    return conf, s.representative, t.representative, run
+
+
+def source_sink_morphisms(n: int) -> tuple[MorphismMatrix, MorphismMatrix]:
+    """Z (source to sink, oriented) and Zb (sink to source, reverse-oriented)."""
+    _, sr, tr, run = _zam_runs(n)
+    return run(sr, tr, "down"), run(tr, sr, "up")
 
 
 def check_zam_identities(n: int) -> ZamReport:
@@ -508,26 +504,16 @@ def _as_rep(conf: ConflatedGraph, v) -> Word:
 
 def dud_matrix(n: int, x, y) -> MorphismMatrix:
     """Down to the sink, up to the source, down to y."""
-    rex, conf, cm = _zam_calculus(n)
-    s, t = source_sink(conf)
-    sr, tr = s.representative, t.representative
+    conf, sr, tr, run = _zam_runs(n)
     xr, yr = _as_rep(conf, x), _as_rep(conf, y)
-    down_xt = cm.path_matrix(_oriented_run(conf, xr, tr, "down"))
-    up_ts = cm.path_matrix(_oriented_run(conf, tr, sr, "up"))
-    down_sy = cm.path_matrix(_oriented_run(conf, sr, yr, "down"))
-    return down_sy.compose(up_ts).compose(down_xt)
+    return run(sr, yr, "down").compose(run(tr, sr, "up")).compose(run(xr, tr, "down"))
 
 
 def udu_matrix(n: int, x, y) -> MorphismMatrix:
     """Up to the source, down to the sink, up to y."""
-    rex, conf, cm = _zam_calculus(n)
-    s, t = source_sink(conf)
-    sr, tr = s.representative, t.representative
+    conf, sr, tr, run = _zam_runs(n)
     xr, yr = _as_rep(conf, x), _as_rep(conf, y)
-    up_xs = cm.path_matrix(_oriented_run(conf, xr, sr, "up"))
-    down_st = cm.path_matrix(_oriented_run(conf, sr, tr, "down"))
-    up_ty = cm.path_matrix(_oriented_run(conf, tr, yr, "up"))
-    return up_ty.compose(down_st).compose(up_xs)
+    return run(tr, yr, "up").compose(run(sr, tr, "down")).compose(run(xr, sr, "up"))
 
 
 def check_dud_udu(n: int, x, y) -> bool:
@@ -543,14 +529,8 @@ def dud_udu_pairs(n: int):
     costs two compositions.  ``dud_matrix`` and ``udu_matrix`` build the
     same matrices one pair at a time.
     """
-    rex, conf, cm = _zam_calculus(n)
-    s, t = source_sink(conf)
-    sr, tr = s.representative, t.representative
+    conf, sr, tr, run = _zam_runs(n)
     reps = sorted(c.representative for c in conf.clouds)
-
-    def run(x, y, direction):
-        return cm.path_matrix(_oriented_run(conf, x, y, direction))
-
     up_ts, down_st = run(tr, sr, "up"), run(sr, tr, "down")
     dud_head = {x: up_ts.compose(run(x, tr, "down")) for x in reps}
     udu_head = {x: down_st.compose(run(x, sr, "up")) for x in reps}
@@ -715,14 +695,11 @@ def sweep_max_len(cloud_count: int, floor: int = 9) -> int:
 
 def check_s4_sweep(max_len: int | None = None, budget: int | None = None) -> SweepReport:
     """Run the complete-path comparison for every element of S_4."""
-    from itertools import permutations as iperm
-
     expected_by_perm = {
         word_to_perm(w, 4): shape for w, shape in S4_TABLE.items()
     }
     rows = []
-    for images in sorted(iperm((1, 2, 3, 4))):
-        perm = Permutation(images)
+    for perm in all_permutations(4):
         rex, conf, _ = _element_calculus(perm)
         label = rex.words[0]
         bound = max_len if max_len is not None else sweep_max_len(len(conf.clouds))

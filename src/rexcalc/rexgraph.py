@@ -131,7 +131,7 @@ class Cloud:
         return self.representative < other.representative
 
     def __str__(self) -> str:
-        return "".join(map(str, self.representative))
+        return word_label(self.representative)
 
 
 @dataclass(frozen=True)
@@ -419,26 +419,23 @@ def _direction_runs(conflated: ConflatedGraph, seq: list[Cloud]) -> list[tuple[s
     return runs
 
 
-def _oriented_run(conflated: ConflatedGraph, start: Cloud, goal: Cloud, direction: str) -> list[Cloud]:
-    """Lex-least monotone path from start to goal following (or against) the orientation."""
-    if start == goal:
-        return [start]
-    best: list[list[Cloud]] = []
+def oriented_run(conflated: ConflatedGraph, start: Word, goal: Word, direction: str) -> list[Word]:
+    """Lex-least monotone run of cloud representatives from start to goal.
 
-    def step(c: Cloud) -> list[Cloud]:
-        return conflated.out_neighbors(c) if direction == "down" else conflated.in_neighbors(c)
-
+    A "down" run follows the orientation, an "up" run goes against it.
+    The depth-first search pushes each vertex's neighbours in reverse
+    sorted order, so runs complete in lexicographic order and the first
+    one is the least; the orientation is acyclic, so the search ends.
+    """
     stack = [[start]]
     while stack:
-        path = stack.pop()
-        if path[-1] == goal:
-            best.append(path)
-            continue
-        for nxt in reversed(step(path[-1])):
-            stack.append(path + [nxt])
-    if not best:
-        raise ValueError(f"no {direction} run from {start} to {goal}")
-    return min(best, key=lambda p: [c.representative for c in p])
+        run = stack.pop()
+        if run[-1] == goal:
+            return run
+        cl = conflated.cloud(run[-1])
+        nxt = conflated.out_neighbors(cl) if direction == "down" else conflated.in_neighbors(cl)
+        stack.extend(run + [d.representative] for d in reversed(nxt))
+    raise ValueError(f"no {direction} run from {start} to {goal}")
 
 
 def simplify_path(conflated: ConflatedGraph, path: Path) -> Path:
@@ -466,24 +463,24 @@ def simplify_path(conflated: ConflatedGraph, path: Path) -> Path:
     if len(conflated.clouds) == 1:
         return Path(CONFLATED, (conflated.clouds[0].representative,))
     s, t = source_sink(conflated)
+    sr, tr = s.representative, t.representative
     # locate the first direct subpath: a monotone run covering s..t
     direct = None
     for direction, i, j in _direction_runs(conflated, seq):
         a, z = seq[i], seq[j]
         if direction == "down" and a == s and z == t:
-            direct = ("down", s, t)
+            direct = ("down", sr, tr)
             break
         if direction == "up" and a == t and z == s:
-            direct = ("up", t, s)
+            direct = ("up", tr, sr)
             break
     if direct is None:
         raise NoDirectSubpathError("path contains no direct subpath")
     direction, d_start, d_end = direct
-    into = _oriented_run(conflated, seq[0], d_start, "up" if d_start == s else "down")
-    through = _oriented_run(conflated, d_start, d_end, direction)
-    out = _oriented_run(conflated, d_end, seq[-1], "up" if d_end == t else "down")
-    combined = into + through[1:] + out[1:]
-    return Path(CONFLATED, tuple(c.representative for c in combined))
+    into = oriented_run(conflated, seq[0].representative, d_start, "up" if d_start == sr else "down")
+    through = oriented_run(conflated, d_start, d_end, direction)
+    out = oriented_run(conflated, d_end, seq[-1].representative, "up" if d_end == tr else "down")
+    return Path(CONFLATED, tuple(into + through[1:] + out[1:]))
 
 
 def to_dot(graph) -> str:

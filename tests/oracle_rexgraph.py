@@ -1,8 +1,9 @@
 # Reference implementation for the cross-checks in test_rexgraph_oracle.py:
 # the braid-move enumeration, reduced-word closure, expanded-graph build,
 # cloud search and conflation that preceded the direct window rewrite and
-# the representative-keyed conflation, kept verbatim below.  They build
-# the package's own graph types.  Not used by the package.
+# the representative-keyed conflation, and the oriented-run search that
+# collected every run before taking the least, kept verbatim below.  They
+# build and read the package's own graph types.  Not used by the package.
 
 from __future__ import annotations
 
@@ -148,3 +149,22 @@ def build_conflated(graph: RexGraph) -> ConflatedGraph:
         sink=sinks[0] if len(sinks) == 1 else None,
     )
 
+
+def oriented_run(conf: ConflatedGraph, x: Word, y: Word, direction: str) -> list[Word]:
+    """Lex-least monotone vertex run from x to y along (or against) the orientation."""
+    if x == y:
+        return [x]
+    found: list[list[Word]] = []
+    stack = [[x]]
+    while stack:
+        p = stack.pop()
+        if p[-1] == y:
+            found.append(p)
+            continue
+        cl = conf.cloud(p[-1])
+        nxt = conf.out_neighbors(cl) if direction == "down" else conf.in_neighbors(cl)
+        for d in reversed(nxt):
+            stack.append(p + [d.representative])
+    if not found:
+        raise ValueError(f"no {direction} run from {x} to {y}")
+    return min(found)

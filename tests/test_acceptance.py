@@ -16,7 +16,6 @@ from rexcalc.braidmor import (
     apply_edge,
     derive_local_table,
     edge_matrix,
-    matrices_equal,
 )
 from rexcalc.bsbimod import BSElement, basis_degree, from_tensor, left_mul, right_mul
 from rexcalc.polyring import Polynomial

@@ -13,7 +13,6 @@ from rexcalc.braidmor import (
     conflated_path_morphism,
     derive_local_table,
     edge_matrix,
-    matrices_equal,
     move_between,
     path_morphism,
 )
@@ -277,18 +276,30 @@ def test_move_between_rejects_non_neighbors():
         move_between((1, 2, 1), (1, 2, 1))
 
 
-def test_matrices_equal_requires_matching_shape():
-    a = MorphismMatrix.identity((1, 2, 1), 4)
-    b = MorphismMatrix.identity((2, 1, 2), 4)
-    with pytest.raises(ValueError):
-        matrices_equal(a, b)
-
-
 def test_matrix_apply_matches_columns():
     mat = edge_matrix(UP_MOVE, (1, 2, 1), 4)
     for mask in range(8):
         col = mat.apply(BSElement.basis((1, 2, 1), mask, 4))
         assert dict(col.coeffs) == mat.cols.get(mask, {})
+
+
+def test_apply_matches_chained_apply_edge():
+    # apply runs column_image on the element's coefficients; chaining
+    # apply_edge along the walk shares no product code with it
+    rng = random.Random(368)
+    for word, rank in [((1, 2, 3, 2, 1), 4), ((1, 2, 1, 3, 2, 1), 4), ((2, 1, 3, 2, 4, 3), 5)]:
+        rex, _ = graph_for_word(word, rank)
+        for _ in range(6):
+            walk = [word]
+            for _ in range(rng.randint(1, 5)):
+                walk.append(rng.choice(rex.neighbors(walk[-1]))[0])
+            slots = [random_polynomial(rng, rank, max_terms=2, max_exp=1) + one(rank) for _ in word]
+            elem = from_tensor(word, [one(rank)] + slots, rank)
+            assert elem.coeffs
+            want = elem
+            for u, v in zip(walk, walk[1:]):
+                want = apply_edge(want, move_between(u, v))
+            assert path_morphism(Path(EXPANDED, tuple(walk)), rank).apply(elem) == want
 
 
 def test_conflated_identity_path():

@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import time
+from hashlib import sha256
 from pathlib import Path
 
 import pytest
@@ -221,6 +222,78 @@ def test_family_word_builds_the_graph_once(capsys, monkeypatch):
     assert len(calls) == 1
 
 
+@pytest.mark.parametrize("bound", ["1000000", "10000000"])
+def test_refined_search_stops_when_no_walk_extends(capsys, bound):
+    # the rank-3 graph is exhausted after a few levels; a huge bound must
+    # not iterate the empty ones (each million empty levels took ~2 s)
+    start = time.perf_counter()
+    code, out, _ = run(capsys, "verify", "refined", "--rank", "3", "--max-len", bound, "--format", "json")
+    elapsed = time.perf_counter() - start
+    assert code == 0
+    assert elapsed < 5
+    code, small, _ = run(capsys, "verify", "refined", "--rank", "3", "--max-len", "10", "--format", "json")
+    assert code == 0
+    assert {**json.loads(out), "bound": 10} == json.loads(small)
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "refined", "--rank", "3", "--max-len", "1"],
+        ["verify", "refined", "--rank", "3", "--max-len", "-5"],
+        ["verify", "refined", "--rank", "4", "--max-len", "4"],
+        ["verify", "family", "--word", "121", "--max-len", "0"],
+    ],
+)
+def test_search_that_compares_no_path_is_refused(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+
+
+def test_refined_accepts_the_least_bound_that_compares(capsys):
+    code, out, _ = run(capsys, "verify", "refined", "--rank", "4", "--max-len", "5")
+    assert code == 0 and "all compared paths agree (bound 5)" in out
+
+
+def test_family_word_is_read_like_every_other_word(capsys):
+    code, out, _ = run(capsys, "verify", "family", "--word", "e")
+    assert code == 0 and out.startswith("e: all compared paths agree")
+    code, _, err = run(capsys, "verify", "family", "--word", "13", "--rank", "3")
+    assert code == 2 and "out of range for rank 3" in err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["graph", "e", "--rank", "10000"],
+        ["graph", "1,20"],
+        ["eval", "12321", "--rank", "1000000", "--path", "s,c", "--element", "1,1,1,1,1,1"],
+        ["verify", "fpc-s4", "--rank", "12"],
+        ["verify", "family", "--word", "121", "--rank", "10000"],
+        ["graph", "e", "--rank", "-3"],
+        ["verify", "zam", "--rank", "0"],
+    ],
+)
+def test_rank_outside_the_range_is_a_usage_error(argv):
+    start = time.perf_counter()
+    proc = _run_cli(*argv, capture_output=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert f"range 1..{cli.MAX_RANK}" in proc.stderr
+    assert proc.stdout == ""
+    assert elapsed < 5
+
+
+def test_rank_limit_admits_two_digit_letters(capsys):
+    code, out, _ = run(capsys, "graph", "1,2,10", "--conflated")
+    assert code == 0
+    assert "cloud 1,2,10: {1,2,10, 1,10,2, 10,1,2}" in out
+
+
 def test_huge_exponent_is_a_usage_error():
     # expanding x1^99999999 used to hang; it must be refused at parse time
     src = str(Path(__file__).resolve().parents[1] / "src")
@@ -339,7 +412,13 @@ CLI_MIX_FIXED = [
     "verify family --rank 4 --format json",
     "verify family --rank 5 --format json",
     "verify lemmas --format json",
+    "verify fpc-s4 --format json",
+    "verify zam --rank 4 --format json",
+    "verify family --rank 6 --format json",
 ]
+
+# exit code and stdout digest of every fixed benchmark task
+EXPECTED = json.loads((Path(__file__).resolve().parents[1] / "perfbench" / "expected.json").read_text())
 
 
 def assert_same_text(got: str, want: str, label: str) -> None:
@@ -359,10 +438,12 @@ def test_dumps_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
         emit(payload, fmt, text_lines)
 
     monkeypatch.setattr(cli, "_emit", spy)
+    assert sorted(CLI_MIX_FIXED) == sorted(EXPECTED)
     for command in CLI_MIX_FIXED:
         before = len(payloads)
         code, out, _ = run(capsys, *command.split())
-        assert code == 0, command
+        assert code == EXPECTED[command]["exit"], command
+        assert sha256(out.encode()).hexdigest() == EXPECTED[command]["sha256"], command
         if "--format dot" in command:
             continue
         assert len(payloads) == before + 1, command

@@ -4,7 +4,9 @@
 validated move, the closure, the graph build with its global edge sort,
 the ``min(remaining)`` cloud search and the Cloud-keyed conflation.  The
 package's versions must give the same moves, words, edges, adjacency,
-clouds, conflated edges, source and sink.
+clouds, conflated edges, source and sink.  It also keeps the oriented-run
+search that collected every monotone run and took the least; the
+package's search stops at the first run it completes.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ import random
 import pytest
 
 import oracle_rexgraph as oracle
-from rexcalc.rexgraph import build_conflated, build_rex_graph, clouds
+from rexcalc.rexgraph import build_conflated, build_rex_graph, clouds, oriented_run, source_sink
 from rexcalc.symgroup import (
     Permutation,
     all_permutations,
@@ -75,3 +77,44 @@ def test_rank_six_benchmark_element_matches_the_oracle():
     # 121321432154: 5,775 words, 17,486 edges, 82 clouds
     perm = word_to_perm((1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4), 6)
     assert_graph_layer_matches(perm)
+
+
+def assert_run_matches(conf, x, y, direction) -> bool:
+    """Same run as the oracle, or ValueError from both; True if a run exists."""
+    try:
+        want = oracle.oriented_run(conf, x, y, direction)
+    except ValueError:
+        with pytest.raises(ValueError):
+            oriented_run(conf, x, y, direction)
+        return False
+    assert oriented_run(conf, x, y, direction) == want
+    return True
+
+
+def test_oriented_run_matches_the_oracle_on_every_s4_pair():
+    found = missing = 0
+    for perm in all_permutations(4):
+        conf = build_conflated(build_rex_graph(perm))
+        reps = [c.representative for c in conf.clouds]
+        for x in reps:
+            for y in reps:
+                for direction in ("down", "up"):
+                    if assert_run_matches(conf, x, y, direction):
+                        found += 1
+                    else:
+                        missing += 1
+    # both outcomes occur: runs exist only along the orientation
+    assert found and missing
+
+
+def test_oriented_run_matches_the_oracle_on_the_longest_element_of_s5():
+    conf = build_conflated(build_rex_graph(word_to_perm(longest_element(5), 5)))
+    s, t = (c.representative for c in source_sink(conf))
+    reps = [c.representative for c in conf.clouds]
+    # every pair the source/sink identities use, plus a seeded sample
+    pairs = [(a, b) for x in reps for a, b in ((x, s), (x, t), (s, x), (t, x))]
+    rng = random.Random(55)
+    pairs += [(rng.choice(reps), rng.choice(reps)) for _ in range(100)]
+    for x, y in pairs:
+        for direction in ("down", "up"):
+            assert_run_matches(conf, x, y, direction)
