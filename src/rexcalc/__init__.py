@@ -14,7 +14,6 @@ from .braidmor import (
     LocalImageTable,
     MorphismMatrix,
     apply_edge,
-    conflated_path_morphism,
     derive_local_table,
     edge_matrix,
     path_morphism,

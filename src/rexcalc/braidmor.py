@@ -53,7 +53,7 @@ from functools import lru_cache
 
 from .bsbimod import BSElement, from_tensor, left_mul, right_mul
 from .polyring import Polynomial
-from .rexgraph import CONFLATED, EXPANDED, ConflatedGraph, Path, RexGraph, lift_conflated_path
+from .rexgraph import CONFLATED, EXPANDED, ConflatedGraph, Path, RexGraph, lift_conflated_path, word_label
 from .symgroup import DISTANT, UP, BraidMove, Word, braid_moves
 
 
@@ -359,9 +359,6 @@ class MorphismMatrix:
                 cols[c] = image
         return MorphismMatrix._make(self.rank, other.domain, self.codomain, cols)
 
-    def __mul__(self, other: MorphismMatrix) -> MorphismMatrix:
-        return self.compose(other)
-
     def apply(self, elem: BSElement) -> BSElement:
         """Evaluate the morphism on a normal-form element."""
         if elem.word != self.domain or elem.rank != self.rank:
@@ -407,8 +404,8 @@ class MorphismMatrix:
 
     def __repr__(self) -> str:
         return (
-            f"MorphismMatrix({''.join(map(str, self.domain))} -> "
-            f"{''.join(map(str, self.codomain))}, {sum(len(c) for c in self.cols.values())} entries)"
+            f"MorphismMatrix({word_label(self.domain)} -> {word_label(self.codomain)}, "
+            f"{sum(len(c) for c in self.cols.values())} entries)"
         )
 
 
@@ -441,21 +438,14 @@ def path_morphism(path: Path, rank: int) -> MorphismMatrix:
     return acc
 
 
-def conflated_path_morphism(
-    conflated: ConflatedGraph, graph: RexGraph, path: Path
-) -> MorphismMatrix:
-    """Morphism of a conflated path via its lift, with representative endpoints."""
-    lifted = lift_conflated_path(conflated, graph, path)
-    return path_morphism(lifted, graph.rank)
-
-
 class ConflatedMorphisms:
     """Per-edge matrices of a conflated graph, with path composition.
 
-    Each oriented cloud edge gets a forward and a backward matrix whose
-    endpoints are the cloud representatives, so conflated paths compose
-    by chaining matrices; well-definedness of the conflated path
-    morphism makes this agree with lifting the whole path at once.
+    Each oriented cloud edge gets a forward and a backward matrix, the
+    morphism of that one-step conflated path's lift, whose endpoints are
+    the cloud representatives, so conflated paths compose by chaining
+    matrices; well-definedness of the conflated path morphism makes this
+    agree with lifting the whole path at once.
     """
 
     def __init__(self, graph: RexGraph, conflated: ConflatedGraph):
@@ -464,16 +454,15 @@ class ConflatedMorphisms:
         self.rank = graph.rank
         self.forward: dict[tuple[Word, Word], MorphismMatrix] = {}
         self.backward: dict[tuple[Word, Word], MorphismMatrix] = {}
+
+        def step(a: Word, b: Word) -> MorphismMatrix:
+            lifted = lift_conflated_path(conflated, graph, Path(CONFLATED, (a, b)))
+            return path_morphism(lifted, self.rank)
+
         for e in conflated.edges:
-            key = (e.source.representative, e.target.representative)
-            fwd = conflated_path_morphism(
-                conflated, graph, Path(CONFLATED, (key[0], key[1]))
-            )
-            bwd = conflated_path_morphism(
-                conflated, graph, Path(CONFLATED, (key[1], key[0]))
-            )
-            self.forward[key] = fwd
-            self.backward[(key[1], key[0])] = bwd
+            a, b = e.source.representative, e.target.representative
+            self.forward[(a, b)] = step(a, b)
+            self.backward[(b, a)] = step(b, a)
 
     def step_matrix(self, a: Word, b: Word) -> MorphismMatrix:
         m = self.forward.get((a, b)) or self.backward.get((a, b))

@@ -114,13 +114,11 @@ class BSElement:
             and self.coeffs == other.coeffs
         )
 
-    def slot_tensor(self, mask: int, extra: Polynomial | None = None) -> tuple[Polynomial, ...]:
+    def slot_tensor(self, mask: int) -> tuple[Polynomial, ...]:
         """The slot expansion (coeff, x^{e_1}, ..., x^{e_k}) of one basis term."""
         c = self.coeffs.get(mask)
         if c is None:
             c = Polynomial.zero(self.rank)
-        if extra is not None:
-            c = c * extra
         slots = [c]
         for j, letter in enumerate(self.word):
             if (mask >> j) & 1:

@@ -3,7 +3,8 @@
 Exit codes: 0 all verdicts as expected, 1 unexpected mathematical
 verdict, 2 usage error, 3 resource budget exceeded.  The environment
 variable REXCALC_BUDGET caps the number of distinct morphism matrices a
-search may intern, and a rank outside 1..MAX_RANK is a usage error.
+search may intern; a budget below 1 or not an integer, and a rank outside
+1..MAX_RANK, are usage errors.
 """
 
 from __future__ import annotations
@@ -104,16 +105,19 @@ def _cloud_representative(conf: ConflatedGraph, word: Word) -> Word:
 
 
 def parse_path_spec(spec: str, rex: RexGraph, conf: ConflatedGraph) -> Path:
-    """A path is comma- or arrow-separated vertices; s/t/c name conflated clouds."""
+    """A path is comma- or arrow-separated vertices; s/t/c name conflated clouds.
+
+    ``e`` is the empty word, as in every other word argument.
+    """
     raw = [tok.strip() for tok in spec.replace("->", ",").split(",") if tok.strip()]
     if not raw:
         raise UsageError("empty path spec")
-    has_alias = any(tok.isalpha() for tok in raw)
-    if has_alias:
+    is_alias = [tok.isalpha() and tok != "e" for tok in raw]
+    if any(is_alias):
         aliases = _alias_vertices(conf)
         vertices = []
-        for tok in raw:
-            if tok.isalpha():
+        for tok, alias in zip(raw, is_alias):
+            if alias:
                 if tok not in aliases:
                     raise UsageError(f"alias {tok!r} undefined for this element")
                 vertices.append(aliases[tok])

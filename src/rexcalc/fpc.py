@@ -34,7 +34,6 @@ from .braidmor import ConflatedMorphisms, MorphismMatrix, path_morphism
 from .polyring import Polynomial
 from .rexgraph import (
     EXPANDED,
-    Cloud,
     ConflatedGraph,
     NoDirectSubpathError,
     Path,
@@ -58,19 +57,28 @@ class BudgetExceededError(RuntimeError):
     """
 
 
-def matrix_budget() -> int:
-    raw = os.environ.get("REXCALC_BUDGET")
-    return int(raw) if raw else DEFAULT_BUDGET
-
-
 def _budget_in_force(budget: int | None) -> tuple[int, str]:
-    """The matrix budget a search runs under, and the setting that chose it."""
+    """The matrix budget a search runs under, and the setting that chose it.
+
+    ``budget`` (the CLI's ``--budget``) overrides REXCALC_BUDGET, which
+    overrides the default; a setting that is not an integer of at least 1
+    is a ValueError naming it.
+    """
     if budget is not None:
-        return budget, f"--budget {budget}, which overrides REXCALC_BUDGET"
-    if os.environ.get("REXCALC_BUDGET"):
-        limit = matrix_budget()
-        return limit, f"REXCALC_BUDGET={limit}"
-    return DEFAULT_BUDGET, f"the default budget of {DEFAULT_BUDGET:,}"
+        limit, setting = budget, f"--budget {budget}"
+        source = f"{setting}, which overrides REXCALC_BUDGET"
+    else:
+        raw = os.environ.get("REXCALC_BUDGET")
+        if not raw:
+            return DEFAULT_BUDGET, f"the default budget of {DEFAULT_BUDGET:,}"
+        try:
+            limit = int(raw)
+        except ValueError:
+            raise ValueError(f"REXCALC_BUDGET={raw!r} is not an integer") from None
+        setting = source = f"REXCALC_BUDGET={limit}"
+    if limit < 1:
+        raise ValueError(f"{setting} is below 1, so no search could intern a single matrix")
+    return limit, source
 
 
 def _calculus(word: Word, rank: int):
@@ -83,10 +91,6 @@ def _element_calculus(perm: Permutation):
     rex = build_rex_graph(perm)
     conf = build_conflated(rex)
     return rex, conf, ConflatedMorphisms(rex, conf)
-
-
-def _zam_calculus(n: int):
-    return _calculus(longest_element(n), n)
 
 
 @dataclass(frozen=True)
@@ -212,15 +216,18 @@ def _column_witness(a: MorphismMatrix, b: MorphismMatrix) -> tuple[int, BSElemen
 
 def _value_search(
     word: Word,
-    rank: int,
     max_len: int,
+    conf: ConflatedGraph,
+    cm: ConflatedMorphisms,
+    reps: list[Word],
     flag_of,
     full_flags: int,
-    endpoints: tuple[Word, Word] | None,
     budget: int | None,
 ) -> FpcVerdict:
     """Level-synchronized search comparing morphism values of flagged-complete walks.
 
+    Walks start at every representative in ``reps`` (sorted) and run over
+    the conflated graph ``conf`` with step matrices from ``cm``.
     ``flag_of`` maps a vertex to the visit bits it contributes; a walk
     with accumulated flags ``full_flags`` is eligible and its morphism
     value joins the group of its (start, end) pair.  The first group
@@ -229,14 +236,10 @@ def _value_search(
     early once every frontier is empty, and a bound under which no walk
     is eligible is a ValueError, not a vacuous Holds.
     """
-    rex, conf, cm = _calculus(word, rank)
-    reps = sorted(c.representative for c in conf.clouds)
+    pool = _MatrixPool(*_budget_in_force(budget))
     neigh = {
         r: sorted(d.representative for d in conf.neighbors(conf.cloud(r))) for r in reps
     }
-    pool = _MatrixPool(*_budget_in_force(budget))
-    starts = reps if endpoints is None else [tuple(endpoints[0])]
-    target_end = None if endpoints is None else tuple(endpoints[1])
     # per start: frontier of (state -> representative path), global seen states
     frontiers: dict[Word, dict[tuple, tuple[Word, ...]]] = {}
     seen: dict[Word, set] = {}
@@ -245,8 +248,6 @@ def _value_search(
     def record(start, state, path):
         v, flags, mat_id = state
         if flags != full_flags:
-            return None
-        if target_end is not None and v != target_end:
             return None
         known = groups.setdefault((start, v), {})
         if mat_id in known:
@@ -262,8 +263,8 @@ def _value_search(
 
     level = 1
     try:
-        for start in starts:
-            ident = pool.intern(MorphismMatrix.identity(start, rank))
+        for start in reps:
+            ident = pool.intern(MorphismMatrix.identity(start, cm.rank))
             state = (start, flag_of(start), ident)
             frontiers[start] = {state: (start,)}
             seen[start] = {state}
@@ -274,7 +275,7 @@ def _value_search(
         for level in range(2, max_len + 1):
             if not any(frontiers.values()):
                 break  # every walk has been extended as far as it can go
-            for start in starts:
+            for start in reps:
                 frontier = frontiers[start]
                 nxt: dict[tuple, tuple[Word, ...]] = {}
                 for state, path in sorted(frontier.items(), key=lambda kv: kv[1]):
@@ -301,49 +302,33 @@ def _value_search(
     return FpcVerdict(word, max_len, True, None)
 
 
-def check_fpc(
-    word,
-    max_len: int,
-    rank: int | None = None,
-    endpoints: tuple[Word, Word] | None = None,
-    budget: int | None = None,
-) -> FpcVerdict:
+def check_fpc(word, max_len: int, rank: int, budget: int | None = None) -> FpcVerdict:
     """Compare all complete conflated paths up to max_len, grouped by endpoints."""
     word = tuple(word)
-    n = rank if rank is not None else (max(word) + 1 if word else 2)
-    if not is_reduced(word, n):
+    if not is_reduced(word, rank):
         raise ValueError(f"word {word} is not reduced")
-    rex, conf, cm = _calculus(word, n)
+    rex, conf, cm = _calculus(word, rank)
     if max_len < len(conf.clouds):
         raise ValueError(f"max_len {max_len} below vertex count {len(conf.clouds)}")
     reps = sorted(c.representative for c in conf.clouds)
     bit = {r: 1 << i for i, r in enumerate(reps)}
-    if endpoints is not None:
-        endpoints = (tuple(endpoints[0]), tuple(endpoints[1]))
-    return _value_search(
-        word, n, max_len, lambda v: bit[v], (1 << len(reps)) - 1, endpoints, budget
-    )
+    full = (1 << len(reps)) - 1
+    return _value_search(word, max_len, conf, cm, reps, bit.__getitem__, full, budget)
 
 
-def check_refined_conjecture(
-    word_or_rank, max_len: int, budget: int | None = None
-) -> FpcVerdict:
-    """Compare all paths through both source and sink, grouped by endpoints.
+def check_refined_conjecture(n: int, max_len: int, budget: int | None = None) -> FpcVerdict:
+    """Compare all paths through both source and sink of the longest element of S_n.
 
-    Accepts either the rank n (checking the longest element of S_n) or
-    an explicit reduced word.
+    Paths are grouped by endpoints.  When source and sink are one cloud,
+    visiting it sets both flags.
     """
-    if isinstance(word_or_rank, int):
-        word = longest_element(word_or_rank)
-        n = word_or_rank
-    else:
-        word = tuple(word_or_rank)
-        n = max(word) + 1
+    word = longest_element(n)
     rex, conf, cm = _calculus(word, n)
     s, t = source_sink(conf)
-    flags = {s.representative: 1, t.representative: 2}
+    sr, tr = s.representative, t.representative
+    reps = sorted(c.representative for c in conf.clouds)
     return _value_search(
-        word, n, max_len, lambda v: flags.get(v, 0), 3, None, budget
+        word, max_len, conf, cm, reps, lambda v: (v == sr) | (v == tr) << 1, 3, budget
     )
 
 
@@ -468,7 +453,7 @@ def _zam_runs(n: int):
     """Conflated graph of the longest element of S_n, the representatives of
     its source and sink, and the matrix of the lex-least oriented run
     between two vertices."""
-    rex, conf, cm = _zam_calculus(n)
+    rex, conf, cm = _calculus(longest_element(n), n)
     s, t = source_sink(conf)
 
     def run(x: Word, y: Word, direction: str) -> MorphismMatrix:
@@ -496,38 +481,12 @@ def check_zam_identities(n: int) -> ZamReport:
     )
 
 
-def _as_rep(conf: ConflatedGraph, v) -> Word:
-    if isinstance(v, Cloud):
-        return v.representative
-    return conf.cloud(tuple(v)).representative
-
-
-def dud_matrix(n: int, x, y) -> MorphismMatrix:
-    """Down to the sink, up to the source, down to y."""
-    conf, sr, tr, run = _zam_runs(n)
-    xr, yr = _as_rep(conf, x), _as_rep(conf, y)
-    return run(sr, yr, "down").compose(run(tr, sr, "up")).compose(run(xr, tr, "down"))
-
-
-def udu_matrix(n: int, x, y) -> MorphismMatrix:
-    """Up to the source, down to the sink, up to y."""
-    conf, sr, tr, run = _zam_runs(n)
-    xr, yr = _as_rep(conf, x), _as_rep(conf, y)
-    return run(tr, yr, "up").compose(run(sr, tr, "down")).compose(run(xr, sr, "up"))
-
-
-def check_dud_udu(n: int, x, y) -> bool:
-    """Does the down-up-down morphism equal the up-down-up one for this pair?"""
-    return dud_matrix(n, x, y) == udu_matrix(n, x, y)
-
-
 def dud_udu_pairs(n: int):
     """(x, y, down-up-down, up-down-up) for every ordered pair of conflated vertices.
 
     Each path half depends on one endpoint only, so the runs into and out
     of the source and sink are composed once per vertex, and every pair
-    costs two compositions.  ``dud_matrix`` and ``udu_matrix`` build the
-    same matrices one pair at a time.
+    costs two compositions.
     """
     conf, sr, tr, run = _zam_runs(n)
     reps = sorted(c.representative for c in conf.clouds)
@@ -571,7 +530,7 @@ def check_equivalence_lemmas() -> LemmaReport:
     23121 and 12312.
     """
     results: dict[str, bool] = {}
-    rex, conf, cm = _zam_calculus(4)
+    rex, conf, cm = _calculus(longest_element(4), 4)
     s, t = source_sink(conf)
     sr, tr = s.representative, t.representative
     a = conf.cloud((2, 1, 2, 3, 2, 1)).representative
@@ -689,8 +648,8 @@ class SweepReport:
         return {"rows": [r.to_json() for r in self.rows], "all_expected": self.all_expected}
 
 
-def sweep_max_len(cloud_count: int, floor: int = 9) -> int:
-    return max(floor, 2 * cloud_count + 4)
+def sweep_max_len(cloud_count: int) -> int:
+    return max(9, 2 * cloud_count + 4)
 
 
 def check_s4_sweep(max_len: int | None = None, budget: int | None = None) -> SweepReport:

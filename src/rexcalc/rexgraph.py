@@ -343,44 +343,33 @@ def project_path(conflated: ConflatedGraph, path: Path) -> Path:
     return Path(CONFLATED, tuple(c.representative for c in out))
 
 
-def _vertex_view(graph) -> tuple[list[Word], dict[Word, list[Word]]]:
-    if isinstance(graph, RexGraph):
-        vertices = list(graph.words)
-        neigh = {w: sorted(v for v, _ in graph.neighbors(w)) for w in vertices}
-    elif isinstance(graph, ConflatedGraph):
-        vertices = [c.representative for c in graph.clouds]
-        neigh = {
-            c.representative: [d.representative for d in graph.neighbors(c)]
-            for c in graph.clouds
-        }
-    else:
-        raise TypeError(f"not a graph: {graph!r}")
-    return vertices, neigh
+def enumerate_complete_paths(
+    conflated: ConflatedGraph, start, end, max_len: int | None = None
+) -> Iterator[Path]:
+    """All walks from start to end visiting every cloud, up to max_len.
 
-
-def enumerate_complete_paths(graph, start, end, max_len: int | None = None) -> Iterator[Path]:
-    """All walks from start to end visiting every vertex, up to max_len.
-
-    Paths stream in lexicographic prefix order; length counts vertices.
-    The default bound is 2 * (vertex count) + 4, comfortably past every
-    canonical path form.
+    Vertices are cloud representatives.  Paths stream in lexicographic
+    prefix order; length counts vertices.  The default bound is
+    2 * (cloud count) + 4, comfortably past every canonical path form.
     """
-    vertices, neigh = _vertex_view(graph)
+    neigh = {
+        c.representative: [d.representative for d in conflated.neighbors(c)]
+        for c in conflated.clouds
+    }
+    total = len(neigh)
     start, end = tuple(start), tuple(end)
     if start not in neigh or end not in neigh:
         raise ValueError("endpoints must be graph vertices")
     if max_len is None:
-        max_len = 2 * len(vertices) + 4
-    if max_len < len(vertices):
-        raise ValueError(f"max_len {max_len} below vertex count {len(vertices)}")
-    kind = EXPANDED if isinstance(graph, RexGraph) else CONFLATED
-    total = len(vertices)
+        max_len = 2 * total + 4
+    if max_len < total:
+        raise ValueError(f"max_len {max_len} below vertex count {total}")
     seq: list[Word] = [start]
     visited: dict[Word, int] = {start: 1}
 
     def walk() -> Iterator[Path]:
         if seq[-1] == end and len(visited) == total:
-            yield Path(kind, tuple(seq))
+            yield Path(CONFLATED, tuple(seq))
         if len(seq) >= max_len:
             return
         for v in neigh[seq[-1]]:

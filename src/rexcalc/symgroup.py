@@ -73,12 +73,6 @@ class Permutation:
             raise ValueError("rank mismatch")
         return Permutation(tuple(self.images[other.images[i] - 1] for i in range(self.n)))
 
-    def inverse(self) -> Permutation:
-        inv = [0] * self.n
-        for i, img in enumerate(self.images, start=1):
-            inv[img - 1] = i
-        return Permutation(tuple(inv))
-
     def length(self) -> int:
         """Coxeter length, i.e. the number of inversions."""
         img = self.images

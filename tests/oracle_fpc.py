@@ -4,13 +4,16 @@
 # times value), kept verbatim below, and MorphismMatrix.compose as it was
 # before its loop body became MorphismMatrix.column_image, as a plain
 # function of the two factors.  The pool calls that copy in place of the
-# method, so it shares no product code with the package.  Not used by the
-# package.
+# method, so it shares no product code with the package.  Also the
+# per-pair down-up-down and up-down-up matrices that preceded the shared
+# path halves of fpc.dud_udu_pairs: each rebuilds all three runs of one
+# pair.  Not used by the package.
 
 from __future__ import annotations
 
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix
-from rexcalc.fpc import BudgetExceededError
+from rexcalc.fpc import BudgetExceededError, _zam_runs
+from rexcalc.rexgraph import Cloud, ConflatedGraph
 from rexcalc.polyring import Polynomial
 from rexcalc.symgroup import Word
 
@@ -83,3 +86,28 @@ class _MatrixPool:
             found = self.intern(compose(cm.step_matrix(*step), self.mats[mat_id]))
             self.products[key] = found
         return found
+
+
+def _as_rep(conf: ConflatedGraph, v) -> Word:
+    if isinstance(v, Cloud):
+        return v.representative
+    return conf.cloud(tuple(v)).representative
+
+
+def dud_matrix(n: int, x, y) -> MorphismMatrix:
+    """Down to the sink, up to the source, down to y."""
+    conf, sr, tr, run = _zam_runs(n)
+    xr, yr = _as_rep(conf, x), _as_rep(conf, y)
+    return run(sr, yr, "down").compose(run(tr, sr, "up")).compose(run(xr, tr, "down"))
+
+
+def udu_matrix(n: int, x, y) -> MorphismMatrix:
+    """Up to the source, down to the sink, up to y."""
+    conf, sr, tr, run = _zam_runs(n)
+    xr, yr = _as_rep(conf, x), _as_rep(conf, y)
+    return run(tr, yr, "up").compose(run(sr, tr, "down")).compose(run(xr, sr, "up"))
+
+
+def check_dud_udu(n: int, x, y) -> bool:
+    """Does the down-up-down morphism equal the up-down-up one for this pair?"""
+    return dud_matrix(n, x, y) == udu_matrix(n, x, y)

@@ -10,7 +10,6 @@ from rexcalc.braidmor import (
     ConflatedMorphisms,
     MorphismMatrix,
     apply_edge,
-    conflated_path_morphism,
     derive_local_table,
     edge_matrix,
     move_between,
@@ -38,6 +37,11 @@ def x(i, rank=4):
 
 def one(rank=4):
     return Polynomial.one(rank)
+
+
+def whole_lift_morphism(conf, rex, path):
+    """Oracle for ConflatedMorphisms.path_matrix: lift the whole path, then compose."""
+    return path_morphism(lift_conflated_path(conf, rex, path), rex.rank)
 
 
 UP_MOVE = BraidMove(0, "up", 1)  # window (1,2,1) -> (2,1,2)
@@ -283,6 +287,13 @@ def test_matrix_apply_matches_columns():
         assert dict(col.coeffs) == mat.cols.get(mask, {})
 
 
+def test_repr_labels_words_with_word_label():
+    # letters above 9 are comma-separated, as everywhere a word is printed
+    assert repr(MorphismMatrix.identity((1, 2, 10), 11)) == "MorphismMatrix(1,2,10 -> 1,2,10, 8 entries)"
+    assert repr(edge_matrix(UP_MOVE, (1, 2, 1), 4)).startswith("MorphismMatrix(121 -> 212, ")
+    assert repr(MorphismMatrix.identity((), 2)) == "MorphismMatrix(e -> e, 1 entries)"
+
+
 def test_apply_matches_chained_apply_edge():
     # apply runs column_image on the element's coefficients; chaining
     # apply_edge along the walk shares no product code with it
@@ -306,8 +317,9 @@ def test_conflated_identity_path():
     rex, conf = graph_for_word((1, 2, 3, 2, 1))
     middle = next(c for c in conf.clouds if len(c.members) == 4)
     path = Path(CONFLATED, (middle.representative,))
-    mat = conflated_path_morphism(conf, rex, path)
-    assert mat == MorphismMatrix.identity(middle.representative, 4)
+    ident = MorphismMatrix.identity(middle.representative, 4)
+    assert whole_lift_morphism(conf, rex, path) == ident
+    assert ConflatedMorphisms(rex, conf).path_matrix(path.vertices) == ident
 
 
 def test_apply_edge_counterexample_first_step():
@@ -324,10 +336,10 @@ def test_conflated_path_morphism_is_lift_composition():
     s, t = source_sink(conf)
     c = next(cl for cl in conf.clouds if cl not in (s, t)).representative
     path = Path(CONFLATED, (s.representative, c, t.representative))
-    direct = conflated_path_morphism(conf, rex, path)
+    chained = ConflatedMorphisms(rex, conf).path_matrix(path.vertices)
     lifted = lift_conflated_path(conf, rex, path)
-    assert direct == path_morphism(lifted, 4)
-    assert direct.domain == s.representative and direct.codomain == t.representative
+    assert chained == path_morphism(lifted, 4)
+    assert chained.domain == s.representative and chained.codomain == t.representative
 
 
 def test_conflated_morphism_independent_of_lift():
@@ -390,7 +402,18 @@ def test_conflated_step_matrices_compose_like_whole_lift():
     s, t = source_sink(conf)
     c = next(cl for cl in conf.clouds if cl not in (s, t)).representative
     seq = (c, s.representative, c, t.representative)
-    assert cm.path_matrix(seq) == conflated_path_morphism(conf, rex, Path(CONFLATED, seq))
+    assert cm.path_matrix(seq) == whole_lift_morphism(conf, rex, Path(CONFLATED, seq))
+    # random walks, each chained step by step against the lift of the whole walk
+    rng = random.Random(11)
+    for word, rank in [((1, 2, 3, 2, 1), 4), ((1, 2, 1, 3, 2, 1), 4), ((1, 2, 1, 4), 5)]:
+        rex, conf = graph_for_word(word, rank)
+        cm = ConflatedMorphisms(rex, conf)
+        for _ in range(5):
+            walk = [rng.choice(conf.clouds)]
+            for _ in range(rng.randint(1, 6)):
+                walk.append(rng.choice(conf.neighbors(walk[-1])))
+            seq = tuple(cl.representative for cl in walk)
+            assert cm.path_matrix(seq) == whole_lift_morphism(conf, rex, Path(CONFLATED, seq))
 
 
 # -- consistency of the orientation ---------------------------------------------

@@ -103,6 +103,19 @@ def test_eval_identity_path_echoes(capsys):
     assert payload["image"] == payload["element"]
 
 
+def test_eval_identity_word_as_path(capsys):
+    # e spells the empty word in a path too, not an undefined alias
+    code, out, _ = run(capsys, "eval", "e", "--path", "e", "--element", "x1")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["path"] == [[]]
+    assert payload["image"] == payload["element"]
+    code, out, _ = run(capsys, "eval", "e", "--path", "e", "--element", "x1", "--format", "text")
+    assert code == 0 and out.endswith("over word e\n")
+    code, _, err = run(capsys, "eval", "12321", "--path", "s,e", "--element", "1,1,1,1,1,1")
+    assert code == 2 and "e is not a reduced word of this element" in err
+
+
 def test_eval_conflated_aliases(capsys):
     code, out, _ = run(
         capsys, "eval", "12321", "--path", "s,c,t,c", "--element", "1,x2,1,1,1,1"
@@ -191,6 +204,26 @@ def test_budget_error_names_the_environment_variable(capsys, monkeypatch):
     code, _, err = run(capsys, "verify", "refined", "--rank", "3", "--max-len", "8")
     assert code == 3
     assert "REXCALC_BUDGET=2" in err and "--budget" not in err
+
+
+@pytest.mark.parametrize(
+    "flag, env, setting",
+    [
+        (["--budget", "-1"], None, "--budget -1"),
+        (["--budget", "0"], None, "--budget 0"),
+        ([], "-3", "REXCALC_BUDGET=-3"),
+        ([], "0", "REXCALC_BUDGET=0"),
+        ([], "abc", "REXCALC_BUDGET='abc'"),
+    ],
+    ids=["flag-minus-one", "flag-zero", "env-minus-three", "env-zero", "env-not-an-integer"],
+)
+def test_budget_below_one_is_a_usage_error(capsys, monkeypatch, flag, env, setting):
+    if env is not None:
+        monkeypatch.setenv("REXCALC_BUDGET", env)
+    code, out, err = run(capsys, "verify", "refined", "--rank", "3", *flag)
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {setting} ") and err.count("\n") == 1
 
 
 def test_budget_error_reports_search_progress(capsys):

@@ -54,16 +54,6 @@ def test_fpc_counterexample_witness_is_reproducible():
     assert w.image_a != w.image_b
 
 
-def test_fpc_endpoint_restriction():
-    c = (1, 3, 2, 1, 3)
-    verdict = fpc.check_fpc((1, 2, 3, 2, 1), 9, rank=4, endpoints=(c, c))
-    assert not verdict.holds
-    held = fpc.check_fpc(
-        (1, 2, 3, 2, 1), 5, rank=4, endpoints=((1, 2, 3, 2, 1), (3, 2, 1, 2, 3))
-    )
-    assert held.holds
-
-
 def test_fpc_trivial_graph_holds():
     assert fpc.check_fpc((2, 1), 9, rank=4).holds
 
@@ -101,11 +91,11 @@ def test_zam_identities_rank_three():
 def test_dud_udu_rank_three():
     rex, conf = graph_for_word((1, 2, 1), rank=3)
     s, t = source_sink(conf)
-    assert fpc.check_dud_udu(3, s, t)
+    assert oracle_fpc.check_dud_udu(3, s, t)
     assert fpc.check_dud_udu_all(3)
     z, zb = fpc.source_sink_morphisms(3)
-    assert fpc.udu_matrix(3, s, t) == z
-    assert fpc.dud_matrix(3, t, s) == zb
+    assert oracle_fpc.udu_matrix(3, s, t) == z
+    assert oracle_fpc.dud_matrix(3, t, s) == zb
 
 
 def test_dud_ts_is_the_reverse_morphism_rank_four():
@@ -114,27 +104,29 @@ def test_dud_ts_is_the_reverse_morphism_rank_four():
     rex, conf = graph_for_word(longest_element(4), rank=4)
     s, t = source_sink(conf)
     z, zb = fpc.source_sink_morphisms(4)
-    assert fpc.dud_matrix(4, t, s) == zb
-    assert fpc.udu_matrix(4, s, t) == z
+    assert oracle_fpc.dud_matrix(4, t, s) == zb
+    assert oracle_fpc.udu_matrix(4, s, t) == z
 
 
 def test_shared_halves_match_per_pair_matrices_rank_four():
-    # check_dud_udu_all reuses per-vertex path halves; dud_matrix and
-    # udu_matrix rebuild every path for one pair and are the oracle
+    # check_dud_udu_all reuses per-vertex path halves; the oracle's
+    # dud_matrix and udu_matrix rebuild every path for one pair
     pairs = list(fpc.dud_udu_pairs(4))
     assert len(pairs) == 8 * 8
     for x, y, dud, udu in pairs:
-        assert dud == fpc.dud_matrix(4, x, y)
-        assert udu == fpc.udu_matrix(4, x, y)
+        assert dud == oracle_fpc.dud_matrix(4, x, y)
+        assert udu == oracle_fpc.udu_matrix(4, x, y)
         assert dud == udu
     assert fpc.check_dud_udu_all(4)
 
 
 def test_budget_env_variable(monkeypatch):
     monkeypatch.setenv("REXCALC_BUDGET", "123")
-    assert fpc.matrix_budget() == 123
+    assert fpc._budget_in_force(None) == (123, "REXCALC_BUDGET=123")
+    assert fpc._budget_in_force(7) == (7, "--budget 7, which overrides REXCALC_BUDGET")
     monkeypatch.delenv("REXCALC_BUDGET")
-    assert fpc.matrix_budget() == fpc.DEFAULT_BUDGET
+    limit, setting = fpc._budget_in_force(None)
+    assert limit == fpc.DEFAULT_BUDGET and setting.startswith("the default budget")
 
 
 def test_family_rank_four_matches_counterexample():
@@ -160,6 +152,16 @@ def test_family_rank_out_of_scale():
 
 def test_refined_conjecture_rank_three():
     assert fpc.check_refined_conjecture(3, 8).holds
+
+
+def test_refined_conjecture_when_source_is_sink():
+    # the longest element of S_2 has one cloud, which is source and sink at
+    # once, so the one-vertex path already passes through both extremes
+    rex, conf, _ = fpc._calculus((1,), 2)
+    s, t = source_sink(conf)
+    assert s == t
+    verdict = fpc.check_refined_conjecture(2, 5)
+    assert verdict.holds and verdict.element == (1,)
 
 
 def test_s4_shapes_match_table():
