@@ -17,7 +17,7 @@ import sys
 from itertools import chain
 
 from . import fpc
-from .braidmor import ConflatedMorphisms, path_morphism
+from .braidmor import path_morphism
 from .bsbimod import BSElement, from_tensor
 from .polyring import MAX_INPUT_TERMS, parse_polynomial
 from .rexgraph import (
@@ -28,6 +28,7 @@ from .rexgraph import (
     RexGraph,
     build_conflated,
     build_rex_graph,
+    lift_conflated_path,
     source_sink,
     to_dot,
     word_label,
@@ -234,15 +235,15 @@ def cmd_eval(args) -> int:
     if path.kind == EXPANDED:
         if path.start != word:
             raise UsageError("expanded path must start at the element word")
-        matrix = path_morphism(path, rank)
+        expanded = path
     else:
         if word != path.start:
             raise UsageError(
                 "conflated paths act on elements over the starting cloud representative, "
                 f"here {word_label(path.start)}"
             )
-        matrix = ConflatedMorphisms(rex, conf).path_matrix(path.vertices)
-    image = matrix.apply(element)
+        expanded = lift_conflated_path(conf, rex, path)
+    image = path_morphism(expanded, rank).apply(element)
     payload = {
         "path": [list(v) for v in path.vertices],
         "element": element.to_json(),
@@ -269,6 +270,7 @@ def _verdict_lines(v: fpc.FpcVerdict) -> list[str]:
 def cmd_verify(args) -> int:
     fmt = args.format
     budget = args.budget
+    fpc._budget_in_force(budget)  # an invalid setting is refused before anything is built
     suite = args.suite
     if suite == "zam":
         n = args.rank or 3

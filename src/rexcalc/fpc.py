@@ -3,14 +3,16 @@
 The central question: do two complete paths with the same endpoints
 always induce the same morphism?  The harness answers it exhaustively
 up to a path-length bound by a value search: walks are explored as
-states (current vertex, visited set, morphism value), morphism values
-are interned exactly, and states that agree in all three components are
-merged, which is sound because such states have identical futures.
-Values share most of their columns, so the columns are interned by
-content and a value is keyed by its column ids; a step multiplies each
-distinct column once and memoizes the image per (step, column).  A
-verdict is either Holds or a reproducible counterexample consisting of
-two concrete paths plus a basis column on which their matrices differ.
+states (start, current vertex, visited set, morphism value), morphism
+values are interned exactly, and states that agree in all four
+components are merged, which is sound because such states have
+identical futures.  Values share most of their columns, so the columns
+are interned by content and a value is stored once, as a record of its
+column ids; a step multiplies each distinct column once and memoizes the
+image per (step, column).  The simplification soundness check walks its
+paths through the same store.  A verdict is either Holds or a
+reproducible counterexample consisting of two concrete paths plus a
+basis column on which their matrices differ.
 
 The same engine, tracking only visits to the source and sink, checks
 the refined statement that any two paths through both extremes with
@@ -134,15 +136,16 @@ class FpcVerdict:
 
 
 class _MatrixPool:
-    """Interns search values by content, column by column, and memoizes products.
+    """Interns walk values by content, column by column, and memoizes products.
 
-    Each distinct column (a dict row -> polynomial) gets an id, interned by
-    its exact content; a matrix is keyed by its rank, domain, codomain and
-    (column, column id) pairs in column order, so equal keys mean equal
-    matrices.  Extending a value by a step maps each of its column ids
-    through that step's memo of column images, so a column shared by many
-    values is multiplied once per step.  The matrices are kept, their
-    column dicts shared, for the witnesses.
+    Each distinct nonzero column (a dict row -> polynomial) gets an id by
+    its exact content.  A value is one record, (rank, domain, codomain,
+    column ids) with the id of column c at index c and -1 for a zero
+    column, which is also its key.  Extending a value by a step maps its
+    column ids through that step's memo of column images, so a column
+    shared by many values is multiplied once per step.  ``walk`` extends
+    the identity step by step, so walks share their prefixes' products;
+    ``matrix`` rebuilds a value's matrix, for a witness.
     """
 
     def __init__(self, budget: int, source: str):
@@ -151,13 +154,14 @@ class _MatrixPool:
         self.col_ids: dict[frozenset, int] = {}
         self.cols: list[dict[int, Polynomial]] = []
         self.ids: dict[tuple, int] = {}
-        self.mats: list[MorphismMatrix] = []
-        self.pairs: list[tuple[tuple[int, int], ...]] = []
+        self.values: list[tuple] = []
         self.products: dict[tuple[int, tuple[Word, Word]], int] = {}
-        # per step: column id -> id of its image, or -1 for a zero image
+        # per step: column id -> id of its image, -1 -> -1 for a zero column
         self.images: dict[tuple[Word, Word], dict[int, int]] = {}
 
-    def _column_id(self, col: dict[int, Polynomial]) -> int:
+    def _column_id(self, col: dict[int, Polynomial] | None) -> int:
+        if not col:
+            return -1
         content = frozenset(col.items())
         found = self.col_ids.get(content)
         if found is None:
@@ -165,44 +169,49 @@ class _MatrixPool:
             self.cols.append(col)
         return found
 
-    def _intern(self, rank: int, domain: Word, codomain: Word, pairs: tuple) -> int:
-        key = (rank, domain, codomain, pairs)
-        found = self.ids.get(key)
-        if found is not None:
-            return found
-        if len(self.mats) >= self.budget:
-            raise BudgetExceededError(
-                f"more than {self.budget} distinct morphism matrices, "
-                f"the limit set by {self.source}"
-            )
-        cols = self.cols
-        self.ids[key] = len(self.mats)
-        self.mats.append(MorphismMatrix._make(rank, domain, codomain, {c: cols[i] for c, i in pairs}))
-        self.pairs.append(pairs)
-        return len(self.mats) - 1
+    def _intern(self, record: tuple) -> int:
+        found = self.ids.get(record)
+        if found is None:
+            if len(self.values) >= self.budget:
+                raise BudgetExceededError(
+                    f"more than {self.budget} distinct morphism matrices, "
+                    f"the limit set by {self.source}"
+                )
+            found = self.ids[record] = len(self.values)
+            self.values.append(record)
+        return found
 
     def intern(self, m: MorphismMatrix) -> int:
-        pairs = tuple((c, self._column_id(m.cols[c])) for c in sorted(m.cols))
-        return self._intern(m.rank, m.domain, m.codomain, pairs)
+        ids = tuple(self._column_id(m.cols.get(c)) for c in range(1 << len(m.domain)))
+        return self._intern((m.rank, m.domain, m.codomain, ids))
 
-    def extend(self, cm: ConflatedMorphisms, mat_id: int, step: tuple[Word, Word]) -> int:
-        key = (mat_id, step)
+    def extend(self, cm: ConflatedMorphisms, value: int, step: tuple[Word, Word]) -> int:
+        key = (value, step)
         found = self.products.get(key)
         if found is None:
             step_mat = cm.step_matrix(*step)
-            memo = self.images.setdefault(step, {})
-            pairs = []
-            for c, i in self.pairs[mat_id]:
+            memo = self.images.setdefault(step, {-1: -1})
+            rank, domain, _, col_ids = self.values[value]
+            ids = []
+            for i in col_ids:
                 j = memo.get(i)
                 if j is None:
-                    image = step_mat.column_image(self.cols[i])
-                    j = memo[i] = self._column_id(image) if image else -1
-                if j >= 0:
-                    pairs.append((c, j))
-            mat = self.mats[mat_id]
-            found = self._intern(mat.rank, mat.domain, step_mat.codomain, tuple(pairs))
-            self.products[key] = found
+                    j = memo[i] = self._column_id(step_mat.column_image(self.cols[i]))
+                ids.append(j)
+            found = self.products[key] = self._intern((rank, domain, step_mat.codomain, tuple(ids)))
         return found
+
+    def walk(self, cm: ConflatedMorphisms, vertices) -> int:
+        """The value of a walk: the identity at its first vertex, extended by each step."""
+        value = self.intern(MorphismMatrix.identity(vertices[0], cm.rank))
+        for step in zip(vertices, vertices[1:]):
+            value = self.extend(cm, value, step)
+        return value
+
+    def matrix(self, value: int) -> MorphismMatrix:
+        rank, domain, codomain, ids = self.values[value]
+        cols = {c: self.cols[i] for c, i in enumerate(ids) if i >= 0}
+        return MorphismMatrix._make(rank, domain, codomain, cols)
 
 
 def _column_witness(a: MorphismMatrix, b: MorphismMatrix) -> tuple[int, BSElement, BSElement]:
@@ -233,69 +242,58 @@ def _value_search(
     value joins the group of its (start, end) pair.  The first group
     holding two distinct values yields the counterexample, with the
     lexicographically least representative paths.  The search stops
-    early once every frontier is empty, and a bound under which no walk
+    early once the frontier is empty, and a bound under which no walk
     is eligible is a ValueError, not a vacuous Holds.
     """
     pool = _MatrixPool(*_budget_in_force(budget))
     neigh = {
         r: sorted(d.representative for d in conf.neighbors(conf.cloud(r))) for r in reps
     }
-    # per start: frontier of (state -> representative path), global seen states
-    frontiers: dict[Word, dict[tuple, tuple[Word, ...]]] = {}
-    seen: dict[Word, set] = {}
-    groups: dict[tuple[Word, Word], dict[int, tuple[Word, ...]]] = {}
+    # a state is (start, vertex, flags, value id); every path begins with its
+    # start, so sorting a level's states by path orders them by start first
+    seen: set[tuple] = set()
+    # (start, end) -> the first eligible value and its path
+    groups: dict[tuple[Word, Word], tuple[int, tuple[Word, ...]]] = {}
 
-    def record(start, state, path):
-        v, flags, mat_id = state
+    def admit(level_states: dict, state: tuple, path: tuple[Word, ...]) -> FpcVerdict | None:
+        # queue an unseen state; a counterexample once its group gets a second value
+        if state in seen:
+            return None
+        seen.add(state)
+        level_states[state] = path
+        start, v, flags, value = state
         if flags != full_flags:
             return None
-        known = groups.setdefault((start, v), {})
-        if mat_id in known:
+        first, first_path = groups.setdefault((start, v), (value, path))
+        if first == value:
             return None
-        for other_id, other_path in known.items():
-            a, b = sorted([other_path, path])
-            mat_a = pool.mats[other_id if a == other_path else mat_id]
-            mat_b = pool.mats[mat_id if a == other_path else other_id]
-            mask, img_a, img_b = _column_witness(mat_a, mat_b)
-            return PathPairWitness(start, v, a, b, mask, img_a, img_b)
-        known[mat_id] = path
-        return None
+        (a, value_a), (b, value_b) = sorted([(first_path, first), (path, value)])
+        mask, img_a, img_b = _column_witness(pool.matrix(value_a), pool.matrix(value_b))
+        return FpcVerdict(word, max_len, False, PathPairWitness(start, v, a, b, mask, img_a, img_b))
 
+    frontier: dict[tuple, tuple[Word, ...]] = {}
     level = 1
     try:
         for start in reps:
             ident = pool.intern(MorphismMatrix.identity(start, cm.rank))
-            state = (start, flag_of(start), ident)
-            frontiers[start] = {state: (start,)}
-            seen[start] = {state}
-            witness = record(start, state, (start,))
-            if witness is not None:
-                return FpcVerdict(word, max_len, False, witness)
-
+            found = admit(frontier, (start, start, flag_of(start), ident), (start,))
+            if found is not None:
+                return found
         for level in range(2, max_len + 1):
-            if not any(frontiers.values()):
+            if not frontier:
                 break  # every walk has been extended as far as it can go
-            for start in reps:
-                frontier = frontiers[start]
-                nxt: dict[tuple, tuple[Word, ...]] = {}
-                for state, path in sorted(frontier.items(), key=lambda kv: kv[1]):
-                    v, flags, mat_id = state
-                    for w in neigh[v]:
-                        new_state = (w, flags | flag_of(w), pool.extend(cm, mat_id, (v, w)))
-                        if new_state in seen[start]:
-                            continue
-                        seen[start].add(new_state)
-                        new_path = path + (w,)
-                        nxt[new_state] = new_path
-                        witness = record(start, new_state, new_path)
-                        if witness is not None:
-                            return FpcVerdict(word, max_len, False, witness)
-                frontiers[start] = nxt
+            nxt: dict[tuple, tuple[Word, ...]] = {}
+            for (start, v, flags, value), path in sorted(frontier.items(), key=lambda kv: kv[1]):
+                for w in neigh[v]:
+                    state = (start, w, flags | flag_of(w), pool.extend(cm, value, (v, w)))
+                    found = admit(nxt, state, path + (w,))
+                    if found is not None:
+                        return found
+            frontier = nxt
     except BudgetExceededError as exc:
-        states = sum(map(len, seen.values()))
         raise BudgetExceededError(
             f"{exc}; the search had reached path length {level} of {max_len} "
-            f"and explored {states:,} states; raise the limit to continue"
+            f"and explored {len(seen):,} states; raise the limit to continue"
         ) from None
     if not groups:
         raise ValueError(f"no walk of at most {max_len} vertices is eligible, so no paths were compared")
@@ -777,19 +775,7 @@ def check_simplify_soundness(n: int = 4, max_len: int = 10) -> bool:
     word = longest_element(n)
     rex, conf, cm = _calculus(word, n)
     reps = sorted(c.representative for c in conf.clouds)
-    cache: dict[tuple[Word, ...], MorphismMatrix] = {}
-
-    def matrix(vertices: tuple[Word, ...]) -> MorphismMatrix:
-        # paths stream in prefix order, so each one costs a single step
-        found = cache.get(vertices)
-        if found is None:
-            if len(vertices) == 1:
-                found = MorphismMatrix.identity(vertices[0], n)
-            else:
-                found = cm.step_matrix(*vertices[-2:]).compose(matrix(vertices[:-1]))
-            cache[vertices] = found
-        return found
-
+    pool = _MatrixPool(*_budget_in_force(None))
     for a in reps:
         for z in reps:
             for path in enumerate_complete_paths(conf, a, z, max_len):
@@ -797,6 +783,6 @@ def check_simplify_soundness(n: int = 4, max_len: int = 10) -> bool:
                     simplified = simplify_path(conf, path)
                 except NoDirectSubpathError:
                     continue
-                if matrix(path.vertices) != matrix(simplified.vertices):
+                if pool.walk(cm, path.vertices) != pool.walk(cm, simplified.vertices):
                     return False
     return True

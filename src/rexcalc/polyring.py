@@ -433,6 +433,10 @@ MAX_INPUT_DEGREE = 128
 # (x1+x2+x3+x4+1)^60, would otherwise expand to hundreds of thousands of terms
 MAX_INPUT_TERMS = 10_000
 
+# deepest nesting of parentheses and unary minus signs in parsed input; each
+# level costs the parser up to four frames of the default recursion limit 1,000
+MAX_INPUT_NESTING = 100
+
 
 class _Parser:
     """Recursive-descent parser for the canonical polynomial syntax.
@@ -443,13 +447,14 @@ class _Parser:
     refused before it is expanded, a product or parenthesized group as
     soon as it is built.  A power that may expand to more than
     MAX_INPUT_TERMS terms, or a product of more than MAX_INPUT_TERMS term
-    pairs, is refused before it is expanded.
+    pairs, is refused before it is expanded, and nesting beyond MAX_INPUT_NESTING as read.
     """
 
     def __init__(self, text: str, rank: int):
         self.tokens = self._tokenize(text)
         self.pos = 0
         self.rank = rank
+        self.depth = 0
 
     @staticmethod
     def _tokenize(text: str) -> list[str]:
@@ -556,13 +561,15 @@ class _Parser:
 
     def atom(self) -> Polynomial:
         tok = self.take()
-        if tok == "(":
-            p = self.expr()
-            if self.take() != ")":
+        if tok in ("(", "-"):
+            self.depth += 1
+            if self.depth > MAX_INPUT_NESTING:
+                raise ValueError(f"nesting exceeds the input nesting limit {MAX_INPUT_NESTING}")
+            p = self.expr() if tok == "(" else -self.atom()
+            if tok == "(" and self.take() != ")":
                 raise ValueError("unbalanced parenthesis")
+            self.depth -= 1
             return self.bounded(p)
-        if tok == "-":
-            return -self.atom()
         if tok.isdigit():
             return Polynomial.constant(int(tok), self.rank)
         if tok.startswith("x"):

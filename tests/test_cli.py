@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -11,7 +13,7 @@ from hashlib import sha256
 from pathlib import Path
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rexcalc import cli, fpc
 from rexcalc.cli import _dumps, main, parse_word
@@ -226,6 +228,34 @@ def test_budget_below_one_is_a_usage_error(capsys, monkeypatch, flag, env, setti
     assert err.startswith(f"error: {setting} ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize(
+    "argv, env",
+    [
+        (["family", "--word", "1213214321", "--budget", "0"], None),
+        (["zam", "--rank", "3", "--budget", "0"], None),
+        (["lemmas", "--budget", "-5"], None),
+        (["fpc-s4", "--budget", "0"], None),
+        (["family", "--rank", "4"], "0"),
+        (["refined", "--rank", "4"], "abc"),
+    ],
+)
+def test_budget_is_read_before_anything_is_built(capsys, monkeypatch, argv, env):
+    calls = []
+
+    def counting_build(perm):
+        calls.append(perm)
+        return build_rex_graph(perm)
+
+    monkeypatch.setattr(fpc, "build_rex_graph", counting_build)
+    fpc._element_calculus.cache_clear()
+    if env is not None:
+        monkeypatch.setenv("REXCALC_BUDGET", env)
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err.startswith("error:") and err.count("\n") == 1
+    assert calls == []
+
+
 def test_budget_error_reports_search_progress(capsys):
     code, out, err = run(
         capsys, "verify", "refined", "--rank", "3", "--max-len", "8", "--budget", "5"
@@ -401,6 +431,77 @@ def test_element_term_product_is_a_usage_error():
     assert "term limit" in proc.stderr
     assert proc.stdout == ""
     assert elapsed < 5
+
+
+# each nesting level recursed in the parser, so these ended in a RecursionError
+DEEP_PARENTHESES = "(" * 260 + "1" + ")" * 260 + ",1,1,1,1,1"
+DEEP_SIGNS = "1+" + "-" * 3000 + "1,1"
+
+
+@pytest.mark.parametrize("element", [DEEP_PARENTHESES, DEEP_SIGNS], ids=["parentheses", "signs"])
+def test_deep_nesting_is_a_usage_error(element):
+    proc = _run_cli("eval", "12321", "--path", "s,c,t,c", f"--element={element}", capture_output=True)
+    assert proc.returncode == 2
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert "input nesting limit" in proc.stderr
+    assert proc.stdout == ""
+
+
+_fuzz_letters = st.lists(st.integers(1, 3), max_size=6)
+_fuzz_garbage = st.sampled_from(["e", "-", "", "0", "14", "1,,2", "x", "12a", "-1"])
+_fuzz_words = _fuzz_letters.map(lambda ls: "".join(map(str, ls)) or "e") | _fuzz_garbage
+_fuzz_slots = st.sampled_from(["1", "", "x1", "x2-x3", "-(x1+2)", "x3^2/3"]) | st.text("x1234+-*/^() ", max_size=8)
+_fuzz_ints = st.none() | st.integers(-1, 12)
+
+
+@st.composite
+def _cli_argv(draw):
+    """A cheap command line of the CLI grammar, garbage words and texts included."""
+    command = draw(st.sampled_from(["graph", "eval", "verify"]))
+    if command == "verify":
+        argv = [command, draw(st.sampled_from(["zam", "lemmas", "family", "refined"]))]
+        if argv[1] == "family" and draw(st.booleans()):
+            argv += ["--word", draw(_fuzz_words)]
+        for flag in ("--max-len", "--budget"):
+            value = draw(_fuzz_ints)
+            if value is not None:
+                argv += [flag, str(value)]
+    else:
+        letters = draw(_fuzz_letters)
+        word = "".join(map(str, letters)) or "e"
+        argv = [command, draw(st.sampled_from([word, ",".join(map(str, letters)) or "e"]) | _fuzz_garbage)]
+        if command == "graph" and draw(st.booleans()):
+            argv.append("--conflated")
+        if command == "eval":
+            aliases = st.lists(st.sampled_from(["s", "t", "c", "e", "q"]), min_size=1, max_size=5)
+            path = draw(st.just(word) | _fuzz_words | aliases.map(",".join))
+            # mostly one slot per letter and one more, as the element needs
+            slots = draw(st.lists(_fuzz_slots, min_size=len(letters) + 1, max_size=len(letters) + 1))
+            element = ",".join(slots) if draw(st.integers(0, 3)) else draw(st.text("x12+-(),", max_size=12))
+            argv += ["--path", path, f"--element={element}"]
+    rank = draw(_fuzz_ints)
+    if rank is not None:
+        argv += ["--rank", str(rank)]
+    fmt = draw(st.sampled_from([None, "dot", "json", "text"]))
+    if fmt is not None:
+        argv += ["--format", fmt]
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(_cli_argv(), st.sampled_from([None, "1", "5", "40"]))
+@example(["eval", "12321", "--path", "s,c,t,c", f"--element={DEEP_PARENTHESES}"], None)
+@example(["eval", "12321", "--path", "s,c,t,c", f"--element={DEEP_SIGNS}"], None)
+def test_exit_code_contract_holds_on_drawn_command_lines(argv, env):
+    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        if env is None:
+            mp.delenv("REXCALC_BUDGET", raising=False)
+        else:
+            mp.setenv("REXCALC_BUDGET", env)
+        code = main(argv)
+    assert code in (0, 1, 2, 3)
 
 
 def _reference_dumps(value) -> str:

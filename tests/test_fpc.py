@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from itertools import combinations
 from types import SimpleNamespace
 
 import oracle_fpc
@@ -38,6 +39,19 @@ def test_fpc_counterexample_for_12321_at_bound_five():
     assert w.path_a == (c, s, c, t, c)
     assert w.path_b == (c, t, c, s, c)
     assert w.start == w.end == c
+
+
+def test_counterexample_is_the_first_found_in_start_then_path_order():
+    # here the group that first gets a second value depends on the order the
+    # states of a level are extended in: by start, then by path
+    verdict = fpc.check_fpc((1, 2, 3, 4, 2, 1, 3), 8, rank=5)
+    w = verdict.counterexample
+    a, b, c = (1, 3, 2, 1, 3, 4, 3), (1, 2, 3, 2, 1, 4, 3), (1, 3, 2, 1, 4, 3, 4)
+    d, e = (3, 2, 1, 2, 4, 3, 4), (3, 2, 1, 2, 3, 4, 3)
+    assert w.start == w.end == a
+    assert w.path_a == (a, b, a, c, d, e, a)
+    assert w.path_b == (a, c, d, e, a, b, a)
+    assert w.witness_mask == 1
 
 
 def test_fpc_counterexample_witness_is_reproducible():
@@ -221,9 +235,13 @@ def _search_with(monkeypatch, pool_cls, check):
             ids.append(found)
             return found
 
+        def matrix(self, i):
+            # the oracle pool keeps a matrix per value; the package pool rebuilds it
+            return self.mats[i] if pool_cls is oracle_fpc._MatrixPool else super().matrix(i)
+
     monkeypatch.setattr(fpc, "_MatrixPool", Logged)
     verdict = check()
-    return verdict, ids, [m for pool in pools for m in pool.mats]
+    return verdict, ids, [pool.matrix(i) for pool in pools for i in range(len(pool.ids))]
 
 
 def _assert_same_search(monkeypatch, check):
@@ -297,11 +315,35 @@ def test_pool_interns_values_by_exact_content():
     assert s != i  # the same columns in other places
     assert pool.extend(cm, i, ("w", "swap")) == s
     p = pool.extend(cm, i, ("w", "proj"))
-    assert pool.mats[p] == proj and pool.intern(proj) == p  # zero columns dropped
+    assert pool.matrix(p) == proj and pool.intern(proj) == p  # zero columns dropped
     assert pool.extend(cm, s, ("w", "swap")) == i
     assert pool.extend(cm, s, ("w", "proj")) == p  # proj . swap == proj
     assert pool.extend(cm, p, ("w", "swap")) == p  # swap . proj == proj
-    assert pool.mats == [ident, swap, proj]
+    assert [pool.matrix(v) for v in range(len(pool.values))] == [ident, swap, proj]
+
+
+@pytest.mark.parametrize(
+    "word, rank",
+    [((1, 2, 3, 2, 1), 4), ((1, 2, 1, 3, 2, 1), 4), ((1, 2, 3, 4, 3, 2, 1), 5), ((1, 2, 1, 3, 4, 3), 5)],
+)
+def test_walk_matches_path_matrix(word, rank):
+    rex, conf, cm = fpc._calculus(word, rank)
+    reps = sorted(c.representative for c in conf.clouds)
+    rng = random.Random(8)
+    walks = []
+    for _ in range(16):
+        walk = [rng.choice(reps)]
+        for _ in range(rng.randint(0, 7)):
+            walk.append(rng.choice(sorted(d.representative for d in conf.neighbors(conf.cloud(walk[-1])))))
+        walks.append(tuple(walk))
+    pool = fpc._MatrixPool(10_000, "a test")
+    ids = [pool.walk(cm, w) for w in walks]
+    mats = [cm.path_matrix(w) for w in walks]
+    for i, mat in zip(ids, mats):
+        assert pool.matrix(i) == mat
+    # one id per matrix: walks get equal ids exactly when their matrices are equal
+    for a, b in combinations(range(len(walks)), 2):
+        assert (ids[a] == ids[b]) == (mats[a] == mats[b])
 
 
 @pytest.mark.parametrize("word", [(1, 2, 3, 2, 1), (1, 2, 1, 3, 2, 1)])
