@@ -15,7 +15,7 @@ from rexcalc import fpc
 def timed(label, fn):
     t0 = time.perf_counter()
     result = fn()
-    print(f"{label:<42} {'ok' if result else 'UNEXPECTED':>10}   {time.perf_counter() - t0:6.1f}s")
+    print(f"{label:<44} {'ok' if result else 'UNEXPECTED':>10}   {time.perf_counter() - t0:6.1f}s")
     return result
 
 
@@ -30,7 +30,7 @@ def extra_pair_differs() -> bool:
 
 
 def main() -> int:
-    print(f"{'suite':<42} {'verdict':>10}   {'time':>7}")
+    print(f"{'suite':<44} {'verdict':>10}   {'time':>7}")
     ok = True
     ok &= timed("12321 counterexample (images + dots differ)", counterexample_differs)
     for n in (3, 4):

@@ -395,13 +395,6 @@ class MorphismMatrix:
             for r, p in col.items()
         )
 
-    def nonzero_entries(self) -> list[tuple[int, int, Polynomial]]:
-        return [
-            (r, c, self.cols[c][r])
-            for c in sorted(self.cols)
-            for r in sorted(self.cols[c])
-        ]
-
     def __repr__(self) -> str:
         return (
             f"MorphismMatrix({word_label(self.domain)} -> {word_label(self.codomain)}, "
@@ -424,7 +417,7 @@ def move_between(u: Word, v: Word) -> BraidMove:
     for move, w2 in braid_moves(u):
         if w2 == tuple(v):
             return move
-    raise ValueError(f"{u} and {v} do not differ by a single braid move")
+    raise ValueError(f"{word_label(u)} and {word_label(v)} do not differ by a single braid move")
 
 
 def path_morphism(path: Path, rank: int) -> MorphismMatrix:
@@ -467,7 +460,7 @@ class ConflatedMorphisms:
     def step_matrix(self, a: Word, b: Word) -> MorphismMatrix:
         m = self.forward.get((a, b)) or self.backward.get((a, b))
         if m is None:
-            raise ValueError(f"no conflated edge between {a} and {b}")
+            raise ValueError(f"no conflated edge between {word_label(a)} and {word_label(b)}")
         return m
 
     def path_matrix(self, vertices) -> MorphismMatrix:

@@ -3,8 +3,9 @@
 Exit codes: 0 all verdicts as expected, 1 unexpected mathematical
 verdict, 2 usage error, 3 resource budget exceeded.  The environment
 variable REXCALC_BUDGET caps the number of distinct morphism matrices a
-search may intern; a budget below 1 or not an integer, and a rank outside
-1..MAX_RANK, are usage errors.
+search may intern; a budget below 1 or not an integer, a rank outside
+1..MAX_RANK, and a ``verify`` option that the chosen suite does not read
+are usage errors.
 """
 
 from __future__ import annotations
@@ -267,12 +268,20 @@ def _verdict_lines(v: fpc.FpcVerdict) -> list[str]:
     ]
 
 
+def _refuse_unread(args, *options: str) -> None:
+    """A usage error naming the given options that the suite does not read."""
+    given = [f"--{o.replace('_', '-')}" for o in options if getattr(args, o) is not None]
+    if given:
+        raise UsageError(f"the {args.suite} suite does not read {' or '.join(given)}")
+
+
 def cmd_verify(args) -> int:
     fmt = args.format
     budget = args.budget
     fpc._budget_in_force(budget)  # an invalid setting is refused before anything is built
     suite = args.suite
     if suite == "zam":
+        _refuse_unread(args, "max_len", "word")
         n = args.rank or 3
         if n not in (3, 4):
             raise UsageError("the zam suite runs at rank 3 or 4")
@@ -286,7 +295,8 @@ def cmd_verify(args) -> int:
         )
         return EXIT_OK if report.all_hold and dud else EXIT_UNEXPECTED
     if suite == "lemmas":
-        report = fpc.check_equivalence_lemmas()
+        _refuse_unread(args, "rank", "max_len", "word")
+        report = fpc.check_equivalence_lemmas(budget)
         _emit(
             report.to_json(),
             fmt,
@@ -294,6 +304,7 @@ def cmd_verify(args) -> int:
         )
         return EXIT_OK if report.all_hold else EXIT_UNEXPECTED
     if suite == "fpc-s4":
+        _refuse_unread(args, "rank", "word")
         sweep = fpc.check_s4_sweep(max_len=args.max_len, budget=budget)
         lines = []
         for r in sweep.rows:
@@ -306,7 +317,7 @@ def cmd_verify(args) -> int:
         _emit(sweep.to_json(), fmt, lines)
         return EXIT_OK if sweep.all_expected else EXIT_UNEXPECTED
     if suite == "family":
-        if args.word:
+        if args.word is not None:
             # exploratory mode: run the bounded comparison on a given element
             word, rank = _resolve_config(args)
             _, conf, _ = fpc._calculus(word, rank)
@@ -314,6 +325,8 @@ def cmd_verify(args) -> int:
             verdict = fpc.check_fpc(word, bound, rank=rank, budget=budget)
             _emit(verdict.to_json(), fmt, _verdict_lines(verdict))
             return EXIT_OK
+        if args.max_len is not None:
+            raise UsageError("the family suite reads --max-len only with --word")
         n = args.rank or 4
         report = fpc.check_family(n)
         lines = [
@@ -334,6 +347,7 @@ def cmd_verify(args) -> int:
         _emit(payload, fmt, lines)
         return EXIT_OK if ok else EXIT_UNEXPECTED
     if suite == "refined":
+        _refuse_unread(args, "word")
         n = args.rank or 3
         if n not in (3, 4):
             raise UsageError("the refined suite runs at rank 3 or 4")

@@ -45,6 +45,7 @@ from .rexgraph import (
     oriented_run,
     simplify_path,
     source_sink,
+    word_label,
 )
 from .symgroup import Permutation, Word, all_permutations, is_reduced, longest_element, word_to_perm
 
@@ -226,17 +227,15 @@ def _column_witness(a: MorphismMatrix, b: MorphismMatrix) -> tuple[int, BSElemen
 def _value_search(
     word: Word,
     max_len: int,
-    conf: ConflatedGraph,
     cm: ConflatedMorphisms,
-    reps: list[Word],
     flag_of,
     full_flags: int,
     budget: int | None,
 ) -> FpcVerdict:
     """Level-synchronized search comparing morphism values of flagged-complete walks.
 
-    Walks start at every representative in ``reps`` (sorted) and run over
-    the conflated graph ``conf`` with step matrices from ``cm``.
+    Walks start at every vertex of the conflated graph of ``cm``, in
+    ascending order, and run over its links with ``cm``'s step matrices.
     ``flag_of`` maps a vertex to the visit bits it contributes; a walk
     with accumulated flags ``full_flags`` is eligible and its morphism
     value joins the group of its (start, end) pair.  The first group
@@ -246,9 +245,7 @@ def _value_search(
     is eligible is a ValueError, not a vacuous Holds.
     """
     pool = _MatrixPool(*_budget_in_force(budget))
-    neigh = {
-        r: sorted(d.representative for d in conf.neighbors(conf.cloud(r))) for r in reps
-    }
+    links = cm.conflated.links
     # a state is (start, vertex, flags, value id); every path begins with its
     # start, so sorting a level's states by path orders them by start first
     seen: set[tuple] = set()
@@ -274,7 +271,7 @@ def _value_search(
     frontier: dict[tuple, tuple[Word, ...]] = {}
     level = 1
     try:
-        for start in reps:
+        for start in links:
             ident = pool.intern(MorphismMatrix.identity(start, cm.rank))
             found = admit(frontier, (start, start, flag_of(start), ident), (start,))
             if found is not None:
@@ -284,7 +281,7 @@ def _value_search(
                 break  # every walk has been extended as far as it can go
             nxt: dict[tuple, tuple[Word, ...]] = {}
             for (start, v, flags, value), path in sorted(frontier.items(), key=lambda kv: kv[1]):
-                for w in neigh[v]:
+                for w in links[v]:
                     state = (start, w, flags | flag_of(w), pool.extend(cm, value, (v, w)))
                     found = admit(nxt, state, path + (w,))
                     if found is not None:
@@ -308,10 +305,9 @@ def check_fpc(word, max_len: int, rank: int, budget: int | None = None) -> FpcVe
     rex, conf, cm = _calculus(word, rank)
     if max_len < len(conf.clouds):
         raise ValueError(f"max_len {max_len} below vertex count {len(conf.clouds)}")
-    reps = sorted(c.representative for c in conf.clouds)
-    bit = {r: 1 << i for i, r in enumerate(reps)}
-    full = (1 << len(reps)) - 1
-    return _value_search(word, max_len, conf, cm, reps, bit.__getitem__, full, budget)
+    bit = {r: 1 << i for i, r in enumerate(conf.links)}
+    full = (1 << len(bit)) - 1
+    return _value_search(word, max_len, cm, bit.__getitem__, full, budget)
 
 
 def check_refined_conjecture(n: int, max_len: int, budget: int | None = None) -> FpcVerdict:
@@ -324,10 +320,7 @@ def check_refined_conjecture(n: int, max_len: int, budget: int | None = None) ->
     rex, conf, cm = _calculus(word, n)
     s, t = source_sink(conf)
     sr, tr = s.representative, t.representative
-    reps = sorted(c.representative for c in conf.clouds)
-    return _value_search(
-        word, max_len, conf, cm, reps, lambda v: (v == sr) | (v == tr) << 1, 3, budget
-    )
+    return _value_search(word, max_len, cm, lambda v: (v == sr) | (v == tr) << 1, 3, budget)
 
 
 # -- the S_4 counterexample ---------------------------------------------------
@@ -518,14 +511,14 @@ class LemmaReport:
         return dict(self.results)
 
 
-def check_equivalence_lemmas() -> LemmaReport:
+def check_equivalence_lemmas(budget: int | None = None) -> LemmaReport:
     """Verify the small-path equivalences by exact matrix equality.
 
     On the longest element of S_4 the named vertices are the oriented
     cycle s, A, B, C, t down the left half; on 23121 the line is
     s -> c -> t.  Each claimed equivalence is a plain matrix comparison,
-    and the bounded exhaustive check confirms the full statement for
-    23121 and 12312.
+    and the bounded exhaustive check, under ``budget`` as in ``check_fpc``,
+    confirms the full statement for 23121 and 12312.
     """
     results: dict[str, bool] = {}
     rex, conf, cm = _calculus(longest_element(4), 4)
@@ -556,8 +549,9 @@ def check_equivalence_lemmas() -> LemmaReport:
     results["23121: Q3 == Q1"] = eq5([cc, ss, cc, tt, cc, ss, cc], [cc, ss, cc, tt, cc])
     results["23121: Q4 == Q2"] = eq5([cc, tt, cc, ss, cc, tt, cc], [cc, tt, cc, ss, cc])
 
-    results["23121: complete paths agree (max_len 9)"] = check_fpc((2, 3, 1, 2, 1), 9, rank=4).holds
-    results["12312: complete paths agree (max_len 9)"] = check_fpc((1, 2, 3, 1, 2), 9, rank=4).holds
+    for word in ((2, 3, 1, 2, 1), (1, 2, 3, 1, 2)):
+        holds = check_fpc(word, 9, rank=4, budget=budget).holds
+        results[f"{word_label(word)}: complete paths agree (max_len 9)"] = holds
     return LemmaReport(results)
 
 
@@ -774,10 +768,9 @@ def check_simplify_soundness(n: int = 4, max_len: int = 10) -> bool:
     """f(simplify(p)) == f(p) for complete paths with a direct subpath."""
     word = longest_element(n)
     rex, conf, cm = _calculus(word, n)
-    reps = sorted(c.representative for c in conf.clouds)
     pool = _MatrixPool(*_budget_in_force(None))
-    for a in reps:
-        for z in reps:
+    for a in conf.links:
+        for z in conf.links:
             for path in enumerate_complete_paths(conf, a, z, max_len):
                 try:
                     simplified = simplify_path(conf, path)

@@ -16,17 +16,21 @@ a unique source and sink.
 Paths are vertex sequences; the length of a path is the number of
 vertices it lists.  A complete path visits every vertex at least once.
 
-Construction takes the words from the ``reduced_words`` closure and the
-moves from ``braid_moves`` (direct window rewrites, interned moves).  Each
-word's neighbour list is sorted once and the edge list is read off those
-lists in word order, so no global sort is needed; clouds grow from the
-words in order, and conflation keys cloud pairs by their representatives.
+Construction takes the words and each word's moves from one
+``braid_closure``, which finds every word's moves once.  Each word's
+neighbour list is sorted once and the edge list is read off those lists
+in word order, so no global sort is needed; clouds grow from the words in
+order, and conflation keys cloud pairs by their representatives.  The
+conflated graph's adjacency is one link map, ``ConflatedGraph.links``,
+built once from its edges; every accessor and walker reads it.
 """
 
 from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass, field
+from functools import cached_property
+from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, Sequence
 
@@ -36,9 +40,8 @@ from .symgroup import (
     BraidMove,
     Permutation,
     Word,
-    braid_moves,
+    braid_closure,
     is_reduced,
-    reduced_words,
     word_to_perm,
 )
 
@@ -160,36 +163,44 @@ class ConflatedGraph:
     def cloud(self, word) -> Cloud:
         return self.cloud_of[tuple(word)]
 
+    @cached_property
+    def links(self) -> dict[Word, dict[Word, tuple[ConflatedEdge, bool]]]:
+        """links[a][b] = (the edge joining a and b, whether a -> b follows it).
+
+        Keyed by cloud representatives, in ascending order in links and in
+        each links[a].
+        """
+        links = {a: {} for a in sorted(c.representative for c in self.clouds)}
+        for e in self.edges:
+            a, b = e.source.representative, e.target.representative
+            links[a][b] = (e, True)
+            links[b][a] = (e, False)
+        return {a: dict(sorted(out.items(), key=itemgetter(0))) for a, out in links.items()}
+
     def edge_between(self, a: Cloud, b: Cloud) -> tuple[ConflatedEdge, bool] | None:
         """The unique edge joining a and b, plus whether a -> b follows it forward."""
-        for e in self.edges:
-            if e.source == a and e.target == b:
-                return e, True
-            if e.source == b and e.target == a:
-                return e, False
-        return None
+        return self.links[a.representative].get(b.representative)
 
     def neighbors(self, c: Cloud) -> list[Cloud]:
-        out = {e.target for e in self.edges if e.source == c}
-        out |= {e.source for e in self.edges if e.target == c}
-        return sorted(out)
+        return [self.cloud_of[b] for b in self.links[c.representative]]
 
     def out_neighbors(self, c: Cloud) -> list[Cloud]:
-        return sorted(e.target for e in self.edges if e.source == c)
+        return [self.cloud_of[b] for b, (_, fwd) in self.links[c.representative].items() if fwd]
 
     def in_neighbors(self, c: Cloud) -> list[Cloud]:
-        return sorted(e.source for e in self.edges if e.target == c)
+        return [self.cloud_of[b] for b, (_, fwd) in self.links[c.representative].items() if not fwd]
 
 
 def build_rex_graph(perm: Permutation) -> RexGraph:
     """Construct the expanded expressions graph of a permutation."""
-    words = tuple(reduced_words(perm))
+    closure = braid_closure(perm)
+    words = tuple(sorted(closure))
     adjacency: dict[Word, tuple[tuple[Word, BraidMove], ...]] = {}
     edges = []
     for w in words:
         # no two moves give one word (their windows differ), so sorting by
         # the neighbour word alone keeps the (position, kind) tie-break
-        neigh = sorted([(w2, move) for move, w2 in braid_moves(w)], key=itemgetter(0))
+        neigh = sorted([(w2, move) for move, w2 in closure[w]], key=itemgetter(0))
         adjacency[w] = tuple(neigh)
         # words ascend and each neighbour list ascends, so edges come sorted
         edges.extend((w, w2, move) for w2, move in neigh if w < w2)
@@ -352,13 +363,10 @@ def enumerate_complete_paths(
     prefix order; length counts vertices.  The default bound is
     2 * (cloud count) + 4, comfortably past every canonical path form.
     """
-    neigh = {
-        c.representative: [d.representative for d in conflated.neighbors(c)]
-        for c in conflated.clouds
-    }
-    total = len(neigh)
+    links = conflated.links
+    total = len(links)
     start, end = tuple(start), tuple(end)
-    if start not in neigh or end not in neigh:
+    if start not in links or end not in links:
         raise ValueError("endpoints must be graph vertices")
     if max_len is None:
         max_len = 2 * total + 4
@@ -372,7 +380,7 @@ def enumerate_complete_paths(
             yield Path(CONFLATED, tuple(seq))
         if len(seq) >= max_len:
             return
-        for v in neigh[seq[-1]]:
+        for v in links[seq[-1]]:
             if len(seq) + 1 + (total - len(visited) - (0 if v in visited else 1)) > max_len:
                 continue
             seq.append(v)
@@ -387,27 +395,6 @@ def enumerate_complete_paths(
     return walk()
 
 
-def _step_direction(conflated: ConflatedGraph, a: Cloud, b: Cloud) -> str:
-    found = conflated.edge_between(a, b)
-    if found is None:
-        raise ValueError(f"no conflated edge between {a} and {b}")
-    return "down" if found[1] else "up"
-
-
-def _direction_runs(conflated: ConflatedGraph, seq: list[Cloud]) -> list[tuple[str, int, int]]:
-    # maximal monotone runs as (direction, start_index, end_index), inclusive
-    runs = []
-    i = 0
-    while i < len(seq) - 1:
-        direction = _step_direction(conflated, seq[i], seq[i + 1])
-        j = i
-        while j < len(seq) - 1 and _step_direction(conflated, seq[j], seq[j + 1]) == direction:
-            j += 1
-        runs.append((direction, i, j))
-        i = j
-    return runs
-
-
 def oriented_run(conflated: ConflatedGraph, start: Word, goal: Word, direction: str) -> list[Word]:
     """Lex-least monotone run of cloud representatives from start to goal.
 
@@ -416,14 +403,14 @@ def oriented_run(conflated: ConflatedGraph, start: Word, goal: Word, direction: 
     sorted order, so runs complete in lexicographic order and the first
     one is the least; the orientation is acyclic, so the search ends.
     """
+    forward = direction == "down"
     stack = [[start]]
     while stack:
         run = stack.pop()
         if run[-1] == goal:
             return run
-        cl = conflated.cloud(run[-1])
-        nxt = conflated.out_neighbors(cl) if direction == "down" else conflated.in_neighbors(cl)
-        stack.extend(run + [d.representative] for d in reversed(nxt))
+        nxt = reversed(conflated.links[run[-1]].items())
+        stack.extend(run + [b] for b, (_, fwd) in nxt if fwd == forward)
     raise ValueError(f"no {direction} run from {start} to {goal}")
 
 
@@ -446,29 +433,34 @@ def simplify_path(conflated: ConflatedGraph, path: Path) -> Path:
         raise UnsupportedElementError(
             "simplification is defined for longest elements and three-vertex lines only"
         )
-    seq = [conflated.cloud(v) for v in path.vertices]
-    if {c for c in seq} != set(conflated.clouds):
+    seq = [conflated.cloud(v).representative for v in path.vertices]
+    if set(seq) != conflated.links.keys():
         raise ValueError("path is not complete")
     if len(conflated.clouds) == 1:
-        return Path(CONFLATED, (conflated.clouds[0].representative,))
+        return Path(CONFLATED, seq[:1])
     s, t = source_sink(conflated)
     sr, tr = s.representative, t.representative
-    # locate the first direct subpath: a monotone run covering s..t
-    direct = None
-    for direction, i, j in _direction_runs(conflated, seq):
-        a, z = seq[i], seq[j]
-        if direction == "down" and a == s and z == t:
-            direct = ("down", sr, tr)
+    # whether each step follows the orientation
+    forward = []
+    for a, b in zip(seq, seq[1:]):
+        link = conflated.links[a].get(b)
+        if link is None:
+            raise ValueError(f"no conflated edge between {word_label(a)} and {word_label(b)}")
+        forward.append(link[1])
+    # locate the first direct subpath: a maximal monotone run from s to t
+    # along the orientation, or from t to s against it
+    i = 0
+    for fwd, steps in groupby(forward):
+        j = i + len(list(steps))
+        if (seq[i], seq[j]) == ((sr, tr) if fwd else (tr, sr)):
             break
-        if direction == "up" and a == t and z == s:
-            direct = ("up", tr, sr)
-            break
-    if direct is None:
+        i = j
+    else:
         raise NoDirectSubpathError("path contains no direct subpath")
-    direction, d_start, d_end = direct
-    into = oriented_run(conflated, seq[0].representative, d_start, "up" if d_start == sr else "down")
-    through = oriented_run(conflated, d_start, d_end, direction)
-    out = oriented_run(conflated, d_end, seq[-1].representative, "up" if d_end == tr else "down")
+    d_start, d_end = seq[i], seq[j]
+    into = oriented_run(conflated, seq[0], d_start, "up" if d_start == sr else "down")
+    through = oriented_run(conflated, d_start, d_end, "down" if fwd else "up")
+    out = oriented_run(conflated, d_end, seq[-1], "up" if d_end == tr else "down")
     return Path(CONFLATED, tuple(into + through[1:] + out[1:]))
 
 

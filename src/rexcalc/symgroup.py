@@ -8,8 +8,9 @@ it is reduced when its length equals the Coxeter length of its product.
 Two reduced words of the same element differ by a chain of braid moves:
 the adjacent relation s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1} and the
 distant relation s_i s_j = s_j s_i for |i - j| >= 2.  The closure of one
-reduced word under single braid moves is the full set of reduced words,
-which is how ``reduced_words`` enumerates them.
+reduced word under single braid moves is the full set of reduced words:
+``braid_closure`` maps each of them to its moves, found once per word, and
+``reduced_words`` is its sorted key list.
 
 ``braid_moves`` rewrites each matching window of a word directly, slicing
 the result together, and takes its ``BraidMove`` values from a small
@@ -222,24 +223,26 @@ def _seed_reduced_word(perm: Permutation) -> Word:
     return tuple(reversed(word))
 
 
-def reduced_words(perm: Permutation) -> list[Word]:
-    """All reduced words of a permutation, sorted lexicographically.
+def braid_closure(perm: Permutation) -> dict[Word, list[tuple[BraidMove, Word]]]:
+    """Every reduced word of a permutation, mapped to its ``braid_moves``.
 
-    Computed as the breadth-first closure of one reduced word under
-    single braid moves; the closure does not depend on the seed.
+    Computed as the closure of one reduced word under single braid
+    moves, so each word's moves are found once; the closure does not
+    depend on the seed.
     """
-    seed = _seed_reduced_word(perm)
-    seen = {seed}
-    frontier = [seed]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for _, w2 in braid_moves(w):
-                if w2 not in seen:
-                    seen.add(w2)
-                    nxt.append(w2)
-        frontier = nxt
-    return sorted(seen)
+    closure: dict[Word, list[tuple[BraidMove, Word]]] = {}
+    stack = [_seed_reduced_word(perm)]
+    while stack:
+        w = stack.pop()
+        if w not in closure:
+            closure[w] = found = braid_moves(w)
+            stack.extend(w2 for _, w2 in found if w2 not in closure)
+    return closure
+
+
+def reduced_words(perm: Permutation) -> list[Word]:
+    """All reduced words of a permutation, sorted lexicographically."""
+    return sorted(braid_closure(perm))
 
 
 def n_statistic(word) -> int:

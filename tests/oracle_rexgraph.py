@@ -1,15 +1,29 @@
 # Reference implementation for the cross-checks in test_rexgraph_oracle.py:
 # the braid-move enumeration, reduced-word closure, expanded-graph build,
 # cloud search and conflation that preceded the direct window rewrite and
-# the representative-keyed conflation, and the oriented-run search that
-# collected every run before taking the least, kept verbatim below.  They
-# build and read the package's own graph types.  Not used by the package.
+# the representative-keyed conflation; the linear scans over the conflated
+# edge list that the accessors ran before ``ConflatedGraph.links``; the
+# oriented-run search that collected every run before taking the least,
+# here reading those scans; and the path simplification that found its
+# monotone runs one step direction at a time.  Kept verbatim below, the
+# accessors as functions of the graph.  They build and read the package's
+# own graph types.  Not used by the package.
 
 from __future__ import annotations
 
 from collections import deque
 
-from rexcalc.rexgraph import Cloud, ConflatedEdge, ConflatedGraph, RexGraph
+from rexcalc.rexgraph import (
+    CONFLATED,
+    Cloud,
+    ConflatedEdge,
+    ConflatedGraph,
+    NoDirectSubpathError,
+    Path,
+    RexGraph,
+    UnsupportedElementError,
+    source_sink,
+)
 from rexcalc.symgroup import DISTANT, DOWN, UP, BraidMove, Permutation, Word
 
 _KIND_ORDER = {DISTANT: 0, UP: 1, DOWN: 2}
@@ -150,6 +164,30 @@ def build_conflated(graph: RexGraph) -> ConflatedGraph:
     )
 
 
+def edge_between(conflated: ConflatedGraph, a: Cloud, b: Cloud) -> tuple[ConflatedEdge, bool] | None:
+    """The unique edge joining a and b, plus whether a -> b follows it forward."""
+    for e in conflated.edges:
+        if e.source == a and e.target == b:
+            return e, True
+        if e.source == b and e.target == a:
+            return e, False
+    return None
+
+
+def neighbors(conflated: ConflatedGraph, c: Cloud) -> list[Cloud]:
+    out = {e.target for e in conflated.edges if e.source == c}
+    out |= {e.source for e in conflated.edges if e.target == c}
+    return sorted(out)
+
+
+def out_neighbors(conflated: ConflatedGraph, c: Cloud) -> list[Cloud]:
+    return sorted(e.target for e in conflated.edges if e.source == c)
+
+
+def in_neighbors(conflated: ConflatedGraph, c: Cloud) -> list[Cloud]:
+    return sorted(e.source for e in conflated.edges if e.target == c)
+
+
 def oriented_run(conf: ConflatedGraph, x: Word, y: Word, direction: str) -> list[Word]:
     """Lex-least monotone vertex run from x to y along (or against) the orientation."""
     if x == y:
@@ -162,9 +200,67 @@ def oriented_run(conf: ConflatedGraph, x: Word, y: Word, direction: str) -> list
             found.append(p)
             continue
         cl = conf.cloud(p[-1])
-        nxt = conf.out_neighbors(cl) if direction == "down" else conf.in_neighbors(cl)
+        nxt = out_neighbors(conf, cl) if direction == "down" else in_neighbors(conf, cl)
         for d in reversed(nxt):
             stack.append(p + [d.representative])
     if not found:
         raise ValueError(f"no {direction} run from {x} to {y}")
     return min(found)
+
+
+def _step_direction(conflated: ConflatedGraph, a: Cloud, b: Cloud) -> str:
+    found = edge_between(conflated, a, b)
+    if found is None:
+        raise ValueError(f"no conflated edge between {a} and {b}")
+    return "down" if found[1] else "up"
+
+
+def _direction_runs(conflated: ConflatedGraph, seq: list[Cloud]) -> list[tuple[str, int, int]]:
+    # maximal monotone runs as (direction, start_index, end_index), inclusive
+    runs = []
+    i = 0
+    while i < len(seq) - 1:
+        direction = _step_direction(conflated, seq[i], seq[i + 1])
+        j = i
+        while j < len(seq) - 1 and _step_direction(conflated, seq[j], seq[j + 1]) == direction:
+            j += 1
+        runs.append((direction, i, j))
+        i = j
+    return runs
+
+
+def simplify_path(conflated: ConflatedGraph, path: Path) -> Path:
+    """Rewrite a complete path into its canonical zig-zag form."""
+    if path.kind != CONFLATED:
+        raise ValueError("expected a conflated path")
+    elem = conflated.element
+    is_w0 = elem == Permutation.longest(elem.n)
+    is_short_line = len(conflated.clouds) <= 3 and len(conflated.edges) == len(conflated.clouds) - 1
+    if not (is_w0 or is_short_line):
+        raise UnsupportedElementError(
+            "simplification is defined for longest elements and three-vertex lines only"
+        )
+    seq = [conflated.cloud(v) for v in path.vertices]
+    if {c for c in seq} != set(conflated.clouds):
+        raise ValueError("path is not complete")
+    if len(conflated.clouds) == 1:
+        return Path(CONFLATED, (conflated.clouds[0].representative,))
+    s, t = source_sink(conflated)
+    sr, tr = s.representative, t.representative
+    # locate the first direct subpath: a monotone run covering s..t
+    direct = None
+    for direction, i, j in _direction_runs(conflated, seq):
+        a, z = seq[i], seq[j]
+        if direction == "down" and a == s and z == t:
+            direct = ("down", sr, tr)
+            break
+        if direction == "up" and a == t and z == s:
+            direct = ("up", tr, sr)
+            break
+    if direct is None:
+        raise NoDirectSubpathError("path contains no direct subpath")
+    direction, d_start, d_end = direct
+    into = oriented_run(conflated, seq[0].representative, d_start, "up" if d_start == sr else "down")
+    through = oriented_run(conflated, d_start, d_end, direction)
+    out = oriented_run(conflated, d_end, seq[-1].representative, "up" if d_end == tr else "down")
+    return Path(CONFLATED, tuple(into + through[1:] + out[1:]))

@@ -144,8 +144,8 @@ def test_apply_edge_distant_reindexes_masks():
 def test_edge_matrix_distant_is_permutation_like():
     mat = edge_matrix(DISTANT_MOVE, (2, 4), 5)
     expected = {(0, 0), (0b10, 0b01), (0b01, 0b10), (0b11, 0b11)}
-    assert {(r, c) for r, c, _ in mat.nonzero_entries()} == expected
-    assert all(p == one(5) for _, _, p in mat.nonzero_entries())
+    assert {(r, c) for c, col in mat.cols.items() for r in col} == expected
+    assert all(p == one(5) for col in mat.cols.values() for p in col.values())
 
 
 def test_edge_matrix_generator_column_is_unit():
@@ -276,8 +276,17 @@ def test_out_and_back_along_distant_edge():
 
 
 def test_move_between_rejects_non_neighbors():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="^121 and 121 do not differ by a single braid move$"):
         move_between((1, 2, 1), (1, 2, 1))
+    with pytest.raises(ValueError, match="^1,2,10 and 1,10,2,1 do not differ by a single braid move$"):
+        move_between((1, 2, 10), (1, 10, 2, 1))
+
+
+def test_step_matrix_names_words_by_their_labels():
+    rex, conf = graph_for_word((1, 2, 3, 2, 1))
+    cm = ConflatedMorphisms(rex, conf)
+    with pytest.raises(ValueError, match="^no conflated edge between 12321 and 32123$"):
+        cm.step_matrix((1, 2, 3, 2, 1), (3, 2, 1, 2, 3))
 
 
 def test_matrix_apply_matches_columns():

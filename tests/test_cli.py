@@ -208,6 +208,45 @@ def test_budget_error_names_the_environment_variable(capsys, monkeypatch):
     assert "REXCALC_BUDGET=2" in err and "--budget" not in err
 
 
+def test_lemmas_search_runs_under_the_budget(capsys, monkeypatch):
+    code, out, err = run(capsys, "verify", "lemmas", "--budget", "1")
+    assert code == 3 and out == ""
+    assert err.startswith("error: more than 1 distinct morphism matrices, the limit set by --budget 1")
+    # the flag overrides the environment variable here as in every suite
+    monkeypatch.setenv("REXCALC_BUDGET", "1")
+    code, out, err = run(capsys, "verify", "lemmas", "--budget", "100000")
+    assert code == 0 and err == ""
+    assert out.count(": True") == 10
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["zam", "--rank", "4", "--max-len", "3"], "the zam suite does not read --max-len"),
+        (["fpc-s4", "--rank", "3", "--word", "121"], "the fpc-s4 suite does not read --rank or --word"),
+        (["refined", "--word", "12321"], "the refined suite does not read --word"),
+        (["lemmas", "--rank", "9", "--word", "1"], "the lemmas suite does not read --rank or --word"),
+        (["lemmas", "--max-len", "9", "--budget", "10"], "the lemmas suite does not read --max-len"),
+        (["family", "--rank", "4", "--max-len", "1"], "the family suite reads --max-len only with --word"),
+    ],
+)
+def test_verify_refuses_an_option_the_suite_does_not_read(capsys, argv, message):
+    code, out, err = run(capsys, "verify", *argv)
+    assert code == 2 and out == ""
+    assert err == f"error: {message}\n"
+
+
+def test_budget_is_validated_before_unread_options(capsys):
+    code, _, err = run(capsys, "verify", "zam", "--max-len", "3", "--budget", "0")
+    assert code == 2 and err.startswith("error: --budget 0 is below 1")
+
+
+def test_eval_names_a_non_move_step_by_its_word_labels(capsys):
+    code, out, err = run(capsys, "eval", "12321", "--path", "12321,12321", "--element", "1,1,1,1,1,1")
+    assert code == 2 and out == ""
+    assert err == "error: 12321 and 12321 do not differ by a single braid move\n"
+
+
 @pytest.mark.parametrize(
     "flag, env, setting",
     [
@@ -321,8 +360,9 @@ def test_refined_accepts_the_least_bound_that_compares(capsys):
 
 
 def test_family_word_is_read_like_every_other_word(capsys):
-    code, out, _ = run(capsys, "verify", "family", "--word", "e")
-    assert code == 0 and out.startswith("e: all compared paths agree")
+    for empty in ("e", ""):
+        code, out, _ = run(capsys, "verify", "family", "--word", empty)
+        assert code == 0 and out.startswith("e: all compared paths agree")
     code, _, err = run(capsys, "verify", "family", "--word", "13", "--rank", "3")
     assert code == 2 and "out of range for rank 3" in err
 

@@ -1,0 +1,52 @@
+"""The scripts under scripts/ run end to end against the current package."""
+
+from __future__ import annotations
+
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+from rexcalc.rexgraph import graph_for_word, to_dot
+
+ROOT = Path(__file__).resolve().parents[1]
+SCRIPTS = ROOT / "scripts"
+
+
+def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
+    env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
+    env.pop("REXCALC_BUDGET", None)
+    return subprocess.run(
+        [sys.executable, str(SCRIPTS / name), *args], text=True, capture_output=True, env=env, timeout=300
+    )
+
+
+def test_run_verification_reports_every_suite_as_expected():
+    proc = run_script("run_verification.py")
+    assert proc.returncode == 0, proc.stderr
+    header, *rows, verdict = proc.stdout.splitlines()
+    assert verdict == "all verdicts as expected"
+    assert len(rows) == 13 and all(" ok " in row for row in rows)
+    # every label fits its column, so the verdict and time columns line up
+    assert {len(row) for row in rows} == {len(header)}
+
+
+def test_export_graphs_writes_the_dot_text_of_every_showcase_graph(tmp_path):
+    proc = run_script("export_graphs.py", "--out", str(tmp_path))
+    assert proc.returncode == 0, proc.stderr
+    spec = importlib.util.spec_from_file_location("export_graphs", SCRIPTS / "export_graphs.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    assert len(script.SHOWCASE) == 8
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{name}.dot" for name, *_ in script.SHOWCASE)
+    for name, word, rank, kind in script.SHOWCASE:
+        rex, conf = graph_for_word(word, rank=rank)
+        graph = rex if kind == "expanded" else conf
+        assert (tmp_path / f"{name}.dot").read_text() == to_dot(graph) + "\n"
+
+
+def test_bench_polyring_prints_its_usage():
+    proc = run_script("bench_polyring.py", "--help")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.startswith("usage:")
