@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the polynomial kernel, matrix keys, edge matrices and the graph layer.
+"""Time the polynomial kernel, matrix keys, edge matrices, the graph layer and the path search.
 
 Usage, from the root of a checkout:
 
@@ -15,16 +15,34 @@ cached tables cleared before each repeat.  The graph rows time, best of
 ``build_rex_graph`` and ``build_conflated`` on the element 121321432154 of
 S_6 (5,775 words, 17,486 edges, 82 clouds) and the JSON emission of its
 ``rexcalc graph --format json`` payload (``cli._emit``, into /dev/null).
-The ``value_search`` row times one ``fpc.check_fpc`` of ``SEARCH_WORD``
-(12321, the S_4 counterexample) at bound ``SEARCH_BOUND`` on rank 4, with
-its graphs and edge matrices already built by a first call, so it
-measures the path search alone.  ``--w0-rank5`` also times one cold ``ConflatedMorphisms`` build for the
-longest element of S_5, in seconds.  The operands are fixed: seeded
-random integer-coefficient polynomials of rank 4 (1-4 terms, exponents up
-to 2, the shape of the S_4 sweep's matrix entries) and the matrices of
-seeded random walks on the conflated graph of 12321.  Apart from clearing
-the cached tables and ``cli._emit``, only public names are used, so the
-script runs unchanged against older versions of the package.
+The search rows time one ``fpc.check_fpc`` with its graphs and edge
+matrices already built by a first call, so they measure the path search
+alone: ``value_search`` on 12321, the S_4 counterexample, at bound 9
+(it stops after a few dozen steps), and ``value_search_w0`` on 121321,
+the longest element of S_4 (an 8-cloud cycle), at bound 20.  For each,
+``search_work`` gives what the search's ``fpc._MatrixPool`` did, read by
+wrapping that class: interned values, distinct columns, memoized column
+images, and generated states (one per start and per ``extend``, merged or
+not) with their rate over the row's best time.  ``--w0-rank5`` also times
+one cold ``ConflatedMorphisms`` build for the longest element of S_5, in
+seconds.  The operands are fixed: seeded random integer-coefficient
+polynomials of rank 4 (1-4 terms, exponents up to 2, the shape of the
+S_4 sweep's matrix entries) and the matrices of seeded random walks on
+the conflated graph of 12321.
+
+Reading the two units.  The ns figures are wall times, and the speed of a
+vCPU on a shared machine drifts by up to 2x within seconds, so they
+compare only rows of one run.  Before each row's repeats the script
+times a fixed interpreter loop (``meter``, the loop of
+``perfbench/launch.py``: 4,000 tuple-keyed dict updates, best of
+``METER_REPEAT`` runs in thread CPU time), and ``per_meter_loop`` gives
+each row's time divided by that loop's: how many loops the operation
+costs on the CPU as fast as it was just then.  Compare runs and commits
+by ``per_meter_loop``; its noise is the drift within one row.
+
+Apart from clearing the cached tables, ``cli._emit`` and the pool
+wrapper, only public names are used, so the script runs unchanged against
+older versions of the package that intern columns in the search.
 """
 
 from __future__ import annotations
@@ -51,8 +69,23 @@ EDGE_MOVES = {
 GRAPH_WORD = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)
 GRAPH_REPEAT = 5
 
-SEARCH_WORD = (1, 2, 3, 2, 1)
-SEARCH_BOUND = 9
+# row name -> (word, bound) of one check_fpc on rank 4
+SEARCHES = {
+    "value_search": ((1, 2, 3, 2, 1), 9),
+    "value_search_w0": ((1, 2, 1, 3, 2, 1), 20),
+}
+
+METER_REPEAT = 20
+
+
+def meter() -> float:
+    """Thread CPU time of a fixed loop of tuple-keyed dict updates (as in perfbench/launch.py)."""
+    start = time.thread_time()
+    acc = {}
+    for i in range(4000):
+        key = (i % 97, i % 89)
+        acc[key] = acc.get(key, 0) + i * 3 // 7
+    return time.thread_time() - start
 
 
 def random_polys(rng: random.Random, count: int) -> list[Polynomial]:
@@ -101,8 +134,8 @@ def time_w0_rank5() -> float:
     return time.perf_counter() - start
 
 
-def time_graph_layer() -> dict:
-    """Best-of times of the graph layer on GRAPH_WORD, in nanoseconds."""
+def graph_layer_rows() -> dict:
+    """Row name -> timer of the graph layer on GRAPH_WORD, in nanoseconds."""
     perm = word_to_perm(GRAPH_WORD, 6)
     rex = build_rex_graph(perm)
     payload = {
@@ -116,17 +149,48 @@ def time_graph_layer() -> dict:
             cli._emit(payload, "json", ())
 
     return {
-        "reduced_words": best_ns(lambda: reduced_words(perm), 1, GRAPH_REPEAT),
-        "build_rex_graph": best_ns(lambda: build_rex_graph(perm), 1, GRAPH_REPEAT),
-        "build_conflated": best_ns(lambda: build_conflated(rex), 1, GRAPH_REPEAT),
-        "emit_graph_json": best_ns(emit_json, 1, GRAPH_REPEAT),
+        "reduced_words": lambda: best_ns(lambda: reduced_words(perm), 1, GRAPH_REPEAT),
+        "build_rex_graph": lambda: best_ns(lambda: build_rex_graph(perm), 1, GRAPH_REPEAT),
+        "build_conflated": lambda: best_ns(lambda: build_conflated(rex), 1, GRAPH_REPEAT),
+        "emit_graph_json": lambda: best_ns(emit_json, 1, GRAPH_REPEAT),
     }
 
 
-def time_value_search(repeat: int) -> float:
-    """Fastest check_fpc of SEARCH_WORD with its tables warm, in nanoseconds."""
-    fpc.check_fpc(SEARCH_WORD, SEARCH_BOUND, rank=RANK)
-    return best_ns(lambda: fpc.check_fpc(SEARCH_WORD, SEARCH_BOUND, rank=RANK), 1, repeat)
+def search_work(word, bound: int) -> dict:
+    """What the pools of one check_fpc did, read by wrapping fpc._MatrixPool."""
+    pools, states = [], [0]
+
+    class Counted(fpc._MatrixPool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+        def intern(self, m):
+            states[0] += 1
+            return super().intern(m)
+
+        def extend(self, cm, value, step):
+            states[0] += 1
+            return super().extend(cm, value, step)
+
+    original = fpc._MatrixPool
+    fpc._MatrixPool = Counted
+    try:
+        fpc.check_fpc(word, bound, rank=RANK)
+    finally:
+        fpc._MatrixPool = original
+    return {
+        "values": sum(len(pool.values) for pool in pools),
+        "columns": sum(len(pool.cols) for pool in pools),
+        "column_images": sum(len(memo) - 1 for pool in pools for memo in pool.images.values()),
+        "states": states[0],
+    }
+
+
+def time_value_search(word, bound: int, repeat: int) -> float:
+    """Fastest check_fpc of the word with its tables warm, in nanoseconds."""
+    fpc.check_fpc(word, bound, rank=RANK)
+    return best_ns(lambda: fpc.check_fpc(word, bound, rank=RANK), 1, repeat)
 
 
 def fresh_matrices(cm: ConflatedMorphisms, walks) -> list:
@@ -163,18 +227,31 @@ def main() -> int:
             best = min(best, time.perf_counter() - start)
         return best / len(walks) * 1e9
 
-    result = {
-        "unit": "ns/op",
-        "mul": best_ns(lambda: [p * q for p, q in pairs], len(pairs), args.repeat),
-        "add": best_ns(lambda: [p + q for p, q in pairs], len(pairs), args.repeat),
-        "split": best_ns(lambda: [p.split(1 + k % 3) for k, p in enumerate(left)], len(left), args.repeat),
-        "matrix_key": time_key(),
-        "matrix_key_walks": len(walks),
+    rows = {
+        "mul": lambda: best_ns(lambda: [p * q for p, q in pairs], len(pairs), args.repeat),
+        "add": lambda: best_ns(lambda: [p + q for p, q in pairs], len(pairs), args.repeat),
+        "split": lambda: best_ns(
+            lambda: [p.split(1 + k % 3) for k, p in enumerate(left)], len(left), args.repeat
+        ),
+        "matrix_key": time_key,
     }
     for name, move in EDGE_MOVES.items():
-        result[name] = time_for_edge(move, args.repeat)
-    result.update(time_graph_layer())
-    result["value_search"] = time_value_search(args.repeat)
+        rows[name] = lambda move=move: time_for_edge(move, args.repeat)
+    rows.update(graph_layer_rows())
+    for name, (word, bound) in SEARCHES.items():
+        rows[name] = lambda word=word, bound=bound: time_value_search(word, bound, args.repeat)
+
+    result = {"unit": "ns/op", "matrix_key_walks": len(walks)}
+    per_loop = {}
+    for name, row in rows.items():
+        loop_ns = min(meter() for _ in range(METER_REPEAT)) * 1e9
+        result[name] = row()
+        per_loop[name] = result[name] / loop_ns
+    result["per_meter_loop"] = per_loop
+    result["search_work"] = {}
+    for name, (word, bound) in SEARCHES.items():
+        work = result["search_work"][name] = search_work(word, bound)
+        work["states_per_s"] = work["states"] / (result[name] * 1e-9)
     if args.w0_rank5:
         result["w0_rank5_tables_s"] = time_w0_rank5()
     print(json.dumps(result, indent=2))

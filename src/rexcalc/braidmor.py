@@ -43,7 +43,9 @@ Path morphisms are ordered products of edge matrices over the normal-form
 bases; they are faithful because those bases are free, so path equality
 questions reduce to entrywise polynomial equality.  Products are taken
 one column at a time (``column_image``), and a column holding a single
-entry 1 only reindexes in a product.
+entry 1 only reindexes in a product.  The path search multiplies columns
+held as tagged term maps instead (``polyring.tagged_image``), with each
+matrix's own columns in that form cached by ``tagged_columns``.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bsbimod import BSElement, from_tensor, left_mul, right_mul
-from .polyring import Polynomial
+from .polyring import Polynomial, Scalar, tag_column
 from .rexgraph import CONFLATED, EXPANDED, ConflatedGraph, Path, RexGraph, lift_conflated_path, word_label
 from .symgroup import DISTANT, UP, BraidMove, Word, braid_moves
 
@@ -231,7 +233,7 @@ class MorphismMatrix:
     morphisms is entrywise polynomial equality.
     """
 
-    __slots__ = ("rank", "domain", "codomain", "cols", "_key", "_units")
+    __slots__ = ("rank", "domain", "codomain", "cols", "_key", "_units", "_tagged")
 
     def __init__(self, rank: int, domain: Word, codomain: Word, cols):
         if len(domain) != len(codomain):
@@ -246,13 +248,14 @@ class MorphismMatrix:
         self.cols = {c: col for c, col in self.cols.items() if col}
         self._key = None
         self._units: dict[int, int] | None = None
+        self._tagged: dict[int, tuple[tuple[int, Scalar], ...]] | None = None
 
     @classmethod
     def _make(cls, rank: int, domain: Word, codomain: Word, cols) -> MorphismMatrix:
         """Trusted constructor: word tuples, no zero entry and no empty column."""
         m = object.__new__(cls)
         m.rank, m.domain, m.codomain, m.cols = rank, domain, codomain, cols
-        m._key = m._units = None
+        m._key = m._units = m._tagged = None
         return m
 
     @classmethod
@@ -316,6 +319,12 @@ class MorphismMatrix:
                 if p.is_one()
             }
         return self._units
+
+    def tagged_columns(self) -> dict[int, tuple[tuple[int, Scalar], ...]]:
+        """The (tagged key, coefficient) terms of every column, the table of ``tagged_image``."""
+        if self._tagged is None:
+            self._tagged = {c: tuple(tag_column(col, self.rank).items()) for c, col in self.cols.items()}
+        return self._tagged
 
     def column_image(self, col: dict[int, Polynomial]) -> dict[int, Polynomial]:
         """Image under self of one column of a right factor, empty if it is zero.

@@ -9,10 +9,12 @@ components are merged, which is sound because such states have
 identical futures.  Values share most of their columns, so the columns
 are interned by content and a value is stored once, as a record of its
 column ids; a step multiplies each distinct column once and memoizes the
-image per (step, column).  The simplification soundness check walks its
-paths through the same store.  A verdict is either Holds or a
-reproducible counterexample consisting of two concrete paths plus a
-basis column on which their matrices differ.
+image per (step, column).  A column is one tagged term map (row and
+monomial packed into one int key), so a step is one multiply-accumulate
+loop of int products, with no polynomial object built per entry.  The
+simplification soundness check walks its paths through the same store.
+A verdict is either Holds or a reproducible counterexample consisting of
+two concrete paths plus a basis column on which their matrices differ.
 
 The same engine, tracking only visits to the source and sink, checks
 the refined statement that any two paths through both extremes with
@@ -33,7 +35,7 @@ from functools import lru_cache
 
 from .bsbimod import BSElement, dot_cap, from_tensor
 from .braidmor import ConflatedMorphisms, MorphismMatrix, path_morphism
-from .polyring import Polynomial
+from .polyring import Polynomial, Scalar, tag_column, tagged_image, untag_column
 from .rexgraph import (
     EXPANDED,
     ConflatedGraph,
@@ -139,13 +141,16 @@ class FpcVerdict:
 class _MatrixPool:
     """Interns walk values by content, column by column, and memoizes products.
 
-    Each distinct nonzero column (a dict row -> polynomial) gets an id by
-    its exact content.  A value is one record, (rank, domain, codomain,
-    column ids) with the id of column c at index c and -1 for a zero
-    column, which is also its key.  Extending a value by a step maps its
-    column ids through that step's memo of column images, so a column
-    shared by many values is multiplied once per step.  ``walk`` extends
-    the identity step by step, so walks share their prefixes' products;
+    A column is held as one tagged term map (``polyring.tag_column``:
+    row and monomial packed into one int key, the coefficient as value),
+    and each distinct nonzero column gets an id by its exact content.  A
+    value is one record, (rank, domain, codomain, column ids) with the id
+    of column c at index c and -1 for a zero column, which is also its
+    key.  Extending a value by a step maps its column ids through that
+    step's memo of column images, so a column shared by many values is
+    multiplied once per step, in one multiply-accumulate loop over the
+    tagged terms (``polyring.tagged_image``).  ``walk`` extends the
+    identity step by step, so walks share their prefixes' products;
     ``matrix`` rebuilds a value's matrix, for a witness.
     """
 
@@ -153,21 +158,21 @@ class _MatrixPool:
         self.budget = budget
         self.source = source
         self.col_ids: dict[frozenset, int] = {}
-        self.cols: list[dict[int, Polynomial]] = []
+        self.cols: list[dict[int, Scalar]] = []
         self.ids: dict[tuple, int] = {}
         self.values: list[tuple] = []
         self.products: dict[tuple[int, tuple[Word, Word]], int] = {}
         # per step: column id -> id of its image, -1 -> -1 for a zero column
         self.images: dict[tuple[Word, Word], dict[int, int]] = {}
 
-    def _column_id(self, col: dict[int, Polynomial] | None) -> int:
-        if not col:
+    def _column_id(self, terms: dict[int, Scalar]) -> int:
+        if not terms:
             return -1
-        content = frozenset(col.items())
+        content = frozenset(terms.items())
         found = self.col_ids.get(content)
         if found is None:
             found = self.col_ids[content] = len(self.cols)
-            self.cols.append(col)
+            self.cols.append(terms)
         return found
 
     def _intern(self, record: tuple) -> int:
@@ -183,7 +188,9 @@ class _MatrixPool:
         return found
 
     def intern(self, m: MorphismMatrix) -> int:
-        ids = tuple(self._column_id(m.cols.get(c)) for c in range(1 << len(m.domain)))
+        ids = tuple(
+            self._column_id(tag_column(m.cols.get(c, {}), m.rank)) for c in range(1 << len(m.domain))
+        )
         return self._intern((m.rank, m.domain, m.codomain, ids))
 
     def extend(self, cm: ConflatedMorphisms, value: int, step: tuple[Word, Word]) -> int:
@@ -191,13 +198,14 @@ class _MatrixPool:
         found = self.products.get(key)
         if found is None:
             step_mat = cm.step_matrix(*step)
+            step_terms = step_mat.tagged_columns()
             memo = self.images.setdefault(step, {-1: -1})
             rank, domain, _, col_ids = self.values[value]
             ids = []
             for i in col_ids:
                 j = memo.get(i)
                 if j is None:
-                    j = memo[i] = self._column_id(step_mat.column_image(self.cols[i]))
+                    j = memo[i] = self._column_id(tagged_image(step_terms, self.cols[i], rank))
                 ids.append(j)
             found = self.products[key] = self._intern((rank, domain, step_mat.codomain, tuple(ids)))
         return found
@@ -211,7 +219,7 @@ class _MatrixPool:
 
     def matrix(self, value: int) -> MorphismMatrix:
         rank, domain, codomain, ids = self.values[value]
-        cols = {c: self.cols[i] for c, i in enumerate(ids) if i >= 0}
+        cols = {c: untag_column(self.cols[i], rank) for c, i in enumerate(ids) if i >= 0}
         return MorphismMatrix._make(rank, domain, codomain, cols)
 
 

@@ -31,6 +31,13 @@ as the final verdict throughout the package.
 ring operations build their results through the unchecked ``_make``.
 ``iter_terms`` yields the terms with their exponent tuples.
 
+A column of polynomials {row: p} can also be held as one tagged term map
+(``tag_column``, ``untag_column``): the key is the row shifted above the
+packed monomial, ``row << (rank + 1) * _WIDTH | monomial``, and the value
+is the coefficient.  ``tagged_image`` maps such a column through a matrix
+in one multiply-accumulate loop of int additions, with no ``Polynomial``
+built per entry.
+
 >>> x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
 >>> str((x1 + x2) * (x1 - x2))
 'x1^2 - x2^2'
@@ -418,6 +425,56 @@ class Polynomial:
 
     def __repr__(self) -> str:
         return f"Polynomial({self.rank}, {str(self)!r})"
+
+
+# -- tagged columns ---------------------------------------------------------
+
+
+def tag_column(col: Mapping[int, Polynomial], rank: int) -> dict[int, Scalar]:
+    """A column {row: polynomial} as one map {row << (rank + 1) * _WIDTH | monomial: coefficient}."""
+    shift = (rank + 1) * _WIDTH
+    return {r << shift | m: c for r, p in col.items() for m, c in p.terms.items()}
+
+
+def untag_column(terms: Mapping[int, Scalar], rank: int) -> dict[int, Polynomial]:
+    """The {row: polynomial} column of a tagged term map with no zero coefficient."""
+    shift = (rank + 1) * _WIDTH
+    low = (1 << shift) - 1
+    rows: dict[int, dict[int, Scalar]] = {}
+    for k, c in terms.items():
+        rows.setdefault(k >> shift, {})[k & low] = c
+    return {r: _make(rank, t, _settle(t)) for r, t in rows.items()}
+
+
+def tagged_image(
+    step_terms: Mapping[int, tuple[tuple[int, Scalar], ...]], col_terms: Mapping[int, Scalar], rank: int
+) -> dict[int, Scalar]:
+    """Image of a tagged column under a matrix given by the tagged terms of its columns.
+
+    ``step_terms[m]`` holds the (tagged key, coefficient) terms of the
+    matrix's column m.  A column term at row m with monomial u times a
+    step term with key t lands at key t + u: the monomials add inside the
+    low fields and the step's row rides above them.  A key whose
+    degree-field guard bit is set raises ``ExponentOverflowError``, as
+    ``Polynomial.__mul__`` does for the same product; while the guard
+    holds, no carry reaches the row field.
+    """
+    shift = (rank + 1) * _WIDTH
+    low = (1 << shift) - 1
+    acc: dict[int, Scalar] = {}
+    get = acc.get
+    for k, c in col_terms.items():
+        mono = k & low
+        for t, sc in step_terms.get(k >> shift, ()):
+            t += mono
+            acc[t] = get(t, 0) + c * sc
+    if any(map((1 << (shift - 1)).__and__, acc)):
+        raise ExponentOverflowError(f"product exceeds the total degree limit {MAX_DEGREE}")
+    if 0 in acc.values():
+        acc = {k: c for k, c in acc.items() if c}
+    if Fraction in map(type, acc.values()):
+        _settle(acc)
+    return acc
 
 
 # -- parsing ----------------------------------------------------------------

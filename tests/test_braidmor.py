@@ -3,8 +3,10 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, strategies as st
 
 from rexcalc.braidmor import (
     ConflatedMorphisms,
@@ -16,7 +18,14 @@ from rexcalc.braidmor import (
     path_morphism,
 )
 from rexcalc.bsbimod import BSElement, basis_degree, from_tensor, left_mul, right_mul
-from rexcalc.polyring import Polynomial
+from rexcalc.polyring import (
+    MAX_DEGREE,
+    ExponentOverflowError,
+    Polynomial,
+    tag_column,
+    tagged_image,
+    untag_column,
+)
 from rexcalc.rexgraph import (
     CONFLATED,
     EXPANDED,
@@ -462,3 +471,120 @@ def test_zamolodchikov_halves_agree():
     m_left = cm.path_matrix([s.representative] + left + [t.representative])
     m_right = cm.path_matrix([s.representative] + right + [t.representative])
     assert m_left == m_right
+
+
+# -- the tagged-column kernel against column_image ---------------------------
+
+# a small coefficient set with halves and thirds, and monomials of degree at
+# most 1 in each variable, so that entries collide, cancel to zero and have
+# denominators that cancel
+COEFFS = st.sampled_from([1, -1, 2, -3, Fraction(1, 2), Fraction(-1, 2), Fraction(3, 2), Fraction(2, 3)])
+KERNEL_WORD = (1, 3)  # four basis masks
+
+
+def polynomials(rank):
+    monos = st.tuples(*[st.integers(0, 1)] * rank)
+    return st.dictionaries(monos, COEFFS, max_size=3).map(lambda terms: Polynomial(rank, terms))
+
+
+def columns(rank, rows=4):
+    """A column: zero, a unit entry 1, or random entries (some of them zero)."""
+    general = st.dictionaries(st.integers(0, rows - 1), polynomials(rank), max_size=rows).map(
+        lambda col: {r: p for r, p in col.items() if p}
+    )
+    unit = st.integers(0, rows - 1).map(lambda r: {r: Polynomial.one(rank)})
+    return st.one_of(st.just({}), unit, general)
+
+
+@st.composite
+def step_and_column(draw):
+    rank = draw(st.integers(1, 4))
+    cols = {c: draw(columns(rank)) for c in range(4)}
+    step = MorphismMatrix(rank, KERNEL_WORD, KERNEL_WORD, cols)
+    return step, draw(columns(rank)), rank
+
+
+def settled(coeffs) -> bool:
+    """True if every coefficient is an int or a Fraction that is not integral."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator != 1) for c in coeffs)
+
+
+def assert_settled(col: dict) -> None:
+    # no empty row; a coefficient is a Fraction only when it is not integral
+    for p in col.values():
+        assert p
+        assert settled(p.terms.values())
+        assert p._frac == (Fraction in map(type, p.terms.values()))
+
+
+def kernel_image(step: MorphismMatrix, col: dict, rank: int) -> dict:
+    return untag_column(tagged_image(step.tagged_columns(), tag_column(col, rank), rank), rank)
+
+
+@given(step_and_column())
+def test_tagged_image_matches_column_image(case):
+    step, col, rank = case
+    expected = step.column_image(col)
+    tagged = tagged_image(step.tagged_columns(), tag_column(col, rank), rank)
+    assert 0 not in tagged.values()
+    assert settled(tagged.values())
+    assert tagged == tag_column(expected, rank)
+    got = untag_column(tagged, rank)
+    assert got == expected
+    assert_settled(got)
+
+
+@pytest.mark.parametrize(
+    "step_cols, col, expected",
+    [
+        # denominators cancel in a product and in a sum
+        ({0: {1: x(1) / 2}}, {0: 2 * x(2)}, {1: x(1) * x(2)}),
+        ({0: {1: x(1) / 2}, 2: {1: x(1) / 2}}, {0: one(), 2: one()}, {1: x(1)}),
+        # entries cancel to zero, leaving no empty row
+        ({0: {1: x(1), 3: one()}, 2: {1: -x(1)}}, {0: x(2), 2: x(2)}, {3: x(2)}),
+        ({0: {1: x(1)}}, {}, {}),
+    ],
+    ids=["product", "sum", "zero-row", "zero-column"],
+)
+def test_tagged_image_settles_and_drops_zeros(step_cols, col, expected):
+    step = MorphismMatrix(4, KERNEL_WORD, KERNEL_WORD, step_cols)
+    assert step.column_image(col) == expected
+    tagged = tagged_image(step.tagged_columns(), tag_column(col, 4), 4)
+    assert all(type(c) is int for c in tagged.values())
+    got = untag_column(tagged, 4)
+    assert got == expected
+    assert_settled(got)
+    assert all(type(c) is int for p in got.values() for c in p.terms.values())
+
+
+@pytest.mark.parametrize(
+    "step_cols, raises",
+    [
+        ({0: {1: x(2)}}, False),  # degree MAX_DEGREE exactly
+        ({0: {1: x(2) ** 2}}, True),
+        ({0: {1: x(2) ** 2}, 1: {1: -(x(2) ** 2)}}, True),  # the overflowing products cancel
+        ({1: {0: one()}}, False),  # a unit entry multiplies nothing
+    ],
+    ids=["at-limit", "over", "over-cancelling", "unit"],
+)
+def test_tagged_image_overflows_exactly_where_column_image_does(step_cols, raises):
+    big = Polynomial(4, {(MAX_DEGREE - 1, 0, 0, 0): 1})
+    step = MorphismMatrix(4, KERNEL_WORD, KERNEL_WORD, step_cols)
+    col = {0: big, 1: big}
+    if raises:
+        with pytest.raises(ExponentOverflowError):
+            step.column_image(col)
+        with pytest.raises(ExponentOverflowError):
+            kernel_image(step, col, 4)
+    else:
+        assert kernel_image(step, col, 4) == step.column_image(col)
+
+
+@given(st.integers(1, 5).flatmap(lambda rank: st.tuples(st.just(rank), columns(rank, rows=32))))
+def test_tag_untag_round_trip(case):
+    rank, col = case
+    tagged = tag_column(col, rank)
+    assert len(tagged) == sum(len(p.terms) for p in col.values())
+    back = untag_column(tagged, rank)
+    assert back == col
+    assert_settled(back)

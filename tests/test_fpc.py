@@ -299,6 +299,38 @@ def test_pool_budget_error_matches_oracle(monkeypatch, word, bound, budget):
     assert f"more than {budget} distinct" in messages[0]
 
 
+def _pool_work(monkeypatch, check):
+    """Values, distinct columns, memoized products and memoized column images of check()."""
+    pools = []
+
+    class Counted(fpc._MatrixPool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+    monkeypatch.setattr(fpc, "_MatrixPool", Counted)
+    check()
+    return (
+        sum(len(pool.values) for pool in pools),
+        sum(len(pool.cols) for pool in pools),
+        sum(len(pool.products) for pool in pools),
+        sum(len(memo) - 1 for pool in pools for memo in pool.images.values()),  # less -1 -> -1
+    )
+
+
+@pytest.mark.parametrize(
+    "check, work",
+    [
+        (fpc.check_s4_sweep, (503, 5_206, 902, 11_986)),
+        (lambda: fpc.check_refined_conjecture(4, 10), (390, 4_370, 764, 10_470)),
+    ],
+    ids=["s4-sweep", "refined-4"],
+)
+def test_pool_work_counts_are_pinned(monkeypatch, check, work):
+    # the search's work does not depend on how a column is stored
+    assert _pool_work(monkeypatch, check) == work
+
+
 def test_pool_interns_values_by_exact_content():
     # on 13 (four basis columns): the identity, the matrix swapping columns
     # 1 and 2, and a projection whose image drops columns 1 and 2
