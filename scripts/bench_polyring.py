@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the polynomial kernel, matrix keys, edge matrices, the graph layer and the path search.
+"""Time the polynomial kernel, matrix keys and products, edge matrices, the graph layer and the path search.
 
 Usage, from the root of a checkout:
 
@@ -7,8 +7,11 @@ Usage, from the root of a checkout:
 
 Prints one JSON object: nanoseconds per operation (best of the repeats)
 for ``Polynomial`` multiplication, addition and ``split``, for the first
-``MorphismMatrix.key()`` call on freshly composed matrices, and for
-``MorphismMatrix.for_edge`` on one distant and one adjacent move of the
+``MorphismMatrix.key()`` call on freshly composed matrices, for one
+warm ``MorphismMatrix.compose`` (``compose_zam``: the six compositions of
+``fpc.check_zam_identities(4)``, of the 64-column source-to-sink
+morphisms Z and Zb of the longest element of S_4, built before the row),
+and for ``MorphismMatrix.for_edge`` on one distant and one adjacent move of the
 word 123545321 of the element 123454321 (512 columns), with the package's
 cached tables cleared before each repeat.  The graph rows time, best of
 ``GRAPH_REPEAT`` runs and in nanoseconds, ``reduced_words``,
@@ -32,13 +35,14 @@ the conflated graph of 12321.
 
 Reading the two units.  The ns figures are wall times, and the speed of a
 vCPU on a shared machine drifts by up to 2x within seconds, so they
-compare only rows of one run.  Before each row's repeats the script
+compare only rows of one run.  Before each repeat of a row the script
 times a fixed interpreter loop (``meter``, the loop of
 ``perfbench/launch.py``: 4,000 tuple-keyed dict updates, best of
 ``METER_REPEAT`` runs in thread CPU time), and ``per_meter_loop`` gives
-each row's time divided by that loop's: how many loops the operation
-costs on the CPU as fast as it was just then.  Compare runs and commits
-by ``per_meter_loop``; its noise is the drift within one row.
+each row's best ratio of a repeat's time to the loop's time just before
+it: how many loops the operation costs on the CPU as fast as it was just
+then.  Compare runs and commits by ``per_meter_loop``; its noise is the
+drift between a meter reading and the repeat after it.
 
 Apart from clearing the cached tables, ``cli._emit`` and the pool
 wrapper, only public names are used, so the script runs unchanged against
@@ -99,14 +103,21 @@ def random_polys(rng: random.Random, count: int) -> list[Polynomial]:
     return polys
 
 
-def best_ns(fn, ops: int, repeat: int) -> float:
-    """Fastest of ``repeat`` runs of fn(), in nanoseconds per operation."""
-    best = float("inf")
+def run_ns(fn, ops: int) -> float:
+    """One run of fn(), in nanoseconds per operation."""
+    start = time.perf_counter()
+    fn()
+    return (time.perf_counter() - start) / ops * 1e9
+
+
+def measure(once, repeat: int) -> tuple[float, float]:
+    """Best of ``repeat`` calls of once() (ns/op), and the best ratio of a call to the meter loop timed just before it."""
+    best = best_ratio = float("inf")
     for _ in range(repeat):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best / ops * 1e9
+        loop_ns = min(meter() for _ in range(METER_REPEAT)) * 1e9
+        ns = once()
+        best, best_ratio = min(best, ns), min(best_ratio, ns / loop_ns)
+    return best, best_ratio
 
 
 def clear_tables() -> None:
@@ -114,15 +125,10 @@ def clear_tables() -> None:
         getattr(braidmor, name).cache_clear()
 
 
-def time_for_edge(move: BraidMove, repeat: int) -> float:
-    """Fastest cold build of one edge matrix of EDGE_WORD, in nanoseconds."""
-    best = float("inf")
-    for _ in range(repeat):
-        clear_tables()
-        start = time.perf_counter()
-        MorphismMatrix.for_edge(move, EDGE_WORD, 6)
-        best = min(best, time.perf_counter() - start)
-    return best * 1e9
+def time_for_edge(move: BraidMove) -> float:
+    """One cold build of one edge matrix of EDGE_WORD, in nanoseconds."""
+    clear_tables()
+    return run_ns(lambda: MorphismMatrix.for_edge(move, EDGE_WORD, 6), 1)
 
 
 def time_w0_rank5() -> float:
@@ -135,7 +141,7 @@ def time_w0_rank5() -> float:
 
 
 def graph_layer_rows() -> dict:
-    """Row name -> timer of the graph layer on GRAPH_WORD, in nanoseconds."""
+    """Row name -> (one-run timer in nanoseconds, repeats) of the graph layer on GRAPH_WORD."""
     perm = word_to_perm(GRAPH_WORD, 6)
     rex = build_rex_graph(perm)
     payload = {
@@ -149,10 +155,10 @@ def graph_layer_rows() -> dict:
             cli._emit(payload, "json", ())
 
     return {
-        "reduced_words": lambda: best_ns(lambda: reduced_words(perm), 1, GRAPH_REPEAT),
-        "build_rex_graph": lambda: best_ns(lambda: build_rex_graph(perm), 1, GRAPH_REPEAT),
-        "build_conflated": lambda: best_ns(lambda: build_conflated(rex), 1, GRAPH_REPEAT),
-        "emit_graph_json": lambda: best_ns(emit_json, 1, GRAPH_REPEAT),
+        "reduced_words": (lambda: run_ns(lambda: reduced_words(perm), 1), GRAPH_REPEAT),
+        "build_rex_graph": (lambda: run_ns(lambda: build_rex_graph(perm), 1), GRAPH_REPEAT),
+        "build_conflated": (lambda: run_ns(lambda: build_conflated(rex), 1), GRAPH_REPEAT),
+        "emit_graph_json": (lambda: run_ns(emit_json, 1), GRAPH_REPEAT),
     }
 
 
@@ -187,10 +193,22 @@ def search_work(word, bound: int) -> dict:
     }
 
 
-def time_value_search(word, bound: int, repeat: int) -> float:
-    """Fastest check_fpc of the word with its tables warm, in nanoseconds."""
-    fpc.check_fpc(word, bound, rank=RANK)
-    return best_ns(lambda: fpc.check_fpc(word, bound, rank=RANK), 1, repeat)
+def time_value_search(word, bound: int) -> float:
+    """One check_fpc of the word, in nanoseconds."""
+    return run_ns(lambda: fpc.check_fpc(word, bound, rank=RANK), 1)
+
+
+def zam_compositions():
+    """The six compositions of check_zam_identities(4), with Z and Zb built, and their count."""
+    z, zb = fpc.source_sink_morphisms(4)
+
+    def run():
+        zbz = zb.compose(z)
+        z.compose(zb).compose(z)
+        zb.compose(z).compose(zb)
+        zbz.compose(zbz)
+
+    return run, 6
 
 
 def fresh_matrices(cm: ConflatedMorphisms, walks) -> list:
@@ -218,35 +236,31 @@ def main() -> int:
 
     def time_key():
         # key() caches on the matrix, so each repeat keys new matrices
-        best = float("inf")
-        for _ in range(args.repeat):
-            mats = fresh_matrices(cm, walks)
-            start = time.perf_counter()
-            for m in mats:
-                m.key()
-            best = min(best, time.perf_counter() - start)
-        return best / len(walks) * 1e9
+        mats = fresh_matrices(cm, walks)
+        return run_ns(lambda: [m.key() for m in mats], len(mats))
 
+    compose_zam, compositions = zam_compositions()
     rows = {
-        "mul": lambda: best_ns(lambda: [p * q for p, q in pairs], len(pairs), args.repeat),
-        "add": lambda: best_ns(lambda: [p + q for p, q in pairs], len(pairs), args.repeat),
-        "split": lambda: best_ns(
-            lambda: [p.split(1 + k % 3) for k, p in enumerate(left)], len(left), args.repeat
+        "mul": (lambda: run_ns(lambda: [p * q for p, q in pairs], len(pairs)), args.repeat),
+        "add": (lambda: run_ns(lambda: [p + q for p, q in pairs], len(pairs)), args.repeat),
+        "split": (
+            lambda: run_ns(lambda: [p.split(1 + k % 3) for k, p in enumerate(left)], len(left)),
+            args.repeat,
         ),
-        "matrix_key": time_key,
+        "matrix_key": (time_key, args.repeat),
+        "compose_zam": (lambda: run_ns(compose_zam, compositions), args.repeat),
     }
     for name, move in EDGE_MOVES.items():
-        rows[name] = lambda move=move: time_for_edge(move, args.repeat)
+        rows[name] = (lambda move=move: time_for_edge(move), args.repeat)
     rows.update(graph_layer_rows())
     for name, (word, bound) in SEARCHES.items():
-        rows[name] = lambda word=word, bound=bound: time_value_search(word, bound, args.repeat)
+        fpc.check_fpc(word, bound, rank=RANK)  # builds its graphs and edge matrices
+        rows[name] = (lambda word=word, bound=bound: time_value_search(word, bound), args.repeat)
 
     result = {"unit": "ns/op", "matrix_key_walks": len(walks)}
     per_loop = {}
-    for name, row in rows.items():
-        loop_ns = min(meter() for _ in range(METER_REPEAT)) * 1e9
-        result[name] = row()
-        per_loop[name] = result[name] / loop_ns
+    for name, (once, repeat) in rows.items():
+        result[name], per_loop[name] = measure(once, repeat)
     result["per_meter_loop"] = per_loop
     result["search_work"] = {}
     for name, (word, bound) in SEARCHES.items():

@@ -41,11 +41,12 @@ arithmetic.
 
 Path morphisms are ordered products of edge matrices over the normal-form
 bases; they are faithful because those bases are free, so path equality
-questions reduce to entrywise polynomial equality.  Products are taken
-one column at a time (``column_image``), and a column holding a single
-entry 1 only reindexes in a product.  The path search multiplies columns
-held as tagged term maps instead (``polyring.tagged_image``), with each
-matrix's own columns in that form cached by ``tagged_columns``.
+questions reduce to entrywise polynomial equality.  A matrix stores each
+column as one tagged term map (``polyring.tag_column``: row and packed
+monomial in one int key, the coefficient as value), and every product,
+in ``compose``, ``apply`` and the path search, is taken one column at a
+time by ``polyring.tagged_image``, where a column holding a single entry
+1 only selects a column.  ``column`` gives a column back as polynomials.
 """
 
 from __future__ import annotations
@@ -54,7 +55,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .bsbimod import BSElement, from_tensor, left_mul, right_mul
-from .polyring import Polynomial, Scalar, tag_column
+from .polyring import Polynomial, Scalar, row_key, tag_column, tagged_image, untag_column
 from .rexgraph import CONFLATED, EXPANDED, ConflatedGraph, Path, RexGraph, lift_conflated_path, word_label
 from .symgroup import DISTANT, UP, BraidMove, Word, braid_moves
 
@@ -228,41 +229,40 @@ class MorphismMatrix:
     """A left-R-linear map between normal-form bases, stored column-sparse.
 
     Column c holds the image of the domain basis tensor with mask c,
-    expanded over the codomain basis (rows).  Matrices are faithful
-    because the bases are free left-module bases, so equality of path
-    morphisms is entrywise polynomial equality.
+    expanded over the codomain basis (rows), as one tagged term map with
+    no zero coefficient; a zero column is not stored.  Matrices are
+    faithful because the bases are free left-module bases, so equality of
+    path morphisms is entrywise polynomial equality.  Columns are shared
+    between matrices and never mutated.
     """
 
-    __slots__ = ("rank", "domain", "codomain", "cols", "_key", "_units", "_tagged")
+    __slots__ = ("rank", "domain", "codomain", "cols", "_key")
 
     def __init__(self, rank: int, domain: Word, codomain: Word, cols):
+        """Columns given as {column: {row: Polynomial}} maps; zero entries and columns are dropped."""
         if len(domain) != len(codomain):
             raise ValueError("braid moves preserve word length")
         self.rank = rank
         self.domain = tuple(domain)
         self.codomain = tuple(codomain)
-        self.cols: dict[int, dict[int, Polynomial]] = {
-            c: {r: p for r, p in col.items() if not p.is_zero()}
-            for c, col in cols.items()
+        self.cols: dict[int, dict[int, Scalar]] = {
+            c: tagged for c, col in cols.items() if (tagged := tag_column(col, rank))
         }
-        self.cols = {c: col for c, col in self.cols.items() if col}
         self._key = None
-        self._units: dict[int, int] | None = None
-        self._tagged: dict[int, tuple[tuple[int, Scalar], ...]] | None = None
 
     @classmethod
     def _make(cls, rank: int, domain: Word, codomain: Word, cols) -> MorphismMatrix:
-        """Trusted constructor: word tuples, no zero entry and no empty column."""
+        """Trusted constructor: word tuples, tagged columns, no zero coefficient and no empty column."""
         m = object.__new__(cls)
         m.rank, m.domain, m.codomain, m.cols = rank, domain, codomain, cols
-        m._key = m._units = m._tagged = None
+        m._key = None
         return m
 
     @classmethod
     def identity(cls, word: Word, rank: int) -> MorphismMatrix:
-        one = Polynomial.one(rank)
-        k = len(word)
-        return cls(rank, word, word, {c: {c: one} for c in range(1 << k)})
+        word = tuple(word)
+        cols = {c: {row_key(c, rank): 1} for c in range(1 << len(word))}
+        return cls._make(rank, word, word, cols)
 
     @classmethod
     def for_edge(cls, move: BraidMove, word: Word, rank: int) -> MorphismMatrix:
@@ -293,92 +293,50 @@ class MorphismMatrix:
             return found
 
         low_mask = (1 << (pos + m)) - 1
-        partials: dict[int, dict[int, Polynomial]] = {}
+        partials: dict[int, dict[int, Scalar]] = {}
         cols = {}
         for c in range(1 << len(word)):
             low, suffix = c & low_mask, c & ~low_mask
             partial = partials.get(low)
             if partial is None:
                 p, wm = low & ((1 << pos) - 1), low >> pos
-                partial = partials[low] = {
-                    r | imask << pos: coeff
-                    for imask, icoeff in table.images[wm].coeffs.items()
-                    for r, coeff in prefix_normal(p, icoeff).items()
-                }
-            cols[c] = {r | suffix: coeff for r, coeff in partial.items()}
+                partial = partials[low] = tag_column(
+                    {
+                        r | imask << pos: coeff
+                        for imask, icoeff in table.images[wm].coeffs.items()
+                        for r, coeff in prefix_normal(p, icoeff).items()
+                    },
+                    rank,
+                )
+            offset = row_key(suffix, rank)
+            cols[c] = {k + offset: v for k, v in partial.items()} if offset else partial
         return cls._make(rank, word, prefix + table.target_window + word[pos + m:], cols)
 
-    def _unit_columns(self) -> dict[int, int]:
-        """Row of every column holding a single entry equal to one."""
-        if self._units is None:
-            self._units = {
-                c: r
-                for c, col in self.cols.items()
-                if len(col) == 1
-                for r, p in col.items()
-                if p.is_one()
-            }
-        return self._units
-
-    def tagged_columns(self) -> dict[int, tuple[tuple[int, Scalar], ...]]:
-        """The (tagged key, coefficient) terms of every column, the table of ``tagged_image``."""
-        if self._tagged is None:
-            self._tagged = {c: tuple(tag_column(col, self.rank).items()) for c, col in self.cols.items()}
-        return self._tagged
-
-    def column_image(self, col: dict[int, Polynomial]) -> dict[int, Polynomial]:
-        """Image under self of one column of a right factor, empty if it is zero.
-
-        Column c of self . other is self.column_image(other.cols[c]).  Unit
-        columns, which make up distant edges and the identity, only
-        reindex: no polynomial is multiplied for them on either side, and a
-        unit column of the right factor returns the column of self it
-        selects, shared, since columns are never mutated.
-        """
-        if len(col) == 1:
-            ((m, pmc),) = col.items()
-            if pmc.is_one():
-                return self.cols.get(m, {})
-        units = self._unit_columns()
-        acc: dict[int, Polynomial] = {}
-        for m, pmc in col.items():
-            r = units.get(m)
-            if r is not None:
-                images = ((r, pmc),)
-            else:
-                images = [(r, prm * pmc) for r, prm in self.cols.get(m, {}).items()]
-            for r, term in images:
-                cur = acc.get(r)
-                if cur is None:
-                    acc[r] = term
-                elif (total := cur + term).is_zero():
-                    del acc[r]
-                else:
-                    acc[r] = total
-        return acc
+    def column(self, c: int) -> dict[int, Polynomial]:
+        """Column c as {row: polynomial}, empty if it is zero."""
+        return untag_column(self.cols.get(c, {}), self.rank)
 
     def compose(self, other: MorphismMatrix) -> MorphismMatrix:
         """self after other (matrix product self . other), column by column."""
         if other.codomain != self.domain or other.rank != self.rank:
             raise ValueError("composition shape mismatch")
-        cols: dict[int, dict[int, Polynomial]] = {}
-        for c, col in other.cols.items():
-            image = self.column_image(col)
-            if image:
-                cols[c] = image
+        cols = {
+            c: image for c, col in other.cols.items() if (image := tagged_image(self.cols, col, self.rank))
+        }
         return MorphismMatrix._make(self.rank, other.domain, self.codomain, cols)
 
     def apply(self, elem: BSElement) -> BSElement:
         """Evaluate the morphism on a normal-form element."""
         if elem.word != self.domain or elem.rank != self.rank:
             raise ValueError("element does not live in the domain bimodule")
-        return BSElement(self.rank, self.codomain, self.column_image(elem.coeffs))
+        image = tagged_image(self.cols, tag_column(elem.coeffs, self.rank), self.rank)
+        return BSElement(self.rank, self.codomain, untag_column(image, self.rank))
 
     def key(self) -> tuple:
         """Hashable form for interning: keys are equal exactly when the matrices are."""
         if self._key is None:
             entries = frozenset(
-                (r, c, p) for c, col in self.cols.items() for r, p in col.items()
+                (c, k, v) for c, col in self.cols.items() for k, v in col.items()
             )
             self._key = (self.rank, self.domain, self.codomain, entries)
         return self._key
@@ -400,14 +358,14 @@ class MorphismMatrix:
         """Check every entry sits in degree 2 * (popcount(col) - popcount(row))."""
         return all(
             p.is_homogeneous_of_degree(2 * (int(c).bit_count() - int(r).bit_count()))
-            for c, col in self.cols.items()
-            for r, p in col.items()
+            for c in self.cols
+            for r, p in self.column(c).items()
         )
 
     def __repr__(self) -> str:
         return (
             f"MorphismMatrix({word_label(self.domain)} -> {word_label(self.codomain)}, "
-            f"{sum(len(c) for c in self.cols.values())} entries)"
+            f"{sum(len(self.column(c)) for c in self.cols)} entries)"
         )
 
 

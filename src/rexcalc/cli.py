@@ -4,8 +4,9 @@ Exit codes: 0 all verdicts as expected, 1 unexpected mathematical
 verdict, 2 usage error, 3 resource budget exceeded.  The environment
 variable REXCALC_BUDGET caps the number of distinct morphism matrices a
 search may intern; a budget below 1 or not an integer, a rank outside
-1..MAX_RANK, and a ``verify`` option that the chosen suite does not read
-are usage errors.
+1..MAX_RANK, an element with more than ``symgroup.MAX_REDUCED_WORDS``
+reduced words, and a ``verify`` option that the chosen suite does not
+read are usage errors.
 """
 
 from __future__ import annotations

@@ -9,9 +9,11 @@ components are merged, which is sound because such states have
 identical futures.  Values share most of their columns, so the columns
 are interned by content and a value is stored once, as a record of its
 column ids; a step multiplies each distinct column once and memoizes the
-image per (step, column).  A column is one tagged term map (row and
-monomial packed into one int key), so a step is one multiply-accumulate
-loop of int products, with no polynomial object built per entry.  The
+image per (step, column).  A column is the tagged term map a matrix
+stores (row and monomial packed into one int key), kept as it is, so a
+step is the multiply-accumulate loop of int products that every matrix
+product runs (``polyring.tagged_image``), with no polynomial object
+built per entry.  The
 simplification soundness check walks its paths through the same store.
 A verdict is either Holds or a reproducible counterexample consisting of
 two concrete paths plus a basis column on which their matrices differ.
@@ -35,7 +37,7 @@ from functools import lru_cache
 
 from .bsbimod import BSElement, dot_cap, from_tensor
 from .braidmor import ConflatedMorphisms, MorphismMatrix, path_morphism
-from .polyring import Polynomial, Scalar, tag_column, tagged_image, untag_column
+from .polyring import Polynomial, Scalar, tagged_image
 from .rexgraph import (
     EXPANDED,
     ConflatedGraph,
@@ -141,8 +143,8 @@ class FpcVerdict:
 class _MatrixPool:
     """Interns walk values by content, column by column, and memoizes products.
 
-    A column is held as one tagged term map (``polyring.tag_column``:
-    row and monomial packed into one int key, the coefficient as value),
+    A column is a matrix's own tagged term map (row and monomial packed
+    into one int key, the coefficient as value, see ``MorphismMatrix``),
     and each distinct nonzero column gets an id by its exact content.  A
     value is one record, (rank, domain, codomain, column ids) with the id
     of column c at index c and -1 for a zero column, which is also its
@@ -188,9 +190,7 @@ class _MatrixPool:
         return found
 
     def intern(self, m: MorphismMatrix) -> int:
-        ids = tuple(
-            self._column_id(tag_column(m.cols.get(c, {}), m.rank)) for c in range(1 << len(m.domain))
-        )
+        ids = tuple(self._column_id(m.cols.get(c, {})) for c in range(1 << len(m.domain)))
         return self._intern((m.rank, m.domain, m.codomain, ids))
 
     def extend(self, cm: ConflatedMorphisms, value: int, step: tuple[Word, Word]) -> int:
@@ -198,14 +198,13 @@ class _MatrixPool:
         found = self.products.get(key)
         if found is None:
             step_mat = cm.step_matrix(*step)
-            step_terms = step_mat.tagged_columns()
             memo = self.images.setdefault(step, {-1: -1})
             rank, domain, _, col_ids = self.values[value]
             ids = []
             for i in col_ids:
                 j = memo.get(i)
                 if j is None:
-                    j = memo[i] = self._column_id(tagged_image(step_terms, self.cols[i], rank))
+                    j = memo[i] = self._column_id(tagged_image(step_mat.cols, self.cols[i], rank))
                 ids.append(j)
             found = self.products[key] = self._intern((rank, domain, step_mat.codomain, tuple(ids)))
         return found
@@ -219,16 +218,14 @@ class _MatrixPool:
 
     def matrix(self, value: int) -> MorphismMatrix:
         rank, domain, codomain, ids = self.values[value]
-        cols = {c: untag_column(self.cols[i], rank) for c, i in enumerate(ids) if i >= 0}
+        cols = {c: self.cols[i] for c, i in enumerate(ids) if i >= 0}
         return MorphismMatrix._make(rank, domain, codomain, cols)
 
 
 def _column_witness(a: MorphismMatrix, b: MorphismMatrix) -> tuple[int, BSElement, BSElement]:
     for c in sorted(set(a.cols) | set(b.cols)):
-        if a.cols.get(c, {}) != b.cols.get(c, {}):
-            img_a = BSElement(a.rank, a.codomain, a.cols.get(c, {}))
-            img_b = BSElement(b.rank, b.codomain, b.cols.get(c, {}))
-            return c, img_a, img_b
+        if a.cols.get(c) != b.cols.get(c):
+            return c, BSElement(a.rank, a.codomain, a.column(c)), BSElement(b.rank, b.codomain, b.column(c))
     raise AssertionError("matrices differ but no column does")
 
 

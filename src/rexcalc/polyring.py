@@ -31,12 +31,15 @@ as the final verdict throughout the package.
 ring operations build their results through the unchecked ``_make``.
 ``iter_terms`` yields the terms with their exponent tuples.
 
-A column of polynomials {row: p} can also be held as one tagged term map
-(``tag_column``, ``untag_column``): the key is the row shifted above the
-packed monomial, ``row << (rank + 1) * _WIDTH | monomial``, and the value
-is the coefficient.  ``tagged_image`` maps such a column through a matrix
-in one multiply-accumulate loop of int additions, with no ``Polynomial``
-built per entry.
+A column of polynomials {row: p}, the form in which morphism matrices
+store their columns, is one tagged term map: the key is the row shifted
+above the packed monomial, ``row << (rank + 1) * _WIDTH | monomial``, and
+the value is the coefficient.  ``tag_column`` and ``untag_column``
+convert, and ``row_key`` is the key of a row at monomial 1, which moves a
+key down that many rows when added.  ``tagged_image`` maps a tagged
+column through a matrix of tagged columns in one multiply-accumulate
+loop of int additions, with no ``Polynomial`` built per entry; it is the
+package's only column product.
 
 >>> x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
 >>> str((x1 + x2) * (x1 - x2))
@@ -430,6 +433,11 @@ class Polynomial:
 # -- tagged columns ---------------------------------------------------------
 
 
+def row_key(row: int, rank: int) -> int:
+    """The tagged key of ``row`` at monomial 1; adding it to a key moves the key down ``row`` rows."""
+    return row << (rank + 1) * _WIDTH
+
+
 def tag_column(col: Mapping[int, Polynomial], rank: int) -> dict[int, Scalar]:
     """A column {row: polynomial} as one map {row << (rank + 1) * _WIDTH | monomial: coefficient}."""
     shift = (rank + 1) * _WIDTH
@@ -447,25 +455,35 @@ def untag_column(terms: Mapping[int, Scalar], rank: int) -> dict[int, Polynomial
 
 
 def tagged_image(
-    step_terms: Mapping[int, tuple[tuple[int, Scalar], ...]], col_terms: Mapping[int, Scalar], rank: int
+    matrix_cols: Mapping[int, Mapping[int, Scalar]], col_terms: Mapping[int, Scalar], rank: int
 ) -> dict[int, Scalar]:
-    """Image of a tagged column under a matrix given by the tagged terms of its columns.
+    """Image of a tagged column under a matrix whose columns are tagged term maps.
 
-    ``step_terms[m]`` holds the (tagged key, coefficient) terms of the
-    matrix's column m.  A column term at row m with monomial u times a
-    step term with key t lands at key t + u: the monomials add inside the
-    low fields and the step's row rides above them.  A key whose
-    degree-field guard bit is set raises ``ExponentOverflowError``, as
-    ``Polynomial.__mul__`` does for the same product; while the guard
-    holds, no carry reaches the row field.
+    ``matrix_cols[m]`` is the matrix's column m; a missing column is zero.
+    A column term at row m with monomial u times a matrix term with key t
+    lands at key t + u: the monomials add inside the low fields and the
+    matrix's row rides above them.  A key whose degree-field guard bit is
+    set raises ``ExponentOverflowError``, as ``Polynomial.__mul__`` does
+    for the same product; while the guard holds, no carry reaches the row
+    field.  A unit column, one term at monomial 1 with coefficient 1, only
+    selects a column: that column is returned shared, so no result may be
+    mutated.
     """
     shift = (rank + 1) * _WIDTH
     low = (1 << shift) - 1
+    if len(col_terms) == 1:
+        ((k, c),) = col_terms.items()
+        if c == 1 and not k & low:
+            return matrix_cols.get(k >> shift, {})
     acc: dict[int, Scalar] = {}
     get = acc.get
+    column = matrix_cols.get
     for k, c in col_terms.items():
+        image = column(k >> shift)
+        if image is None:
+            continue
         mono = k & low
-        for t, sc in step_terms.get(k >> shift, ()):
+        for t, sc in image.items():
             t += mono
             acc[t] = get(t, 0) + c * sc
     if any(map((1 << (shift - 1)).__and__, acc)):

@@ -223,18 +223,30 @@ def _seed_reduced_word(perm: Permutation) -> Word:
     return tuple(reversed(word))
 
 
+# the most reduced words a closure may hold: above the 48,620 words of the
+# rank-11 line word 1..10..1, below the 292,864 of the longest element of
+# S_6, whose closure grows past 500 MB
+MAX_REDUCED_WORDS = 50_000
+
+
 def braid_closure(perm: Permutation) -> dict[Word, list[tuple[BraidMove, Word]]]:
     """Every reduced word of a permutation, mapped to its ``braid_moves``.
 
     Computed as the closure of one reduced word under single braid
     moves, so each word's moves are found once; the closure does not
-    depend on the seed.
+    depend on the seed.  A closure that grows past MAX_REDUCED_WORDS is a
+    ValueError naming the limit.
     """
     closure: dict[Word, list[tuple[BraidMove, Word]]] = {}
     stack = [_seed_reduced_word(perm)]
     while stack:
         w = stack.pop()
         if w not in closure:
+            if len(closure) == MAX_REDUCED_WORDS:
+                raise ValueError(
+                    f"the element has more than {MAX_REDUCED_WORDS:,} reduced words, "
+                    f"the limit on reduced-word closures"
+                )
             closure[w] = found = braid_moves(w)
             stack.extend(w2 for _, w2 in found if w2 not in closure)
     return closure

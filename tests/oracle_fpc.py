@@ -1,13 +1,15 @@
-# Reference implementation for the cross-checks in test_fpc.py: the
-# value-search pool that preceded column interning in rexcalc.fpc (whole
-# matrices keyed by MorphismMatrix.key(), each product a full step matrix
-# times value), kept verbatim below, and MorphismMatrix.compose as it was
-# before its loop body became MorphismMatrix.column_image, as a plain
-# function of the two factors.  The pool calls that copy in place of the
-# method, so it shares no product code with the package.  Also the
-# per-pair down-up-down and up-down-up matrices that preceded the shared
-# path halves of fpc.dud_udu_pairs: each rebuilds all three runs of one
-# pair.  Not used by the package.
+# Reference implementation for the cross-checks in test_fpc.py and
+# test_braidmor.py: the value-search pool that preceded column interning in
+# rexcalc.fpc (whole matrices keyed by MorphismMatrix.key(), each product a
+# full step matrix times value), kept verbatim below, and matrix products
+# as they were before every product ran through polyring.tagged_image:
+# compose as a plain function of the two factors, and column_image for one
+# column.  Both read a matrix's columns as {row: Polynomial} maps
+# (MorphismMatrix.column) and multiply with Polynomial arithmetic, so they
+# share no product code with the package; the pool calls compose in place
+# of the method.  Also the per-pair down-up-down and up-down-up matrices
+# that preceded the shared path halves of fpc.dud_udu_pairs: each rebuilds
+# all three runs of one pair.  Not used by the package.
 
 from __future__ import annotations
 
@@ -18,6 +20,29 @@ from rexcalc.polyring import Polynomial
 from rexcalc.symgroup import Word
 
 
+def _accumulate(acc: dict[int, Polynomial], r: int, term: Polynomial) -> None:
+    """acc[r] += term, dropping the row if it cancels."""
+    cur = acc.get(r)
+    if cur is None:
+        acc[r] = term
+    elif (total := cur + term).is_zero():
+        del acc[r]
+    else:
+        acc[r] = total
+
+
+def column_image(self: MorphismMatrix, col: dict[int, Polynomial]) -> dict[int, Polynomial]:
+    """Image under self of one {row: Polynomial} column of a right factor, empty if it is zero.
+
+    Column c of self . other is column_image(self, other.column(c)).
+    """
+    acc: dict[int, Polynomial] = {}
+    for m, pmc in col.items():
+        for r, prm in self.column(m).items():
+            _accumulate(acc, r, prm * pmc)
+    return acc
+
+
 def compose(self: MorphismMatrix, other: MorphismMatrix) -> MorphismMatrix:
     """self after other (matrix product self . other).
 
@@ -26,33 +51,28 @@ def compose(self: MorphismMatrix, other: MorphismMatrix) -> MorphismMatrix:
     """
     if other.codomain != self.domain or other.rank != self.rank:
         raise ValueError("composition shape mismatch")
-    units = self._unit_columns()
+    mine = {m: self.column(m) for m in self.cols}
+    units = {m: r for m, col in mine.items() if len(col) == 1 for r, p in col.items() if p.is_one()}
     cols: dict[int, dict[int, Polynomial]] = {}
-    for c, col in other.cols.items():
+    for c in other.cols:
+        col = other.column(c)
         if len(col) == 1:
             ((m, pmc),) = col.items()
             if pmc.is_one():
-                if m in self.cols:
-                    cols[c] = self.cols[m]  # columns are never mutated, so share it
+                if m in mine:
+                    cols[c] = mine[m]
                 continue
         acc: dict[int, Polynomial] = {}
         for m, pmc in col.items():
             r = units.get(m)
             if r is not None:
-                images = ((r, pmc),)
+                _accumulate(acc, r, pmc)
             else:
-                images = [(r, prm * pmc) for r, prm in self.cols.get(m, {}).items()]
-            for r, term in images:
-                cur = acc.get(r)
-                if cur is None:
-                    acc[r] = term
-                elif (total := cur + term).is_zero():
-                    del acc[r]
-                else:
-                    acc[r] = total
+                for r, prm in mine.get(m, {}).items():
+                    _accumulate(acc, r, prm * pmc)
         if acc:
             cols[c] = acc
-    return MorphismMatrix._make(self.rank, other.domain, self.codomain, cols)
+    return MorphismMatrix(self.rank, other.domain, self.codomain, cols)
 
 
 class _MatrixPool:

@@ -18,6 +18,7 @@ from hypothesis import example, given, settings, strategies as st
 from rexcalc import cli, fpc
 from rexcalc.cli import _dumps, main, parse_word
 from rexcalc.rexgraph import build_rex_graph
+from rexcalc.symgroup import MAX_REDUCED_WORDS
 
 
 def run(capsys, *argv):
@@ -433,6 +434,20 @@ def test_dense_power_is_a_usage_error():
     assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
     assert "term limit" in proc.stderr
     assert elapsed < 5
+
+
+def test_too_many_reduced_words_is_a_usage_error():
+    # the longest element of S_6 has 292,864 reduced words; its closure
+    # grew past 500 MB before it was bounded
+    start = time.perf_counter()
+    proc = _run_cli("graph", "121321432154321", capture_output=True)
+    elapsed = time.perf_counter() - start
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.startswith("error:") and proc.stderr.count("\n") == 1
+    assert f"more than {MAX_REDUCED_WORDS:,} reduced words" in proc.stderr
+    assert elapsed < 10
 
 
 def test_unknown_path_vertex_is_a_usage_error():

@@ -11,10 +11,18 @@ import pytest
 from conftest import random_reduced_word
 
 from rexcalc import fpc
-from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix
+from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix, edge_matrix, move_between
 from rexcalc.bsbimod import BSElement, from_tensor, left_mul
 from rexcalc.polyring import Polynomial
-from rexcalc.rexgraph import build_conflated, build_rex_graph, graph_for_word, source_sink
+from rexcalc.rexgraph import (
+    CONFLATED,
+    Path,
+    build_conflated,
+    build_rex_graph,
+    graph_for_word,
+    lift_conflated_path,
+    source_sink,
+)
 from rexcalc.symgroup import word_to_perm
 
 
@@ -354,20 +362,25 @@ def test_pool_interns_values_by_exact_content():
     assert [pool.matrix(v) for v in range(len(pool.values))] == [ident, swap, proj]
 
 
+def _random_walks(conf, rng, count, max_steps):
+    """Seeded walks over the cloud representatives of a conflated graph."""
+    reps = sorted(c.representative for c in conf.clouds)
+    walks = []
+    for _ in range(count):
+        walk = [rng.choice(reps)]
+        for _ in range(rng.randint(0, max_steps)):
+            walk.append(rng.choice(sorted(d.representative for d in conf.neighbors(conf.cloud(walk[-1])))))
+        walks.append(tuple(walk))
+    return walks
+
+
 @pytest.mark.parametrize(
     "word, rank",
     [((1, 2, 3, 2, 1), 4), ((1, 2, 1, 3, 2, 1), 4), ((1, 2, 3, 4, 3, 2, 1), 5), ((1, 2, 1, 3, 4, 3), 5)],
 )
 def test_walk_matches_path_matrix(word, rank):
     rex, conf, cm = fpc._calculus(word, rank)
-    reps = sorted(c.representative for c in conf.clouds)
-    rng = random.Random(8)
-    walks = []
-    for _ in range(16):
-        walk = [rng.choice(reps)]
-        for _ in range(rng.randint(0, 7)):
-            walk.append(rng.choice(sorted(d.representative for d in conf.neighbors(conf.cloud(walk[-1])))))
-        walks.append(tuple(walk))
+    walks = _random_walks(conf, random.Random(8), 16, 7)
     pool = fpc._MatrixPool(10_000, "a test")
     ids = [pool.walk(cm, w) for w in walks]
     mats = [cm.path_matrix(w) for w in walks]
@@ -376,6 +389,21 @@ def test_walk_matches_path_matrix(word, rank):
     # one id per matrix: walks get equal ids exactly when their matrices are equal
     for a, b in combinations(range(len(walks)), 2):
         assert (ids[a] == ids[b]) == (mats[a] == mats[b])
+
+
+@pytest.mark.parametrize("word, rank", [((1, 2, 3, 2, 1), 4), ((1, 2, 1, 3, 2, 1), 4), ((1, 2, 3, 4, 3, 2, 1), 5)])
+def test_path_matrix_matches_oracle_compose(word, rank):
+    # every product in the package runs through polyring.tagged_image; the
+    # oracle chains the edge matrices of each lifted step with Polynomial
+    # arithmetic alone, so it shares no product code with the package
+    rex, conf, cm = fpc._calculus(word, rank)
+    for walk in _random_walks(conf, random.Random(sum(word)), 8, 6):
+        want = MorphismMatrix.identity(walk[0], rank)
+        for a, b in zip(walk, walk[1:]):
+            lifted = lift_conflated_path(conf, rex, Path(CONFLATED, (a, b))).vertices
+            for u, v in zip(lifted, lifted[1:]):
+                want = oracle_fpc.compose(edge_matrix(move_between(u, v), u, rank), want)
+        assert cm.path_matrix(walk) == want, walk
 
 
 @pytest.mark.parametrize("word", [(1, 2, 3, 2, 1), (1, 2, 1, 3, 2, 1)])
@@ -396,6 +424,7 @@ def test_column_image_is_a_one_column_product(word):
         ]
         for right in into:
             assert step.compose(right) == oracle_fpc.compose(step, right)
-            for c, col in right.cols.items():
+            for c in right.cols:
+                col = right.column(c)
                 one_column = MorphismMatrix(4, right.domain, a, {c: col})
-                assert step.column_image(col) == oracle_fpc.compose(step, one_column).cols.get(c, {})
+                assert oracle_fpc.column_image(step, col) == oracle_fpc.compose(step, one_column).column(c)

@@ -133,7 +133,7 @@ def test_matrix_key_equality_is_matrix_equality(word, rank):
     mats.append(MorphismMatrix.identity(mats[0].domain, rank))
     # copies with one entry doubled: same shape and support, different value
     for m in mats[:10]:
-        cols = {c: dict(col) for c, col in m.cols.items()}
+        cols = {c: m.column(c) for c in m.cols}
         c = rng.choice(sorted(cols))
         r = rng.choice(sorted(cols[c]))
         cols[c][r] = 2 * cols[c][r]
