@@ -6,8 +6,8 @@ Usage, from the root of a checkout:
     PYTHONPATH=src python3 scripts/bench_polyring.py [--repeat 7] [--w0-rank5]
 
 Prints one JSON object: nanoseconds per operation (best of the repeats)
-for ``Polynomial`` multiplication, addition and ``split``, for the first
-``MorphismMatrix.key()`` call on freshly composed matrices, for one
+for ``Polynomial`` multiplication, addition and ``split``, for
+``MorphismMatrix.key()`` on composed matrices, for one
 warm ``MorphismMatrix.compose`` (``compose_zam``: the six compositions of
 ``fpc.check_zam_identities(4)``, of the 64-column source-to-sink
 morphisms Z and Zb of the longest element of S_4, built before the row),
@@ -26,12 +26,13 @@ the longest element of S_4 (an 8-cloud cycle), at bound 20.  For each,
 ``search_work`` gives what the search's ``fpc._MatrixPool`` did, read by
 wrapping that class: interned values, distinct columns, memoized column
 images, and generated states (one per start and per ``extend``, merged or
-not) with their rate over the row's best time.  ``--w0-rank5`` also times
-one cold ``ConflatedMorphisms`` build for the longest element of S_5, in
-seconds.  The operands are fixed: seeded random integer-coefficient
-polynomials of rank 4 (1-4 terms, exponents up to 2, the shape of the
-S_4 sweep's matrix entries) and the matrices of seeded random walks on
-the conflated graph of 12321.
+not) with their rate over the row's best time.  ``--w0-rank5`` also builds
+the ``ConflatedMorphisms`` of the longest element of S_5 in a fresh child
+process and reports the build's seconds and the child's peak RSS in MB
+(``ru_maxrss`` from ``os.wait4``).  The operands are fixed: seeded random
+integer-coefficient polynomials of rank 4 (1-4 terms, exponents up to 2,
+the shape of the S_4 sweep's matrix entries) and the matrices of seeded
+random walks on the conflated graph of 12321.
 
 Reading the two units.  The ns figures are wall times, and the speed of a
 vCPU on a shared machine drifts by up to 2x within seconds, so they
@@ -56,11 +57,12 @@ import contextlib
 import json
 import os
 import random
+import sys
 import time
 
 from rexcalc import BraidMove, ConflatedMorphisms, MorphismMatrix, Polynomial, braidmor, cli, fpc, graph_for_word
 from rexcalc.rexgraph import build_conflated, build_rex_graph
-from rexcalc.symgroup import longest_element, reduced_words, word_to_perm
+from rexcalc.symgroup import reduced_words, word_to_perm
 
 RANK = 4
 
@@ -121,8 +123,8 @@ def measure(once, repeat: int) -> tuple[float, float]:
 
 
 def clear_tables() -> None:
-    for name in ("_adjacent_table", "_distant_table", "_edge_matrix_cached"):
-        getattr(braidmor, name).cache_clear()
+    braidmor._adjacent_table.cache_clear()
+    braidmor._distant_table.cache_clear()
 
 
 def time_for_edge(move: BraidMove) -> float:
@@ -131,13 +133,38 @@ def time_for_edge(move: BraidMove) -> float:
     return run_ns(lambda: MorphismMatrix.for_edge(move, EDGE_WORD, 6), 1)
 
 
-def time_w0_rank5() -> float:
-    """Seconds for one cold ConflatedMorphisms build of the longest element of S_5."""
-    clear_tables()
-    rex, conf = graph_for_word(longest_element(5), rank=5)
-    start = time.perf_counter()
-    ConflatedMorphisms(rex, conf)
-    return time.perf_counter() - start
+W0_RANK5_CHILD = """
+import time
+from rexcalc import ConflatedMorphisms, graph_for_word
+from rexcalc.symgroup import longest_element
+rex, conf = graph_for_word(longest_element(5), rank=5)
+start = time.perf_counter()
+ConflatedMorphisms(rex, conf)
+print(time.perf_counter() - start)
+"""
+
+
+def time_w0_rank5() -> tuple[float, float]:
+    """Seconds for one ConflatedMorphisms build of the longest element of S_5, and peak RSS in MB.
+
+    The build runs in a fresh child process, so the peak is that of the
+    build alone, with no table or matrix left over from the other rows.
+    """
+    read_end, write_end = os.pipe()
+    pid = os.posix_spawn(
+        sys.executable,
+        [sys.executable, "-c", W0_RANK5_CHILD],
+        os.environ,
+        file_actions=[(os.POSIX_SPAWN_DUP2, write_end, 1)],
+    )
+    os.close(write_end)
+    with os.fdopen(read_end) as out:
+        printed = out.read()
+    _, status, usage = os.wait4(pid, 0)
+    code = os.waitstatus_to_exitcode(status)
+    if code:
+        raise RuntimeError(f"the rank-5 build exited with status {code}")
+    return float(printed), usage.ru_maxrss / 1024
 
 
 def graph_layer_rows() -> dict:
@@ -211,10 +238,6 @@ def zam_compositions():
     return run, 6
 
 
-def fresh_matrices(cm: ConflatedMorphisms, walks) -> list:
-    return [cm.path_matrix(walk) for walk in walks]
-
-
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--repeat", type=int, default=7)
@@ -234,11 +257,7 @@ def main() -> int:
             walk.append(rng.choice(neighbors))
         walks.append(walk)
 
-    def time_key():
-        # key() caches on the matrix, so each repeat keys new matrices
-        mats = fresh_matrices(cm, walks)
-        return run_ns(lambda: [m.key() for m in mats], len(mats))
-
+    mats = [cm.path_matrix(walk) for walk in walks]
     compose_zam, compositions = zam_compositions()
     rows = {
         "mul": (lambda: run_ns(lambda: [p * q for p, q in pairs], len(pairs)), args.repeat),
@@ -247,7 +266,7 @@ def main() -> int:
             lambda: run_ns(lambda: [p.split(1 + k % 3) for k, p in enumerate(left)], len(left)),
             args.repeat,
         ),
-        "matrix_key": (time_key, args.repeat),
+        "matrix_key": (lambda: run_ns(lambda: [m.key() for m in mats], len(mats)), args.repeat),
         "compose_zam": (lambda: run_ns(compose_zam, compositions), args.repeat),
     }
     for name, move in EDGE_MOVES.items():
@@ -267,7 +286,7 @@ def main() -> int:
         work = result["search_work"][name] = search_work(word, bound)
         work["states_per_s"] = work["states"] / (result[name] * 1e-9)
     if args.w0_rank5:
-        result["w0_rank5_tables_s"] = time_w0_rank5()
+        result["w0_rank5_tables_s"], result["w0_rank5_peak_rss_mb"] = time_w0_rank5()
     print(json.dumps(result, indent=2))
     return 0
 

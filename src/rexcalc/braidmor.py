@@ -236,7 +236,7 @@ class MorphismMatrix:
     between matrices and never mutated.
     """
 
-    __slots__ = ("rank", "domain", "codomain", "cols", "_key")
+    __slots__ = ("rank", "domain", "codomain", "cols")
 
     def __init__(self, rank: int, domain: Word, codomain: Word, cols):
         """Columns given as {column: {row: Polynomial}} maps; zero entries and columns are dropped."""
@@ -248,14 +248,12 @@ class MorphismMatrix:
         self.cols: dict[int, dict[int, Scalar]] = {
             c: tagged for c, col in cols.items() if (tagged := tag_column(col, rank))
         }
-        self._key = None
 
     @classmethod
     def _make(cls, rank: int, domain: Word, codomain: Word, cols) -> MorphismMatrix:
         """Trusted constructor: word tuples, tagged columns, no zero coefficient and no empty column."""
         m = object.__new__(cls)
         m.rank, m.domain, m.codomain, m.cols = rank, domain, codomain, cols
-        m._key = None
         return m
 
     @classmethod
@@ -333,13 +331,9 @@ class MorphismMatrix:
         return BSElement(self.rank, self.codomain, untag_column(image, self.rank))
 
     def key(self) -> tuple:
-        """Hashable form for interning: keys are equal exactly when the matrices are."""
-        if self._key is None:
-            entries = frozenset(
-                (c, k, v) for c, col in self.cols.items() for k, v in col.items()
-            )
-            self._key = (self.rank, self.domain, self.codomain, entries)
-        return self._key
+        """Hashable form, built on each call: keys are equal exactly when the matrices are."""
+        entries = frozenset((c, k, v) for c, col in self.cols.items() for k, v in col.items())
+        return (self.rank, self.domain, self.codomain, entries)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MorphismMatrix):
@@ -369,14 +363,9 @@ class MorphismMatrix:
         )
 
 
-@lru_cache(maxsize=None)
-def _edge_matrix_cached(move: BraidMove, word: Word, rank: int) -> MorphismMatrix:
-    return MorphismMatrix.for_edge(move, word, rank)
-
-
 def edge_matrix(move: BraidMove, word, rank: int) -> MorphismMatrix:
-    """Matrix of the edge morphism Id (x) f (x) Id on the word's bimodule."""
-    return _edge_matrix_cached(move, tuple(word), rank)
+    """Matrix of the edge morphism Id (x) f (x) Id on the word's bimodule, built afresh on each call."""
+    return MorphismMatrix.for_edge(move, word, rank)
 
 
 def move_between(u: Word, v: Word) -> BraidMove:

@@ -305,8 +305,8 @@ def cmd_verify(args) -> int:
         )
         return EXIT_OK if report.all_hold else EXIT_UNEXPECTED
     if suite == "fpc-s4":
-        _refuse_unread(args, "rank", "word")
-        sweep = fpc.check_s4_sweep(max_len=args.max_len, budget=budget)
+        _refuse_unread(args, "rank", "max_len", "word")
+        sweep = fpc.check_s4_sweep(budget=budget)
         lines = []
         for r in sweep.rows:
             status = "holds" if r.verdict.holds else "counterexample"

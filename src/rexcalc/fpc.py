@@ -649,8 +649,8 @@ def sweep_max_len(cloud_count: int) -> int:
     return max(9, 2 * cloud_count + 4)
 
 
-def check_s4_sweep(max_len: int | None = None, budget: int | None = None) -> SweepReport:
-    """Run the complete-path comparison for every element of S_4."""
+def check_s4_sweep(budget: int | None = None) -> SweepReport:
+    """Run the complete-path comparison for every element of S_4, each at its sweep_max_len bound."""
     expected_by_perm = {
         word_to_perm(w, 4): shape for w, shape in S4_TABLE.items()
     }
@@ -658,8 +658,7 @@ def check_s4_sweep(max_len: int | None = None, budget: int | None = None) -> Swe
     for perm in all_permutations(4):
         rex, conf, _ = _element_calculus(perm)
         label = rex.words[0]
-        bound = max_len if max_len is not None else sweep_max_len(len(conf.clouds))
-        verdict = check_fpc(label, bound, rank=4, budget=budget)
+        verdict = check_fpc(label, sweep_max_len(len(conf.clouds)), rank=4, budget=budget)
         rows.append(
             SweepRow(
                 label=label,
@@ -714,15 +713,9 @@ def check_family(n: int) -> FamilyReport:
     word = family_word(n)
     rex, conf, cm = _calculus(word, n)
     s, t = source_sink(conf)
-    line = [s]
-    while len(line) < len(conf.clouds):
-        nxt = [d for d in conf.neighbors(line[-1]) if len(line) < 2 or d != line[-2]]
-        if len(nxt) != 1:
-            raise AssertionError("family graph is not a line")
-        line.append(nxt[0])
-    if line[-1] != t:
-        raise AssertionError("line does not end at the sink")
-    reps = tuple(c.representative for c in line)
+    reps = tuple(oriented_run(conf, s.representative, t.representative, "down"))
+    if len(reps) != len(conf.clouds):
+        raise AssertionError("family graph is not a line: its run from source to sink misses a cloud")
     # start at the second vertex; visit the near end first, sweep to the far
     # end and back, against sweeping to the far end first
     path_a = (reps[1], reps[0]) + reps[1:] + tuple(reversed(reps[1:-1]))

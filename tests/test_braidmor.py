@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import gc
 import random
 from fractions import Fraction
 
@@ -433,6 +434,24 @@ def test_conflated_step_matrices_compose_like_whole_lift():
                 walk.append(rng.choice(conf.neighbors(walk[-1])))
             seq = tuple(cl.representative for cl in walk)
             assert cm.path_matrix(seq) == whole_lift_morphism(conf, rex, Path(CONFLATED, seq))
+
+
+def test_only_step_matrices_outlive_a_conflated_build():
+    # edge matrices are freed once composed: after a build, every live matrix
+    # over the element's words is a step matrix of some live ConflatedMorphisms
+    rex, conf = graph_for_word((2, 3, 2, 4, 3, 2), 5)
+    cm = ConflatedMorphisms(rex, conf)
+    gc.collect()
+    words = set(rex.words)
+    live = [o for o in gc.get_objects() if isinstance(o, MorphismMatrix) and o.domain in words]
+    steps = {
+        id(m)
+        for o in gc.get_objects()
+        if isinstance(o, ConflatedMorphisms)
+        for m in (*o.forward.values(), *o.backward.values())
+    }
+    assert len(live) >= 2 * len(cm.forward) > 0
+    assert [m for m in live if id(m) not in steps] == []
 
 
 # -- consistency of the orientation ---------------------------------------------

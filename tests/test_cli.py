@@ -229,6 +229,7 @@ def test_lemmas_search_runs_under_the_budget(capsys, monkeypatch):
         (["lemmas", "--rank", "9", "--word", "1"], "the lemmas suite does not read --rank or --word"),
         (["lemmas", "--max-len", "9", "--budget", "10"], "the lemmas suite does not read --max-len"),
         (["family", "--rank", "4", "--max-len", "1"], "the family suite reads --max-len only with --word"),
+        (["fpc-s4", "--max-len", "12"], "the fpc-s4 suite does not read --max-len"),
     ],
 )
 def test_verify_refuses_an_option_the_suite_does_not_read(capsys, argv, message):

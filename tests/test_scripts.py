@@ -14,6 +14,14 @@ ROOT = Path(__file__).resolve().parents[1]
 SCRIPTS = ROOT / "scripts"
 
 
+def load_script(name: str):
+    """The script as a module, imported without running its main()."""
+    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    return script
+
+
 def run_script(name: str, *args: str) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     env.pop("REXCALC_BUDGET", None)
@@ -35,9 +43,7 @@ def test_run_verification_reports_every_suite_as_expected():
 def test_export_graphs_writes_the_dot_text_of_every_showcase_graph(tmp_path):
     proc = run_script("export_graphs.py", "--out", str(tmp_path))
     assert proc.returncode == 0, proc.stderr
-    spec = importlib.util.spec_from_file_location("export_graphs", SCRIPTS / "export_graphs.py")
-    script = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(script)
+    script = load_script("export_graphs")
     assert len(script.SHOWCASE) == 8
     assert sorted(p.name for p in tmp_path.iterdir()) == sorted(f"{name}.dot" for name, *_ in script.SHOWCASE)
     for name, word, rank, kind in script.SHOWCASE:
@@ -50,3 +56,9 @@ def test_bench_polyring_prints_its_usage():
     proc = run_script("bench_polyring.py", "--help")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.startswith("usage:")
+
+
+def test_bench_polyring_clears_its_tables_and_times_an_edge_row():
+    script = load_script("bench_polyring")
+    script.clear_tables()
+    assert script.time_for_edge(script.EDGE_MOVES["for_edge_adjacent"]) > 0
