@@ -16,8 +16,9 @@ as the final verdict throughout the package.
 
 - Coefficients are ``int``.  A coefficient is a ``Fraction`` only when its
   denominator is not 1, which happens only after a parsed ``/`` or a
-  division by a constant; results whose denominators cancel turn back
-  into ``int``.
+  division by a constant.  Every result is settled by one rule,
+  ``_settle``: a Fraction whose denominator cancels turns back into
+  ``int``.
 - A monomial x_1^e_1 ... x_n^e_n is one ``int`` made of n + 1 fields of
   ``_WIDTH`` bits: the total degree e_1 + ... + e_n in the most significant
   field, then e_1, ..., e_n.  The product of two monomials is the sum of
@@ -36,10 +37,12 @@ store their columns, is one tagged term map: the key is the row shifted
 above the packed monomial, ``row << (rank + 1) * _WIDTH | monomial``, and
 the value is the coefficient.  ``tag_column`` and ``untag_column``
 convert, and ``row_key`` is the key of a row at monomial 1, which moves a
-key down that many rows when added.  ``tagged_image`` maps a tagged
-column through a matrix of tagged columns in one multiply-accumulate
-loop of int additions, with no ``Polynomial`` built per entry; it is the
-package's only column product.
+key down that many rows when added.  A polynomial's term map is the
+tagged column of row 0.  ``tagged_image`` maps a tagged column through a
+matrix of tagged columns in one multiply-accumulate loop of int
+additions, with no ``Polynomial`` built per entry; it is the package's
+only product: ``Polynomial.__mul__`` is the image of the factor with
+fewer terms under the one-column matrix {0: other factor}.
 
 >>> x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
 >>> str((x1 + x2) * (x1 - x2))
@@ -53,8 +56,9 @@ package's only column product.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import comb
+from operator import or_
 from typing import TYPE_CHECKING, Iterator, Mapping, Union
 
 if TYPE_CHECKING:
@@ -83,16 +87,18 @@ def _unpack(packed: int, rank: int) -> Monomial:
     return tuple((packed >> ((rank - 1 - k) * _WIDTH)) & _FIELD for k in range(rank))
 
 
-def _settle(terms: dict[int, Scalar]) -> bool:
-    """Turn Fractions with denominator 1 into ints; True if a Fraction is left."""
-    frac = False
-    for m, c in terms.items():
-        if type(c) is Fraction:
-            if c.denominator == 1:
+def _settle(terms: dict[int, Scalar]) -> dict[int, Scalar]:
+    """Turn the Fractions with denominator 1 into ints, in place, and return terms.
+
+    The rule that settles every result.  An int plus a Fraction is a
+    Fraction, so the coefficients sum to one exactly when some coefficient
+    is one; only then are they scanned.
+    """
+    if type(sum(terms.values())) is Fraction:
+        for m, c in terms.items():
+            if type(c) is Fraction and c.denominator == 1:
                 terms[m] = c.numerator
-            else:
-                frac = True
-    return frac
+    return terms
 
 
 def _add_into(terms: dict[int, Scalar], other: dict[int, Scalar], scale: int, shift: int = 0) -> None:
@@ -106,12 +112,11 @@ def _add_into(terms: dict[int, Scalar], other: dict[int, Scalar], scale: int, sh
             del terms[m]
 
 
-def _make(rank: int, terms: dict[int, Scalar], frac: bool = False) -> Polynomial:
+def _make(rank: int, terms: dict[int, Scalar]) -> Polynomial:
     """Trusted constructor: terms are packed, nonzero and settled."""
     p = object.__new__(Polynomial)
     p.rank = rank
     p.terms = terms
-    p._frac = frac
     p._hash = None
     return p
 
@@ -119,13 +124,12 @@ def _make(rank: int, terms: dict[int, Scalar], frac: bool = False) -> Polynomial
 class Polynomial:
     """Immutable sparse polynomial with exact rational coefficients."""
 
-    __slots__ = ("rank", "terms", "_frac", "_hash")
+    __slots__ = ("rank", "terms", "_hash")
 
     def __init__(self, rank: int, terms: Mapping[Monomial, Scalar]):
         if rank < 0:
             raise ValueError(f"rank must be nonnegative, got {rank}")
         clean: dict[int, Scalar] = {}
-        frac = False
         for mono, c in terms.items():
             c = Fraction(c)
             if c:
@@ -135,14 +139,9 @@ class Polynomial:
                     raise ExponentOverflowError(
                         f"monomial {mono} exceeds the total degree limit {MAX_DEGREE}"
                     )
-                if c.denominator == 1:
-                    c = c.numerator
-                else:
-                    frac = True
-                clean[_pack(mono)] = c
+                clean[_pack(mono)] = c.numerator if c.denominator == 1 else c
         self.rank = rank
         self.terms = clean
-        self._frac = frac
         self._hash: int | None = None
 
     # -- constructors ------------------------------------------------------
@@ -186,32 +185,27 @@ class Polynomial:
             return Polynomial.constant(other, self.rank)
         return None
 
-    def __add__(self, other) -> Polynomial:
+    def _plus(self, other, scale: int) -> Polynomial:
+        """self + scale * other."""
         other = self._coerce(other)
         if other is None:
             return NotImplemented
         if not other.terms:
             return self
-        if not self.terms:
-            return other
         terms = self.terms.copy()
-        _add_into(terms, other.terms, 1)
-        frac = (self._frac or other._frac) and _settle(terms)
-        return _make(self.rank, terms, frac)
+        _add_into(terms, other.terms, scale)
+        return _make(self.rank, _settle(terms))
+
+    def __add__(self, other) -> Polynomial:
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
     def __neg__(self) -> Polynomial:
-        return _make(self.rank, {m: -c for m, c in self.terms.items()}, self._frac)
+        return _make(self.rank, {m: -c for m, c in self.terms.items()})
 
     def __sub__(self, other) -> Polynomial:
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        terms = self.terms.copy()
-        _add_into(terms, other.terms, -1)
-        frac = (self._frac or other._frac) and _settle(terms)
-        return _make(self.rank, terms, frac)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> Polynomial:
         return -(self - other)
@@ -221,32 +215,12 @@ class Polynomial:
             other = self._coerce(other)
             if other is None:
                 return NotImplemented
-        # b is the factor with fewer terms
-        big, a, b = self, self.terms, other.terms
-        if len(a) < len(b):
-            big, a, b = other, b, a
-        if not b:
-            return Polynomial.zero(self.rank)
-        if len(b) == 1:
-            ((m2, c2),) = b.items()
-            if not m2 and c2 == 1:
-                return big
-            # adding a fixed monomial is injective: no collisions, no zeros
-            out = {m1 + m2: c1 * c2 for m1, c1 in a.items()}
-        else:
-            out = {}
-            get = out.get
-            for m1, c1 in a.items():
-                for m2, c2 in b.items():
-                    m = m1 + m2
-                    out[m] = get(m, 0) + c1 * c2
-            if 0 in out.values():
-                out = {m: c for m, c in out.items() if c}
-        # the leading monomial never cancels and has the largest total degree
-        if max(out) >> (self.rank * _WIDTH + _WIDTH - 1):
-            raise ExponentOverflowError(f"product exceeds the total degree limit {MAX_DEGREE}")
-        frac = (self._frac or other._frac) and _settle(out)
-        return _make(self.rank, out, frac)
+        # the term map is the row-0 tagged column: the factor with fewer
+        # terms is the column, the other the one-column matrix
+        big, small = self.terms, other.terms
+        if len(big) < len(small):
+            big, small = small, big
+        return _make(self.rank, tagged_image({0: big}, small, self.rank))
 
     __rmul__ = __mul__
 
@@ -319,7 +293,7 @@ class Polynomial:
             for idx, e in enumerate(mono):
                 m2[img[idx] - 1] = e
             out[_pack(m2)] = c
-        return _make(rank, out, self._frac)
+        return _make(rank, out)
 
     def _generator_shift(self, i: int) -> int:
         """Shift of the x_i field of s_i; the x_{i+1} field sits right below it."""
@@ -336,7 +310,7 @@ class Polynomial:
             m + (((m >> lo) & _FIELD) - ((m >> hi) & _FIELD)) * unit: c
             for m, c in self.terms.items()
         }
-        return _make(self.rank, out, self._frac)
+        return _make(self.rank, out)
 
     def is_invariant(self, i: int) -> bool:
         """True iff s_i fixes the polynomial."""
@@ -371,8 +345,7 @@ class Polynomial:
                 mono += step
         if 0 in out.values():
             out = {m: c for m, c in out.items() if c}
-        frac = self._frac and _settle(out)
-        return _make(self.rank, out, frac)
+        return _make(self.rank, _settle(out))
 
     def split(self, i: int) -> tuple[Polynomial, Polynomial]:
         """Decompose p = pi_0 + pi_1 * x_i with both parts s_i-invariant."""
@@ -380,8 +353,7 @@ class Polynomial:
         x_i = (1 << self.rank * _WIDTH) + (1 << ((self.rank - i) * _WIDTH))
         terms = self.terms.copy()
         _add_into(terms, pi1.terms, -1, x_i)
-        frac = self._frac and _settle(terms)
-        return _make(self.rank, terms, frac), pi1
+        return _make(self.rank, _settle(terms)), pi1
 
     # -- canonical form ------------------------------------------------------
 
@@ -451,7 +423,7 @@ def untag_column(terms: Mapping[int, Scalar], rank: int) -> dict[int, Polynomial
     rows: dict[int, dict[int, Scalar]] = {}
     for k, c in terms.items():
         rows.setdefault(k >> shift, {})[k & low] = c
-    return {r: _make(rank, t, _settle(t)) for r, t in rows.items()}
+    return {r: _make(rank, t) for r, t in rows.items()}
 
 
 def tagged_image(
@@ -463,11 +435,11 @@ def tagged_image(
     A column term at row m with monomial u times a matrix term with key t
     lands at key t + u: the monomials add inside the low fields and the
     matrix's row rides above them.  A key whose degree-field guard bit is
-    set raises ``ExponentOverflowError``, as ``Polynomial.__mul__`` does
-    for the same product; while the guard holds, no carry reaches the row
-    field.  A unit column, one term at monomial 1 with coefficient 1, only
-    selects a column: that column is returned shared, so no result may be
-    mutated.
+    set, even one whose coefficient cancels, raises
+    ``ExponentOverflowError``; while the guard holds, no carry reaches the
+    row field.  A unit column, one term at monomial 1 with coefficient 1,
+    only selects a column: that column is returned shared, so no result
+    may be mutated.  The result is settled and has no zero coefficient.
     """
     shift = (rank + 1) * _WIDTH
     low = (1 << shift) - 1
@@ -486,13 +458,11 @@ def tagged_image(
         for t, sc in image.items():
             t += mono
             acc[t] = get(t, 0) + c * sc
-    if any(map((1 << (shift - 1)).__and__, acc)):
+    if reduce(or_, acc, 0) & (1 << (shift - 1)):
         raise ExponentOverflowError(f"product exceeds the total degree limit {MAX_DEGREE}")
     if 0 in acc.values():
         acc = {k: c for k, c in acc.items() if c}
-    if Fraction in map(type, acc.values()):
-        _settle(acc)
-    return acc
+    return _settle(acc)
 
 
 # -- parsing ----------------------------------------------------------------

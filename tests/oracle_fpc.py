@@ -5,13 +5,17 @@
 # as they were before every product ran through polyring.tagged_image:
 # compose as a plain function of the two factors, and column_image for one
 # column.  Both read a matrix's columns as {row: Polynomial} maps
-# (MorphismMatrix.column) and multiply with Polynomial arithmetic, so they
-# share no product code with the package; the pool calls compose in place
-# of the method.  Also the per-pair down-up-down and up-down-up matrices
+# (MorphismMatrix.column) and multiply and add the entries with the seed
+# kernel oracle_polyring.Polynomial, converting through iter_terms, so they
+# share no product code with the package (whose Polynomial.__mul__ is
+# polyring.tagged_image too); the pool calls compose in place of the
+# method.  Also the per-pair down-up-down and up-down-up matrices
 # that preceded the shared path halves of fpc.dud_udu_pairs: each rebuilds
 # all three runs of one pair.  Not used by the package.
 
 from __future__ import annotations
+
+from functools import lru_cache
 
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix
 from rexcalc.fpc import BudgetExceededError, _zam_runs
@@ -19,8 +23,31 @@ from rexcalc.rexgraph import Cloud, ConflatedGraph
 from rexcalc.polyring import Polynomial
 from rexcalc.symgroup import Word
 
+from oracle_polyring import Polynomial as SeedPolynomial
 
-def _accumulate(acc: dict[int, Polynomial], r: int, term: Polynomial) -> None:
+
+# conversions and entry products repeat across a search; caching them keeps
+# the oracle's cost down without sharing any arithmetic with the package
+@lru_cache(maxsize=1 << 16)
+def _seed(p: Polynomial) -> SeedPolynomial:
+    return SeedPolynomial(p.rank, dict(p.iter_terms()))
+
+
+@lru_cache(maxsize=1 << 16)
+def _times(a: Polynomial, b: Polynomial) -> SeedPolynomial:
+    return _seed(a) * _seed(b)
+
+
+@lru_cache(maxsize=1 << 16)
+def _unseed(p: SeedPolynomial) -> Polynomial:
+    return Polynomial(p.rank, p.terms)
+
+
+def _package(col: dict[int, SeedPolynomial]) -> dict[int, Polynomial]:
+    return {r: _unseed(p) for r, p in col.items()}
+
+
+def _accumulate(acc: dict[int, SeedPolynomial], r: int, term: SeedPolynomial) -> None:
     """acc[r] += term, dropping the row if it cancels."""
     cur = acc.get(r)
     if cur is None:
@@ -36,11 +63,11 @@ def column_image(self: MorphismMatrix, col: dict[int, Polynomial]) -> dict[int, 
 
     Column c of self . other is column_image(self, other.column(c)).
     """
-    acc: dict[int, Polynomial] = {}
+    acc: dict[int, SeedPolynomial] = {}
     for m, pmc in col.items():
         for r, prm in self.column(m).items():
-            _accumulate(acc, r, prm * pmc)
-    return acc
+            _accumulate(acc, r, _times(prm, pmc))
+    return _package(acc)
 
 
 def compose(self: MorphismMatrix, other: MorphismMatrix) -> MorphismMatrix:
@@ -62,16 +89,16 @@ def compose(self: MorphismMatrix, other: MorphismMatrix) -> MorphismMatrix:
                 if m in mine:
                     cols[c] = mine[m]
                 continue
-        acc: dict[int, Polynomial] = {}
+        acc: dict[int, SeedPolynomial] = {}
         for m, pmc in col.items():
             r = units.get(m)
             if r is not None:
-                _accumulate(acc, r, pmc)
+                _accumulate(acc, r, _seed(pmc))
             else:
                 for r, prm in mine.get(m, {}).items():
-                    _accumulate(acc, r, prm * pmc)
+                    _accumulate(acc, r, _times(prm, pmc))
         if acc:
-            cols[c] = acc
+            cols[c] = _package(acc)
     return MorphismMatrix(self.rank, other.domain, self.codomain, cols)
 
 

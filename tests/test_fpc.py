@@ -394,8 +394,8 @@ def test_walk_matches_path_matrix(word, rank):
 @pytest.mark.parametrize("word, rank", [((1, 2, 3, 2, 1), 4), ((1, 2, 1, 3, 2, 1), 4), ((1, 2, 3, 4, 3, 2, 1), 5)])
 def test_path_matrix_matches_oracle_compose(word, rank):
     # every product in the package runs through polyring.tagged_image; the
-    # oracle chains the edge matrices of each lifted step with Polynomial
-    # arithmetic alone, so it shares no product code with the package
+    # oracle chains the edge matrices of each lifted step with the seed
+    # polynomial kernel alone, so it shares no product code with the package
     rex, conf, cm = fpc._calculus(word, rank)
     for walk in _random_walks(conf, random.Random(sum(word)), 8, 6):
         want = MorphismMatrix.identity(walk[0], rank)

@@ -73,6 +73,56 @@ def test_power():
     assert (x(1) ** 0) == Polynomial.one(4)
 
 
+def operands(rng: random.Random) -> list[Polynomial]:
+    """Zero, one, single terms and random polynomials, with int and with Fraction coefficients."""
+    ints = Polynomial(4, {tuple(rng.randint(0, 2) for _ in range(4)): rng.choice((-2, 1, 3)) for _ in range(4)})
+    return [
+        Polynomial.zero(4),
+        Polynomial.one(4),
+        Polynomial.constant(Fraction(-1, 2), 4),
+        3 * x(rng.randint(1, 4)),
+        Fraction(2, 3) * x(1) * x(rng.randint(2, 4)),
+        ints,
+        random_polynomial(rng, 4),
+        random_polynomial(rng, 4, max_terms=8),
+    ]
+
+
+def test_results_never_mutate_operands():
+    # a product by 1 returns a polynomial that shares the other factor's
+    # term map, so no operation may write into the terms of an operand
+    rng = random.Random(17)
+    one = Polynomial.one(4)
+    scalars = [0, 1, -1, 2, Fraction(1, 2), Fraction(-3, 2)]
+    for _ in range(20):
+        ps = operands(rng)
+        before = [dict(p.terms) for p in ps]
+        for p in ps:
+            i = rng.randint(1, 3)
+            for q in ps + scalars:
+                p + q, q + p, p - q, q - p, p * q, q * p
+            -p, p ** 0, p ** 1, p ** 3, p / 2, p / Fraction(-2, 3)
+            p.split(i), p.demazure(i), p.swap(i)
+            # chains that start from results sharing p's terms
+            for r in (p * one, one * p, p * 1, 1 * p, p + 0, p - 0, p ** 1, p / 1):
+                assert r == p
+                for q in ps + scalars:
+                    r + q, q + r, r - q, q - r, r * q, q * r
+                pi0, pi1 = r.split(i)
+                assert pi0 + pi1 * x(i) == p
+                -r, r ** 2, r.demazure(i), r.swap(i), (r * one).split(i)
+        assert [p.terms for p in ps] == before
+
+
+def test_product_at_the_degree_limit():
+    assert (x(1) ** 1024 * x(1) ** 1023).degree() == 2 * MAX_DEGREE
+    assert ((x(1) ** 1024 + x(2)) * (x(1) ** 1023 - 1)).degree() == 2 * MAX_DEGREE
+    with pytest.raises(ExponentOverflowError):
+        x(1) ** 1024 * x(1) ** 1024
+    with pytest.raises(ExponentOverflowError):
+        (x(1) ** 1024 + x(2)) * (x(1) ** 1024 - 1)
+
+
 # -- symmetric group action ----------------------------------------------------
 
 
