@@ -16,8 +16,11 @@ word 123545321 of the element 123454321 (512 columns), with the package's
 cached tables cleared before each repeat.  The graph rows time, best of
 ``GRAPH_REPEAT`` runs and in nanoseconds, ``reduced_words``,
 ``build_rex_graph`` and ``build_conflated`` on the element 121321432154 of
-S_6 (5,775 words, 17,486 edges, 82 clouds) and the JSON emission of its
-``rexcalc graph --format json`` payload (``cli._emit``, into /dev/null).
+S_6 (5,775 words, 17,486 edges, 82 clouds) and the writing of its
+``rexcalc graph --format json`` document (``cli.write_expanded_json``, the
+writer ``cmd_graph`` uses, into /dev/null).  ``cold_import`` times
+``import rexcalc.cli`` in a fresh child interpreter, one child per repeat
+and best of ``IMPORT_REPEAT``: the import every CLI call pays once.
 The search rows time one ``fpc.check_fpc`` with its graphs and edge
 matrices already built by a first call, so they measure the path search
 alone: ``value_search`` on 12321, the S_4 counterexample, at bound 9
@@ -45,18 +48,17 @@ it: how many loops the operation costs on the CPU as fast as it was just
 then.  Compare runs and commits by ``per_meter_loop``; its noise is the
 drift between a meter reading and the repeat after it.
 
-Apart from clearing the cached tables, ``cli._emit`` and the pool
-wrapper, only public names are used, so the script runs unchanged against
-older versions of the package that intern columns in the search.
+Apart from clearing the cached tables and the pool wrapper, only public
+names are used.
 """
 
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import os
 import random
+import subprocess
 import sys
 import time
 
@@ -82,6 +84,9 @@ SEARCHES = {
 }
 
 METER_REPEAT = 20
+
+IMPORT_REPEAT = 10
+IMPORT_CHILD = "import time; start = time.perf_counter(); import rexcalc.cli; print(time.perf_counter() - start)"
 
 
 def meter() -> float:
@@ -167,19 +172,20 @@ def time_w0_rank5() -> tuple[float, float]:
     return float(printed), usage.ru_maxrss / 1024
 
 
+def time_cold_import() -> float:
+    """One ``import rexcalc.cli`` in a fresh child interpreter, in nanoseconds."""
+    child = subprocess.run([sys.executable, "-c", IMPORT_CHILD], capture_output=True, text=True, check=True)
+    return float(child.stdout) * 1e9
+
+
 def graph_layer_rows() -> dict:
     """Row name -> (one-run timer in nanoseconds, repeats) of the graph layer on GRAPH_WORD."""
     perm = word_to_perm(GRAPH_WORD, 6)
     rex = build_rex_graph(perm)
-    payload = {
-        "element": "121321432154",
-        "vertices": [list(w) for w in rex.words],
-        "edges": [{"source": list(u), "target": list(v), "kind": m.kind} for u, v, m in rex.edges],
-    }
 
     def emit_json():
-        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
-            cli._emit(payload, "json", ())
+        with open(os.devnull, "w") as sink:
+            cli.write_expanded_json(GRAPH_WORD, rex, sink)
 
     return {
         "reduced_words": (lambda: run_ns(lambda: reduced_words(perm), 1), GRAPH_REPEAT),
@@ -272,6 +278,7 @@ def main() -> int:
     for name, move in EDGE_MOVES.items():
         rows[name] = (lambda move=move: time_for_edge(move), args.repeat)
     rows.update(graph_layer_rows())
+    rows["cold_import"] = (time_cold_import, IMPORT_REPEAT)
     for name, (word, bound) in SEARCHES.items():
         fpc.check_fpc(word, bound, rank=RANK)  # builds its graphs and edge matrices
         rows[name] = (lambda word=word, bound=bound: time_value_search(word, bound), args.repeat)

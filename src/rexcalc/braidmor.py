@@ -51,8 +51,8 @@ time by ``polyring.tagged_image``, where a column holding a single entry
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bsbimod import BSElement, from_tensor, left_mul, right_mul
 from .polyring import Polynomial, Scalar, row_key, tag_column, tagged_image, untag_column
@@ -60,8 +60,7 @@ from .rexgraph import CONFLATED, EXPANDED, ConflatedGraph, Path, RexGraph, lift_
 from .symgroup import DISTANT, UP, BraidMove, Word, braid_moves
 
 
-@dataclass(frozen=True, eq=False)
-class LocalImageTable:
+class LocalImageTable(NamedTuple):
     """Images of all window basis tensors under one braid morphism."""
 
     rank: int

@@ -24,11 +24,10 @@ mask e in a length-k word sits in degree 2*popcount(e) - k.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
 from .polyring import Polynomial
-from .symgroup import Word
+from .symgroup import Frozen, Word
 
 
 def basis_degree(mask: int, k: int) -> int:
@@ -36,25 +35,21 @@ def basis_degree(mask: int, k: int) -> int:
     return 2 * int(mask).bit_count() - k
 
 
-@dataclass(frozen=True)
-class BSElement:
+class BSElement(Frozen):
     """An element of the Bott-Samelson bimodule of ``word`` in normal form."""
 
-    rank: int
-    word: Word
-    coeffs: Mapping[int, Polynomial] = field(default_factory=dict)
+    __slots__ = ("rank", "word", "coeffs")
 
-    def __post_init__(self):
+    def __init__(self, rank: int, word: Word, coeffs: Mapping[int, Polynomial] | None = None):
         clean = {}
-        for mask, c in self.coeffs.items():
-            if not 0 <= mask < (1 << len(self.word)):
-                raise ValueError(f"mask {mask} out of range for word of length {len(self.word)}")
-            if c.rank != self.rank:
+        for mask, c in (coeffs or {}).items():
+            if not 0 <= mask < (1 << len(word)):
+                raise ValueError(f"mask {mask} out of range for word of length {len(word)}")
+            if c.rank != rank:
                 raise ValueError("coefficient rank mismatch")
             if not c.is_zero():
                 clean[mask] = c
-        object.__setattr__(self, "coeffs", clean)
-        object.__setattr__(self, "word", tuple(self.word))
+        self._init(rank, tuple(word), clean)
 
     # -- constructors --------------------------------------------------------
 

@@ -174,6 +174,34 @@ def _dumps(value, newline: str = "\n") -> str:
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
+def write_expanded_json(word: Word, rex: RexGraph, out) -> None:
+    """Write the JSON of ``graph WORD --format json`` to ``out``, piece by piece.
+
+    The bytes are those of ``_dumps`` of the v1 payload {"edges": [{"kind",
+    "source", "target"}, ...], "element", "vertices": [word, ...]} and a
+    newline, but neither the payload nor the whole text is built: each
+    word's text inside an edge is built once and each edge is written
+    from two of them.
+    """
+    write = out.write
+    in_edge = {w: _dumps(w, "\n      ") for w in rex.words}
+    write('{\n  "edges": [')
+    sep = "\n"
+    for u, v, m in rex.edges:
+        write(
+            f'{sep}    {{\n      "kind": {_encode_str(m.kind)},\n      "source": {in_edge[u]},'
+            f'\n      "target": {in_edge[v]}\n    }}'
+        )
+        sep = ",\n"
+    write("\n  ]," if rex.edges else "],")
+    write(f'\n  "element": {_encode_str(word_label(word))},\n  "vertices": [')
+    sep = "\n    "
+    for w in rex.words:
+        write(sep + _dumps(w, "\n    "))
+        sep = ",\n    "
+    write("\n  ]\n}\n")
+
+
 def _emit(payload, fmt: str, text_lines) -> None:
     # text_lines may be lazy: it is read only for text output
     if fmt == "json":
@@ -189,6 +217,9 @@ def cmd_graph(args) -> int:
     conf = build_conflated(rex) if args.conflated else None
     if args.format == "dot":
         print(to_dot(conf or rex))
+        return EXIT_OK
+    if args.format == "json" and not args.conflated:
+        write_expanded_json(word, rex, sys.stdout)
         return EXIT_OK
     if args.conflated:
         payload = {
@@ -211,14 +242,7 @@ def cmd_graph(args) -> int:
             ),
         )
     else:
-        payload = {
-            "element": word_label(word),
-            "vertices": [list(w) for w in rex.words],
-            "edges": [
-                {"source": list(u), "target": list(v), "kind": m.kind}
-                for u, v, m in rex.edges
-            ],
-        }
+        payload = None  # text only: the JSON is written above
         lines = chain(
             [f"expanded graph of {word_label(word)} (rank {rank})"],
             (f"  {word_label(w)}" for w in rex.words),

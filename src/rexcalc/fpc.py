@@ -32,8 +32,8 @@ element 12321, and the family of line-graph counterexamples."""
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
 from functools import lru_cache
+from typing import NamedTuple
 
 from .bsbimod import BSElement, dot_cap, from_tensor
 from .braidmor import ConflatedMorphisms, MorphismMatrix, path_morphism
@@ -100,8 +100,7 @@ def _element_calculus(perm: Permutation):
     return rex, conf, ConflatedMorphisms(rex, conf)
 
 
-@dataclass(frozen=True)
-class PathPairWitness:
+class PathPairWitness(NamedTuple):
     """Two same-endpoint paths with a basis column separating their matrices."""
 
     start: Word
@@ -124,8 +123,7 @@ class PathPairWitness:
         }
 
 
-@dataclass(frozen=True)
-class FpcVerdict:
+class FpcVerdict(NamedTuple):
     element: Word
     bound: int
     holds: bool
@@ -331,8 +329,7 @@ def check_refined_conjecture(n: int, max_len: int, budget: int | None = None) ->
 # -- the S_4 counterexample ---------------------------------------------------
 
 
-@dataclass(frozen=True)
-class CounterexampleReport:
+class CounterexampleReport(NamedTuple):
     """Exact reproduction of the two loop morphisms at 13231 separating on x."""
 
     word: Word
@@ -423,8 +420,7 @@ def reproduce_counterexample() -> CounterexampleReport:
 # -- longest-element identities -----------------------------------------------
 
 
-@dataclass(frozen=True)
-class ZamReport:
+class ZamReport(NamedTuple):
     rank: int
     zzz: bool  # Z Zb Z == Z
     zbz_zb: bool  # Zb Z Zb == Zb
@@ -504,9 +500,8 @@ def check_dud_udu_all(n: int) -> bool:
 # -- equivalence lemmas -------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LemmaReport:
-    results: dict[str, bool] = field(default_factory=dict)
+class LemmaReport(NamedTuple):
+    results: dict[str, bool]
 
     @property
     def all_hold(self) -> bool:
@@ -611,8 +606,7 @@ def classify_shape(conf: ConflatedGraph) -> str:
     return f"other({v},{e})"
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     label: Word  # lexicographically least reduced word of the element
     shape: str
     expected_shape: str
@@ -633,8 +627,7 @@ class SweepRow:
         }
 
 
-@dataclass(frozen=True)
-class SweepReport:
+class SweepReport(NamedTuple):
     rows: tuple[SweepRow, ...]
 
     @property
@@ -673,8 +666,7 @@ def check_s4_sweep(budget: int | None = None) -> SweepReport:
 # -- the family of line counterexamples ---------------------------------------
 
 
-@dataclass(frozen=True)
-class FamilyReport:
+class FamilyReport(NamedTuple):
     """The two sweeping paths on the line graph of 1 2 .. (n-1) .. 2 1."""
 
     word: Word

@@ -28,16 +28,16 @@ built once from its edges; every accessor and walker reads it.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .symgroup import (
     DISTANT,
     UP,
     BraidMove,
+    Frozen,
     Permutation,
     Word,
     braid_closure,
@@ -66,17 +66,15 @@ class UnsupportedElementError(ValueError):
     """Raised for operations only defined on specific elements."""
 
 
-@dataclass(frozen=True)
-class Path:
+class Path(Frozen):
     """A walk given by its vertex sequence; length counts vertices."""
 
-    kind: str
-    vertices: tuple[Word, ...]
+    __slots__ = ("kind", "vertices")
 
-    def __post_init__(self):
-        if self.kind not in (EXPANDED, CONFLATED):
-            raise ValueError(f"unknown graph kind {self.kind!r}")
-        object.__setattr__(self, "vertices", tuple(tuple(v) for v in self.vertices))
+    def __init__(self, kind: str, vertices: Sequence[Word]):
+        if kind not in (EXPANDED, CONFLATED):
+            raise ValueError(f"unknown graph kind {kind!r}")
+        self._init(kind, tuple(tuple(v) for v in vertices))
 
     def __len__(self) -> int:
         return len(self.vertices)
@@ -90,17 +88,27 @@ class Path:
         return self.vertices[-1]
 
 
-@dataclass(frozen=True, eq=False)
-class RexGraph:
-    """Expanded expressions graph: reduced words joined by braid moves."""
+class RexGraph(Frozen):
+    """Expanded expressions graph: reduced words joined by braid moves.
 
-    rank: int
-    element: Permutation
-    words: tuple[Word, ...]
-    # canonical edge list: u < v lexicographically, move rewrites u into v
-    edges: tuple[tuple[Word, Word, BraidMove], ...]
-    # adjacency[u] lists (v, move u -> v) sorted by v
-    adjacency: dict[Word, tuple[tuple[Word, BraidMove], ...]] = field(repr=False)
+    ``edges`` is the canonical edge list: u < v lexicographically, and
+    the move rewrites u into v.  ``adjacency[u]`` lists (v, move u -> v)
+    sorted by v.  Two graphs are equal only if they are one object.
+    """
+
+    __slots__ = ("rank", "element", "words", "edges", "adjacency")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        rank: int,
+        element: Permutation,
+        words: tuple[Word, ...],
+        edges: tuple[tuple[Word, Word, BraidMove], ...],
+        adjacency: dict[Word, tuple[tuple[Word, BraidMove], ...]],
+    ):
+        self._init(rank, element, words, edges, adjacency)
 
     def neighbors(self, w: Word) -> tuple[tuple[Word, BraidMove], ...]:
         return self.adjacency[w]
@@ -114,14 +122,13 @@ class RexGraph:
         return distant, len(self.edges) - distant
 
 
-@dataclass(frozen=True)
-class Cloud:
+class Cloud(Frozen):
     """A distant-edge connected component; the representative is lex-least."""
 
-    members: tuple[Word, ...]
+    __slots__ = ("members",)
 
-    def __post_init__(self):
-        object.__setattr__(self, "members", tuple(sorted(tuple(w) for w in self.members)))
+    def __init__(self, members: Sequence[Word]):
+        self._init(tuple(sorted(tuple(w) for w in members)))
 
     @property
     def representative(self) -> Word:
@@ -137,8 +144,7 @@ class Cloud:
         return word_label(self.representative)
 
 
-@dataclass(frozen=True)
-class ConflatedEdge:
+class ConflatedEdge(NamedTuple):
     """An oriented cloud edge with its retained expanded representative."""
 
     source: Cloud
@@ -148,17 +154,28 @@ class ConflatedEdge:
     move: BraidMove  # the up move expanded_source -> expanded_target
 
 
-@dataclass(frozen=True, eq=False)
-class ConflatedGraph:
-    """Quotient of the expanded graph by distant edges, MS-oriented."""
+class ConflatedGraph(Frozen):
+    """Quotient of the expanded graph by distant edges, MS-oriented.
 
-    rank: int
-    element: Permutation
-    clouds: tuple[Cloud, ...]
-    edges: tuple[ConflatedEdge, ...]
-    cloud_of: dict[Word, Cloud] = field(repr=False)
-    source: Cloud | None
-    sink: Cloud | None
+    Two graphs are equal only if they are one object.  The ``__dict__``
+    slot holds the cached ``links``.
+    """
+
+    __slots__ = ("rank", "element", "clouds", "edges", "cloud_of", "source", "sink", "__dict__")
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __init__(
+        self,
+        rank: int,
+        element: Permutation,
+        clouds: tuple[Cloud, ...],
+        edges: tuple[ConflatedEdge, ...],
+        cloud_of: dict[Word, Cloud],
+        source: Cloud | None,
+        sink: Cloud | None,
+    ):
+        self._init(rank, element, clouds, edges, cloud_of, source, sink)
 
     def cloud(self, word) -> Cloud:
         return self.cloud_of[tuple(word)]

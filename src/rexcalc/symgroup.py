@@ -27,21 +27,65 @@ so every word of a graph shares the few instances of each position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cache, reduce
 
 Word = tuple[int, ...]
 
 
-@dataclass(frozen=True)
-class Permutation:
+class Frozen:
+    """Base of the package's records: slots set once, in ``__init__``.
+
+    A record names its fields in ``__slots__`` and ``__init__`` sets them,
+    in that order, through ``_init``; assigning or deleting an attribute
+    afterwards raises AttributeError.  Records compare and hash by their
+    fields, in slot order, and print as ``Name(field=value, ...)``; a class
+    that sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``
+    compares by identity instead, and one that lists a ``__dict__`` slot can
+    hold a ``cached_property``.
+    """
+
+    __slots__ = ()
+
+    def _init(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r} of {type(self).__name__}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
+
+    def _values(self) -> tuple:
+        # a __dict__ slot is not a field
+        return tuple(getattr(self, name) for name in self.__slots__ if name != "__dict__")
+
+    def __reduce__(self):
+        # copy and pickle rebuild a record through __init__, as __setattr__ refuses
+        return type(self), self._values()
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        return f"{type(self).__qualname__}({fields})"
+
+
+class Permutation(Frozen):
     """A permutation of {1..n} in one-line notation: images[i-1] = w(i)."""
 
-    images: tuple[int, ...]
+    __slots__ = ("images",)
 
-    def __post_init__(self):
-        if sorted(self.images) != list(range(1, len(self.images) + 1)):
-            raise ValueError(f"{self.images} is not a permutation of 1..{len(self.images)}")
+    def __init__(self, images: tuple[int, ...]):
+        if sorted(images) != list(range(1, len(images) + 1)):
+            raise ValueError(f"{images} is not a permutation of 1..{len(images)}")
+        self._init(images)
 
     @property
     def n(self) -> int:
@@ -91,8 +135,7 @@ UP = "up"
 DOWN = "down"
 
 
-@dataclass(frozen=True)
-class BraidMove:
+class BraidMove(Frozen):
     """A single braid relation applied at a 0-based position of a word.
 
     Kinds:
@@ -104,16 +147,15 @@ class BraidMove:
     adjacent edges.
     """
 
-    position: int
-    kind: str
-    i: int
-    j: int = 0  # second letter, distant moves only
+    __slots__ = ("position", "kind", "i", "j")
 
-    def __post_init__(self):
-        if self.kind not in (DISTANT, UP, DOWN):
-            raise ValueError(f"unknown move kind {self.kind!r}")
-        if self.kind == DISTANT and abs(self.i - self.j) < 2:
-            raise ValueError(f"letters {self.i}, {self.j} are not distant")
+    def __init__(self, position: int, kind: str, i: int, j: int = 0):
+        # j is the second letter, distant moves only
+        if kind not in (DISTANT, UP, DOWN):
+            raise ValueError(f"unknown move kind {kind!r}")
+        if kind == DISTANT and abs(i - j) < 2:
+            raise ValueError(f"letters {i}, {j} are not distant")
+        self._init(position, kind, i, j)
 
     @property
     def width(self) -> int:

@@ -17,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from rexcalc import cli, fpc
 from rexcalc.cli import _dumps, main, parse_word
-from rexcalc.rexgraph import build_rex_graph
-from rexcalc.symgroup import MAX_REDUCED_WORDS
+from rexcalc.rexgraph import build_rex_graph, word_label
+from rexcalc.symgroup import MAX_REDUCED_WORDS, word_to_perm
 
 
 def run(capsys, *argv):
@@ -471,6 +471,21 @@ def test_closed_stdout_exits_quietly():
         assert proc.returncode == 0
         assert "Traceback" not in proc.stderr
         assert proc.stderr == ""
+    # the reader goes away partway through a 6.8 MB graph document
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rexcalc.cli", "graph", "121321432154", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    head = proc.stdout.read(100_000)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head.startswith(b'{\n  "edges": [\n    {\n      "kind": "distant",\n')
+    assert stderr == b""
 
 
 def test_element_term_product_is_a_usage_error():
@@ -619,6 +634,41 @@ def assert_same_text(got: str, want: str, label: str) -> None:
         pytest.fail(f"{label}: text differs at {at}: {got[lo:at + 30]!r} != {want[lo:at + 30]!r}")
 
 
+def expanded_graph_payload(word: str, rank: int | None = None) -> dict:
+    """The v1 JSON payload of ``rexcalc graph WORD [--rank RANK] --format json``, as a dict."""
+    letters = parse_word(word)
+    rank = rank or (max(letters) + 1 if letters else 2)
+    rex = build_rex_graph(word_to_perm(letters, rank))
+    return {
+        "element": word_label(letters),
+        "vertices": [list(w) for w in rex.words],
+        "edges": [{"source": list(u), "target": list(v), "kind": m.kind} for u, v, m in rex.edges],
+    }
+
+
+@pytest.mark.parametrize(
+    "word, rank",
+    [("e", 3), ("1", None), ("2", 4), ("13", None), ("12321", None), ("121321", None), ("1213214321", None)],
+)
+def test_expanded_graph_json_matches_json_dumps(capsys, word, rank):
+    argv = ["graph", word, "--format", "json"] + ([] if rank is None else ["--rank", str(rank)])
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    reference = json.dumps(expanded_graph_payload(word, rank), indent=2, sort_keys=True) + "\n"
+    assert_same_text(out, reference, " ".join(argv))
+
+
+def test_cli_import_loads_neither_dataclasses_nor_inspect():
+    # every CLI call is a fresh process, and the two cost about 20 ms to import
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = "import sys, rexcalc.cli; print(sorted({'dataclasses', 'inspect'} & set(sys.modules)))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
 def test_dumps_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
     payloads = []
     emit = cli._emit
@@ -636,6 +686,9 @@ def test_dumps_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
         assert sha256(out.encode()).hexdigest() == EXPECTED[command]["sha256"], command
         if "--format dot" in command:
             continue
+        if command.startswith("graph") and "--conflated" not in command:
+            # the expanded graph is streamed by its own writer, not through _emit
+            payloads.append(expanded_graph_payload(command.split()[1]))
         assert len(payloads) == before + 1, command
         payload = payloads[-1]
         reference = _reference_dumps(payload)

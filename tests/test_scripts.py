@@ -62,3 +62,11 @@ def test_bench_polyring_clears_its_tables_and_times_an_edge_row():
     script = load_script("bench_polyring")
     script.clear_tables()
     assert script.time_for_edge(script.EDGE_MOVES["for_edge_adjacent"]) > 0
+
+
+def test_bench_polyring_times_a_cold_import_and_the_graph_writer(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
+    script = load_script("bench_polyring")
+    assert script.time_cold_import() > 0
+    once, _ = script.graph_layer_rows()["emit_graph_json"]
+    assert once() > 0
