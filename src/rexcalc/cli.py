@@ -156,9 +156,11 @@ def _dumps(value, newline: str = "\n") -> str:
 
     Python's json module falls back to its pure-Python encoder whenever
     indent is set.  Strings, ints and non-empty lists, tuples and
-    str-keyed dicts are written here; any other value goes to json.dumps
-    and is re-indented to its depth, which is exactly how nested values
-    are indented there.
+    str-keyed dicts are written here.  A report record (a NamedTuple) is
+    written as the object of its fields, so its field names are the JSON
+    keys, and a ``BSElement`` as its ``to_json`` form.  Any other value
+    goes to json.dumps and is re-indented to its depth, which is exactly
+    how nested values are indented there.
     """
     if type(value) is str:
         return _encode_str(value)
@@ -171,6 +173,10 @@ def _dumps(value, newline: str = "\n") -> str:
     if type(value) is dict and value and all(type(k) is str for k in value):
         items = [_encode_str(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items())]
         return "{" + inner + ("," + inner).join(items) + newline + "}"
+    if hasattr(value, "_asdict"):
+        return _dumps(value._asdict(), newline)
+    if type(value) is BSElement:
+        return _dumps(value.to_json(), newline)
     return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
 
 
@@ -243,10 +249,11 @@ def cmd_graph(args) -> int:
         )
     else:
         payload = None  # text only: the JSON is written above
+        label = {w: word_label(w) for w in rex.words}
         lines = chain(
             [f"expanded graph of {word_label(word)} (rank {rank})"],
-            (f"  {word_label(w)}" for w in rex.words),
-            (f"  {word_label(u)} -- {word_label(v)} [{m.kind}]" for u, v, m in rex.edges),
+            (f"  {text}" for text in label.values()),
+            (f"  {label[u]} -- {label[v]} [{m.kind}]" for u, v, m in rex.edges),
         )
     _emit(payload, args.format, lines)
     return EXIT_OK
@@ -272,8 +279,8 @@ def cmd_eval(args) -> int:
     image = path_morphism(expanded, rank).apply(element)
     payload = {
         "path": [list(v) for v in path.vertices],
-        "element": element.to_json(),
-        "image": image.to_json(),
+        "element": element,
+        "image": image,
     }
     _emit(payload, args.format, [f"image: {image}", f"over word {word_label(image.word)}"])
     return EXIT_OK
@@ -312,7 +319,7 @@ def cmd_verify(args) -> int:
             raise UsageError("the zam suite runs at rank 3 or 4")
         report = fpc.check_zam_identities(n)
         dud = fpc.check_dud_udu_all(n)
-        payload = {**report.to_json(), "dud_equals_udu_all_pairs": dud}
+        payload = {**report._asdict(), "dud_equals_udu_all_pairs": dud}
         _emit(
             payload,
             fmt,
@@ -322,33 +329,29 @@ def cmd_verify(args) -> int:
     if suite == "lemmas":
         _refuse_unread(args, "rank", "max_len", "word")
         report = fpc.check_equivalence_lemmas(budget)
-        _emit(
-            report.to_json(),
-            fmt,
-            [f"{name}: {ok}" for name, ok in report.results.items()],
-        )
+        _emit(report.results, fmt, [f"{name}: {ok}" for name, ok in report.results.items()])
         return EXIT_OK if report.all_hold else EXIT_UNEXPECTED
     if suite == "fpc-s4":
         _refuse_unread(args, "rank", "max_len", "word")
         sweep = fpc.check_s4_sweep(budget=budget)
         lines = []
         for r in sweep.rows:
-            status = "holds" if r.verdict.holds else "counterexample"
+            status = "holds" if r.holds else "counterexample"
             mark = "" if r.as_expected else "  UNEXPECTED"
             lines.append(
-                f"{word_label(r.label):>8}  {SHAPE_DISPLAY.get(r.shape, r.shape):>9}  {status}{mark}"
+                f"{word_label(r.element):>8}  {SHAPE_DISPLAY.get(r.shape, r.shape):>9}  {status}{mark}"
             )
         lines.append(f"all as expected: {sweep.all_expected}")
-        _emit(sweep.to_json(), fmt, lines)
+        _emit(sweep, fmt, lines)
         return EXIT_OK if sweep.all_expected else EXIT_UNEXPECTED
     if suite == "family":
         if args.word is not None:
             # exploratory mode: run the bounded comparison on a given element
             word, rank = _resolve_config(args)
-            _, conf, _ = fpc._calculus(word, rank)
+            conf = fpc._calculus(word, rank).conflated
             bound = fpc.sweep_max_len(len(conf.clouds)) if args.max_len is None else args.max_len
             verdict = fpc.check_fpc(word, bound, rank=rank, budget=budget)
-            _emit(verdict.to_json(), fmt, _verdict_lines(verdict))
+            _emit(verdict, fmt, _verdict_lines(verdict))
             return EXIT_OK
         if args.max_len is not None:
             raise UsageError("the family suite reads --max-len only with --word")
@@ -360,11 +363,11 @@ def cmd_verify(args) -> int:
             f"  path b: {' -> '.join(word_label(x) for x in report.path_b)}",
             f"  morphisms differ: {report.morphisms_differ}",
         ]
-        payload = report.to_json()
+        payload = report
         if n == 4:
             img_long, img_short = fpc.family_extra_pair(4)
             extra = img_long != img_short
-            payload["extra_pair_differs"] = extra
+            payload = {**report._asdict(), "extra_pair_differs": extra}
             lines.append(f"  source-start pair separates on 1 (x) x2 (x) 1 ...: {extra}")
             ok = report.morphisms_differ and extra
         else:
@@ -381,7 +384,7 @@ def cmd_verify(args) -> int:
         lines = _verdict_lines(verdict)
         if not verdict.holds:
             lines.insert(0, "UNEXPECTED: refined conjecture violated; please report this run")
-        _emit(verdict.to_json(), fmt, lines)
+        _emit(verdict, fmt, lines)
         return EXIT_OK if verdict.holds else EXIT_UNEXPECTED
     raise UsageError(f"unknown suite {suite!r}")
 

@@ -88,16 +88,15 @@ def _budget_in_force(budget: int | None) -> tuple[int, str]:
     return limit, source
 
 
-def _calculus(word: Word, rank: int):
-    """Expanded graph, conflated graph and edge matrices of the element a word spells."""
+def _calculus(word: Word, rank: int) -> ConflatedMorphisms:
+    """Edge matrices of the element a word spells, over its expanded and conflated graphs."""
     return _element_calculus(word_to_perm(word, rank))
 
 
 @lru_cache(maxsize=8)
-def _element_calculus(perm: Permutation):
+def _element_calculus(perm: Permutation) -> ConflatedMorphisms:
     rex = build_rex_graph(perm)
-    conf = build_conflated(rex)
-    return rex, conf, ConflatedMorphisms(rex, conf)
+    return ConflatedMorphisms(rex, build_conflated(rex))
 
 
 class PathPairWitness(NamedTuple):
@@ -111,31 +110,12 @@ class PathPairWitness(NamedTuple):
     image_a: BSElement
     image_b: BSElement
 
-    def to_json(self) -> dict:
-        return {
-            "start": list(self.start),
-            "end": list(self.end),
-            "path_a": [list(v) for v in self.path_a],
-            "path_b": [list(v) for v in self.path_b],
-            "witness_mask": self.witness_mask,
-            "image_a": self.image_a.to_json(),
-            "image_b": self.image_b.to_json(),
-        }
-
 
 class FpcVerdict(NamedTuple):
     element: Word
     bound: int
     holds: bool
     counterexample: PathPairWitness | None = None
-
-    def to_json(self) -> dict:
-        return {
-            "element": list(self.element),
-            "bound": self.bound,
-            "holds": self.holds,
-            "counterexample": None if self.counterexample is None else self.counterexample.to_json(),
-        }
 
 
 class _MatrixPool:
@@ -305,7 +285,8 @@ def check_fpc(word, max_len: int, rank: int, budget: int | None = None) -> FpcVe
     word = tuple(word)
     if not is_reduced(word, rank):
         raise ValueError(f"word {word} is not reduced")
-    rex, conf, cm = _calculus(word, rank)
+    cm = _calculus(word, rank)
+    conf = cm.conflated
     if max_len < len(conf.clouds):
         raise ValueError(f"max_len {max_len} below vertex count {len(conf.clouds)}")
     bit = {r: 1 << i for i, r in enumerate(conf.links)}
@@ -320,8 +301,8 @@ def check_refined_conjecture(n: int, max_len: int, budget: int | None = None) ->
     visiting it sets both flags.
     """
     word = longest_element(n)
-    rex, conf, cm = _calculus(word, n)
-    s, t = source_sink(conf)
+    cm = _calculus(word, n)
+    s, t = source_sink(cm.conflated)
     sr, tr = s.representative, t.representative
     return _value_search(word, max_len, cm, lambda v: (v == sr) | (v == tr) << 1, 3, budget)
 
@@ -341,19 +322,6 @@ class CounterexampleReport(NamedTuple):
     matrices_differ: bool
     dots_a: BSElement  # image under caps on both outer factors, in B_3 B_2 B_3
     dots_b: BSElement
-
-    def to_json(self) -> dict:
-        return {
-            "word": list(self.word),
-            "element": self.element.to_json(),
-            "path_a": [list(v) for v in self.path_a.vertices],
-            "path_b": [list(v) for v in self.path_b.vertices],
-            "image_a": self.image_a.to_json(),
-            "image_b": self.image_b.to_json(),
-            "matrices_differ": self.matrices_differ,
-            "dots_a": self.dots_a.to_json(),
-            "dots_b": self.dots_b.to_json(),
-        }
 
 
 COUNTEREXAMPLE_PATH_A = Path(
@@ -422,30 +390,22 @@ def reproduce_counterexample() -> CounterexampleReport:
 
 class ZamReport(NamedTuple):
     rank: int
-    zzz: bool  # Z Zb Z == Z
-    zbz_zb: bool  # Zb Z Zb == Zb
-    idempotent: bool  # (Zb Z)^2 == Zb Z
-    proper: bool  # Zb Z != identity
+    z_zb_z_equals_z: bool
+    zb_z_zb_equals_zb: bool
+    zb_z_idempotent: bool  # (Zb Z)^2 == Zb Z
+    zb_z_proper: bool  # Zb Z != identity
 
     @property
     def all_hold(self) -> bool:
-        return self.zzz and self.zbz_zb and self.idempotent and self.proper
-
-    def to_json(self) -> dict:
-        return {
-            "rank": self.rank,
-            "z_zb_z_equals_z": self.zzz,
-            "zb_z_zb_equals_zb": self.zbz_zb,
-            "zb_z_idempotent": self.idempotent,
-            "zb_z_proper": self.proper,
-        }
+        return self.z_zb_z_equals_z and self.zb_z_zb_equals_zb and self.zb_z_idempotent and self.zb_z_proper
 
 
 def _zam_runs(n: int):
     """Conflated graph of the longest element of S_n, the representatives of
     its source and sink, and the matrix of the lex-least oriented run
     between two vertices."""
-    rex, conf, cm = _calculus(longest_element(n), n)
+    cm = _calculus(longest_element(n), n)
+    conf = cm.conflated
     s, t = source_sink(conf)
 
     def run(x: Word, y: Word, direction: str) -> MorphismMatrix:
@@ -466,10 +426,10 @@ def check_zam_identities(n: int) -> ZamReport:
     zbz = zb.compose(z)
     return ZamReport(
         rank=n,
-        zzz=z.compose(zb).compose(z) == z,
-        zbz_zb=zb.compose(z).compose(zb) == zb,
-        idempotent=zbz.compose(zbz) == zbz,
-        proper=zbz != MorphismMatrix.identity(zbz.domain, n),
+        z_zb_z_equals_z=z.compose(zb).compose(z) == z,
+        zb_z_zb_equals_zb=zb.compose(z).compose(zb) == zb,
+        zb_z_idempotent=zbz.compose(zbz) == zbz,
+        zb_z_proper=zbz != MorphismMatrix.identity(zbz.domain, n),
     )
 
 
@@ -507,9 +467,6 @@ class LemmaReport(NamedTuple):
     def all_hold(self) -> bool:
         return all(self.results.values())
 
-    def to_json(self) -> dict:
-        return dict(self.results)
-
 
 def check_equivalence_lemmas(budget: int | None = None) -> LemmaReport:
     """Verify the small-path equivalences by exact matrix equality.
@@ -521,33 +478,28 @@ def check_equivalence_lemmas(budget: int | None = None) -> LemmaReport:
     confirms the full statement for 23121 and 12312.
     """
     results: dict[str, bool] = {}
-    rex, conf, cm = _calculus(longest_element(4), 4)
-    s, t = source_sink(conf)
-    sr, tr = s.representative, t.representative
-    a = conf.cloud((2, 1, 2, 3, 2, 1)).representative
-    b = conf.cloud((2, 1, 3, 2, 3, 1)).representative
-    c = conf.cloud((2, 3, 2, 1, 2, 3)).representative
 
-    def eq(p, q):
+    def eq(cm: ConflatedMorphisms, p, q) -> bool:
         return cm.path_matrix(p) == cm.path_matrix(q)
 
-    results["w04: [A,B,A,B] == [A,B]"] = eq([a, b, a, b], [a, b])
-    results["w04: [B,A,B,A] == [B,A]"] = eq([b, a, b, a], [b, a])
-    results["w04: [B,C,B,C] == [B,C]"] = eq([b, c, b, c], [b, c])
-    results["w04: [A,B,C,B,A,B,C] == [A,B,C]"] = eq([a, b, c, b, a, b, c], [a, b, c])
+    cm = _calculus(longest_element(4), 4)
+    a, b, c = (
+        cm.conflated.cloud(w).representative
+        for w in ((2, 1, 2, 3, 2, 1), (2, 1, 3, 2, 3, 1), (2, 3, 2, 1, 2, 3))
+    )
+    results["w04: [A,B,A,B] == [A,B]"] = eq(cm, [a, b, a, b], [a, b])
+    results["w04: [B,A,B,A] == [B,A]"] = eq(cm, [b, a, b, a], [b, a])
+    results["w04: [B,C,B,C] == [B,C]"] = eq(cm, [b, c, b, c], [b, c])
+    results["w04: [A,B,C,B,A,B,C] == [A,B,C]"] = eq(cm, [a, b, c, b, a, b, c], [a, b, c])
 
-    rex5, conf5, cm5 = _calculus((2, 3, 1, 2, 1), 4)
-    s5, t5 = source_sink(conf5)
-    cc = next(cl for cl in conf5.clouds if cl not in (s5, t5)).representative
-    ss, tt = s5.representative, t5.representative
-
-    def eq5(p, q):
-        return cm5.path_matrix(p) == cm5.path_matrix(q)
-
-    results["23121: P1 == P2"] = eq5([ss, cc, tt, cc], [ss, cc, tt, cc, ss, cc])
-    results["23121: Q1 == Q2"] = eq5([cc, ss, cc, tt, cc], [cc, tt, cc, ss, cc])
-    results["23121: Q3 == Q1"] = eq5([cc, ss, cc, tt, cc, ss, cc], [cc, ss, cc, tt, cc])
-    results["23121: Q4 == Q2"] = eq5([cc, tt, cc, ss, cc, tt, cc], [cc, tt, cc, ss, cc])
+    cm = _calculus((2, 3, 1, 2, 1), 4)
+    s, t = source_sink(cm.conflated)
+    cc = next(cl for cl in cm.conflated.clouds if cl not in (s, t)).representative
+    ss, tt = s.representative, t.representative
+    results["23121: P1 == P2"] = eq(cm, [ss, cc, tt, cc], [ss, cc, tt, cc, ss, cc])
+    results["23121: Q1 == Q2"] = eq(cm, [cc, ss, cc, tt, cc], [cc, tt, cc, ss, cc])
+    results["23121: Q3 == Q1"] = eq(cm, [cc, ss, cc, tt, cc, ss, cc], [cc, ss, cc, tt, cc])
+    results["23121: Q4 == Q2"] = eq(cm, [cc, tt, cc, ss, cc, tt, cc], [cc, tt, cc, ss, cc])
 
     for word in ((2, 3, 1, 2, 1), (1, 2, 3, 1, 2)):
         holds = check_fpc(word, 9, rank=4, budget=budget).holds
@@ -607,35 +559,16 @@ def classify_shape(conf: ConflatedGraph) -> str:
 
 
 class SweepRow(NamedTuple):
-    label: Word  # lexicographically least reduced word of the element
+    element: Word  # lexicographically least reduced word of the element
     shape: str
     expected_shape: str
-    verdict: FpcVerdict
-
-    @property
-    def as_expected(self) -> bool:
-        expect_holds = word_to_perm(self.label, 4) != word_to_perm(FAILING_S4_WORD, 4)
-        return self.shape == self.expected_shape and self.verdict.holds == expect_holds
-
-    def to_json(self) -> dict:
-        return {
-            "element": list(self.label),
-            "shape": self.shape,
-            "expected_shape": self.expected_shape,
-            "holds": self.verdict.holds,
-            "as_expected": self.as_expected,
-        }
+    holds: bool  # all compared complete paths agree
+    as_expected: bool  # the shape is the table's and only 12321 fails
 
 
 class SweepReport(NamedTuple):
     rows: tuple[SweepRow, ...]
-
-    @property
-    def all_expected(self) -> bool:
-        return all(r.as_expected for r in self.rows)
-
-    def to_json(self) -> dict:
-        return {"rows": [r.to_json() for r in self.rows], "all_expected": self.all_expected}
+    all_expected: bool
 
 
 def sweep_max_len(cloud_count: int) -> int:
@@ -647,20 +580,23 @@ def check_s4_sweep(budget: int | None = None) -> SweepReport:
     expected_by_perm = {
         word_to_perm(w, 4): shape for w, shape in S4_TABLE.items()
     }
+    failing = word_to_perm(FAILING_S4_WORD, 4)
     rows = []
     for perm in all_permutations(4):
-        rex, conf, _ = _element_calculus(perm)
-        label = rex.words[0]
-        verdict = check_fpc(label, sweep_max_len(len(conf.clouds)), rank=4, budget=budget)
+        cm = _element_calculus(perm)
+        label = cm.graph.words[0]
+        shape, expected_shape = classify_shape(cm.conflated), expected_by_perm[perm]
+        holds = check_fpc(label, sweep_max_len(len(cm.conflated.clouds)), rank=4, budget=budget).holds
         rows.append(
             SweepRow(
-                label=label,
-                shape=classify_shape(conf),
-                expected_shape=expected_by_perm[perm],
-                verdict=verdict,
+                element=label,
+                shape=shape,
+                expected_shape=expected_shape,
+                holds=holds,
+                as_expected=shape == expected_shape and holds == (perm != failing),
             )
         )
-    return SweepReport(tuple(rows))
+    return SweepReport(tuple(rows), all(r.as_expected for r in rows))
 
 
 # -- the family of line counterexamples ---------------------------------------
@@ -679,19 +615,6 @@ class FamilyReport(NamedTuple):
     image_a: BSElement | None
     image_b: BSElement | None
 
-    def to_json(self) -> dict:
-        return {
-            "word": list(self.word),
-            "rank": self.rank,
-            "line": [list(v) for v in self.line],
-            "path_a": [list(v) for v in self.path_a],
-            "path_b": [list(v) for v in self.path_b],
-            "morphisms_differ": self.morphisms_differ,
-            "witness_mask": self.witness_mask,
-            "image_a": None if self.image_a is None else self.image_a.to_json(),
-            "image_b": None if self.image_b is None else self.image_b.to_json(),
-        }
-
 
 def family_word(n: int) -> Word:
     """The word 1 2 .. (n-1) .. 2 1 whose conflated graph is a line."""
@@ -703,7 +626,8 @@ def check_family(n: int) -> FamilyReport:
     if not 3 <= n <= 6:
         raise ValueError("the family check runs at desk scale, 3 <= n <= 6")
     word = family_word(n)
-    rex, conf, cm = _calculus(word, n)
+    cm = _calculus(word, n)
+    conf = cm.conflated
     s, t = source_sink(conf)
     reps = tuple(oriented_run(conf, s.representative, t.representative, "down"))
     if len(reps) != len(conf.clouds):
@@ -738,9 +662,9 @@ def family_extra_pair(n: int = 4) -> tuple[BSElement, BSElement]:
     morphisms, distinguished already by this single element.
     """
     word = family_word(n)
-    rex, conf, cm = _calculus(word, n)
-    s, t = source_sink(conf)
-    c = next(cl for cl in conf.clouds if cl not in (s, t)).representative
+    cm = _calculus(word, n)
+    s, t = source_sink(cm.conflated)
+    c = next(cl for cl in cm.conflated.clouds if cl not in (s, t)).representative
     sr, tr = s.representative, t.representative
     one = Polynomial.one(n)
     elem = from_tensor(
@@ -756,8 +680,8 @@ def family_extra_pair(n: int = 4) -> tuple[BSElement, BSElement]:
 
 def check_simplify_soundness(n: int = 4, max_len: int = 10) -> bool:
     """f(simplify(p)) == f(p) for complete paths with a direct subpath."""
-    word = longest_element(n)
-    rex, conf, cm = _calculus(word, n)
+    cm = _calculus(longest_element(n), n)
+    conf = cm.conflated
     pool = _MatrixPool(*_budget_in_force(None))
     for a in conf.links:
         for z in conf.links:

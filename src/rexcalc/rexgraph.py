@@ -485,15 +485,15 @@ def to_dot(graph) -> str:
     """Graphviz text: distant edges dashed and undirected, adjacent solid arrows."""
     lines = ["digraph rexgraph {"]
     if isinstance(graph, RexGraph):
-        for w in graph.words:
-            lines.append(f'  "{word_label(w)}";')
+        label = {w: word_label(w) for w in graph.words}
+        lines += [f'  "{text}";' for text in label.values()]
         for u, v, move in graph.edges:
             if move.kind == DISTANT:
-                lines.append(f'  "{word_label(u)}" -> "{word_label(v)}" [style=dashed, dir=none];')
+                lines.append(f'  "{label[u]}" -> "{label[v]}" [style=dashed, dir=none];')
             else:
                 if move.kind != UP:
                     u, v = v, u
-                lines.append(f'  "{word_label(u)}" -> "{word_label(v)}" [style=solid];')
+                lines.append(f'  "{label[u]}" -> "{label[v]}" [style=solid];')
     elif isinstance(graph, ConflatedGraph):
         for c in graph.clouds:
             lines.append(f'  "{word_label(c.representative)}";')

@@ -197,10 +197,10 @@ def test_criterion_4_source_sink_identities():
     checks = []
     for n in (3, 4):
         z_report = fpc.check_zam_identities(n)
-        checks.append(z_report.zzz)
-        checks.append(z_report.zbz_zb)
-        checks.append(z_report.idempotent)
-        checks.append(z_report.proper)
+        checks.append(z_report.z_zb_z_equals_z)
+        checks.append(z_report.zb_z_zb_equals_zb)
+        checks.append(z_report.zb_z_idempotent)
+        checks.append(z_report.zb_z_proper)
         checks.append(fpc.check_dud_udu_all(n))
     report(4, all(checks), "source/sink identities and DUD=UDU at ranks 3, 4", time.time() - t0, 600.0)
 
@@ -221,10 +221,10 @@ def test_criterion_6_s4_sweep():
     failing = word_to_perm(fpc.FAILING_S4_WORD, 4)
     checks = [sweep.all_expected, len(sweep.rows) == 24]
     for row in sweep.rows:
-        if word_to_perm(row.label, 4) == failing:
-            checks.append(not row.verdict.holds)
+        if word_to_perm(row.element, 4) == failing:
+            checks.append(not row.holds)
         else:
-            checks.append(row.verdict.holds)
+            checks.append(row.holds)
     report(6, all(checks), "all 24 elements match the table; only 12321 fails", time.time() - t0, 900.0)
 
 

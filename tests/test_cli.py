@@ -16,6 +16,7 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rexcalc import cli, fpc
+from rexcalc.bsbimod import BSElement
 from rexcalc.cli import _dumps, main, parse_word
 from rexcalc.rexgraph import build_rex_graph, word_label
 from rexcalc.symgroup import MAX_REDUCED_WORDS, word_to_perm
@@ -669,6 +670,19 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+def _plain(value):
+    """A CLI payload as JSON data: a record as the dict of its fields, an element by to_json."""
+    if isinstance(value, BSElement):
+        return value.to_json()
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_plain(v) for v in value]
+    return value
+
+
 def test_dumps_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
     payloads = []
     emit = cli._emit
@@ -691,7 +705,23 @@ def test_dumps_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
             payloads.append(expanded_graph_payload(command.split()[1]))
         assert len(payloads) == before + 1, command
         payload = payloads[-1]
-        reference = _reference_dumps(payload)
+        reference = _reference_dumps(_plain(payload))
         assert_same_text(_dumps(payload), reference, command)
         if "--format text" not in command:
             assert_same_text(out, reference + "\n", command)
+
+
+# stdout digests of the outputs that print a counterexample with its witness
+# images, which no benchmark task prints; all three exit 0
+COUNTEREXAMPLE_OUTPUTS = {
+    "verify family --word 12321 --format json": "ea641ba98598f6014166a9f8f42123fc8f7bb742c1ab442cf1f987ab4b45a5e4",
+    "verify family --word 12321 --format text": "4f1873515abc88ab5328509b92c065ec10d724dd1b846763a0d422f0a8e96de1",
+    "verify family --word 121321 --format json": "23ad97ed00cc256a6b2c63032e54726bba264f183f5e1cc8d9142c1ffd150edd",
+}
+
+
+@pytest.mark.parametrize("command", sorted(COUNTEREXAMPLE_OUTPUTS))
+def test_counterexample_output_is_pinned(capsys, command):
+    code, out, err = run(capsys, *command.split())
+    assert (code, err) == (0, "")
+    assert sha256(out.encode()).hexdigest() == COUNTEREXAMPLE_OUTPUTS[command]

@@ -10,7 +10,7 @@ import oracle_fpc
 import pytest
 from conftest import random_reduced_word
 
-from rexcalc import fpc
+from rexcalc import cli, fpc
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix, edge_matrix, move_between
 from rexcalc.bsbimod import BSElement, from_tensor, left_mul
 from rexcalc.polyring import Polynomial
@@ -107,7 +107,7 @@ def test_counterexample_report_values():
 
 def test_zam_identities_rank_three():
     report = fpc.check_zam_identities(3)
-    assert report.zzz and report.zbz_zb and report.idempotent and report.proper
+    assert report.z_zb_z_equals_z and report.zb_z_zb_equals_zb and report.zb_z_idempotent and report.zb_z_proper
 
 
 def test_dud_udu_rank_three():
@@ -179,8 +179,7 @@ def test_refined_conjecture_rank_three():
 def test_refined_conjecture_when_source_is_sink():
     # the longest element of S_2 has one cloud, which is source and sink at
     # once, so the one-vertex path already passes through both extremes
-    rex, conf, _ = fpc._calculus((1,), 2)
-    s, t = source_sink(conf)
+    s, t = source_sink(fpc._calculus((1,), 2).conflated)
     assert s == t
     verdict = fpc.check_refined_conjecture(2, 5)
     assert verdict.holds and verdict.element == (1,)
@@ -208,7 +207,7 @@ def test_verdict_json_round_trip():
     import json
 
     verdict = fpc.check_fpc((1, 2, 3, 2, 1), 5, rank=4)
-    payload = json.loads(json.dumps(verdict.to_json()))
+    payload = json.loads(cli._dumps(verdict))
     assert payload["holds"] is False
     assert payload["counterexample"]["witness_mask"] == verdict.counterexample.witness_mask
 
@@ -258,15 +257,15 @@ def _assert_same_search(monkeypatch, check):
     assert ids == oracle_ids
     assert mats == oracle_mats
     assert verdict == expected
-    assert verdict.to_json() == expected.to_json()
+    assert cli._dumps(verdict) == cli._dumps(expected)
     return verdict
 
 
 def test_pool_matches_oracle_on_s4_sweep(monkeypatch):
     sweep = _assert_same_search(monkeypatch, fpc.check_s4_sweep)
     assert len(sweep.rows) == 24
-    assert sweep.to_json()["all_expected"]
-    assert [r.verdict.holds for r in sweep.rows].count(False) == 1
+    assert sweep.all_expected
+    assert [r.holds for r in sweep.rows].count(False) == 1
 
 
 @pytest.mark.parametrize("rank", [3, 4])
@@ -280,14 +279,14 @@ def _random_rank_five_words(count=6):
     words = []
     while len(words) < count:
         w = random_reduced_word(rng, 5)
-        if w not in words and 3 <= len(fpc._calculus(w, 5)[1].clouds) <= 6:
+        if w not in words and 3 <= len(fpc._calculus(w, 5).conflated.clouds) <= 6:
             words.append(w)
     return words
 
 
 @pytest.mark.parametrize("word", _random_rank_five_words())
 def test_pool_matches_oracle_on_random_rank_five_words(monkeypatch, word):
-    bound = len(fpc._calculus(word, 5)[1].clouds) + 2
+    bound = len(fpc._calculus(word, 5).conflated.clouds) + 2
     _assert_same_search(monkeypatch, lambda: fpc.check_fpc(word, bound, rank=5))
 
 
@@ -379,8 +378,8 @@ def _random_walks(conf, rng, count, max_steps):
     [((1, 2, 3, 2, 1), 4), ((1, 2, 1, 3, 2, 1), 4), ((1, 2, 3, 4, 3, 2, 1), 5), ((1, 2, 1, 3, 4, 3), 5)],
 )
 def test_walk_matches_path_matrix(word, rank):
-    rex, conf, cm = fpc._calculus(word, rank)
-    walks = _random_walks(conf, random.Random(8), 16, 7)
+    cm = fpc._calculus(word, rank)
+    walks = _random_walks(cm.conflated, random.Random(8), 16, 7)
     pool = fpc._MatrixPool(10_000, "a test")
     ids = [pool.walk(cm, w) for w in walks]
     mats = [cm.path_matrix(w) for w in walks]
@@ -396,7 +395,8 @@ def test_path_matrix_matches_oracle_compose(word, rank):
     # every product in the package runs through polyring.tagged_image; the
     # oracle chains the edge matrices of each lifted step with the seed
     # polynomial kernel alone, so it shares no product code with the package
-    rex, conf, cm = fpc._calculus(word, rank)
+    cm = fpc._calculus(word, rank)
+    rex, conf = cm.graph, cm.conflated
     for walk in _random_walks(conf, random.Random(sum(word)), 8, 6):
         want = MorphismMatrix.identity(walk[0], rank)
         for a, b in zip(walk, walk[1:]):
@@ -408,7 +408,7 @@ def test_path_matrix_matches_oracle_compose(word, rank):
 
 @pytest.mark.parametrize("word", [(1, 2, 3, 2, 1), (1, 2, 1, 3, 2, 1)])
 def test_column_image_is_a_one_column_product(word):
-    rex, conf, cm = fpc._calculus(word, 4)
+    cm = fpc._calculus(word, 4)
     steps = {**cm.forward, **cm.backward}
     for (a, b), step in steps.items():
         # columns of every value a search can hold at a: the identity, the

@@ -130,14 +130,18 @@ def test_braid_move_repr_names_every_field():
 
 
 def test_report_records_take_keywords_and_print_their_fields():
-    report = fpc.ZamReport(rank=3, zzz=True, zbz_zb=True, idempotent=True, proper=False)
-    assert repr(report) == "ZamReport(rank=3, zzz=True, zbz_zb=True, idempotent=True, proper=False)"
+    report = fpc.ZamReport(
+        rank=3, z_zb_z_equals_z=True, zb_z_zb_equals_zb=True, zb_z_idempotent=True, zb_z_proper=False
+    )
+    assert repr(report) == (
+        "ZamReport(rank=3, z_zb_z_equals_z=True, zb_z_zb_equals_zb=True, zb_z_idempotent=True, zb_z_proper=False)"
+    )
     assert not report.all_hold
     verdict = fpc.FpcVerdict(element=(1,), bound=3, holds=True)
     assert verdict.counterexample is None
     assert repr(verdict) == "FpcVerdict(element=(1,), bound=3, holds=True, counterexample=None)"
     lemmas = fpc.LemmaReport(results={"a": True})
-    assert lemmas.all_hold and lemmas.to_json() == {"a": True}
+    assert lemmas.all_hold and lemmas.results == {"a": True}
 
 
 # -- immutability --------------------------------------------------------------
@@ -157,7 +161,13 @@ def _records():
         ("ConflatedGraph", conf, "clouds"),
         ("ConflatedEdge", conf.edges[0], "move"),
         ("FpcVerdict", fpc.FpcVerdict(element=(1,), bound=3, holds=True), "holds"),
-        ("ZamReport", fpc.ZamReport(rank=3, zzz=True, zbz_zb=True, idempotent=True, proper=True), "zzz"),
+        (
+            "ZamReport",
+            fpc.ZamReport(
+                rank=3, z_zb_z_equals_z=True, zb_z_zb_equals_zb=True, zb_z_idempotent=True, zb_z_proper=True
+            ),
+            "z_zb_z_equals_z",
+        ),
         ("LemmaReport", fpc.LemmaReport(results={}), "results"),
     ]
 
