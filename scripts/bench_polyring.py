@@ -25,11 +25,14 @@ The search rows time one ``fpc.check_fpc`` with its graphs and edge
 matrices already built by a first call, so they measure the path search
 alone: ``value_search`` on 12321, the S_4 counterexample, at bound 9
 (it stops after a few dozen steps), and ``value_search_w0`` on 121321,
-the longest element of S_4 (an 8-cloud cycle), at bound 20.  For each,
-``search_work`` gives what the search's ``fpc._MatrixPool`` did, read by
-wrapping that class: interned values, distinct columns, memoized column
-images, and generated states (one per start and per ``extend``, merged or
-not) with their rate over the row's best time.  ``--w0-rank5`` also builds
+the longest element of S_4 (an 8-cloud cycle), at bound 20.  The
+12321 row includes rebuilding the two whole matrices of its witness.
+For each, ``search_work`` gives what the search's ``fpc._MatrixPool``
+did, read by wrapping that class: interned values, distinct columns,
+memoized column images, and generated states (one per start and per
+``extend``, merged or not) with their rate over the row's best time.  A
+value keeps only its columns at the generator masks of its domain
+(``bsbimod.generator_masks``), so columns and column images count those.  ``--w0-rank5`` also builds
 the ``ConflatedMorphisms`` of the longest element of S_5 in a fresh child
 process and reports the build's seconds and the child's peak RSS in MB
 (``ru_maxrss`` from ``os.wait4``).  The operands are fixed: seeded random

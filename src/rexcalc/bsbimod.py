@@ -174,6 +174,29 @@ def from_tensor(word, slots: Sequence[Polynomial], rank: int) -> BSElement:
     return BSElement(rank, word, state)
 
 
+def free_slots(word) -> int:
+    """Bitmask of the free slots of a word, bit j for the letter a = word[j].
+
+    Bit j is set when no later letter is a or a - 1.  Then x_a is
+    invariant under every later boundary, so right multiplication by x_a
+    slides into the slot after letter j: for a mask m with bit j clear,
+    e_m * x_a = e_{m | 1 << j} exactly.
+    """
+    return sum(1 << j for j, a in enumerate(word) if not {a, a - 1} & set(word[j + 1:]))
+
+
+def generator_masks(word) -> tuple[int, ...]:
+    """Masks with every free slot clear, in increasing order.
+
+    Their basis tensors generate the bimodule: setting a free bit j is
+    right multiplication by x_{word[j]}, so a bimodule map f satisfies
+    f(e_{m | 1 << j}) = f(e_m) * x_{word[j]} and is fixed by its values
+    on these masks.
+    """
+    free = free_slots(word)
+    return tuple(m for m in range(1 << len(word)) if not m & free)
+
+
 def left_mul(p: Polynomial, e: BSElement) -> BSElement:
     """Left action of R: multiply every normal-form coefficient."""
     if p.rank != e.rank:

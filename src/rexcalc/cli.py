@@ -209,12 +209,12 @@ def write_expanded_json(word: Word, rex: RexGraph, out) -> None:
 
 
 def _emit(payload, fmt: str, text_lines) -> None:
-    # text_lines may be lazy: it is read only for text output
+    # text_lines may be lazy: it is read only for text output, and written
+    # in one call, as print would write each line
     if fmt == "json":
         print(_dumps(payload))
     else:
-        for line in text_lines:
-            print(line)
+        sys.stdout.write("".join(f"{line}\n" for line in text_lines))
 
 
 def cmd_graph(args) -> int:

@@ -6,15 +6,18 @@ up to a path-length bound by a value search: walks are explored as
 states (start, current vertex, visited set, morphism value), morphism
 values are interned exactly, and states that agree in all four
 components are merged, which is sound because such states have
-identical futures.  Values share most of their columns, so the columns
-are interned by content and a value is stored once, as a record of its
-column ids; a step multiplies each distinct column once and memoizes the
-image per (step, column).  A column is the tagged term map a matrix
-stores (row and monomial packed into one int key), kept as it is, so a
-step is the multiply-accumulate loop of int products that every matrix
-product runs (``polyring.tagged_image``), with no polynomial object
-built per entry.  The
-simplification soundness check walks its paths through the same store.
+identical futures.  A value is a bimodule map, so its columns at the
+generator masks of its domain (``bsbimod.generator_masks``) fix it: any
+other column is one of them times variables on the right.  Only those
+columns are kept.  Values share most of them, so the columns are
+interned by content and a value is stored once, as a record of its
+generator column ids; a step multiplies each distinct column once and
+memoizes the image per (step, column).  A column is the tagged term map
+a matrix stores (row and monomial packed into one int key), kept as it
+is, so a step is the multiply-accumulate loop of int products that
+every matrix product runs (``polyring.tagged_image``), with no
+polynomial object built per entry.  The simplification soundness check
+walks its paths through the same store.
 A verdict is either Holds or a reproducible counterexample consisting of
 two concrete paths plus a basis column on which their matrices differ.
 
@@ -35,9 +38,9 @@ import os
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bsbimod import BSElement, dot_cap, from_tensor
+from .bsbimod import BSElement, dot_cap, free_slots, from_tensor, generator_masks, right_mul
 from .braidmor import ConflatedMorphisms, MorphismMatrix, path_morphism
-from .polyring import Polynomial, Scalar, tagged_image
+from .polyring import Polynomial, Scalar, tag_column, tagged_image
 from .rexgraph import (
     EXPANDED,
     ConflatedGraph,
@@ -119,19 +122,23 @@ class FpcVerdict(NamedTuple):
 
 
 class _MatrixPool:
-    """Interns walk values by content, column by column, and memoizes products.
+    """Interns walk values by their generator columns, and memoizes products.
 
-    A column is a matrix's own tagged term map (row and monomial packed
-    into one int key, the coefficient as value, see ``MorphismMatrix``),
-    and each distinct nonzero column gets an id by its exact content.  A
-    value is one record, (rank, domain, codomain, column ids) with the id
-    of column c at index c and -1 for a zero column, which is also its
-    key.  Extending a value by a step maps its column ids through that
-    step's memo of column images, so a column shared by many values is
-    multiplied once per step, in one multiply-accumulate loop over the
-    tagged terms (``polyring.tagged_image``).  ``walk`` extends the
-    identity step by step, so walks share their prefixes' products;
-    ``matrix`` rebuilds a value's matrix, for a witness.
+    Every value is a bimodule map, so it is fixed by its columns at the
+    generator masks of its domain (``bsbimod.generator_masks``), and only
+    those are stored.  A column is a matrix's own tagged term map (row and
+    monomial packed into one int key, the coefficient as value, see
+    ``MorphismMatrix``), and each distinct nonzero column gets an id by
+    its exact content.  A value is one record, (rank, domain, codomain,
+    column ids) with the ids of its generator columns in mask order and -1
+    for a zero column, which is also its key: two values are equal
+    exactly when their records are.  Extending a value by a step maps its
+    column ids through that step's memo of column images, so a column
+    shared by many values is multiplied once per step, in one
+    multiply-accumulate loop over the tagged terms
+    (``polyring.tagged_image``).  ``walk`` extends the identity step by
+    step, so walks share their prefixes' products; ``matrix`` rebuilds a
+    value's whole matrix, for a witness.
     """
 
     def __init__(self, budget: int, source: str):
@@ -144,6 +151,8 @@ class _MatrixPool:
         self.products: dict[tuple[int, tuple[Word, Word]], int] = {}
         # per step: column id -> id of its image, -1 -> -1 for a zero column
         self.images: dict[tuple[Word, Word], dict[int, int]] = {}
+        # (word, letter) -> columns of right multiplication by x_letter, for matrix
+        self.right_muls: dict[tuple[Word, int], dict[int, dict[int, Scalar]]] = {}
 
     def _column_id(self, terms: dict[int, Scalar]) -> int:
         if not terms:
@@ -168,7 +177,7 @@ class _MatrixPool:
         return found
 
     def intern(self, m: MorphismMatrix) -> int:
-        ids = tuple(self._column_id(m.cols.get(c, {})) for c in range(1 << len(m.domain)))
+        ids = tuple(self._column_id(m.cols.get(c, {})) for c in generator_masks(m.domain))
         return self._intern((m.rank, m.domain, m.codomain, ids))
 
     def extend(self, cm: ConflatedMorphisms, value: int, step: tuple[Word, Word]) -> int:
@@ -194,9 +203,31 @@ class _MatrixPool:
             value = self.extend(cm, value, step)
         return value
 
+    def _right_mul(self, word: Word, letter: int, rank: int) -> dict[int, dict[int, Scalar]]:
+        found = self.right_muls.get((word, letter))
+        if found is None:
+            x = Polynomial.variable(letter, rank)
+            found = self.right_muls[(word, letter)] = {
+                m: tag_column(right_mul(BSElement.basis(word, m, rank), x).coeffs, rank) for m in range(1 << len(word))
+            }
+        return found
+
     def matrix(self, value: int) -> MorphismMatrix:
+        """A value's whole matrix: a column whose mask sets free bits is the
+        generator column below it times their variables, on the right."""
         rank, domain, codomain, ids = self.values[value]
-        cols = {c: self.cols[i] for c, i in enumerate(ids) if i >= 0}
+        free = free_slots(domain)
+        stored = iter(ids)
+        cols = {}
+        for c in range(1 << len(domain)):
+            if free_bits := c & free:
+                j = (free_bits & -free_bits).bit_length() - 1  # the lowest free bit of c
+                col = tagged_image(self._right_mul(codomain, domain[j], rank), cols.get(c ^ 1 << j, {}), rank)
+            else:
+                i = next(stored)
+                col = self.cols[i] if i >= 0 else {}
+            if col:
+                cols[c] = col
         return MorphismMatrix._make(rank, domain, codomain, cols)
 
 

@@ -7,10 +7,20 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
-from rexcalc.bsbimod import BSElement, basis_degree, dot_cap, from_tensor, left_mul, right_mul
+from rexcalc.bsbimod import (
+    BSElement,
+    basis_degree,
+    dot_cap,
+    free_slots,
+    from_tensor,
+    generator_masks,
+    left_mul,
+    right_mul,
+)
 from rexcalc.polyring import Polynomial
+from rexcalc.symgroup import all_permutations, reduced_words
 
-from conftest import random_invariant, random_polynomial
+from conftest import random_invariant, random_polynomial, random_reduced_word
 
 
 def x(i, rank=4):
@@ -170,3 +180,58 @@ def test_equality_is_canonical():
     a = from_tensor((1, 2), (x(1), one(), one()), 4)
     b = left_mul(x(1), BSElement.generator((1, 2), 4))
     assert a == b and hash(a) == hash(b)
+
+
+def _slides_into_slot(word, rank):
+    """Per slot j, for each mask m with bit j clear: is e_m * x_{word[j]} == e_{m | 1 << j}?"""
+    k = len(word)
+    return [
+        [
+            right_mul(BSElement.basis(word, m, rank), x(word[j], rank)) == BSElement.basis(word, m | 1 << j, rank)
+            for m in range(1 << k)
+            if not m >> j & 1
+        ]
+        for j in range(k)
+    ]
+
+
+def _short_random_words(seed, rank, count, max_len=8):
+    rng = random.Random(seed)
+    words = []
+    while len(words) < count:
+        w = random_reduced_word(rng, rank)
+        if 2 <= len(w) <= max_len and w not in words:
+            words.append(w)
+    return words
+
+
+@pytest.mark.parametrize(
+    "words, rank",
+    [
+        ([w for perm in all_permutations(4) for w in reduced_words(perm)], 4),
+        (_short_random_words(5, 5, 6), 5),
+        (_short_random_words(6, 6, 4), 6),
+    ],
+    ids=["every-s4-word", "random-rank-5", "random-rank-6"],
+)
+def test_generator_masks_match_brute_force_right_multiplication(words, rank):
+    # a slot is free exactly when right multiplication by its variable sets
+    # its bit on every basis tensor; at any other slot it does so on none
+    for word in words:
+        slides = _slides_into_slot(word, rank)
+        free = sum(1 << j for j, holds in enumerate(slides) if all(holds))
+        assert all(all(h) or not any(h) for h in slides), word
+        assert free_slots(word) == free, word
+        assert generator_masks(word) == tuple(m for m in range(1 << len(word)) if not m & free), word
+        assert not word or free >> len(word) - 1 & 1  # the last slot is always free
+
+
+def test_generator_masks_of_small_words():
+    assert generator_masks(()) == (0,)
+    assert generator_masks((1,)) == (0,)
+    # x_a is moved only by s_a and s_{a-1}
+    assert generator_masks((1, 2)) == (0,)  # x_1 slides across the s_2 boundary
+    assert generator_masks((2, 1)) == (0, 1)  # x_2 does not slide across s_1
+    assert generator_masks((1, 2, 1)) == (0, 1, 2, 3)
+    assert free_slots((1, 2, 3, 2, 1)) == 0b10000
+    assert free_slots((3, 1, 2)) == 0b110  # x_3 does not slide across s_2

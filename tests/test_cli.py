@@ -11,6 +11,7 @@ import sys
 import time
 from hashlib import sha256
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -487,6 +488,29 @@ def test_closed_stdout_exits_quietly():
     assert proc.wait(timeout=60) == 0
     assert head.startswith(b'{\n  "edges": [\n    {\n      "kind": "distant",\n')
     assert stderr == b""
+    # and partway through the one write of a text graph
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "rexcalc.cli", "graph", "121321432154", "--format", "text"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env={**os.environ, "PYTHONPATH": src},
+    )
+    head = proc.stdout.read(10_000)
+    proc.stdout.close()
+    stderr = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 0
+    assert head.startswith(b"expanded graph of 121321432154 (rank 6)\n  ")
+    assert stderr == b""
+
+
+def test_text_output_is_one_write_of_the_printed_lines(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    cli._emit(None, "text", iter(["first", 2, "", BSElement.generator((1,), 4)]))
+    assert writes == ["first\n2\n\n(1)*e[0]\n"]
+    cli._emit(None, "text", iter([]))
+    assert writes[1:] == [""]
 
 
 def test_element_term_product_is_a_usage_error():

@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
-from types import SimpleNamespace
 
 import oracle_fpc
 import pytest
@@ -12,7 +11,7 @@ from conftest import random_reduced_word
 
 from rexcalc import cli, fpc
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix, edge_matrix, move_between
-from rexcalc.bsbimod import BSElement, from_tensor, left_mul
+from rexcalc.bsbimod import BSElement, free_slots, from_tensor, generator_masks, left_mul, right_mul
 from rexcalc.polyring import Polynomial
 from rexcalc.rexgraph import (
     CONFLATED,
@@ -23,7 +22,7 @@ from rexcalc.rexgraph import (
     lift_conflated_path,
     source_sink,
 )
-from rexcalc.symgroup import word_to_perm
+from rexcalc.symgroup import all_permutations, word_to_perm
 
 
 def x(i, rank=4):
@@ -328,37 +327,93 @@ def _pool_work(monkeypatch, check):
 @pytest.mark.parametrize(
     "check, work",
     [
-        (fpc.check_s4_sweep, (503, 5_206, 902, 11_986)),
-        (lambda: fpc.check_refined_conjecture(4, 10), (390, 4_370, 764, 10_470)),
+        (fpc.check_s4_sweep, (503, 1_816, 902, 4_416)),
+        (lambda: fpc.check_refined_conjecture(4, 10), (390, 1_511, 764, 3_868)),
     ],
     ids=["s4-sweep", "refined-4"],
 )
 def test_pool_work_counts_are_pinned(monkeypatch, check, work):
-    # the search's work does not depend on how a column is stored
+    # values and products are those of the whole-matrix pool; columns and
+    # column images count generator columns only
     assert _pool_work(monkeypatch, check) == work
 
 
 def test_pool_interns_values_by_exact_content():
-    # on 13 (four basis columns): the identity, the matrix swapping columns
-    # 1 and 2, and a projection whose image drops columns 1 and 2
-    w = (1, 3)
-    ident = MorphismMatrix.identity(w, 4)
-    swap = MorphismMatrix(4, w, w, {0: {0: one()}, 1: {2: one()}, 2: {1: one()}, 3: {3: one()}})
-    proj = MorphismMatrix(4, w, w, {0: {0: one()}, 3: {3: x(1) + x(3)}})
-    steps = {("w", "swap"): swap, ("w", "proj"): proj}
-    cm = SimpleNamespace(step_matrix=lambda *step: steps[step])
-    pool = fpc._MatrixPool(10, "a test")
-    i = pool.intern(ident)
-    assert pool.intern(MorphismMatrix.identity(w, 4)) == i
-    s = pool.intern(swap)
-    assert s != i  # the same columns in other places
-    assert pool.extend(cm, i, ("w", "swap")) == s
-    p = pool.extend(cm, i, ("w", "proj"))
-    assert pool.matrix(p) == proj and pool.intern(proj) == p  # zero columns dropped
-    assert pool.extend(cm, s, ("w", "swap")) == i
-    assert pool.extend(cm, s, ("w", "proj")) == p  # proj . swap == proj
-    assert pool.extend(cm, p, ("w", "swap")) == p  # swap . proj == proj
-    assert [pool.matrix(v) for v in range(len(pool.values))] == [ident, swap, proj]
+    # on 23121, whose line is s - c - t, the walks [s,c,t,c] and
+    # [s,c,t,c,s,c] have one matrix (lemma P1 == P2) and [s,c,t] another
+    cm = fpc._calculus((2, 3, 1, 2, 1), 4)
+    s, t = source_sink(cm.conflated)
+    c = next(cl for cl in cm.conflated.clouds if cl not in (s, t)).representative
+    s, t = s.representative, t.representative
+    pool = fpc._MatrixPool(100, "a test")
+    ident = pool.intern(MorphismMatrix.identity(s, 4))
+    assert pool.intern(MorphismMatrix.identity(s, 4)) == ident
+    # a value stores one column id per generator mask, fewer than its columns
+    assert len(pool.values[ident][3]) == len(generator_masks(s)) < 1 << len(s)
+    for (a, b), step in {**cm.forward, **cm.backward}.items():
+        one_step = pool.extend(cm, pool.intern(MorphismMatrix.identity(a, 4)), (a, b))
+        assert pool.intern(step) == one_step
+        assert pool.matrix(one_step) == step
+    p1, p2 = pool.walk(cm, [s, c, t, c]), pool.walk(cm, [s, c, t, c, s, c])
+    assert p1 == p2
+    assert pool.walk(cm, [s, c, t]) != p1
+    assert pool.matrix(p1) == cm.path_matrix([s, c, t, c]) == cm.path_matrix([s, c, t, c, s, c])
+    # extending a value is the product with the step, interned by content
+    for v in range(len(pool.values)):
+        mat = pool.matrix(v)
+        for w in cm.conflated.links[mat.codomain]:
+            assert pool.extend(cm, v, (mat.codomain, w)) == pool.intern(cm.step_matrix(mat.codomain, w).compose(mat))
+
+
+# -- the generator-column lemma ------------------------------------------------
+
+
+@pytest.mark.parametrize(
+    "words, rank",
+    [
+        ([cm.graph.words[0] for cm in map(fpc._element_calculus, all_permutations(4))], 4),
+        (_random_rank_five_words(), 5),
+    ],
+    ids=["every-s4-element", "random-rank-5"],
+)
+def test_step_matrices_are_right_linear_on_free_slots(words, rank):
+    # a column whose mask sets a free bit j is the column without it times
+    # x_{domain[j]} on the right, which is what lets the pool store generator
+    # columns only
+    checked = 0
+    steps = [m for cm in (fpc._calculus(w, rank) for w in words) for m in {**cm.forward, **cm.backward}.values()]
+    for step in steps:
+        free = free_slots(step.domain)
+        for j in range(len(step.domain)):
+            if not free >> j & 1:
+                continue
+            xj = Polynomial.variable(step.domain[j], rank)
+            for m in range(1 << len(step.domain)):
+                if not m >> j & 1:
+                    below = BSElement(rank, step.codomain, step.column(m))
+                    assert BSElement(rank, step.codomain, step.column(m | 1 << j)) == right_mul(below, xj)
+                    checked += 1
+    assert checked
+
+
+def _generator_columns(mat):
+    return [mat.cols.get(g) for g in generator_masks(mat.domain)]
+
+
+@pytest.mark.parametrize(
+    "word, rank",
+    [((1, 2, 3, 2, 1), 4), ((2, 3, 1, 2, 1), 4), ((1, 2, 3, 1, 2, 1), 4), ((1, 2, 3, 4, 3, 2, 1), 5)],
+)
+def test_generator_columns_decide_path_matrix_equality(word, rank):
+    cm = fpc._calculus(word, rank)
+    mats = [cm.path_matrix(w) for w in _random_walks(cm.conflated, random.Random(len(word)), 40, 6)]
+    outcomes = set()
+    for a, b in combinations(mats, 2):
+        if (a.domain, a.codomain) == (b.domain, b.codomain):
+            same = _generator_columns(a) == _generator_columns(b)
+            assert same == (a == b)
+            outcomes.add(same)
+    assert outcomes == {True, False}
 
 
 def _random_walks(conf, rng, count, max_steps):
