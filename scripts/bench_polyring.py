@@ -7,11 +7,11 @@ Usage, from the root of a checkout:
 
 Prints one JSON object: nanoseconds per operation (best of the repeats)
 for ``Polynomial`` multiplication, addition and ``split``, for
-``MorphismMatrix.key()`` on composed matrices, for one
-warm ``MorphismMatrix.compose`` (``compose_zam``: the six compositions of
-``fpc.check_zam_identities(4)``, of the 64-column source-to-sink
-morphisms Z and Zb of the longest element of S_4, built before the row),
-and for ``MorphismMatrix.for_edge`` on one distant and one adjacent move of the
+``MorphismMatrix.key()`` on composed matrices, for one warm
+``fpc.check_zam_identities(4)`` and ``fpc.check_dud_udu_all(4)``
+(``zam_walks``: the source/sink identities and DUD = UDU on the longest
+element of S_4 as pool walks, with the graphs and edge matrices built
+before the row), and for ``MorphismMatrix.for_edge`` on one distant and one adjacent move of the
 word 123545321 of the element 123454321 (512 columns), with the package's
 cached tables cleared before each repeat.  The graph rows time, best of
 ``GRAPH_REPEAT`` runs and in nanoseconds, ``reduced_words``,
@@ -26,13 +26,14 @@ matrices already built by a first call, so they measure the path search
 alone: ``value_search`` on 12321, the S_4 counterexample, at bound 9
 (it stops after a few dozen steps), and ``value_search_w0`` on 121321,
 the longest element of S_4 (an 8-cloud cycle), at bound 20.  The
-12321 row includes rebuilding the two whole matrices of its witness.
-For each, ``search_work`` gives what the search's ``fpc._MatrixPool``
-did, read by wrapping that class: interned values, distinct columns,
-memoized column images, and generated states (one per start and per
-``extend``, merged or not) with their rate over the row's best time.  A
-value keeps only its columns at the generator masks of its domain
-(``bsbimod.generator_masks``), so columns and column images count those.  ``--w0-rank5`` also builds
+12321 row includes reading its witness off the generator columns.
+For each, and for ``zam_walks``, ``search_work`` gives what the
+``fpc._MatrixPool`` pools did, read by wrapping that class: interned
+values, distinct columns, memoized column images, and generated states
+(one per start and per ``extend``, merged or not) with their rate over
+the row's best time.  A value keeps only its columns at the generator
+masks of its domain (``bsbimod.generator_masks``), so columns and column
+images count those.  ``--w0-rank5`` also builds
 the ``ConflatedMorphisms`` of the longest element of S_5 in a fresh child
 process and reports the build's seconds and the child's peak RSS in MB
 (``ru_maxrss`` from ``os.wait4``).  The operands are fixed: seeded random
@@ -198,8 +199,8 @@ def graph_layer_rows() -> dict:
     }
 
 
-def search_work(word, bound: int) -> dict:
-    """What the pools of one check_fpc did, read by wrapping fpc._MatrixPool."""
+def search_work(check) -> dict:
+    """What the pools of one run of check() did, read by wrapping fpc._MatrixPool."""
     pools, states = [], [0]
 
     class Counted(fpc._MatrixPool):
@@ -218,7 +219,7 @@ def search_work(word, bound: int) -> dict:
     original = fpc._MatrixPool
     fpc._MatrixPool = Counted
     try:
-        fpc.check_fpc(word, bound, rank=RANK)
+        check()
     finally:
         fpc._MatrixPool = original
     return {
@@ -234,17 +235,10 @@ def time_value_search(word, bound: int) -> float:
     return run_ns(lambda: fpc.check_fpc(word, bound, rank=RANK), 1)
 
 
-def zam_compositions():
-    """The six compositions of check_zam_identities(4), with Z and Zb built, and their count."""
-    z, zb = fpc.source_sink_morphisms(4)
-
-    def run():
-        zbz = zb.compose(z)
-        z.compose(zb).compose(z)
-        zb.compose(z).compose(zb)
-        zbz.compose(zbz)
-
-    return run, 6
+def zam_walks() -> None:
+    """The source/sink identities and DUD = UDU on the longest element of S_4."""
+    fpc.check_zam_identities(4)
+    fpc.check_dud_udu_all(4)
 
 
 def main() -> int:
@@ -267,7 +261,7 @@ def main() -> int:
         walks.append(walk)
 
     mats = [cm.path_matrix(walk) for walk in walks]
-    compose_zam, compositions = zam_compositions()
+    zam_walks()  # builds the graphs and edge matrices
     rows = {
         "mul": (lambda: run_ns(lambda: [p * q for p, q in pairs], len(pairs)), args.repeat),
         "add": (lambda: run_ns(lambda: [p + q for p, q in pairs], len(pairs)), args.repeat),
@@ -276,7 +270,7 @@ def main() -> int:
             args.repeat,
         ),
         "matrix_key": (lambda: run_ns(lambda: [m.key() for m in mats], len(mats)), args.repeat),
-        "compose_zam": (lambda: run_ns(compose_zam, compositions), args.repeat),
+        "zam_walks": (lambda: run_ns(zam_walks, 1), args.repeat),
     }
     for name, move in EDGE_MOVES.items():
         rows[name] = (lambda move=move: time_for_edge(move), args.repeat)
@@ -291,9 +285,14 @@ def main() -> int:
     for name, (once, repeat) in rows.items():
         result[name], per_loop[name] = measure(once, repeat)
     result["per_meter_loop"] = per_loop
+    checks = {
+        name: lambda word=word, bound=bound: fpc.check_fpc(word, bound, rank=RANK)
+        for name, (word, bound) in SEARCHES.items()
+    }
+    checks["zam_walks"] = zam_walks
     result["search_work"] = {}
-    for name, (word, bound) in SEARCHES.items():
-        work = result["search_work"][name] = search_work(word, bound)
+    for name, check in checks.items():
+        work = result["search_work"][name] = search_work(check)
         work["states_per_s"] = work["states"] / (result[name] * 1e-9)
     if args.w0_rank5:
         result["w0_rank5_tables_s"], result["w0_rank5_peak_rss_mb"] = time_w0_rank5()

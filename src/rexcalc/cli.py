@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 from . import fpc
 from .braidmor import path_morphism
@@ -45,6 +45,8 @@ EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+EMIT_CHUNK = 4096  # text lines per write
 
 SHAPE_DISPLAY = {
     fpc.DOT: "*",
@@ -210,11 +212,17 @@ def write_expanded_json(word: Word, rex: RexGraph, out) -> None:
 
 def _emit(payload, fmt: str, text_lines) -> None:
     # text_lines may be lazy: it is read only for text output, and written
-    # in one call, as print would write each line
+    # as print would write each line, EMIT_CHUNK lines per call, so neither
+    # a call per line nor the whole text at once
     if fmt == "json":
         print(_dumps(payload))
-    else:
-        sys.stdout.write("".join(f"{line}\n" for line in text_lines))
+        return
+    lines = iter(text_lines)
+    while True:
+        chunk = list(islice(lines, EMIT_CHUNK))
+        sys.stdout.write("".join(f"{line}\n" for line in chunk))
+        if len(chunk) < EMIT_CHUNK:
+            return
 
 
 def cmd_graph(args) -> int:

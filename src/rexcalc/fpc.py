@@ -16,21 +16,24 @@ memoizes the image per (step, column).  A column is the tagged term map
 a matrix stores (row and monomial packed into one int key), kept as it
 is, so a step is the multiply-accumulate loop of int products that
 every matrix product runs (``polyring.tagged_image``), with no
-polynomial object built per entry.  The simplification soundness check
-walks its paths through the same store.
+polynomial object built per entry.
 A verdict is either Holds or a reproducible counterexample consisting of
-two concrete paths plus a basis column on which their matrices differ.
+two concrete paths plus the least basis column on which their matrices
+differ, which is always a generator column.
 
 The same engine, tracking only visits to the source and sink, checks
 the refined statement that any two paths through both extremes with
 equal endpoints agree.
 
-The remaining checkers reproduce the specific facts at desk scale: the
-source-to-sink morphism identities Z Zb Z = Z, Zb Z Zb = Zb and the
-idempotency of Zb Z on longest elements, the down-up-down equals
-up-down-up law for all vertex pairs, the small-path equivalence lemmas,
-the table of all 24 conflated graphs of S_4 with the single failing
-element 12321, and the family of line-graph counterexamples."""
+The remaining checkers reproduce the specific facts at desk scale, each
+comparing walks of one store by their value ids: the source-to-sink
+morphism identities Z Zb Z = Z, Zb Z Zb = Zb and the idempotency of
+Zb Z on longest elements, the down-up-down equals up-down-up law for all
+vertex pairs, the small-path equivalence lemmas, the simplification
+soundness check, the table of all 24 conflated graphs of S_4 with the
+single failing element 12321, and the family of line-graph
+counterexamples.  Whole matrices are built only where an element is
+evaluated on a path (``reproduce_counterexample``, ``family_extra_pair``)."""
 
 from __future__ import annotations
 
@@ -38,9 +41,9 @@ import os
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bsbimod import BSElement, dot_cap, free_slots, from_tensor, generator_masks, right_mul
+from .bsbimod import BSElement, dot_cap, from_tensor, generator_masks
 from .braidmor import ConflatedMorphisms, MorphismMatrix, path_morphism
-from .polyring import Polynomial, Scalar, tag_column, tagged_image
+from .polyring import Polynomial, Scalar, tagged_image, untag_column
 from .rexgraph import (
     EXPANDED,
     ConflatedGraph,
@@ -136,12 +139,13 @@ class _MatrixPool:
     column ids through that step's memo of column images, so a column
     shared by many values is multiplied once per step, in one
     multiply-accumulate loop over the tagged terms
-    (``polyring.tagged_image``).  ``walk`` extends the identity step by
-    step, so walks share their prefixes' products; ``matrix`` rebuilds a
-    value's whole matrix, for a witness.
+    (``polyring.tagged_image``).  ``walk`` extends a value step by step,
+    so walks share their prefixes' products, and ``witness`` reads the
+    first column on which two values differ.  A pool without a budget
+    serves the checks that compare a fixed set of walks.
     """
 
-    def __init__(self, budget: int, source: str):
+    def __init__(self, budget: float = float("inf"), source: str = "no limit"):
         self.budget = budget
         self.source = source
         self.col_ids: dict[frozenset, int] = {}
@@ -151,8 +155,6 @@ class _MatrixPool:
         self.products: dict[tuple[int, tuple[Word, Word]], int] = {}
         # per step: column id -> id of its image, -1 -> -1 for a zero column
         self.images: dict[tuple[Word, Word], dict[int, int]] = {}
-        # (word, letter) -> columns of right multiplication by x_letter, for matrix
-        self.right_muls: dict[tuple[Word, int], dict[int, dict[int, Scalar]]] = {}
 
     def _column_id(self, terms: dict[int, Scalar]) -> int:
         if not terms:
@@ -196,46 +198,28 @@ class _MatrixPool:
             found = self.products[key] = self._intern((rank, domain, step_mat.codomain, tuple(ids)))
         return found
 
-    def walk(self, cm: ConflatedMorphisms, vertices) -> int:
-        """The value of a walk: the identity at its first vertex, extended by each step."""
-        value = self.intern(MorphismMatrix.identity(vertices[0], cm.rank))
+    def walk(self, cm: ConflatedMorphisms, vertices, value: int | None = None) -> int:
+        """``value``, whose codomain is the walk's first vertex, extended by
+        each step of the walk; by default the identity there."""
+        if value is None:
+            value = self.intern(MorphismMatrix.identity(vertices[0], cm.rank))
         for step in zip(vertices, vertices[1:]):
             value = self.extend(cm, value, step)
         return value
 
-    def _right_mul(self, word: Word, letter: int, rank: int) -> dict[int, dict[int, Scalar]]:
-        found = self.right_muls.get((word, letter))
-        if found is None:
-            x = Polynomial.variable(letter, rank)
-            found = self.right_muls[(word, letter)] = {
-                m: tag_column(right_mul(BSElement.basis(word, m, rank), x).coeffs, rank) for m in range(1 << len(word))
-            }
-        return found
+    def witness(self, a: int, b: int) -> tuple[int, BSElement, BSElement]:
+        """The least basis mask on which two values of one shape differ, and their images of it.
 
-    def matrix(self, value: int) -> MorphismMatrix:
-        """A value's whole matrix: a column whose mask sets free bits is the
-        generator column below it times their variables, on the right."""
-        rank, domain, codomain, ids = self.values[value]
-        free = free_slots(domain)
-        stored = iter(ids)
-        cols = {}
-        for c in range(1 << len(domain)):
-            if free_bits := c & free:
-                j = (free_bits & -free_bits).bit_length() - 1  # the lowest free bit of c
-                col = tagged_image(self._right_mul(codomain, domain[j], rank), cols.get(c ^ 1 << j, {}), rank)
-            else:
-                i = next(stored)
-                col = self.cols[i] if i >= 0 else {}
-            if col:
-                cols[c] = col
-        return MorphismMatrix._make(rank, domain, codomain, cols)
-
-
-def _column_witness(a: MorphismMatrix, b: MorphismMatrix) -> tuple[int, BSElement, BSElement]:
-    for c in sorted(set(a.cols) | set(b.cols)):
-        if a.cols.get(c) != b.cols.get(c):
-            return c, BSElement(a.rank, a.codomain, a.column(c)), BSElement(b.rank, b.codomain, b.column(c))
-    raise AssertionError("matrices differ but no column does")
+        A column whose mask sets free bits is the generator column below
+        it times their variables on the right, so the least differing
+        column is a generator column.
+        """
+        rank, domain, codomain, ids_a = self.values[a]
+        for mask, i, j in zip(generator_masks(domain), ids_a, self.values[b][3]):
+            if i != j:
+                image_a, image_b = (untag_column(self.cols[k] if k >= 0 else {}, rank) for k in (i, j))
+                return mask, BSElement(rank, codomain, image_a), BSElement(rank, codomain, image_b)
+        raise AssertionError("values differ but no generator column does")
 
 
 def _value_search(
@@ -279,7 +263,7 @@ def _value_search(
         if first == value:
             return None
         (a, value_a), (b, value_b) = sorted([(first_path, first), (path, value)])
-        mask, img_a, img_b = _column_witness(pool.matrix(value_a), pool.matrix(value_b))
+        mask, img_a, img_b = pool.witness(value_a, value_b)
         return FpcVerdict(word, max_len, False, PathPairWitness(start, v, a, b, mask, img_a, img_b))
 
     frontier: dict[tuple, tuple[Word, ...]] = {}
@@ -331,11 +315,8 @@ def check_refined_conjecture(n: int, max_len: int, budget: int | None = None) ->
     Paths are grouped by endpoints.  When source and sink are one cloud,
     visiting it sets both flags.
     """
-    word = longest_element(n)
-    cm = _calculus(word, n)
-    s, t = source_sink(cm.conflated)
-    sr, tr = s.representative, t.representative
-    return _value_search(word, max_len, cm, lambda v: (v == sr) | (v == tr) << 1, 3, budget)
+    cm, sr, tr = _longest(n)
+    return _value_search(longest_element(n), max_len, cm, lambda v: (v == sr) | (v == tr) << 1, 3, budget)
 
 
 # -- the S_4 counterexample ---------------------------------------------------
@@ -431,61 +412,55 @@ class ZamReport(NamedTuple):
         return self.z_zb_z_equals_z and self.zb_z_zb_equals_zb and self.zb_z_idempotent and self.zb_z_proper
 
 
-def _zam_runs(n: int):
-    """Conflated graph of the longest element of S_n, the representatives of
-    its source and sink, and the matrix of the lex-least oriented run
-    between two vertices."""
+def _longest(n: int) -> tuple[ConflatedMorphisms, Word, Word]:
+    """Edge matrices of the longest element of S_n, and the representatives of its source and sink."""
     cm = _calculus(longest_element(n), n)
-    conf = cm.conflated
-    s, t = source_sink(conf)
-
-    def run(x: Word, y: Word, direction: str) -> MorphismMatrix:
-        return cm.path_matrix(oriented_run(conf, x, y, direction))
-
-    return conf, s.representative, t.representative, run
-
-
-def source_sink_morphisms(n: int) -> tuple[MorphismMatrix, MorphismMatrix]:
-    """Z (source to sink, oriented) and Zb (sink to source, reverse-oriented)."""
-    _, sr, tr, run = _zam_runs(n)
-    return run(sr, tr, "down"), run(tr, sr, "up")
+    s, t = source_sink(cm.conflated)
+    return cm, s.representative, t.representative
 
 
 def check_zam_identities(n: int) -> ZamReport:
-    """Verify the source/sink morphism identities on the longest element of S_n."""
-    z, zb = source_sink_morphisms(n)
-    zbz = zb.compose(z)
+    """Verify the source/sink morphism identities on the longest element of S_n.
+
+    Z is the lex-least oriented run from source to sink and Zb the
+    lex-least reverse-oriented run back; a product of them is one pool
+    walk along the runs in turn, and values compare by their ids.
+    """
+    cm, sr, tr = _longest(n)
+    down, up = oriented_run(cm.conflated, sr, tr, "down"), oriented_run(cm.conflated, tr, sr, "up")
+    pool = _MatrixPool()
+    z, zb = pool.walk(cm, down), pool.walk(cm, up)
+    zbz = pool.walk(cm, up, z)
     return ZamReport(
         rank=n,
-        z_zb_z_equals_z=z.compose(zb).compose(z) == z,
-        zb_z_zb_equals_zb=zb.compose(z).compose(zb) == zb,
-        zb_z_idempotent=zbz.compose(zbz) == zbz,
-        zb_z_proper=zbz != MorphismMatrix.identity(zbz.domain, n),
+        z_zb_z_equals_z=pool.walk(cm, down, zbz) == z,
+        zb_z_zb_equals_zb=pool.walk(cm, up, pool.walk(cm, down, zb)) == zb,
+        zb_z_idempotent=pool.walk(cm, up, pool.walk(cm, down, zbz)) == zbz,
+        zb_z_proper=zbz != pool.walk(cm, [sr]),
     )
 
 
-def dud_udu_pairs(n: int):
-    """(x, y, down-up-down, up-down-up) for every ordered pair of conflated vertices.
-
-    Each path half depends on one endpoint only, so the runs into and out
-    of the source and sink are composed once per vertex, and every pair
-    costs two compositions.
-    """
-    conf, sr, tr, run = _zam_runs(n)
-    reps = sorted(c.representative for c in conf.clouds)
-    up_ts, down_st = run(tr, sr, "up"), run(sr, tr, "down")
-    dud_head = {x: up_ts.compose(run(x, tr, "down")) for x in reps}
-    udu_head = {x: down_st.compose(run(x, sr, "up")) for x in reps}
-    dud_tail = {y: run(sr, y, "down") for y in reps}
-    udu_tail = {y: run(tr, y, "up") for y in reps}
-    for x in reps:
-        for y in reps:
-            yield x, y, dud_tail[y].compose(dud_head[x]), udu_tail[y].compose(udu_head[x])
-
-
 def check_dud_udu_all(n: int) -> bool:
-    """Check the law for every ordered pair of conflated vertices."""
-    return all(dud == udu for _, _, dud, udu in dud_udu_pairs(n))
+    """Check the down-up-down equals up-down-up law for every ordered pair of conflated vertices.
+
+    From x to y, DUD runs down to the sink, up to the source and down to
+    y; UDU runs up to the source, down to the sink and up to y.  Each x's
+    head is walked once and extended by each y's tail in one pool, which
+    memoizes every (value, step) product.
+    """
+    cm, sr, tr = _longest(n)
+    conf = cm.conflated
+    pool = _MatrixPool()
+    reps = sorted(c.representative for c in conf.clouds)
+    up_ts, down_st = oriented_run(conf, tr, sr, "up"), oriented_run(conf, sr, tr, "down")
+    tails = [(oriented_run(conf, sr, y, "down"), oriented_run(conf, tr, y, "up")) for y in reps]
+    for x in reps:
+        dud = pool.walk(cm, up_ts, pool.walk(cm, oriented_run(conf, x, tr, "down")))
+        udu = pool.walk(cm, down_st, pool.walk(cm, oriented_run(conf, x, sr, "up")))
+        for dud_tail, udu_tail in tails:
+            if pool.walk(cm, dud_tail, dud) != pool.walk(cm, udu_tail, udu):
+                return False
+    return True
 
 
 # -- equivalence lemmas -------------------------------------------------------
@@ -500,18 +475,19 @@ class LemmaReport(NamedTuple):
 
 
 def check_equivalence_lemmas(budget: int | None = None) -> LemmaReport:
-    """Verify the small-path equivalences by exact matrix equality.
+    """Verify the small-path equivalences by exact morphism equality.
 
     On the longest element of S_4 the named vertices are the oriented
     cycle s, A, B, C, t down the left half; on 23121 the line is
-    s -> c -> t.  Each claimed equivalence is a plain matrix comparison,
-    and the bounded exhaustive check, under ``budget`` as in ``check_fpc``,
-    confirms the full statement for 23121 and 12312.
+    s -> c -> t.  Each claimed equivalence compares the ids of two walks
+    in one pool, and the bounded exhaustive check, under ``budget`` as in
+    ``check_fpc``, confirms the full statement for 23121 and 12312.
     """
     results: dict[str, bool] = {}
 
     def eq(cm: ConflatedMorphisms, p, q) -> bool:
-        return cm.path_matrix(p) == cm.path_matrix(q)
+        pool = _MatrixPool()
+        return pool.walk(cm, p) == pool.walk(cm, q)
 
     cm = _calculus(longest_element(4), 4)
     a, b, c = (
@@ -667,12 +643,10 @@ def check_family(n: int) -> FamilyReport:
     # end and back, against sweeping to the far end first
     path_a = (reps[1], reps[0]) + reps[1:] + tuple(reversed(reps[1:-1]))
     path_b = reps[1:] + tuple(reversed(reps[:-1])) + (reps[1],)
-    mat_a = cm.path_matrix(path_a)
-    mat_b = cm.path_matrix(path_b)
-    differ = mat_a != mat_b
-    mask, img_a, img_b = (None, None, None)
-    if differ:
-        mask, img_a, img_b = _column_witness(mat_a, mat_b)
+    pool = _MatrixPool()
+    value_a, value_b = pool.walk(cm, path_a), pool.walk(cm, path_b)
+    differ = value_a != value_b
+    mask, img_a, img_b = pool.witness(value_a, value_b) if differ else (None, None, None)
     return FamilyReport(
         word=word,
         rank=n,

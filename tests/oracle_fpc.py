@@ -9,18 +9,23 @@
 # kernel oracle_polyring.Polynomial, converting through iter_terms, so they
 # share no product code with the package (whose Polynomial.__mul__ is
 # polyring.tagged_image too); the pool calls compose in place of the
-# method.  Also the per-pair down-up-down and up-down-up matrices
-# that preceded the shared path halves of fpc.dud_udu_pairs: each rebuilds
-# all three runs of one pair.  Not used by the package.
+# method.  Also the whole-matrix checks that preceded the pool walks of
+# rexcalc.fpc: the source/sink morphisms Z and Zb and their identities as
+# products of whole matrices, the per-vertex path halves of DUD and UDU
+# (dud_udu_pairs) and the per-pair matrices, each rebuilding all three runs
+# of one pair; a pool value's whole matrix rebuilt from its generator
+# columns; and the witness read off two whole matrices column by column.
+# Not used by the package.
 
 from __future__ import annotations
 
 from functools import lru_cache
 
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix
-from rexcalc.fpc import BudgetExceededError, _zam_runs
-from rexcalc.rexgraph import Cloud, ConflatedGraph
-from rexcalc.polyring import Polynomial
+from rexcalc.bsbimod import BSElement, free_slots, right_mul
+from rexcalc.fpc import BudgetExceededError, ZamReport, _longest
+from rexcalc.rexgraph import Cloud, ConflatedGraph, oriented_run
+from rexcalc.polyring import Polynomial, tag_column, tagged_image
 from rexcalc.symgroup import Word
 
 from oracle_polyring import Polynomial as SeedPolynomial
@@ -133,6 +138,93 @@ class _MatrixPool:
             found = self.intern(compose(cm.step_matrix(*step), self.mats[mat_id]))
             self.products[key] = found
         return found
+
+    def witness(self, a: int, b: int) -> tuple[int, BSElement, BSElement]:
+        return column_witness(self.mats[a], self.mats[b])
+
+
+@lru_cache(maxsize=None)
+def _right_mul_columns(word: Word, letter: int, rank: int) -> dict[int, dict]:
+    """Tagged columns of right multiplication by x_letter on the basis of a word."""
+    x = Polynomial.variable(letter, rank)
+    return {m: tag_column(right_mul(BSElement.basis(word, m, rank), x).coeffs, rank) for m in range(1 << len(word))}
+
+
+def rebuild(pool, value: int) -> MorphismMatrix:
+    """A package pool value's whole matrix: a column whose mask sets free
+    bits is the generator column below it times their variables, on the right."""
+    rank, domain, codomain, ids = pool.values[value]
+    free = free_slots(domain)
+    stored = iter(ids)
+    cols = {}
+    for c in range(1 << len(domain)):
+        if free_bits := c & free:
+            j = (free_bits & -free_bits).bit_length() - 1  # the lowest free bit of c
+            col = tagged_image(_right_mul_columns(codomain, domain[j], rank), cols.get(c ^ 1 << j, {}), rank)
+        else:
+            i = next(stored)
+            col = pool.cols[i] if i >= 0 else {}
+        if col:
+            cols[c] = col
+    return MorphismMatrix._make(rank, domain, codomain, cols)
+
+
+def column_witness(a: MorphismMatrix, b: MorphismMatrix) -> tuple[int, BSElement, BSElement]:
+    """The least mask whose columns differ, over every column of two whole matrices."""
+    for c in sorted(set(a.cols) | set(b.cols)):
+        if a.cols.get(c) != b.cols.get(c):
+            return c, BSElement(a.rank, a.codomain, a.column(c)), BSElement(b.rank, b.codomain, b.column(c))
+    raise AssertionError("matrices differ but no column does")
+
+
+def _zam_runs(n: int):
+    """Conflated graph of the longest element of S_n, the representatives of
+    its source and sink, and the matrix of the lex-least oriented run
+    between two vertices."""
+    cm, sr, tr = _longest(n)
+
+    def run(x: Word, y: Word, direction: str) -> MorphismMatrix:
+        return cm.path_matrix(oriented_run(cm.conflated, x, y, direction))
+
+    return cm.conflated, sr, tr, run
+
+
+def source_sink_morphisms(n: int) -> tuple[MorphismMatrix, MorphismMatrix]:
+    """Z (source to sink, oriented) and Zb (sink to source, reverse-oriented)."""
+    _, sr, tr, run = _zam_runs(n)
+    return run(sr, tr, "down"), run(tr, sr, "up")
+
+
+def zam_report(n: int) -> ZamReport:
+    """The source/sink identities as products of whole matrices."""
+    z, zb = source_sink_morphisms(n)
+    zbz = zb.compose(z)
+    return ZamReport(
+        rank=n,
+        z_zb_z_equals_z=z.compose(zb).compose(z) == z,
+        zb_z_zb_equals_zb=zb.compose(z).compose(zb) == zb,
+        zb_z_idempotent=zbz.compose(zbz) == zbz,
+        zb_z_proper=zbz != MorphismMatrix.identity(zbz.domain, n),
+    )
+
+
+def dud_udu_pairs(n: int):
+    """(x, y, down-up-down, up-down-up) for every ordered pair of conflated vertices.
+
+    Each path half depends on one endpoint only, so the runs into and out
+    of the source and sink are composed once per vertex, and every pair
+    costs two compositions.
+    """
+    conf, sr, tr, run = _zam_runs(n)
+    reps = sorted(c.representative for c in conf.clouds)
+    up_ts, down_st = run(tr, sr, "up"), run(sr, tr, "down")
+    dud_head = {x: up_ts.compose(run(x, tr, "down")) for x in reps}
+    udu_head = {x: down_st.compose(run(x, sr, "up")) for x in reps}
+    dud_tail = {y: run(sr, y, "down") for y in reps}
+    udu_tail = {y: run(tr, y, "up") for y in reps}
+    for x in reps:
+        for y in reps:
+            yield x, y, dud_tail[y].compose(dud_head[x]), udu_tail[y].compose(udu_head[x])
 
 
 def _as_rep(conf: ConflatedGraph, v) -> Word:

@@ -5,7 +5,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from rexcalc.bsbimod import (
     BSElement,
@@ -105,6 +105,7 @@ def test_invariant_sliding_across_boundaries():
         assert from_tensor(word, shifted_left, 4) == from_tensor(word, shifted_right, 4)
 
 
+@settings(deadline=None)
 @given(st.data())
 def test_from_tensor_additive_in_each_slot(data):
     rng = random.Random(data.draw(st.integers(0, 10**6)))

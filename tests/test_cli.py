@@ -488,7 +488,7 @@ def test_closed_stdout_exits_quietly():
     assert proc.wait(timeout=60) == 0
     assert head.startswith(b'{\n  "edges": [\n    {\n      "kind": "distant",\n')
     assert stderr == b""
-    # and partway through the one write of a text graph
+    # and partway through the text of a graph
     proc = subprocess.Popen(
         [sys.executable, "-m", "rexcalc.cli", "graph", "121321432154", "--format", "text"],
         stdout=subprocess.PIPE,
@@ -511,6 +511,17 @@ def test_text_output_is_one_write_of_the_printed_lines(monkeypatch):
     assert writes == ["first\n2\n\n(1)*e[0]\n"]
     cli._emit(None, "text", iter([]))
     assert writes[1:] == [""]
+
+
+def test_text_output_is_written_in_chunks_of_lines(monkeypatch):
+    writes = []
+    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+    monkeypatch.setattr(cli, "EMIT_CHUNK", 2)
+    cli._emit(None, "text", iter(["a", "b", "c", "d", "e"]))
+    assert writes == ["a\nb\n", "c\nd\n", "e\n"]
+    writes.clear()
+    cli._emit(None, "text", iter(["a", "b"]))
+    assert "".join(writes) == "a\nb\n"
 
 
 def test_element_term_product_is_a_usage_error():

@@ -20,6 +20,7 @@ from rexcalc.rexgraph import (
     build_rex_graph,
     graph_for_word,
     lift_conflated_path,
+    oriented_run,
     source_sink,
 )
 from rexcalc.symgroup import all_permutations, word_to_perm
@@ -114,7 +115,7 @@ def test_dud_udu_rank_three():
     s, t = source_sink(conf)
     assert oracle_fpc.check_dud_udu(3, s, t)
     assert fpc.check_dud_udu_all(3)
-    z, zb = fpc.source_sink_morphisms(3)
+    z, zb = oracle_fpc.source_sink_morphisms(3)
     assert oracle_fpc.udu_matrix(3, s, t) == z
     assert oracle_fpc.dud_matrix(3, t, s) == zb
 
@@ -124,21 +125,84 @@ def test_dud_ts_is_the_reverse_morphism_rank_four():
 
     rex, conf = graph_for_word(longest_element(4), rank=4)
     s, t = source_sink(conf)
-    z, zb = fpc.source_sink_morphisms(4)
+    z, zb = oracle_fpc.source_sink_morphisms(4)
     assert oracle_fpc.dud_matrix(4, t, s) == zb
     assert oracle_fpc.udu_matrix(4, s, t) == z
 
 
 def test_shared_halves_match_per_pair_matrices_rank_four():
-    # check_dud_udu_all reuses per-vertex path halves; the oracle's
-    # dud_matrix and udu_matrix rebuild every path for one pair
-    pairs = list(fpc.dud_udu_pairs(4))
+    # the oracle's dud_udu_pairs reuses per-vertex path halves of whole
+    # matrices; its dud_matrix and udu_matrix rebuild every path for one pair
+    pairs = list(oracle_fpc.dud_udu_pairs(4))
     assert len(pairs) == 8 * 8
     for x, y, dud, udu in pairs:
         assert dud == oracle_fpc.dud_matrix(4, x, y)
         assert udu == oracle_fpc.udu_matrix(4, x, y)
         assert dud == udu
     assert fpc.check_dud_udu_all(4)
+
+
+def _pools_of(monkeypatch, check):
+    """What check() returned, and the package pools it made."""
+    pools = []
+
+    class Kept(fpc._MatrixPool):
+        def __init__(self, *args):
+            super().__init__(*args)
+            pools.append(self)
+
+    monkeypatch.setattr(fpc, "_MatrixPool", Kept)
+    return check(), pools
+
+
+def _joined(*runs):
+    """The walk along runs in turn, each starting where the one before ends."""
+    return [runs[0][0]] + [v for run in runs for v in run[1:]]
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_zam_identities_match_whole_matrix_products(monkeypatch, n):
+    report, (pool,) = _pools_of(monkeypatch, lambda: fpc.check_zam_identities(n))
+    assert report == oracle_fpc.zam_report(n)
+    assert report.all_hold
+    z, zb = oracle_fpc.source_sink_morphisms(n)
+    cm, sr, tr = fpc._longest(n)
+    down, up = oriented_run(cm.conflated, sr, tr, "down"), oriented_run(cm.conflated, tr, sr, "up")
+    # each product the check compared is the walk along its runs, already in the pool
+    size = len(pool.values)
+    for runs, want in [
+        ((down,), z),
+        ((up,), zb),
+        ((down, up), zb.compose(z)),
+        ((down, up, down), z.compose(zb).compose(z)),
+        ((up, down, up), zb.compose(z).compose(zb)),
+        ((down, up, down, up), zb.compose(z).compose(zb).compose(z)),
+    ]:
+        assert oracle_fpc.rebuild(pool, pool.walk(cm, _joined(*runs))) == want
+    assert len(pool.values) == size
+
+
+@pytest.mark.parametrize("n", [3, 4])
+def test_dud_udu_walks_match_per_pair_matrices(monkeypatch, n):
+    holds, (pool,) = _pools_of(monkeypatch, lambda: fpc.check_dud_udu_all(n))
+    assert holds
+    cm, sr, tr = fpc._longest(n)
+    conf = cm.conflated
+
+    def run(a, b, direction):
+        return oriented_run(conf, a, b, direction)
+
+    reps = sorted(c.representative for c in conf.clouds)
+    size = len(pool.values)
+    for x in reps:
+        for y in reps:
+            # the pair's whole walks reuse the products the check memoized
+            dud = pool.walk(cm, _joined(run(x, tr, "down"), run(tr, sr, "up"), run(sr, y, "down")))
+            udu = pool.walk(cm, _joined(run(x, sr, "up"), run(sr, tr, "down"), run(tr, y, "up")))
+            assert oracle_fpc.rebuild(pool, dud) == oracle_fpc.dud_matrix(n, x, y)
+            assert oracle_fpc.rebuild(pool, udu) == oracle_fpc.udu_matrix(n, x, y)
+            assert dud == udu
+    assert len(pool.values) == size
 
 
 def test_budget_env_variable(monkeypatch):
@@ -241,13 +305,13 @@ def _search_with(monkeypatch, pool_cls, check):
             ids.append(found)
             return found
 
-        def matrix(self, i):
-            # the oracle pool keeps a matrix per value; the package pool rebuilds it
-            return self.mats[i] if pool_cls is oracle_fpc._MatrixPool else super().matrix(i)
+    def matrix(pool, i):
+        # the oracle pool keeps a matrix per value; the package pool's is rebuilt
+        return pool.mats[i] if pool_cls is oracle_fpc._MatrixPool else oracle_fpc.rebuild(pool, i)
 
     monkeypatch.setattr(fpc, "_MatrixPool", Logged)
     verdict = check()
-    return verdict, ids, [pool.matrix(i) for pool in pools for i in range(len(pool.ids))]
+    return verdict, ids, [matrix(pool, i) for pool in pools for i in range(len(pool.ids))]
 
 
 def _assert_same_search(monkeypatch, check):
@@ -307,15 +371,7 @@ def test_pool_budget_error_matches_oracle(monkeypatch, word, bound, budget):
 
 def _pool_work(monkeypatch, check):
     """Values, distinct columns, memoized products and memoized column images of check()."""
-    pools = []
-
-    class Counted(fpc._MatrixPool):
-        def __init__(self, *args):
-            super().__init__(*args)
-            pools.append(self)
-
-    monkeypatch.setattr(fpc, "_MatrixPool", Counted)
-    check()
+    _, pools = _pools_of(monkeypatch, check)
     return (
         sum(len(pool.values) for pool in pools),
         sum(len(pool.cols) for pool in pools),
@@ -329,12 +385,13 @@ def _pool_work(monkeypatch, check):
     [
         (fpc.check_s4_sweep, (503, 1_816, 902, 4_416)),
         (lambda: fpc.check_refined_conjecture(4, 10), (390, 1_511, 764, 3_868)),
+        (lambda: (fpc.check_zam_identities(4), fpc.check_dud_udu_all(4)), (154, 917, 208, 1_750)),
     ],
-    ids=["s4-sweep", "refined-4"],
+    ids=["s4-sweep", "refined-4", "zam-dud-4"],
 )
 def test_pool_work_counts_are_pinned(monkeypatch, check, work):
-    # values and products are those of the whole-matrix pool; columns and
-    # column images count generator columns only
+    # the searches' values and products are those of the whole-matrix pool;
+    # columns and column images count generator columns only
     assert _pool_work(monkeypatch, check) == work
 
 
@@ -353,14 +410,14 @@ def test_pool_interns_values_by_exact_content():
     for (a, b), step in {**cm.forward, **cm.backward}.items():
         one_step = pool.extend(cm, pool.intern(MorphismMatrix.identity(a, 4)), (a, b))
         assert pool.intern(step) == one_step
-        assert pool.matrix(one_step) == step
+        assert oracle_fpc.rebuild(pool, one_step) == step
     p1, p2 = pool.walk(cm, [s, c, t, c]), pool.walk(cm, [s, c, t, c, s, c])
     assert p1 == p2
     assert pool.walk(cm, [s, c, t]) != p1
-    assert pool.matrix(p1) == cm.path_matrix([s, c, t, c]) == cm.path_matrix([s, c, t, c, s, c])
+    assert oracle_fpc.rebuild(pool, p1) == cm.path_matrix([s, c, t, c]) == cm.path_matrix([s, c, t, c, s, c])
     # extending a value is the product with the step, interned by content
     for v in range(len(pool.values)):
-        mat = pool.matrix(v)
+        mat = oracle_fpc.rebuild(pool, v)
         for w in cm.conflated.links[mat.codomain]:
             assert pool.extend(cm, v, (mat.codomain, w)) == pool.intern(cm.step_matrix(mat.codomain, w).compose(mat))
 
@@ -439,10 +496,39 @@ def test_walk_matches_path_matrix(word, rank):
     ids = [pool.walk(cm, w) for w in walks]
     mats = [cm.path_matrix(w) for w in walks]
     for i, mat in zip(ids, mats):
-        assert pool.matrix(i) == mat
+        assert oracle_fpc.rebuild(pool, i) == mat
     # one id per matrix: walks get equal ids exactly when their matrices are equal
     for a, b in combinations(range(len(walks)), 2):
         assert (ids[a] == ids[b]) == (mats[a] == mats[b])
+
+
+@pytest.mark.parametrize(
+    "words, rank",
+    [
+        ([cm.graph.words[0] for cm in map(fpc._element_calculus, all_permutations(4)) if cm.conflated.edges], 4),
+        ([(1, 3, 2, 3, 1)], 4),
+        ([(1, 2, 3, 4, 3, 2, 1)], 5),
+        (_random_rank_five_words(), 5),
+    ],
+    ids=["every-s4-element", "13231", "1234321", "random-rank-5"],
+)
+def test_witness_matches_the_whole_matrix_witness(words, rank):
+    # the least differing column of two bimodule maps is a generator column,
+    # so the pool reads it without rebuilding either matrix
+    differing = 0
+    for word in words:
+        cm = fpc._calculus(word, rank)
+        walks = _random_walks(cm.conflated, random.Random(len(word) + rank), 24, 6)
+        pool = fpc._MatrixPool()
+        ids = [pool.walk(cm, w) for w in walks]
+        for (wa, a), (wb, b) in combinations(zip(walks, ids), 2):
+            if (wa[0], wa[-1]) != (wb[0], wb[-1]) or a == b:
+                continue
+            want = oracle_fpc.column_witness(oracle_fpc.rebuild(pool, a), oracle_fpc.rebuild(pool, b))
+            assert pool.witness(a, b) == want
+            assert want == oracle_fpc.column_witness(cm.path_matrix(wa), cm.path_matrix(wb))
+            differing += 1
+    assert differing
 
 
 @pytest.mark.parametrize("word, rank", [((1, 2, 3, 2, 1), 4), ((1, 2, 1, 3, 2, 1), 4), ((1, 2, 3, 4, 3, 2, 1), 5)])
