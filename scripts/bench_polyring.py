@@ -44,13 +44,16 @@ random walks on the conflated graph of 12321.
 Reading the two units.  The ns figures are wall times, and the speed of a
 vCPU on a shared machine drifts by up to 2x within seconds, so they
 compare only rows of one run.  Before each repeat of a row the script
-times a fixed interpreter loop (``meter``, the loop of
-``perfbench/launch.py``: 4,000 tuple-keyed dict updates, best of
-``METER_REPEAT`` runs in thread CPU time), and ``per_meter_loop`` gives
-each row's best ratio of a repeat's time to the loop's time just before
-it: how many loops the operation costs on the CPU as fast as it was just
-then.  Compare runs and commits by ``per_meter_loop``; its noise is the
-drift between a meter reading and the repeat after it.
+times a fixed interpreter loop (``meter`` of ``perfbench/launch.py``:
+4,000 tuple-keyed dict updates, best of ``METER_REPEAT`` runs in thread
+CPU time), and ``per_meter_loop`` gives each row's best ratio of a
+repeat's time to the loop's time just before it: how many loops the
+operation costs on the CPU as fast as it was just then.  Compare runs
+and commits by ``per_meter_loop``; its noise is the drift between a
+meter reading and the repeat after it.  The script pins itself to the
+CPU it starts on, as ``perfbench/launch.py`` does, so the child
+interpreters of ``cold_import`` and ``--w0-rank5`` run on the meter's
+CPU.
 
 Apart from clearing the cached tables and the pool wrapper, only public
 names are used.
@@ -65,6 +68,10 @@ import random
 import subprocess
 import sys
 import time
+
+# the benchmark launcher's meter loop and CPU choice, so both tools read alike
+sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+from launch import current_cpu, meter  # noqa: E402
 
 from rexcalc import BraidMove, ConflatedMorphisms, MorphismMatrix, Polynomial, braidmor, cli, fpc, graph_for_word
 from rexcalc.rexgraph import build_conflated, build_rex_graph
@@ -91,16 +98,6 @@ METER_REPEAT = 20
 
 IMPORT_REPEAT = 10
 IMPORT_CHILD = "import time; start = time.perf_counter(); import rexcalc.cli; print(time.perf_counter() - start)"
-
-
-def meter() -> float:
-    """Thread CPU time of a fixed loop of tuple-keyed dict updates (as in perfbench/launch.py)."""
-    start = time.thread_time()
-    acc = {}
-    for i in range(4000):
-        key = (i % 97, i % 89)
-        acc[key] = acc.get(key, 0) + i * 3 // 7
-    return time.thread_time() - start
 
 
 def random_polys(rng: random.Random, count: int) -> list[Polynomial]:
@@ -246,6 +243,8 @@ def main() -> int:
     parser.add_argument("--repeat", type=int, default=7)
     parser.add_argument("--w0-rank5", action="store_true", help="also time the rank-5 w0 tables")
     args = parser.parse_args()
+    # the meter, every row and every child (cold_import, --w0-rank5) run on one CPU
+    os.sched_setaffinity(0, {current_cpu()})
     rng = random.Random(2024)
     left, right = random_polys(rng, 2000), random_polys(rng, 2000)
     pairs = list(zip(left, right))

@@ -54,7 +54,7 @@ from __future__ import annotations
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bsbimod import BSElement, from_tensor, left_mul, right_mul
+from .bsbimod import BSElement, basis_slots, from_tensor, left_mul, right_mul
 from .polyring import Polynomial, Scalar, row_key, tag_column, tagged_image, untag_column
 from .rexgraph import CONFLATED, EXPANDED, ConflatedGraph, Path, RexGraph, lift_conflated_path, word_label
 from .symgroup import DISTANT, UP, BraidMove, Word, braid_moves
@@ -75,7 +75,7 @@ def _x(i: int, rank: int) -> Polynomial:
 
 
 def _express_adjacent_slots(
-    p: int, q: int, slots: tuple[Polynomial, ...], rank: int
+    p: int, q: int, slots: list[Polynomial], rank: int
 ) -> list[tuple[Polynomial, int, Polynomial]]:
     """Rewrite a window tensor over (p, q, p) as sum of left * G * right.
 
@@ -151,14 +151,7 @@ def _adjacent_table(i: int, kind: str, rank: int) -> LocalImageTable:
     dst_gens = (BSElement.generator(dst, rank), gen1_image)
     images = []
     for mask in range(8):
-        slots = tuple(
-            [one]
-            + [
-                _x(letter, rank) if (mask >> t) & 1 else one
-                for t, letter in enumerate(src)
-            ]
-        )
-        expr = _express_adjacent_slots(p, q, slots, rank)
+        expr = _express_adjacent_slots(p, q, basis_slots(src, mask, one), rank)
         # re-verify the rewrite in the source window before trusting it
         check = _combine(expr, src_gens)
         if check != BSElement.basis(src, mask, rank):
@@ -204,19 +197,11 @@ def apply_edge(elem: BSElement, move: BraidMove) -> BSElement:
     table = derive_local_table(move, elem.rank)
     pos, m = move.position, move.width
     new_word = elem.word[:pos] + table.target_window + elem.word[pos + m:]
-    one = Polynomial.one(elem.rank)
+    window = (1 << m) - 1
     out = BSElement.zero(new_word, elem.rank)
     for mask, coeff in elem.coeffs.items():
-        window_mask = (mask >> pos) & ((1 << m) - 1)
-        image = table.images[window_mask]
-        for imask, icoeff in image.coeffs.items():
-            slots = [coeff]
-            for t, letter in enumerate(new_word):
-                if pos <= t < pos + m:
-                    bit = (imask >> (t - pos)) & 1
-                else:
-                    bit = (mask >> t) & 1
-                slots.append(_x(letter, elem.rank) if bit else one)
+        for imask, icoeff in table.images[mask >> pos & window].coeffs.items():
+            slots = basis_slots(new_word, mask & ~(window << pos) | imask << pos, coeff)
             # the image's left coefficient crosses the plain tensor-over-R
             # boundary into the slot left of the window
             slots[pos] = slots[pos] * icoeff
@@ -282,9 +267,7 @@ class MorphismMatrix:
                 return {p: one}  # a basis tensor is already in normal form
             found = renormalized.get((p, coeff))
             if found is None:
-                slots = [one] + [
-                    _x(letter, rank) if (p >> t) & 1 else one for t, letter in enumerate(prefix)
-                ]
+                slots = basis_slots(prefix, p, one)
                 slots[-1] = slots[-1] * coeff
                 found = renormalized[(p, coeff)] = from_tensor(prefix, slots, rank).coeffs
             return found

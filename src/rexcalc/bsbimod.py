@@ -35,6 +35,13 @@ def basis_degree(mask: int, k: int) -> int:
     return 2 * int(mask).bit_count() - k
 
 
+def basis_slots(word, mask: int, coeff: Polynomial) -> list[Polynomial]:
+    """The slots [coeff, x_{w_1}^{e_1}, ..., x_{w_k}^{e_k}] of coeff times basis tensor ``mask``."""
+    rank = coeff.rank
+    one = Polynomial.one(rank)
+    return [coeff] + [Polynomial.variable(a, rank) if mask >> j & 1 else one for j, a in enumerate(word)]
+
+
 class BSElement(Frozen):
     """An element of the Bott-Samelson bimodule of ``word`` in normal form."""
 
@@ -98,29 +105,8 @@ class BSElement(Frozen):
         )
 
     def __hash__(self) -> int:
-        return hash((self.rank, self.word, frozenset((m, c) for m, c in self.coeffs.items())))
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, BSElement):
-            return NotImplemented
-        return (
-            self.rank == other.rank
-            and self.word == other.word
-            and self.coeffs == other.coeffs
-        )
-
-    def slot_tensor(self, mask: int) -> tuple[Polynomial, ...]:
-        """The slot expansion (coeff, x^{e_1}, ..., x^{e_k}) of one basis term."""
-        c = self.coeffs.get(mask)
-        if c is None:
-            c = Polynomial.zero(self.rank)
-        slots = [c]
-        for j, letter in enumerate(self.word):
-            if (mask >> j) & 1:
-                slots.append(Polynomial.variable(letter, self.rank))
-            else:
-                slots.append(Polynomial.one(self.rank))
-        return tuple(slots)
+        # Frozen compares the fields; the coefficient dict hashes as its items
+        return hash((self.rank, self.word, frozenset(self.coeffs.items())))
 
     def to_json(self) -> dict:
         return {
@@ -209,8 +195,8 @@ def right_mul(e: BSElement, p: Polynomial) -> BSElement:
     if p.rank != e.rank:
         raise ValueError("rank mismatch")
     out = BSElement.zero(e.word, e.rank)
-    for mask in e.coeffs:
-        slots = list(e.slot_tensor(mask))
+    for mask, c in e.coeffs.items():
+        slots = basis_slots(e.word, mask, c)
         slots[-1] = slots[-1] * p
         out = out + from_tensor(e.word, slots, e.rank)
     return out
@@ -227,8 +213,8 @@ def dot_cap(e: BSElement, factor: int) -> BSElement:
         raise ValueError(f"factor {factor} out of range for word of length {k}")
     new_word = e.word[:factor] + e.word[factor + 1:]
     out = BSElement.zero(new_word, e.rank)
-    for mask in e.coeffs:
-        slots = list(e.slot_tensor(mask))
+    for mask, c in e.coeffs.items():
+        slots = basis_slots(e.word, mask, c)
         merged = slots[:factor] + [slots[factor] * slots[factor + 1]] + slots[factor + 2:]
         out = out + from_tensor(new_word, merged, e.rank)
     return out

@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain, islice
+from itertools import chain
 
 from . import fpc
 from .braidmor import path_morphism
@@ -45,8 +45,6 @@ EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-EMIT_CHUNK = 4096  # text lines per write
 
 SHAPE_DISPLAY = {
     fpc.DOT: "*",
@@ -212,17 +210,11 @@ def write_expanded_json(word: Word, rex: RexGraph, out) -> None:
 
 def _emit(payload, fmt: str, text_lines) -> None:
     # text_lines may be lazy: it is read only for text output, and written
-    # as print would write each line, EMIT_CHUNK lines per call, so neither
-    # a call per line nor the whole text at once
+    # as print would write each line
     if fmt == "json":
         print(_dumps(payload))
-        return
-    lines = iter(text_lines)
-    while True:
-        chunk = list(islice(lines, EMIT_CHUNK))
-        sys.stdout.write("".join(f"{line}\n" for line in chunk))
-        if len(chunk) < EMIT_CHUNK:
-            return
+    else:
+        sys.stdout.writelines(f"{line}\n" for line in text_lines)
 
 
 def cmd_graph(args) -> int:
@@ -356,9 +348,7 @@ def cmd_verify(args) -> int:
         if args.word is not None:
             # exploratory mode: run the bounded comparison on a given element
             word, rank = _resolve_config(args)
-            conf = fpc._calculus(word, rank).conflated
-            bound = fpc.sweep_max_len(len(conf.clouds)) if args.max_len is None else args.max_len
-            verdict = fpc.check_fpc(word, bound, rank=rank, budget=budget)
+            verdict = fpc.check_fpc(word, args.max_len, rank=rank, budget=budget)
             _emit(verdict, fmt, _verdict_lines(verdict))
             return EXIT_OK
         if args.max_len is not None:

@@ -295,13 +295,19 @@ def _value_search(
     return FpcVerdict(word, max_len, True, None)
 
 
-def check_fpc(word, max_len: int, rank: int, budget: int | None = None) -> FpcVerdict:
-    """Compare all complete conflated paths up to max_len, grouped by endpoints."""
+def check_fpc(word, max_len: int | None, rank: int, budget: int | None = None) -> FpcVerdict:
+    """Compare all complete conflated paths up to max_len, grouped by endpoints.
+
+    A max_len of None takes the sweep bound, ``sweep_max_len`` of the
+    conflated graph's cloud count; the verdict's bound is the one used.
+    """
     word = tuple(word)
     if not is_reduced(word, rank):
         raise ValueError(f"word {word} is not reduced")
     cm = _calculus(word, rank)
     conf = cm.conflated
+    if max_len is None:
+        max_len = sweep_max_len(len(conf.clouds))
     if max_len < len(conf.clouds):
         raise ValueError(f"max_len {max_len} below vertex count {len(conf.clouds)}")
     bit = {r: 1 << i for i, r in enumerate(conf.links)}
@@ -593,7 +599,7 @@ def check_s4_sweep(budget: int | None = None) -> SweepReport:
         cm = _element_calculus(perm)
         label = cm.graph.words[0]
         shape, expected_shape = classify_shape(cm.conflated), expected_by_perm[perm]
-        holds = check_fpc(label, sweep_max_len(len(cm.conflated.clouds)), rank=4, budget=budget).holds
+        holds = check_fpc(label, None, rank=4, budget=budget).holds
         rows.append(
             SweepRow(
                 element=label,

@@ -59,10 +59,9 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 from operator import or_
-from typing import TYPE_CHECKING, Iterator, Mapping, Union
+from typing import Iterator, Mapping, Union
 
-if TYPE_CHECKING:
-    from .symgroup import Permutation
+from .symgroup import Permutation
 
 Monomial = tuple[int, ...]
 Scalar = Union[int, Fraction]
@@ -280,7 +279,7 @@ class Polynomial:
 
     # -- symmetric group action --------------------------------------------
 
-    def act(self, perm: "Permutation") -> Polynomial:
+    def act(self, perm: Permutation) -> Polynomial:
         """Apply the variable-permuting action: x_i is sent to x_{perm(i)}."""
         if perm.n != self.rank:
             raise ValueError(f"rank mismatch: permutation of {perm.n}, polynomial rank {self.rank}")
@@ -303,14 +302,7 @@ class Polynomial:
 
     def swap(self, i: int) -> Polynomial:
         """Apply the simple reflection s_i, swapping x_i and x_{i+1}."""
-        hi = self._generator_shift(i)
-        lo = hi - _WIDTH
-        unit = (1 << hi) - (1 << lo)
-        out = {
-            m + (((m >> lo) & _FIELD) - ((m >> hi) & _FIELD)) * unit: c
-            for m, c in self.terms.items()
-        }
-        return _make(self.rank, out)
+        return self.act(Permutation.simple_reflection(i, self.rank))
 
     def is_invariant(self, i: int) -> bool:
         """True iff s_i fixes the polynomial."""

@@ -371,22 +371,17 @@ def project_path(conflated: ConflatedGraph, path: Path) -> Path:
     return Path(CONFLATED, tuple(c.representative for c in out))
 
 
-def enumerate_complete_paths(
-    conflated: ConflatedGraph, start, end, max_len: int | None = None
-) -> Iterator[Path]:
+def enumerate_complete_paths(conflated: ConflatedGraph, start, end, max_len: int) -> Iterator[Path]:
     """All walks from start to end visiting every cloud, up to max_len.
 
     Vertices are cloud representatives.  Paths stream in lexicographic
-    prefix order; length counts vertices.  The default bound is
-    2 * (cloud count) + 4, comfortably past every canonical path form.
+    prefix order; length counts vertices.
     """
     links = conflated.links
     total = len(links)
     start, end = tuple(start), tuple(end)
     if start not in links or end not in links:
         raise ValueError("endpoints must be graph vertices")
-    if max_len is None:
-        max_len = 2 * total + 4
     if max_len < total:
         raise ValueError(f"max_len {max_len} below vertex count {total}")
     seq: list[Word] = [start]

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from rexcalc.bsbimod import (
     BSElement,
     basis_degree,
+    basis_slots,
     dot_cap,
     free_slots,
     from_tensor,
@@ -130,9 +131,20 @@ def test_normalization_idempotent():
         slots = tuple(random_polynomial(rng, 4) for _ in range(len(word) + 1))
         e = from_tensor(word, slots, 4)
         rebuilt = BSElement.zero(word, 4)
-        for mask in e.coeffs:
-            rebuilt = rebuilt + from_tensor(word, e.slot_tensor(mask), 4)
+        for mask, c in e.coeffs.items():
+            rebuilt = rebuilt + from_tensor(word, basis_slots(word, mask, c), 4)
         assert rebuilt == e
+
+
+def test_basis_slots_are_in_normal_form():
+    # a left coefficient times a basis tensor renormalizes to that one term
+    rng = random.Random(19)
+    for rank in range(2, 6):
+        for _ in range(4):
+            word = random_reduced_word(rng, rank)
+            for mask in range(1 << len(word)):
+                c = random_polynomial(rng, rank)
+                assert from_tensor(word, basis_slots(word, mask, c), rank) == BSElement(rank, word, {mask: c})
 
 
 def test_dot_cap_on_generator():

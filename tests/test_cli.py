@@ -11,7 +11,6 @@ import sys
 import time
 from hashlib import sha256
 from pathlib import Path
-from types import SimpleNamespace
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -504,24 +503,12 @@ def test_closed_stdout_exits_quietly():
     assert stderr == b""
 
 
-def test_text_output_is_one_write_of_the_printed_lines(monkeypatch):
-    writes = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
+def test_text_output_is_the_printed_lines(monkeypatch):
+    out = io.StringIO()
+    monkeypatch.setattr(sys, "stdout", out)
     cli._emit(None, "text", iter(["first", 2, "", BSElement.generator((1,), 4)]))
-    assert writes == ["first\n2\n\n(1)*e[0]\n"]
     cli._emit(None, "text", iter([]))
-    assert writes[1:] == [""]
-
-
-def test_text_output_is_written_in_chunks_of_lines(monkeypatch):
-    writes = []
-    monkeypatch.setattr(sys, "stdout", SimpleNamespace(write=writes.append))
-    monkeypatch.setattr(cli, "EMIT_CHUNK", 2)
-    cli._emit(None, "text", iter(["a", "b", "c", "d", "e"]))
-    assert writes == ["a\nb\n", "c\nd\n", "e\n"]
-    writes.clear()
-    cli._emit(None, "text", iter(["a", "b"]))
-    assert "".join(writes) == "a\nb\n"
+    assert out.getvalue() == "first\n2\n\n(1)*e[0]\n"
 
 
 def test_element_term_product_is_a_usage_error():

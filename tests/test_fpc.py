@@ -266,6 +266,13 @@ def test_sweep_max_len():
     assert fpc.sweep_max_len(8) == 20
 
 
+@pytest.mark.parametrize("word, rank, bound", [((1, 2, 3, 2, 1), 4, 10), ((1, 2, 1), 3, 9)])
+def test_check_fpc_without_a_bound_takes_the_sweep_bound(word, rank, bound):
+    clouds = fpc._calculus(word, rank).conflated.clouds
+    assert fpc.sweep_max_len(len(clouds)) == bound
+    assert fpc.check_fpc(word, None, rank=rank).bound == bound
+
+
 def test_verdict_json_round_trip():
     import json
 

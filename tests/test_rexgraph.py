@@ -208,10 +208,9 @@ def test_enumerate_complete_paths_two_vertex_graph():
     assert found == [((1, 2, 1), (2, 1, 2))]
 
 
-def test_enumerate_complete_paths_default_bound():
-    # default bound is twice the vertex count plus four
+def test_enumerate_complete_paths_reaches_its_bound():
     rex, conf = graph_for_word((1, 2, 1), rank=3)
-    found = [p.vertices for p in enumerate_complete_paths(conf, (1, 2, 1), (2, 1, 2))]
+    found = [p.vertices for p in enumerate_complete_paths(conf, (1, 2, 1), (2, 1, 2), 8)]
     assert all(len(p) <= 8 for p in found)
     assert max(len(p) for p in found) == 8
 
