@@ -13,6 +13,10 @@ for ``Polynomial`` multiplication, addition and ``split``, for
 element of S_4 as pool walks, with the graphs and edge matrices built
 before the row), and for ``MorphismMatrix.for_edge`` on one distant and one adjacent move of the
 word 123545321 of the element 123454321 (512 columns), with the package's
+cached tables cleared before each repeat.  ``step_tables`` times one cold
+``ConflatedMorphisms`` of 123454321 at rank 6, the line6 workload's step
+matrices (4 conflated edges, so 8 steps, whose lifts make 8 adjacent
+and 24 distant moves), with its graphs built before the row and the
 cached tables cleared before each repeat.  The graph rows time, best of
 ``GRAPH_REPEAT`` runs and in nanoseconds, ``reduced_words``,
 ``build_rex_graph`` and ``build_conflated`` on the element 121321432154 of
@@ -85,6 +89,8 @@ EDGE_MOVES = {
     "for_edge_adjacent": BraidMove(3, "down", 4),
 }
 
+STEP_WORD = (1, 2, 3, 4, 5, 4, 3, 2, 1)
+
 GRAPH_WORD = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)
 GRAPH_REPEAT = 5
 
@@ -137,6 +143,12 @@ def time_for_edge(move: BraidMove) -> float:
     """One cold build of one edge matrix of EDGE_WORD, in nanoseconds."""
     clear_tables()
     return run_ns(lambda: MorphismMatrix.for_edge(move, EDGE_WORD, 6), 1)
+
+
+def time_step_tables(rex, conf) -> float:
+    """One cold ConflatedMorphisms build over prebuilt graphs, in nanoseconds."""
+    clear_tables()
+    return run_ns(lambda: ConflatedMorphisms(rex, conf), 1)
 
 
 W0_RANK5_CHILD = """
@@ -273,6 +285,8 @@ def main() -> int:
     }
     for name, move in EDGE_MOVES.items():
         rows[name] = (lambda move=move: time_for_edge(move), args.repeat)
+    step_graphs = graph_for_word(STEP_WORD, rank=6)
+    rows["step_tables"] = (lambda: time_step_tables(*step_graphs), args.repeat)
     rows.update(graph_layer_rows())
     rows["cold_import"] = (time_cold_import, IMPORT_REPEAT)
     for name, (word, bound) in SEARCHES.items():

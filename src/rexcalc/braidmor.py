@@ -39,9 +39,14 @@ reuses it with shifted row indices.  A distant move has icoeff = 1
 throughout, and its matrix is a permutation built without polynomial
 arithmetic.
 
-Path morphisms are ordered products of edge matrices over the normal-form
+Path morphisms are ordered products of edge morphisms over the normal-form
 bases; they are faithful because those bases are free, so path equality
-questions reduce to entrywise polynomial equality.  A matrix stores each
+questions reduce to entrywise polynomial equality.  A distant move in a
+path is a bit swap of row indices: it sends basis mask m to m with its
+two window bits swapped, with coefficient 1, which ``_distant_table``
+verifies when it builds the move's table, so ``path_morphism`` relabels
+the rows of the product so far instead of multiplying in an edge matrix.
+Only adjacent moves cost an edge matrix and a product.  A matrix stores each
 column as one tagged term map (``polyring.tag_column``: row and packed
 monomial in one int key, the coefficient as value), and every product,
 in ``compose``, ``apply`` and the path search, is taken one column at a
@@ -155,7 +160,7 @@ def _adjacent_table(i: int, kind: str, rank: int) -> LocalImageTable:
         # re-verify the rewrite in the source window before trusting it
         check = _combine(expr, src_gens)
         if check != BSElement.basis(src, mask, rank):
-            raise RuntimeError(f"window rewrite failed for mask {mask} of {src}")
+            raise RuntimeError(f"window rewrite failed for mask {mask} of {word_label(src)}")
         images.append(_combine(expr, dst_gens))
     return LocalImageTable(rank, kind, src, dst, tuple(images))
 
@@ -178,8 +183,13 @@ def _distant_table(i: int, j: int, rank: int) -> LocalImageTable:
         mult = (_x(i, rank) ** a) * (_x(j, rank) ** b)
         check = from_tensor(src, (one, one, mult), rank)
         if check != BSElement.basis(src, mask, rank):
-            raise RuntimeError(f"window rewrite failed for mask {mask} of {src}")
-        images.append(from_tensor(dst, (one, one, mult), rank))
+            raise RuntimeError(f"window rewrite failed for mask {mask} of {word_label(src)}")
+        # the image must be the basis tensor with the two exponents swapped,
+        # coefficient 1: path_morphism applies the move as that bit swap
+        image = from_tensor(dst, (one, one, mult), rank)
+        if image != BSElement.basis(dst, b | a << 1, rank):
+            raise RuntimeError(f"distant image of mask {mask} of {word_label(src)} is not its swapped basis tensor")
+        images.append(image)
     return LocalImageTable(rank, DISTANT, src, dst, tuple(images))
 
 
@@ -359,13 +369,28 @@ def move_between(u: Word, v: Word) -> BraidMove:
 
 
 def path_morphism(path: Path, rank: int) -> MorphismMatrix:
-    """Ordered product of edge matrices along an expanded-graph path."""
+    """Ordered product of the edge morphisms along an expanded-graph path.
+
+    An adjacent move multiplies its edge matrix in.  A distant move at
+    position pos is a bit swap of row indices: its edge morphism sends
+    basis mask m to the mask with bits pos and pos + 1 swapped, with
+    coefficient 1 (verified when its table is built), so it relabels the
+    rows of the product so far, and no edge matrix is built for it.
+    """
     if path.kind != EXPANDED:
         raise ValueError("path_morphism expects an expanded path")
     words = path.vertices
     acc = MorphismMatrix.identity(words[0], rank)
     for u, v in zip(words, words[1:]):
-        acc = edge_matrix(move_between(u, v), u, rank).compose(acc)
+        move = move_between(u, v)
+        if derive_local_table(move, rank).kind != DISTANT:
+            acc = edge_matrix(move, u, rank).compose(acc)
+            continue
+        # row bit pos sits at key bit lo; flip both bits where they differ
+        lo = row_key(1 << move.position, rank).bit_length() - 1
+        flip = (0, 3 << lo, 3 << lo, 0)
+        cols = {c: {k ^ flip[k >> lo & 3]: a for k, a in col.items()} for c, col in acc.cols.items()}
+        acc = MorphismMatrix._make(rank, acc.domain, v, cols)
     return acc
 
 

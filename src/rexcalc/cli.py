@@ -1,7 +1,9 @@
 """Command-line front end: graph export, morphism evaluation, verification.
 
 Exit codes: 0 all verdicts as expected, 1 unexpected mathematical
-verdict, 2 usage error, 3 resource budget exceeded.  The environment
+verdict, 2 usage error, 3 resource budget exceeded, 4 internal error (a
+failed table check or a broken graph or pool invariant, reported as
+``internal error: ...`` on stderr with no traceback).  The environment
 variable REXCALC_BUDGET caps the number of distinct morphism matrices a
 search may intern; a budget below 1 or not an integer, a rank outside
 1..MAX_RANK, an element with more than ``symgroup.MAX_REDUCED_WORDS``
@@ -45,6 +47,7 @@ EXIT_OK = 0
 EXIT_UNEXPECTED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+EXIT_INTERNAL = 4
 
 SHAPE_DISPLAY = {
     fpc.DOT: "*",
@@ -436,6 +439,9 @@ def main(argv=None) -> int:
     except fpc.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
+    except (RuntimeError, AssertionError) as exc:
+        print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_INTERNAL
     except (UsageError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_USAGE

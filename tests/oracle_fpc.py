@@ -15,16 +15,18 @@
 # (dud_udu_pairs) and the per-pair matrices, each rebuilding all three runs
 # of one pair; a pool value's whole matrix rebuilt from its generator
 # columns; and the witness read off two whole matrices column by column.
+# Also path_morphism as it was before distant moves became row-bit swaps:
+# every move's edge matrix built and multiplied in, adjacent or distant.
 # Not used by the package.
 
 from __future__ import annotations
 
 from functools import lru_cache
 
-from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix
+from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix, edge_matrix, move_between
 from rexcalc.bsbimod import BSElement, free_slots, right_mul
 from rexcalc.fpc import BudgetExceededError, ZamReport, _longest
-from rexcalc.rexgraph import Cloud, ConflatedGraph, oriented_run
+from rexcalc.rexgraph import Cloud, ConflatedGraph, Path, oriented_run
 from rexcalc.polyring import Polynomial, tag_column, tagged_image
 from rexcalc.symgroup import Word
 
@@ -105,6 +107,15 @@ def compose(self: MorphismMatrix, other: MorphismMatrix) -> MorphismMatrix:
         if acc:
             cols[c] = _package(acc)
     return MorphismMatrix(self.rank, other.domain, self.codomain, cols)
+
+
+def path_morphism(path: Path, rank: int) -> MorphismMatrix:
+    """Ordered product of the edge matrices along an expanded-graph path, one product per move."""
+    words = path.vertices
+    acc = MorphismMatrix.identity(words[0], rank)
+    for u, v in zip(words, words[1:]):
+        acc = edge_matrix(move_between(u, v), u, rank).compose(acc)
+    return acc
 
 
 class _MatrixPool:

@@ -10,6 +10,7 @@ import oracle_fpc
 import pytest
 from hypothesis import given, strategies as st
 
+from rexcalc import braidmor
 from rexcalc.braidmor import (
     ConflatedMorphisms,
     MorphismMatrix,
@@ -284,6 +285,108 @@ def test_empty_path_is_identity():
 def test_out_and_back_along_distant_edge():
     path = Path(EXPANDED, ((1, 3, 2, 3, 1), (3, 1, 2, 3, 1), (1, 3, 2, 3, 1)))
     assert path_morphism(path, 4) == MorphismMatrix.identity((1, 3, 2, 3, 1), 4)
+
+
+def _random_expanded_walks(rng, rex, count, max_steps):
+    for _ in range(count):
+        walk = [rng.choice(rex.words)]
+        for _ in range(rng.randint(1, max_steps)):
+            walk.append(rng.choice(rex.neighbors(walk[-1]))[0])
+        yield Path(EXPANDED, tuple(walk))
+
+
+def test_path_morphism_matches_edge_by_edge_products():
+    # the oracle multiplies in every move's edge matrix; path_morphism
+    # relabels rows for a distant move and multiplies only adjacent ones
+    rng = random.Random(20)
+    shapes = set()
+    for word, rank in [
+        ((1, 2, 3, 2, 1), 4),
+        ((1, 2, 1, 3, 2, 1), 4),
+        ((1, 2, 3, 4, 5, 4, 3, 2, 1), 6),
+        (longest_element(5), 5),
+        ((2, 4, 1, 3, 5, 2), 6),
+    ]:
+        rex, _ = graph_for_word(word, rank)
+        for path in _random_expanded_walks(rng, rex, 12, 12):
+            assert path_morphism(path, rank) == oracle_fpc.path_morphism(path, rank), path.vertices
+            steps = zip(path.vertices, path.vertices[1:])
+            kinds = "".join("d" if move_between(u, v).kind == "distant" else "a" for u, v in steps)
+            shapes.update(shape for shape in ("dd", "dad") if shape in kinds)
+    # runs of distant moves, and distant moves on both sides of an adjacent one
+    assert shapes == {"dd", "dad"}
+
+
+def test_distant_tables_are_mask_swaps_at_rank_11():
+    for i in range(1, 11):
+        for j in range(1, 11):
+            if abs(i - j) < 2:
+                continue
+            table = derive_local_table(BraidMove(0, "distant", i, j), 11)
+            for mask in range(4):
+                swapped = (mask & 1) << 1 | mask >> 1
+                assert table.images[mask] == BSElement.basis((j, i), swapped, 11), (i, j, mask)
+
+
+def test_distant_edge_matrices_are_row_bit_swaps():
+    # every distant edge of the element of 123545321, in both directions: the
+    # edge matrix and the one-step path morphism are the identity with row
+    # bits pos and pos + 1 swapped
+    rex, _ = graph_for_word((1, 2, 3, 5, 4, 5, 3, 2, 1), 6)
+    count = 0
+    for u in rex.words:
+        for v, move in rex.distant_neighbors(u):
+            pos = move.position
+            swap = {c: c ^ 3 << pos if (c >> pos ^ c >> pos + 1) & 1 else c for c in range(1 << len(u))}
+            expected = MorphismMatrix(6, u, v, {c: {r: one(6)} for c, r in swap.items()})
+            assert edge_matrix(move, u, 6) == expected, (u, v)
+            assert path_morphism(Path(EXPANDED, (u, v)), 6) == expected, (u, v)
+            count += 1
+    assert count == 240
+
+
+def _fake_from_tensor(bad_word, image):
+    real = braidmor.from_tensor
+
+    def fake(word, slots, rank):
+        return image(word, rank) if word == bad_word else real(word, slots, rank)
+
+    return fake
+
+
+@pytest.mark.parametrize(
+    "name, fake, move, message",
+    [
+        (
+            "from_tensor",
+            _fake_from_tensor((1, 10), BSElement.zero),
+            BraidMove(0, "distant", 1, 10),
+            "window rewrite failed for mask 0 of 1,10",
+        ),
+        (
+            "from_tensor",
+            _fake_from_tensor((10, 1), BSElement.generator),
+            BraidMove(0, "distant", 1, 10),
+            "distant image of mask 1 of 1,10 is not its swapped basis tensor",
+        ),
+        (
+            "_express_adjacent_slots",
+            lambda *args: [],
+            BraidMove(0, "up", 9),
+            "window rewrite failed for mask 0 of 9,10,9",
+        ),
+    ],
+)
+def test_table_checks_name_the_window_by_its_label(monkeypatch, name, fake, move, message):
+    monkeypatch.setattr(braidmor, name, fake)
+    braidmor._adjacent_table.cache_clear()
+    braidmor._distant_table.cache_clear()
+    try:
+        with pytest.raises(RuntimeError, match=f"^{message}$"):
+            derive_local_table(move, 11)
+    finally:
+        braidmor._adjacent_table.cache_clear()
+        braidmor._distant_table.cache_clear()
 
 
 def test_move_between_rejects_non_neighbors():

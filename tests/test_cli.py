@@ -188,6 +188,26 @@ def test_usage_error_exit_code(capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "name, argv, error",
+    [
+        ("check_family", ["verify", "family", "--rank", "4"], RuntimeError("window rewrite failed for mask 0 of 121")),
+        ("check_zam_identities", ["verify", "zam", "--rank", "3"], AssertionError("walk left the graph")),
+    ],
+)
+def test_internal_fault_is_exit_4_without_a_traceback(capsys, monkeypatch, name, argv, error):
+    # a failed table check or a broken invariant is neither a verdict (1)
+    # nor a usage error (2)
+    def broken(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(fpc, name, broken)
+    code, out, err = run(capsys, *argv)
+    assert code == cli.EXIT_INTERNAL == 4
+    assert err == f"internal error: {error}\n"
+    assert "Traceback" not in out + err
+
+
 def test_output_is_deterministic(capsys):
     argv = ["graph", "121321", "--conflated", "--format", "json"]
     _, first, _ = run(capsys, *argv)

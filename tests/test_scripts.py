@@ -64,6 +64,13 @@ def test_bench_polyring_clears_its_tables_and_times_an_edge_row():
     assert script.time_for_edge(script.EDGE_MOVES["for_edge_adjacent"]) > 0
 
 
+def test_bench_polyring_times_cold_step_tables():
+    script = load_script("bench_polyring")
+    rex, conf = graph_for_word(script.STEP_WORD, rank=6)
+    assert len(conf.edges) == 4
+    assert script.time_step_tables(rex, conf) > 0
+
+
 def test_bench_polyring_times_a_cold_import_and_the_graph_writer(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     script = load_script("bench_polyring")
