@@ -24,7 +24,10 @@ S_6 (5,775 words, 17,486 edges, 82 clouds) and the writing of its
 ``rexcalc graph --format json`` document (``cli.write_expanded_json``, the
 writer ``cmd_graph`` uses, into /dev/null).  ``cold_import`` times
 ``import rexcalc.cli`` in a fresh child interpreter, one child per repeat
-and best of ``IMPORT_REPEAT``: the import every CLI call pays once.
+and best of ``IMPORT_REPEAT``: the import every CLI call pays once.  The
+child times the meter loop itself, just before and just after its
+import, so its ``per_meter_loop`` divides by the speed of the CPU the
+import ran on.
 The search rows time one ``fpc.check_fpc`` with its graphs and edge
 matrices already built by a first call, so they measure the path search
 alone: ``value_search`` on 12321, the S_4 counterexample, at bound 9
@@ -74,7 +77,8 @@ import sys
 import time
 
 # the benchmark launcher's meter loop and CPU choice, so both tools read alike
-sys.path.insert(0, os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench"))
+PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
+sys.path.insert(0, PERFBENCH)
 from launch import current_cpu, meter  # noqa: E402
 
 from rexcalc import BraidMove, ConflatedMorphisms, MorphismMatrix, Polynomial, braidmor, cli, fpc, graph_for_word
@@ -103,7 +107,19 @@ SEARCHES = {
 METER_REPEAT = 20
 
 IMPORT_REPEAT = 10
-IMPORT_CHILD = "import time; start = time.perf_counter(); import rexcalc.cli; print(time.perf_counter() - start)"
+# argv: the perfbench directory and METER_REPEAT; prints the import's
+# seconds and the best meter loop read around it, in seconds
+IMPORT_CHILD = """
+import sys, time
+sys.path.insert(0, sys.argv[1])
+from launch import meter
+loops = [meter() for _ in range(int(sys.argv[2]))]
+start = time.perf_counter()
+import rexcalc.cli
+took = time.perf_counter() - start
+loops += [meter() for _ in range(int(sys.argv[2]))]
+print(took, min(loops))
+"""
 
 
 def random_polys(rng: random.Random, count: int) -> list[Polynomial]:
@@ -125,11 +141,17 @@ def run_ns(fn, ops: int) -> float:
 
 
 def measure(once, repeat: int) -> tuple[float, float]:
-    """Best of ``repeat`` calls of once() (ns/op), and the best ratio of a call to the meter loop timed just before it."""
+    """Best of ``repeat`` calls of once() (ns/op), and the best ratio of a call to the meter loop timed just before it.
+
+    A row timed in a child interpreter returns (ns, the child's own meter
+    loop in ns), and its ratio is taken to that loop instead.
+    """
     best = best_ratio = float("inf")
     for _ in range(repeat):
         loop_ns = min(meter() for _ in range(METER_REPEAT)) * 1e9
         ns = once()
+        if isinstance(ns, tuple):
+            ns, loop_ns = ns
         best, best_ratio = min(best, ns), min(best_ratio, ns / loop_ns)
     return best, best_ratio
 
@@ -185,10 +207,16 @@ def time_w0_rank5() -> tuple[float, float]:
     return float(printed), usage.ru_maxrss / 1024
 
 
-def time_cold_import() -> float:
-    """One ``import rexcalc.cli`` in a fresh child interpreter, in nanoseconds."""
-    child = subprocess.run([sys.executable, "-c", IMPORT_CHILD], capture_output=True, text=True, check=True)
-    return float(child.stdout) * 1e9
+def time_cold_import() -> tuple[float, float]:
+    """One ``import rexcalc.cli`` in a fresh child interpreter, and the child's meter loop, in nanoseconds."""
+    child = subprocess.run(
+        [sys.executable, "-c", IMPORT_CHILD, PERFBENCH, str(METER_REPEAT)],
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    took, loop = map(float, child.stdout.split())
+    return took * 1e9, loop * 1e9
 
 
 def graph_layer_rows() -> dict:
@@ -213,8 +241,8 @@ def search_work(check) -> dict:
     pools, states = [], [0]
 
     class Counted(fpc._MatrixPool):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self):
+            super().__init__()
             pools.append(self)
 
         def intern(self, m):

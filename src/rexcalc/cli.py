@@ -1,14 +1,15 @@
 """Command-line front end: graph export, morphism evaluation, verification.
 
 Exit codes: 0 all verdicts as expected, 1 unexpected mathematical
-verdict, 2 usage error, 3 resource budget exceeded, 4 internal error (a
-failed table check or a broken graph or pool invariant, reported as
-``internal error: ...`` on stderr with no traceback).  The environment
-variable REXCALC_BUDGET caps the number of distinct morphism matrices a
-search may intern; a budget below 1 or not an integer, a rank outside
-1..MAX_RANK, an element with more than ``symgroup.MAX_REDUCED_WORDS``
-reduced words, and a ``verify`` option that the chosen suite does not
-read are usage errors.
+verdict, 2 usage error, 3 resource budget exceeded or memory exhausted,
+4 internal error (a failed table check or a broken graph or pool
+invariant, reported as ``internal error: ...`` on stderr with no
+traceback).  ``verify --budget`` (default ``fpc.DEFAULT_BUDGET``) caps
+the number of distinct morphism matrices a search may hold, and is the
+only setting of it.  A budget below 1, a rank outside 1..MAX_RANK, a
+word longer than MAX_WORD_LENGTH letters, an element with more than
+``symgroup.MAX_REDUCED_WORDS`` reduced words, and a ``verify`` option
+that the chosen suite does not read are usage errors.
 """
 
 from __future__ import annotations
@@ -42,6 +43,8 @@ from .symgroup import Word, is_reduced, word_to_perm
 # the largest rank any command accepts: the cost of a rank-n element grows
 # with n^2 before any graph is built; 11 admits README's 1,2,10
 MAX_RANK = 11
+# the longest reduced word at rank MAX_RANK, that of its longest element
+MAX_WORD_LENGTH = MAX_RANK * (MAX_RANK - 1) // 2
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -69,6 +72,8 @@ def parse_word(text: str) -> Word:
         parts = text.split(",")
     else:
         parts = list(text)
+    if len(parts) > MAX_WORD_LENGTH:
+        raise UsageError(f"a word of {len(parts):,} letters is longer than any reduced word ({MAX_WORD_LENGTH})")
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
@@ -313,7 +318,8 @@ def _refuse_unread(args, *options: str) -> None:
 def cmd_verify(args) -> int:
     fmt = args.format
     budget = args.budget
-    fpc._budget_in_force(budget)  # an invalid setting is refused before anything is built
+    if budget < 1:  # refused before anything is built
+        raise UsageError(f"--budget {budget} is below 1, so no search could intern a single matrix")
     suite = args.suite
     if suite == "zam":
         _refuse_unread(args, "max_len", "word")
@@ -416,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=("fpc-s4", "zam", "lemmas", "family", "refined"))
     p_verify.add_argument("--rank", type=int, default=None)
     p_verify.add_argument("--max-len", type=int, default=None, dest="max_len")
-    p_verify.add_argument("--budget", type=int, default=None, help="max distinct matrices")
+    p_verify.add_argument("--budget", type=int, default=fpc.DEFAULT_BUDGET, help="max distinct matrices")
     p_verify.add_argument("--word", default=None, help="explicit element for the family suite")
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
     p_verify.set_defaults(func=cmd_verify)
@@ -438,6 +444,9 @@ def main(argv=None) -> int:
         return code
     except fpc.BudgetExceededError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BUDGET
+    except MemoryError:
+        print("error: out of memory; try a smaller element, bound or --budget", file=sys.stderr)
         return EXIT_BUDGET
     except (RuntimeError, AssertionError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -37,7 +37,6 @@ evaluated on a path (``reproduce_counterexample``, ``family_extra_pair``)."""
 
 from __future__ import annotations
 
-import os
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -63,35 +62,12 @@ DEFAULT_BUDGET = 50_000
 
 
 class BudgetExceededError(RuntimeError):
-    """Raised when a search would intern more matrices than allowed.
+    """Raised when a search would hold more distinct values than its budget.
 
-    The message names the setting that chose the limit, the path length
-    the search had reached and the number of states it had explored.
+    ``_value_search`` is the one place that raises it, and its message
+    names the ``--budget`` setting, the path length the search had reached
+    and the number of states it had explored.
     """
-
-
-def _budget_in_force(budget: int | None) -> tuple[int, str]:
-    """The matrix budget a search runs under, and the setting that chose it.
-
-    ``budget`` (the CLI's ``--budget``) overrides REXCALC_BUDGET, which
-    overrides the default; a setting that is not an integer of at least 1
-    is a ValueError naming it.
-    """
-    if budget is not None:
-        limit, setting = budget, f"--budget {budget}"
-        source = f"{setting}, which overrides REXCALC_BUDGET"
-    else:
-        raw = os.environ.get("REXCALC_BUDGET")
-        if not raw:
-            return DEFAULT_BUDGET, f"the default budget of {DEFAULT_BUDGET:,}"
-        try:
-            limit = int(raw)
-        except ValueError:
-            raise ValueError(f"REXCALC_BUDGET={raw!r} is not an integer") from None
-        setting = source = f"REXCALC_BUDGET={limit}"
-    if limit < 1:
-        raise ValueError(f"{setting} is below 1, so no search could intern a single matrix")
-    return limit, source
 
 
 def _calculus(word: Word, rank: int) -> ConflatedMorphisms:
@@ -141,13 +117,11 @@ class _MatrixPool:
     multiply-accumulate loop over the tagged terms
     (``polyring.tagged_image``).  ``walk`` extends a value step by step,
     so walks share their prefixes' products, and ``witness`` reads the
-    first column on which two values differ.  A pool without a budget
-    serves the checks that compare a fixed set of walks.
+    first column on which two values differ.  The pool only interns: a
+    search that must stop at a budget reads ``len(values)`` itself.
     """
 
-    def __init__(self, budget: float = float("inf"), source: str = "no limit"):
-        self.budget = budget
-        self.source = source
+    def __init__(self):
         self.col_ids: dict[frozenset, int] = {}
         self.cols: list[dict[int, Scalar]] = []
         self.ids: dict[tuple, int] = {}
@@ -169,11 +143,6 @@ class _MatrixPool:
     def _intern(self, record: tuple) -> int:
         found = self.ids.get(record)
         if found is None:
-            if len(self.values) >= self.budget:
-                raise BudgetExceededError(
-                    f"more than {self.budget} distinct morphism matrices, "
-                    f"the limit set by {self.source}"
-                )
             found = self.ids[record] = len(self.values)
             self.values.append(record)
         return found
@@ -228,7 +197,7 @@ def _value_search(
     cm: ConflatedMorphisms,
     flag_of,
     full_flags: int,
-    budget: int | None,
+    budget: int,
 ) -> FpcVerdict:
     """Level-synchronized search comparing morphism values of flagged-complete walks.
 
@@ -240,9 +209,11 @@ def _value_search(
     holding two distinct values yields the counterexample, with the
     lexicographically least representative paths.  The search stops
     early once the frontier is empty, and a bound under which no walk
-    is eligible is a ValueError, not a vacuous Holds.
+    is eligible is a ValueError, not a vacuous Holds.  Once the pool holds
+    more than ``budget`` distinct values the search stops with a
+    BudgetExceededError.
     """
-    pool = _MatrixPool(*_budget_in_force(budget))
+    pool = _MatrixPool()
     links = cm.conflated.links
     # a state is (start, vertex, flags, value id); every path begins with its
     # start, so sorting a level's states by path orders them by start first
@@ -251,7 +222,15 @@ def _value_search(
     groups: dict[tuple[Word, Word], tuple[int, tuple[Word, ...]]] = {}
 
     def admit(level_states: dict, state: tuple, path: tuple[Word, ...]) -> FpcVerdict | None:
-        # queue an unseen state; a counterexample once its group gets a second value
+        # queue an unseen state; a counterexample once its group gets a second
+        # value.  A state comes here right after its value was interned, so
+        # this is where the budget is checked, before the state counts.
+        if len(pool.values) > budget:
+            raise BudgetExceededError(
+                f"more than {budget} distinct morphism matrices, the limit set by --budget {budget}; "
+                f"the search had reached path length {len(path)} of {max_len} "
+                f"and explored {len(seen):,} states; raise the limit to continue"
+            )
         if state in seen:
             return None
         seen.add(state)
@@ -267,35 +246,28 @@ def _value_search(
         return FpcVerdict(word, max_len, False, PathPairWitness(start, v, a, b, mask, img_a, img_b))
 
     frontier: dict[tuple, tuple[Word, ...]] = {}
-    level = 1
-    try:
-        for start in links:
-            ident = pool.intern(MorphismMatrix.identity(start, cm.rank))
-            found = admit(frontier, (start, start, flag_of(start), ident), (start,))
-            if found is not None:
-                return found
-        for level in range(2, max_len + 1):
-            if not frontier:
-                break  # every walk has been extended as far as it can go
-            nxt: dict[tuple, tuple[Word, ...]] = {}
-            for (start, v, flags, value), path in sorted(frontier.items(), key=lambda kv: kv[1]):
-                for w in links[v]:
-                    state = (start, w, flags | flag_of(w), pool.extend(cm, value, (v, w)))
-                    found = admit(nxt, state, path + (w,))
-                    if found is not None:
-                        return found
-            frontier = nxt
-    except BudgetExceededError as exc:
-        raise BudgetExceededError(
-            f"{exc}; the search had reached path length {level} of {max_len} "
-            f"and explored {len(seen):,} states; raise the limit to continue"
-        ) from None
+    for start in links:
+        ident = pool.intern(MorphismMatrix.identity(start, cm.rank))
+        found = admit(frontier, (start, start, flag_of(start), ident), (start,))
+        if found is not None:
+            return found
+    for level in range(2, max_len + 1):
+        if not frontier:
+            break  # every walk has been extended as far as it can go
+        nxt: dict[tuple, tuple[Word, ...]] = {}
+        for (start, v, flags, value), path in sorted(frontier.items(), key=lambda kv: kv[1]):
+            for w in links[v]:
+                state = (start, w, flags | flag_of(w), pool.extend(cm, value, (v, w)))
+                found = admit(nxt, state, path + (w,))
+                if found is not None:
+                    return found
+        frontier = nxt
     if not groups:
         raise ValueError(f"no walk of at most {max_len} vertices is eligible, so no paths were compared")
     return FpcVerdict(word, max_len, True, None)
 
 
-def check_fpc(word, max_len: int | None, rank: int, budget: int | None = None) -> FpcVerdict:
+def check_fpc(word, max_len: int | None, rank: int, budget: int = DEFAULT_BUDGET) -> FpcVerdict:
     """Compare all complete conflated paths up to max_len, grouped by endpoints.
 
     A max_len of None takes the sweep bound, ``sweep_max_len`` of the
@@ -315,7 +287,7 @@ def check_fpc(word, max_len: int | None, rank: int, budget: int | None = None) -
     return _value_search(word, max_len, cm, bit.__getitem__, full, budget)
 
 
-def check_refined_conjecture(n: int, max_len: int, budget: int | None = None) -> FpcVerdict:
+def check_refined_conjecture(n: int, max_len: int, budget: int = DEFAULT_BUDGET) -> FpcVerdict:
     """Compare all paths through both source and sink of the longest element of S_n.
 
     Paths are grouped by endpoints.  When source and sink are one cloud,
@@ -480,7 +452,7 @@ class LemmaReport(NamedTuple):
         return all(self.results.values())
 
 
-def check_equivalence_lemmas(budget: int | None = None) -> LemmaReport:
+def check_equivalence_lemmas(budget: int = DEFAULT_BUDGET) -> LemmaReport:
     """Verify the small-path equivalences by exact morphism equality.
 
     On the longest element of S_4 the named vertices are the oriented
@@ -588,7 +560,7 @@ def sweep_max_len(cloud_count: int) -> int:
     return max(9, 2 * cloud_count + 4)
 
 
-def check_s4_sweep(budget: int | None = None) -> SweepReport:
+def check_s4_sweep(budget: int = DEFAULT_BUDGET) -> SweepReport:
     """Run the complete-path comparison for every element of S_4, each at its sweep_max_len bound."""
     expected_by_perm = {
         word_to_perm(w, 4): shape for w, shape in S4_TABLE.items()
@@ -693,7 +665,7 @@ def check_simplify_soundness(n: int = 4, max_len: int = 10) -> bool:
     """f(simplify(p)) == f(p) for complete paths with a direct subpath."""
     cm = _calculus(longest_element(n), n)
     conf = cm.conflated
-    pool = _MatrixPool(*_budget_in_force(None))
+    pool = _MatrixPool()
     for a in conf.links:
         for z in conf.links:
             for path in enumerate_complete_paths(conf, a, z, max_len):

@@ -1,7 +1,9 @@
 # Reference implementation for the cross-checks in test_fpc.py and
 # test_braidmor.py: the value-search pool that preceded column interning in
 # rexcalc.fpc (whole matrices keyed by MorphismMatrix.key(), each product a
-# full step matrix times value), kept verbatim below, and matrix products
+# full step matrix times value), kept as it was but for the budget: like the
+# package pool it checks none, and its matrix list is named ``values``,
+# whose length the search compares with the budget.  Also matrix products
 # as they were before every product ran through polyring.tagged_image:
 # compose as a plain function of the two factors, and column_image for one
 # column.  Both read a matrix's columns as {row: Polynomial} maps
@@ -25,7 +27,7 @@ from functools import lru_cache
 
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix, edge_matrix, move_between
 from rexcalc.bsbimod import BSElement, free_slots, right_mul
-from rexcalc.fpc import BudgetExceededError, ZamReport, _longest
+from rexcalc.fpc import ZamReport, _longest
 from rexcalc.rexgraph import Cloud, ConflatedGraph, Path, oriented_run
 from rexcalc.polyring import Polynomial, tag_column, tagged_image
 from rexcalc.symgroup import Word
@@ -121,11 +123,9 @@ def path_morphism(path: Path, rank: int) -> MorphismMatrix:
 class _MatrixPool:
     """Interns matrices by value and caches products with edge matrices."""
 
-    def __init__(self, budget: int, source: str):
-        self.budget = budget
-        self.source = source
+    def __init__(self):
         self.ids: dict[tuple, int] = {}
-        self.mats: list[MorphismMatrix] = []
+        self.values: list[MorphismMatrix] = []
         self.products: dict[tuple[int, tuple[Word, Word]], int] = {}
 
     def intern(self, m: MorphismMatrix) -> int:
@@ -133,25 +133,20 @@ class _MatrixPool:
         found = self.ids.get(key)
         if found is not None:
             return found
-        if len(self.mats) >= self.budget:
-            raise BudgetExceededError(
-                f"more than {self.budget} distinct morphism matrices, "
-                f"the limit set by {self.source}; raise it to continue"
-            )
-        self.ids[key] = len(self.mats)
-        self.mats.append(m)
-        return len(self.mats) - 1
+        self.ids[key] = len(self.values)
+        self.values.append(m)
+        return len(self.values) - 1
 
     def extend(self, cm: ConflatedMorphisms, mat_id: int, step: tuple[Word, Word]) -> int:
         key = (mat_id, step)
         found = self.products.get(key)
         if found is None:
-            found = self.intern(compose(cm.step_matrix(*step), self.mats[mat_id]))
+            found = self.intern(compose(cm.step_matrix(*step), self.values[mat_id]))
             self.products[key] = found
         return found
 
     def witness(self, a: int, b: int) -> tuple[int, BSElement, BSElement]:
-        return column_witness(self.mats[a], self.mats[b])
+        return column_witness(self.values[a], self.values[b])
 
 
 @lru_cache(maxsize=None)

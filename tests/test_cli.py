@@ -19,7 +19,7 @@ from rexcalc import cli, fpc
 from rexcalc.bsbimod import BSElement
 from rexcalc.cli import _dumps, main, parse_word
 from rexcalc.rexgraph import build_rex_graph, word_label
-from rexcalc.symgroup import MAX_REDUCED_WORDS, word_to_perm
+from rexcalc.symgroup import MAX_REDUCED_WORDS, longest_element, word_to_perm
 
 
 def run(capsys, *argv):
@@ -180,7 +180,7 @@ def test_verify_budget_exhaustion(capsys):
         capsys, "verify", "refined", "--rank", "3", "--max-len", "8", "--budget", "2"
     )
     assert code == 3
-    assert "REXCALC_BUDGET" in err
+    assert err.startswith("error: more than 2 distinct morphism matrices") and err.count("\n") == 1
 
 
 def test_usage_error_exit_code(capsys):
@@ -208,6 +208,36 @@ def test_internal_fault_is_exit_4_without_a_traceback(capsys, monkeypatch, name,
     assert "Traceback" not in out + err
 
 
+def test_out_of_memory_is_exit_3_without_a_traceback(capsys, monkeypatch):
+    # running out of memory is running out of a resource, not a verdict (1)
+    def exhausted(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr(fpc, "check_fpc", exhausted)
+    code, out, err = run(capsys, "verify", "family", "--word", "1213214321")
+    assert code == cli.EXIT_BUDGET == 3 and out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("command", [["graph"], ["eval", "--path", "s", "--element", "1"]], ids=["graph", "eval"])
+def test_an_over_long_word_is_refused_before_it_is_checked_for_reducedness(capsys, monkeypatch, command):
+    calls = []
+
+    def counting_is_reduced(word, rank):
+        calls.append(word)
+        return True
+
+    monkeypatch.setattr(cli, "is_reduced", counting_is_reduced)
+    word = "12" * 50_000
+    code, out, err = run(capsys, command[0], word, *command[1:])
+    assert code == 2 and out == ""
+    assert err == f"error: a word of 100,000 letters is longer than any reduced word ({cli.MAX_WORD_LENGTH})\n"
+    assert len(err.encode()) < 200 and calls == []
+    # the longest reduced word at the largest rank is still read
+    assert len(parse_word(",".join(map(str, longest_element(cli.MAX_RANK))))) == cli.MAX_WORD_LENGTH == 55
+
+
 def test_output_is_deterministic(capsys):
     argv = ["graph", "121321", "--conflated", "--format", "json"]
     _, first, _ = run(capsys, *argv)
@@ -223,20 +253,21 @@ def test_budget_error_names_the_flag(capsys):
     assert "--budget 2" in err
 
 
-def test_budget_error_names_the_environment_variable(capsys, monkeypatch):
-    monkeypatch.setenv("REXCALC_BUDGET", "2")
-    code, _, err = run(capsys, "verify", "refined", "--rank", "3", "--max-len", "8")
-    assert code == 3
-    assert "REXCALC_BUDGET=2" in err and "--budget" not in err
-
-
-def test_lemmas_search_runs_under_the_budget(capsys, monkeypatch):
+def test_lemmas_search_runs_under_the_budget(capsys):
     code, out, err = run(capsys, "verify", "lemmas", "--budget", "1")
     assert code == 3 and out == ""
     assert err.startswith("error: more than 1 distinct morphism matrices, the limit set by --budget 1")
-    # the flag overrides the environment variable here as in every suite
-    monkeypatch.setenv("REXCALC_BUDGET", "1")
     code, out, err = run(capsys, "verify", "lemmas", "--budget", "100000")
+    assert code == 0 and err == ""
+    assert out.count(": True") == 10
+
+
+def test_no_environment_variable_sets_a_verify_option(capsys, monkeypatch):
+    # --budget is the search budget's only setting: a variable named after
+    # any verify option, a budget of 1 included, changes nothing
+    for option in ("budget", "max_len", "rank"):
+        monkeypatch.setenv(f"REXCALC_{option.upper()}", "1")
+    code, out, err = run(capsys, "verify", "lemmas")
     assert code == 0 and err == ""
     assert out.count(": True") == 10
 
@@ -271,19 +302,14 @@ def test_eval_names_a_non_move_step_by_its_word_labels(capsys):
 
 
 @pytest.mark.parametrize(
-    "flag, env, setting",
+    "flag, setting",
     [
-        (["--budget", "-1"], None, "--budget -1"),
-        (["--budget", "0"], None, "--budget 0"),
-        ([], "-3", "REXCALC_BUDGET=-3"),
-        ([], "0", "REXCALC_BUDGET=0"),
-        ([], "abc", "REXCALC_BUDGET='abc'"),
+        (["--budget", "-1"], "--budget -1"),
+        (["--budget", "0"], "--budget 0"),
     ],
-    ids=["flag-minus-one", "flag-zero", "env-minus-three", "env-zero", "env-not-an-integer"],
+    ids=["flag-minus-one", "flag-zero"],
 )
-def test_budget_below_one_is_a_usage_error(capsys, monkeypatch, flag, env, setting):
-    if env is not None:
-        monkeypatch.setenv("REXCALC_BUDGET", env)
+def test_budget_below_one_is_a_usage_error(capsys, flag, setting):
     code, out, err = run(capsys, "verify", "refined", "--rank", "3", *flag)
     assert code == 2
     assert out == ""
@@ -291,17 +317,15 @@ def test_budget_below_one_is_a_usage_error(capsys, monkeypatch, flag, env, setti
 
 
 @pytest.mark.parametrize(
-    "argv, env",
+    "argv",
     [
-        (["family", "--word", "1213214321", "--budget", "0"], None),
-        (["zam", "--rank", "3", "--budget", "0"], None),
-        (["lemmas", "--budget", "-5"], None),
-        (["fpc-s4", "--budget", "0"], None),
-        (["family", "--rank", "4"], "0"),
-        (["refined", "--rank", "4"], "abc"),
+        ["family", "--word", "1213214321", "--budget", "0"],
+        ["zam", "--rank", "3", "--budget", "0"],
+        ["lemmas", "--budget", "-5"],
+        ["fpc-s4", "--budget", "0"],
     ],
 )
-def test_budget_is_read_before_anything_is_built(capsys, monkeypatch, argv, env):
+def test_budget_is_read_before_anything_is_built(capsys, monkeypatch, argv):
     calls = []
 
     def counting_build(perm):
@@ -310,8 +334,6 @@ def test_budget_is_read_before_anything_is_built(capsys, monkeypatch, argv, env)
 
     monkeypatch.setattr(fpc, "build_rex_graph", counting_build)
     fpc._element_calculus.cache_clear()
-    if env is not None:
-        monkeypatch.setenv("REXCALC_BUDGET", env)
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err.startswith("error:") and err.count("\n") == 1
@@ -604,16 +626,11 @@ def _cli_argv(draw):
 
 
 @settings(max_examples=150, deadline=None)
-@given(_cli_argv(), st.sampled_from([None, "1", "5", "40"]))
-@example(["eval", "12321", "--path", "s,c,t,c", f"--element={DEEP_PARENTHESES}"], None)
-@example(["eval", "12321", "--path", "s,c,t,c", f"--element={DEEP_SIGNS}"], None)
-def test_exit_code_contract_holds_on_drawn_command_lines(argv, env):
-    with pytest.MonkeyPatch.context() as mp, contextlib.redirect_stdout(io.StringIO()), \
-            contextlib.redirect_stderr(io.StringIO()):
-        if env is None:
-            mp.delenv("REXCALC_BUDGET", raising=False)
-        else:
-            mp.setenv("REXCALC_BUDGET", env)
+@given(_cli_argv())
+@example(["eval", "12321", "--path", "s,c,t,c", f"--element={DEEP_PARENTHESES}"])
+@example(["eval", "12321", "--path", "s,c,t,c", f"--element={DEEP_SIGNS}"])
+def test_exit_code_contract_holds_on_drawn_command_lines(argv):
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
         code = main(argv)
     assert code in (0, 1, 2, 3)
 

@@ -147,8 +147,8 @@ def _pools_of(monkeypatch, check):
     pools = []
 
     class Kept(fpc._MatrixPool):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self):
+            super().__init__()
             pools.append(self)
 
     monkeypatch.setattr(fpc, "_MatrixPool", Kept)
@@ -203,15 +203,6 @@ def test_dud_udu_walks_match_per_pair_matrices(monkeypatch, n):
             assert oracle_fpc.rebuild(pool, udu) == oracle_fpc.udu_matrix(n, x, y)
             assert dud == udu
     assert len(pool.values) == size
-
-
-def test_budget_env_variable(monkeypatch):
-    monkeypatch.setenv("REXCALC_BUDGET", "123")
-    assert fpc._budget_in_force(None) == (123, "REXCALC_BUDGET=123")
-    assert fpc._budget_in_force(7) == (7, "--budget 7, which overrides REXCALC_BUDGET")
-    monkeypatch.delenv("REXCALC_BUDGET")
-    limit, setting = fpc._budget_in_force(None)
-    assert limit == fpc.DEFAULT_BUDGET and setting.startswith("the default budget")
 
 
 def test_family_rank_four_matches_counterexample():
@@ -303,8 +294,8 @@ def _search_with(monkeypatch, pool_cls, check):
     pools, ids = [], []
 
     class Logged(pool_cls):
-        def __init__(self, *args):
-            super().__init__(*args)
+        def __init__(self):
+            super().__init__()
             pools.append(self)
 
         def extend(self, cm, mat_id, step):
@@ -314,7 +305,7 @@ def _search_with(monkeypatch, pool_cls, check):
 
     def matrix(pool, i):
         # the oracle pool keeps a matrix per value; the package pool's is rebuilt
-        return pool.mats[i] if pool_cls is oracle_fpc._MatrixPool else oracle_fpc.rebuild(pool, i)
+        return pool.values[i] if pool_cls is oracle_fpc._MatrixPool else oracle_fpc.rebuild(pool, i)
 
     monkeypatch.setattr(fpc, "_MatrixPool", Logged)
     verdict = check()
@@ -371,7 +362,7 @@ def test_pool_budget_error_matches_oracle(monkeypatch, word, bound, budget):
         monkeypatch.setattr(fpc, "_MatrixPool", pool_cls)
         with pytest.raises(fpc.BudgetExceededError) as err:
             fpc.check_fpc(word, bound, rank=4, budget=budget)
-        messages.append(str(err.value).replace("; raise it to continue", ""))
+        messages.append(str(err.value))
     assert messages[0] == messages[1]
     assert f"more than {budget} distinct" in messages[0]
 
@@ -409,7 +400,7 @@ def test_pool_interns_values_by_exact_content():
     s, t = source_sink(cm.conflated)
     c = next(cl for cl in cm.conflated.clouds if cl not in (s, t)).representative
     s, t = s.representative, t.representative
-    pool = fpc._MatrixPool(100, "a test")
+    pool = fpc._MatrixPool()
     ident = pool.intern(MorphismMatrix.identity(s, 4))
     assert pool.intern(MorphismMatrix.identity(s, 4)) == ident
     # a value stores one column id per generator mask, fewer than its columns
@@ -499,7 +490,7 @@ def _random_walks(conf, rng, count, max_steps):
 def test_walk_matches_path_matrix(word, rank):
     cm = fpc._calculus(word, rank)
     walks = _random_walks(cm.conflated, random.Random(8), 16, 7)
-    pool = fpc._MatrixPool(10_000, "a test")
+    pool = fpc._MatrixPool()
     ids = [pool.walk(cm, w) for w in walks]
     mats = [cm.path_matrix(w) for w in walks]
     for i, mat in zip(ids, mats):
