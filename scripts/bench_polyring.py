@@ -241,17 +241,17 @@ def search_work(check) -> dict:
     pools, states = [], [0]
 
     class Counted(fpc._MatrixPool):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, cm):
+            super().__init__(cm)
             pools.append(self)
 
-        def intern(self, m):
+        def identity(self, word):
             states[0] += 1
-            return super().intern(m)
+            return super().identity(word)
 
-        def extend(self, cm, value, step):
+        def extend(self, value, step):
             states[0] += 1
-            return super().extend(cm, value, step)
+            return super().extend(value, step)
 
     original = fpc._MatrixPool
     fpc._MatrixPool = Counted

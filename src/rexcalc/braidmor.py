@@ -203,7 +203,7 @@ def derive_local_table(move: BraidMove, rank: int) -> LocalImageTable:
 def apply_edge(elem: BSElement, move: BraidMove) -> BSElement:
     """Apply Id (x) f (x) Id for the braid move to a normal-form element."""
     if not move.applies_to(elem.word):
-        raise ValueError(f"move {move} does not apply to word {elem.word}")
+        raise ValueError(f"move {move} does not apply to word {word_label(elem.word)}")
     table = derive_local_table(move, elem.rank)
     pos, m = move.position, move.width
     new_word = elem.word[:pos] + table.target_window + elem.word[pos + m:]
@@ -265,7 +265,7 @@ class MorphismMatrix:
         """
         word = tuple(word)
         if not move.applies_to(word):
-            raise ValueError(f"move {move} does not apply to word {word}")
+            raise ValueError(f"move {move} does not apply to word {word_label(word)}")
         table = derive_local_table(move, rank)
         pos, m = move.position, move.width
         prefix = word[:pos]

@@ -77,7 +77,8 @@ def parse_word(text: str) -> Word:
     try:
         return tuple(int(p) for p in parts)
     except ValueError:
-        raise UsageError(f"cannot parse word {text!r}")
+        quoted = repr(text) if len(text) <= 32 else f"{text[:32]!r}... ({len(text):,} characters)"
+        raise UsageError(f"cannot parse word {quoted}")
 
 
 def _check_rank(rank: int) -> None:
@@ -308,21 +309,21 @@ def _verdict_lines(v: fpc.FpcVerdict) -> list[str]:
     ]
 
 
-def _refuse_unread(args, *options: str) -> None:
-    """A usage error naming the given options that the suite does not read."""
+def _refuse_unread(args, *options: str, reads: str = "does not read {}") -> None:
+    """A usage error naming the given options that the suite does not read, phrased by ``reads``."""
     given = [f"--{o.replace('_', '-')}" for o in options if getattr(args, o) is not None]
     if given:
-        raise UsageError(f"the {args.suite} suite does not read {' or '.join(given)}")
+        raise UsageError(f"the {args.suite} suite " + reads.format(" or ".join(given)))
 
 
 def cmd_verify(args) -> int:
     fmt = args.format
-    budget = args.budget
+    budget = fpc.DEFAULT_BUDGET if args.budget is None else args.budget
     if budget < 1:  # refused before anything is built
         raise UsageError(f"--budget {budget} is below 1, so no search could intern a single matrix")
     suite = args.suite
     if suite == "zam":
-        _refuse_unread(args, "max_len", "word")
+        _refuse_unread(args, "max_len", "budget", "word")
         n = args.rank or 3
         if n not in (3, 4):
             raise UsageError("the zam suite runs at rank 3 or 4")
@@ -360,8 +361,7 @@ def cmd_verify(args) -> int:
             verdict = fpc.check_fpc(word, args.max_len, rank=rank, budget=budget)
             _emit(verdict, fmt, _verdict_lines(verdict))
             return EXIT_OK
-        if args.max_len is not None:
-            raise UsageError("the family suite reads --max-len only with --word")
+        _refuse_unread(args, "max_len", "budget", reads="reads {} only with --word")
         n = args.rank or 4
         report = fpc.check_family(n)
         lines = [
@@ -422,7 +422,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("suite", choices=("fpc-s4", "zam", "lemmas", "family", "refined"))
     p_verify.add_argument("--rank", type=int, default=None)
     p_verify.add_argument("--max-len", type=int, default=None, dest="max_len")
-    p_verify.add_argument("--budget", type=int, default=fpc.DEFAULT_BUDGET, help="max distinct matrices")
+    p_verify.add_argument("--budget", type=int, default=None, help="max distinct matrices")
     p_verify.add_argument("--word", default=None, help="explicit element for the family suite")
     p_verify.add_argument("--format", choices=("json", "text"), default="text")
     p_verify.set_defaults(func=cmd_verify)

@@ -3,9 +3,9 @@
 The central question: do two complete paths with the same endpoints
 always induce the same morphism?  The harness answers it exhaustively
 up to a path-length bound by a value search: walks are explored as
-states (start, current vertex, visited set, morphism value), morphism
-values are interned exactly, and states that agree in all four
-components are merged, which is sound because such states have
+states (morphism value, visited set), whose value also fixes the start
+and the current vertex (its domain and codomain); values are interned
+exactly, and equal states are merged, which is sound because they have
 identical futures.  A value is a bimodule map, so its columns at the
 generator masks of its domain (``bsbimod.generator_masks``) fix it: any
 other column is one of them times variables on the right.  Only those
@@ -41,8 +41,8 @@ from functools import lru_cache
 from typing import NamedTuple
 
 from .bsbimod import BSElement, dot_cap, from_tensor, generator_masks
-from .braidmor import ConflatedMorphisms, MorphismMatrix, path_morphism
-from .polyring import Polynomial, Scalar, tagged_image, untag_column
+from .braidmor import ConflatedMorphisms, path_morphism
+from .polyring import Polynomial, Scalar, row_key, tagged_image, untag_column
 from .rexgraph import (
     EXPANDED,
     ConflatedGraph,
@@ -101,19 +101,19 @@ class FpcVerdict(NamedTuple):
 
 
 class _MatrixPool:
-    """Interns walk values by their generator columns, and memoizes products.
+    """Interns the walk values of one calculus by their generator columns, and memoizes products.
 
     Every value is a bimodule map, so it is fixed by its columns at the
     generator masks of its domain (``bsbimod.generator_masks``), and only
     those are stored.  A column is a matrix's own tagged term map (row and
     monomial packed into one int key, the coefficient as value, see
-    ``MorphismMatrix``), and each distinct nonzero column gets an id by
-    its exact content.  A value is one record, (rank, domain, codomain,
+    ``braidmor.MorphismMatrix``), and each distinct nonzero column gets an
+    id by its exact content.  A value is one record, (domain, codomain,
     column ids) with the ids of its generator columns in mask order and -1
     for a zero column, which is also its key: two values are equal
-    exactly when their records are.  Extending a value by a step maps its
-    column ids through that step's memo of column images, so a column
-    shared by many values is multiplied once per step, in one
+    exactly when their records are.  Extending a value by a step of ``cm``
+    maps its column ids through that step's memo of column images, so a
+    column shared by many values is multiplied once per step, in one
     multiply-accumulate loop over the tagged terms
     (``polyring.tagged_image``).  ``walk`` extends a value step by step,
     so walks share their prefixes' products, and ``witness`` reads the
@@ -121,7 +121,9 @@ class _MatrixPool:
     search that must stop at a budget reads ``len(values)`` itself.
     """
 
-    def __init__(self):
+    def __init__(self, cm: ConflatedMorphisms):
+        self.cm = cm
+        self.rank = cm.rank
         self.col_ids: dict[frozenset, int] = {}
         self.cols: list[dict[int, Scalar]] = []
         self.ids: dict[tuple, int] = {}
@@ -147,33 +149,34 @@ class _MatrixPool:
             self.values.append(record)
         return found
 
-    def intern(self, m: MorphismMatrix) -> int:
-        ids = tuple(self._column_id(m.cols.get(c, {})) for c in generator_masks(m.domain))
-        return self._intern((m.rank, m.domain, m.codomain, ids))
+    def identity(self, word: Word) -> int:
+        """The identity of a word: generator mask g maps to the basis tensor g."""
+        ids = tuple(self._column_id({row_key(g, self.rank): 1}) for g in generator_masks(word))
+        return self._intern((word, word, ids))
 
-    def extend(self, cm: ConflatedMorphisms, value: int, step: tuple[Word, Word]) -> int:
+    def extend(self, value: int, step: tuple[Word, Word]) -> int:
         key = (value, step)
         found = self.products.get(key)
         if found is None:
-            step_mat = cm.step_matrix(*step)
+            step_mat = self.cm.step_matrix(*step)
             memo = self.images.setdefault(step, {-1: -1})
-            rank, domain, _, col_ids = self.values[value]
+            domain, _, col_ids = self.values[value]
             ids = []
             for i in col_ids:
                 j = memo.get(i)
                 if j is None:
-                    j = memo[i] = self._column_id(tagged_image(step_mat.cols, self.cols[i], rank))
+                    j = memo[i] = self._column_id(tagged_image(step_mat.cols, self.cols[i], self.rank))
                 ids.append(j)
-            found = self.products[key] = self._intern((rank, domain, step_mat.codomain, tuple(ids)))
+            found = self.products[key] = self._intern((domain, step_mat.codomain, tuple(ids)))
         return found
 
-    def walk(self, cm: ConflatedMorphisms, vertices, value: int | None = None) -> int:
+    def walk(self, vertices, value: int | None = None) -> int:
         """``value``, whose codomain is the walk's first vertex, extended by
         each step of the walk; by default the identity there."""
         if value is None:
-            value = self.intern(MorphismMatrix.identity(vertices[0], cm.rank))
+            value = self.identity(vertices[0])
         for step in zip(vertices, vertices[1:]):
-            value = self.extend(cm, value, step)
+            value = self.extend(value, step)
         return value
 
     def witness(self, a: int, b: int) -> tuple[int, BSElement, BSElement]:
@@ -183,11 +186,11 @@ class _MatrixPool:
         it times their variables on the right, so the least differing
         column is a generator column.
         """
-        rank, domain, codomain, ids_a = self.values[a]
-        for mask, i, j in zip(generator_masks(domain), ids_a, self.values[b][3]):
+        domain, codomain, ids_a = self.values[a]
+        for mask, i, j in zip(generator_masks(domain), ids_a, self.values[b][2]):
             if i != j:
-                image_a, image_b = (untag_column(self.cols[k] if k >= 0 else {}, rank) for k in (i, j))
-                return mask, BSElement(rank, codomain, image_a), BSElement(rank, codomain, image_b)
+                image_a, image_b = (untag_column(self.cols[k] if k >= 0 else {}, self.rank) for k in (i, j))
+                return mask, BSElement(self.rank, codomain, image_a), BSElement(self.rank, codomain, image_b)
         raise AssertionError("values differ but no generator column does")
 
 
@@ -203,6 +206,8 @@ def _value_search(
 
     Walks start at every vertex of the conflated graph of ``cm``, in
     ascending order, and run over its links with ``cm``'s step matrices.
+    A state is (value id, visited flags): the value's record fixes the
+    walk's start (its domain) and current vertex (its codomain).
     ``flag_of`` maps a vertex to the visit bits it contributes; a walk
     with accumulated flags ``full_flags`` is eligible and its morphism
     value joins the group of its (start, end) pair.  The first group
@@ -213,15 +218,13 @@ def _value_search(
     more than ``budget`` distinct values the search stops with a
     BudgetExceededError.
     """
-    pool = _MatrixPool()
+    pool = _MatrixPool(cm)
     links = cm.conflated.links
-    # a state is (start, vertex, flags, value id); every path begins with its
-    # start, so sorting a level's states by path orders them by start first
-    seen: set[tuple] = set()
+    seen: set[tuple[int, int]] = set()
     # (start, end) -> the first eligible value and its path
     groups: dict[tuple[Word, Word], tuple[int, tuple[Word, ...]]] = {}
 
-    def admit(level_states: dict, state: tuple, path: tuple[Word, ...]) -> FpcVerdict | None:
+    def admit(level_states: dict, state: tuple[int, int], path: tuple[Word, ...]) -> FpcVerdict | None:
         # queue an unseen state; a counterexample once its group gets a second
         # value.  A state comes here right after its value was interned, so
         # this is where the budget is checked, before the state counts.
@@ -235,30 +238,31 @@ def _value_search(
             return None
         seen.add(state)
         level_states[state] = path
-        start, v, flags, value = state
+        value, flags = state
         if flags != full_flags:
             return None
-        first, first_path = groups.setdefault((start, v), (value, path))
+        first, first_path = groups.setdefault((path[0], path[-1]), (value, path))
         if first == value:
             return None
         (a, value_a), (b, value_b) = sorted([(first_path, first), (path, value)])
         mask, img_a, img_b = pool.witness(value_a, value_b)
-        return FpcVerdict(word, max_len, False, PathPairWitness(start, v, a, b, mask, img_a, img_b))
+        return FpcVerdict(word, max_len, False, PathPairWitness(path[0], path[-1], a, b, mask, img_a, img_b))
 
-    frontier: dict[tuple, tuple[Word, ...]] = {}
+    frontier: dict[tuple[int, int], tuple[Word, ...]] = {}
     for start in links:
-        ident = pool.intern(MorphismMatrix.identity(start, cm.rank))
-        found = admit(frontier, (start, start, flag_of(start), ident), (start,))
+        found = admit(frontier, (pool.identity(start), flag_of(start)), (start,))
         if found is not None:
             return found
     for level in range(2, max_len + 1):
         if not frontier:
             break  # every walk has been extended as far as it can go
-        nxt: dict[tuple, tuple[Word, ...]] = {}
-        for (start, v, flags, value), path in sorted(frontier.items(), key=lambda kv: kv[1]):
+        nxt: dict[tuple[int, int], tuple[Word, ...]] = {}
+        # no sort: level 1 is queued by ascending start, each parent in path order
+        # along ascending links, so a level is in path order and keeps least paths
+        for (value, flags), path in frontier.items():
+            v = path[-1]
             for w in links[v]:
-                state = (start, w, flags | flag_of(w), pool.extend(cm, value, (v, w)))
-                found = admit(nxt, state, path + (w,))
+                found = admit(nxt, (pool.extend(value, (v, w)), flags | flag_of(w)), path + (w,))
                 if found is not None:
                     return found
         frontier = nxt
@@ -275,7 +279,7 @@ def check_fpc(word, max_len: int | None, rank: int, budget: int = DEFAULT_BUDGET
     """
     word = tuple(word)
     if not is_reduced(word, rank):
-        raise ValueError(f"word {word} is not reduced")
+        raise ValueError(f"word {word_label(word)} is not reduced")
     cm = _calculus(word, rank)
     conf = cm.conflated
     if max_len is None:
@@ -406,15 +410,15 @@ def check_zam_identities(n: int) -> ZamReport:
     """
     cm, sr, tr = _longest(n)
     down, up = oriented_run(cm.conflated, sr, tr, "down"), oriented_run(cm.conflated, tr, sr, "up")
-    pool = _MatrixPool()
-    z, zb = pool.walk(cm, down), pool.walk(cm, up)
-    zbz = pool.walk(cm, up, z)
+    pool = _MatrixPool(cm)
+    z, zb = pool.walk(down), pool.walk(up)
+    zbz = pool.walk(up, z)
     return ZamReport(
         rank=n,
-        z_zb_z_equals_z=pool.walk(cm, down, zbz) == z,
-        zb_z_zb_equals_zb=pool.walk(cm, up, pool.walk(cm, down, zb)) == zb,
-        zb_z_idempotent=pool.walk(cm, up, pool.walk(cm, down, zbz)) == zbz,
-        zb_z_proper=zbz != pool.walk(cm, [sr]),
+        z_zb_z_equals_z=pool.walk(down, zbz) == z,
+        zb_z_zb_equals_zb=pool.walk(up, pool.walk(down, zb)) == zb,
+        zb_z_idempotent=pool.walk(up, pool.walk(down, zbz)) == zbz,
+        zb_z_proper=zbz != pool.walk([sr]),
     )
 
 
@@ -428,15 +432,15 @@ def check_dud_udu_all(n: int) -> bool:
     """
     cm, sr, tr = _longest(n)
     conf = cm.conflated
-    pool = _MatrixPool()
+    pool = _MatrixPool(cm)
     reps = sorted(c.representative for c in conf.clouds)
     up_ts, down_st = oriented_run(conf, tr, sr, "up"), oriented_run(conf, sr, tr, "down")
     tails = [(oriented_run(conf, sr, y, "down"), oriented_run(conf, tr, y, "up")) for y in reps]
     for x in reps:
-        dud = pool.walk(cm, up_ts, pool.walk(cm, oriented_run(conf, x, tr, "down")))
-        udu = pool.walk(cm, down_st, pool.walk(cm, oriented_run(conf, x, sr, "up")))
+        dud = pool.walk(up_ts, pool.walk(oriented_run(conf, x, tr, "down")))
+        udu = pool.walk(down_st, pool.walk(oriented_run(conf, x, sr, "up")))
         for dud_tail, udu_tail in tails:
-            if pool.walk(cm, dud_tail, dud) != pool.walk(cm, udu_tail, udu):
+            if pool.walk(dud_tail, dud) != pool.walk(udu_tail, udu):
                 return False
     return True
 
@@ -462,29 +466,24 @@ def check_equivalence_lemmas(budget: int = DEFAULT_BUDGET) -> LemmaReport:
     ``check_fpc``, confirms the full statement for 23121 and 12312.
     """
     results: dict[str, bool] = {}
-
-    def eq(cm: ConflatedMorphisms, p, q) -> bool:
-        pool = _MatrixPool()
-        return pool.walk(cm, p) == pool.walk(cm, q)
-
-    cm = _calculus(longest_element(4), 4)
+    pool = _MatrixPool(_calculus(longest_element(4), 4))
     a, b, c = (
-        cm.conflated.cloud(w).representative
+        pool.cm.conflated.cloud(w).representative
         for w in ((2, 1, 2, 3, 2, 1), (2, 1, 3, 2, 3, 1), (2, 3, 2, 1, 2, 3))
     )
-    results["w04: [A,B,A,B] == [A,B]"] = eq(cm, [a, b, a, b], [a, b])
-    results["w04: [B,A,B,A] == [B,A]"] = eq(cm, [b, a, b, a], [b, a])
-    results["w04: [B,C,B,C] == [B,C]"] = eq(cm, [b, c, b, c], [b, c])
-    results["w04: [A,B,C,B,A,B,C] == [A,B,C]"] = eq(cm, [a, b, c, b, a, b, c], [a, b, c])
+    results["w04: [A,B,A,B] == [A,B]"] = pool.walk([a, b, a, b]) == pool.walk([a, b])
+    results["w04: [B,A,B,A] == [B,A]"] = pool.walk([b, a, b, a]) == pool.walk([b, a])
+    results["w04: [B,C,B,C] == [B,C]"] = pool.walk([b, c, b, c]) == pool.walk([b, c])
+    results["w04: [A,B,C,B,A,B,C] == [A,B,C]"] = pool.walk([a, b, c, b, a, b, c]) == pool.walk([a, b, c])
 
-    cm = _calculus((2, 3, 1, 2, 1), 4)
-    s, t = source_sink(cm.conflated)
-    cc = next(cl for cl in cm.conflated.clouds if cl not in (s, t)).representative
+    pool = _MatrixPool(_calculus((2, 3, 1, 2, 1), 4))
+    s, t = source_sink(pool.cm.conflated)
+    cc = next(cl for cl in pool.cm.conflated.clouds if cl not in (s, t)).representative
     ss, tt = s.representative, t.representative
-    results["23121: P1 == P2"] = eq(cm, [ss, cc, tt, cc], [ss, cc, tt, cc, ss, cc])
-    results["23121: Q1 == Q2"] = eq(cm, [cc, ss, cc, tt, cc], [cc, tt, cc, ss, cc])
-    results["23121: Q3 == Q1"] = eq(cm, [cc, ss, cc, tt, cc, ss, cc], [cc, ss, cc, tt, cc])
-    results["23121: Q4 == Q2"] = eq(cm, [cc, tt, cc, ss, cc, tt, cc], [cc, tt, cc, ss, cc])
+    results["23121: P1 == P2"] = pool.walk([ss, cc, tt, cc]) == pool.walk([ss, cc, tt, cc, ss, cc])
+    results["23121: Q1 == Q2"] = pool.walk([cc, ss, cc, tt, cc]) == pool.walk([cc, tt, cc, ss, cc])
+    results["23121: Q3 == Q1"] = pool.walk([cc, ss, cc, tt, cc, ss, cc]) == pool.walk([cc, ss, cc, tt, cc])
+    results["23121: Q4 == Q2"] = pool.walk([cc, tt, cc, ss, cc, tt, cc]) == pool.walk([cc, tt, cc, ss, cc])
 
     for word in ((2, 3, 1, 2, 1), (1, 2, 3, 1, 2)):
         holds = check_fpc(word, 9, rank=4, budget=budget).holds
@@ -621,8 +620,8 @@ def check_family(n: int) -> FamilyReport:
     # end and back, against sweeping to the far end first
     path_a = (reps[1], reps[0]) + reps[1:] + tuple(reversed(reps[1:-1]))
     path_b = reps[1:] + tuple(reversed(reps[:-1])) + (reps[1],)
-    pool = _MatrixPool()
-    value_a, value_b = pool.walk(cm, path_a), pool.walk(cm, path_b)
+    pool = _MatrixPool(cm)
+    value_a, value_b = pool.walk(path_a), pool.walk(path_b)
     differ = value_a != value_b
     mask, img_a, img_b = pool.witness(value_a, value_b) if differ else (None, None, None)
     return FamilyReport(
@@ -665,7 +664,7 @@ def check_simplify_soundness(n: int = 4, max_len: int = 10) -> bool:
     """f(simplify(p)) == f(p) for complete paths with a direct subpath."""
     cm = _calculus(longest_element(n), n)
     conf = cm.conflated
-    pool = _MatrixPool()
+    pool = _MatrixPool(cm)
     for a in conf.links:
         for z in conf.links:
             for path in enumerate_complete_paths(conf, a, z, max_len):
@@ -673,6 +672,6 @@ def check_simplify_soundness(n: int = 4, max_len: int = 10) -> bool:
                     simplified = simplify_path(conf, path)
                 except NoDirectSubpathError:
                     continue
-                if pool.walk(cm, path.vertices) != pool.walk(cm, simplified.vertices):
+                if pool.walk(path.vertices) != pool.walk(simplified.vertices):
                     return False
     return True

@@ -324,7 +324,7 @@ def distant_path(graph: RexGraph, start: Word, goal: Word) -> list[Word]:
                         path.append(parent[path[-1]])
                     return list(reversed(path))
                 queue.append(v)
-    raise ValueError(f"{goal} not reachable from {start} by distant edges")
+    raise ValueError(f"{word_label(goal)} not reachable from {word_label(start)} by distant edges")
 
 
 def lift_conflated_path(conflated: ConflatedGraph, graph: RexGraph, path: Path) -> Path:
@@ -423,7 +423,7 @@ def oriented_run(conflated: ConflatedGraph, start: Word, goal: Word, direction: 
             return run
         nxt = reversed(conflated.links[run[-1]].items())
         stack.extend(run + [b] for b, (_, fwd) in nxt if fwd == forward)
-    raise ValueError(f"no {direction} run from {start} to {goal}")
+    raise ValueError(f"no {direction} run from {word_label(start)} to {word_label(goal)}")
 
 
 def simplify_path(conflated: ConflatedGraph, path: Path) -> Path:
@@ -515,6 +515,6 @@ def graph_for_word(word, rank: int | None = None) -> tuple[RexGraph, ConflatedGr
     word = tuple(word)
     n = rank if rank is not None else (max(word) + 1 if word else 2)
     if not is_reduced(word, n):
-        raise ValueError(f"word {word} is not reduced")
+        raise ValueError(f"word {word_label(word)} is not reduced")
     rex = build_rex_graph(word_to_perm(word, n))
     return rex, build_conflated(rex)

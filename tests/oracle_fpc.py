@@ -1,9 +1,10 @@
 # Reference implementation for the cross-checks in test_fpc.py and
 # test_braidmor.py: the value-search pool that preceded column interning in
 # rexcalc.fpc (whole matrices keyed by MorphismMatrix.key(), each product a
-# full step matrix times value), kept as it was but for the budget: like the
-# package pool it checks none, and its matrix list is named ``values``,
-# whose length the search compares with the budget.  Also matrix products
+# full step matrix times value), kept as it was but for the budget and the
+# interface: like the package pool it checks no budget, and its matrix list
+# is named ``values``, whose length the search compares with the budget; it
+# serves one calculus and makes identities itself.  Also matrix products
 # as they were before every product ran through polyring.tagged_image:
 # compose as a plain function of the two factors, and column_image for one
 # column.  Both read a matrix's columns as {row: Polynomial} maps
@@ -121,14 +122,16 @@ def path_morphism(path: Path, rank: int) -> MorphismMatrix:
 
 
 class _MatrixPool:
-    """Interns matrices by value and caches products with edge matrices."""
+    """Interns matrices by value and caches products with the step matrices of one calculus."""
 
-    def __init__(self):
+    def __init__(self, cm: ConflatedMorphisms):
+        self.cm = cm
+        self.rank = cm.rank
         self.ids: dict[tuple, int] = {}
         self.values: list[MorphismMatrix] = []
         self.products: dict[tuple[int, tuple[Word, Word]], int] = {}
 
-    def intern(self, m: MorphismMatrix) -> int:
+    def _intern(self, m: MorphismMatrix) -> int:
         key = m.key()
         found = self.ids.get(key)
         if found is not None:
@@ -137,11 +140,14 @@ class _MatrixPool:
         self.values.append(m)
         return len(self.values) - 1
 
-    def extend(self, cm: ConflatedMorphisms, mat_id: int, step: tuple[Word, Word]) -> int:
+    def identity(self, word: Word) -> int:
+        return self._intern(MorphismMatrix.identity(word, self.rank))
+
+    def extend(self, mat_id: int, step: tuple[Word, Word]) -> int:
         key = (mat_id, step)
         found = self.products.get(key)
         if found is None:
-            found = self.intern(compose(cm.step_matrix(*step), self.values[mat_id]))
+            found = self._intern(compose(self.cm.step_matrix(*step), self.values[mat_id]))
             self.products[key] = found
         return found
 
@@ -159,7 +165,8 @@ def _right_mul_columns(word: Word, letter: int, rank: int) -> dict[int, dict]:
 def rebuild(pool, value: int) -> MorphismMatrix:
     """A package pool value's whole matrix: a column whose mask sets free
     bits is the generator column below it times their variables, on the right."""
-    rank, domain, codomain, ids = pool.values[value]
+    domain, codomain, ids = pool.values[value]
+    rank = pool.rank
     free = free_slots(domain)
     stored = iter(ids)
     cols = {}

@@ -282,12 +282,22 @@ def test_no_environment_variable_sets_a_verify_option(capsys, monkeypatch):
         (["lemmas", "--max-len", "9", "--budget", "10"], "the lemmas suite does not read --max-len"),
         (["family", "--rank", "4", "--max-len", "1"], "the family suite reads --max-len only with --word"),
         (["fpc-s4", "--max-len", "12"], "the fpc-s4 suite does not read --max-len"),
+        (["zam", "--budget", "5"], "the zam suite does not read --budget"),
+        (["family", "--rank", "4", "--budget", "5"], "the family suite reads --budget only with --word"),
     ],
 )
 def test_verify_refuses_an_option_the_suite_does_not_read(capsys, argv, message):
     code, out, err = run(capsys, "verify", *argv)
     assert code == 2 and out == ""
     assert err == f"error: {message}\n"
+
+
+def test_an_unparsable_huge_letter_is_not_echoed(capsys):
+    # two parts pass the letter-count bound, but int() refuses the second
+    code, out, err = run(capsys, "graph", "1," + "9" * 100_000)
+    assert code == 2 and out == ""
+    assert err.startswith("error: cannot parse word '1,999") and err.endswith(" (100,002 characters)\n")
+    assert len(err.encode()) < 200
 
 
 def test_budget_is_validated_before_unread_options(capsys):

@@ -22,6 +22,7 @@ from rexcalc.rexgraph import (
     lift_conflated_path,
     oriented_run,
     source_sink,
+    word_label,
 )
 from rexcalc.symgroup import all_permutations, word_to_perm
 
@@ -147,8 +148,8 @@ def _pools_of(monkeypatch, check):
     pools = []
 
     class Kept(fpc._MatrixPool):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, cm):
+            super().__init__(cm)
             pools.append(self)
 
     monkeypatch.setattr(fpc, "_MatrixPool", Kept)
@@ -178,7 +179,7 @@ def test_zam_identities_match_whole_matrix_products(monkeypatch, n):
         ((up, down, up), zb.compose(z).compose(zb)),
         ((down, up, down, up), zb.compose(z).compose(zb).compose(z)),
     ]:
-        assert oracle_fpc.rebuild(pool, pool.walk(cm, _joined(*runs))) == want
+        assert oracle_fpc.rebuild(pool, pool.walk(_joined(*runs))) == want
     assert len(pool.values) == size
 
 
@@ -197,8 +198,8 @@ def test_dud_udu_walks_match_per_pair_matrices(monkeypatch, n):
     for x in reps:
         for y in reps:
             # the pair's whole walks reuse the products the check memoized
-            dud = pool.walk(cm, _joined(run(x, tr, "down"), run(tr, sr, "up"), run(sr, y, "down")))
-            udu = pool.walk(cm, _joined(run(x, sr, "up"), run(sr, tr, "down"), run(tr, y, "up")))
+            dud = pool.walk(_joined(run(x, tr, "down"), run(tr, sr, "up"), run(sr, y, "down")))
+            udu = pool.walk(_joined(run(x, sr, "up"), run(sr, tr, "down"), run(tr, y, "up")))
             assert oracle_fpc.rebuild(pool, dud) == oracle_fpc.dud_matrix(n, x, y)
             assert oracle_fpc.rebuild(pool, udu) == oracle_fpc.udu_matrix(n, x, y)
             assert dud == udu
@@ -294,12 +295,12 @@ def _search_with(monkeypatch, pool_cls, check):
     pools, ids = [], []
 
     class Logged(pool_cls):
-        def __init__(self):
-            super().__init__()
+        def __init__(self, cm):
+            super().__init__(cm)
             pools.append(self)
 
-        def extend(self, cm, mat_id, step):
-            found = super().extend(cm, mat_id, step)
+        def extend(self, mat_id, step):
+            found = super().extend(mat_id, step)
             ids.append(found)
             return found
 
@@ -352,6 +353,35 @@ def test_pool_matches_oracle_on_random_rank_five_words(monkeypatch, word):
 
 
 @pytest.mark.parametrize(
+    "word, path_a, path_b",
+    [
+        (
+            "1213432",
+            "1213432 1214324 1213432 2123432 2124324 2143234 2124324",
+            "1213432 1214324 2124324 2143234 2124324 2123432 2124324",
+        ),
+        (
+            "1324321",
+            "1343213 1324321 1343213 1432143 4321243 3432123 1343213",
+            "1343213 1432143 4321243 3432123 1343213 1324321 1343213",
+        ),
+        (
+            "12321432",
+            "12321432 13213432 13214324 13213432 32123432 32124324 32143234 32124324",
+            "12321432 13213432 13214324 32124324 32143234 32124324 32123432 32124324",
+        ),
+    ],
+)
+def test_pool_matches_oracle_on_rank_five_counterexamples(monkeypatch, word, path_a, path_b):
+    # a witness's paths are the least of their group in the order the levels
+    # are queued, so these pin that order as well as the values
+    verdict = _assert_same_search(monkeypatch, lambda: fpc.check_fpc(cli.parse_word(word), None, rank=5, budget=4_000))
+    assert not verdict.holds
+    witness = verdict.counterexample
+    assert [" ".join(map(word_label, p)) for p in (witness.path_a, witness.path_b)] == [path_a, path_b]
+
+
+@pytest.mark.parametrize(
     "word, bound, budget",
     [((1, 2, 3, 2, 1), 9, 1), ((1, 2, 3, 2, 1), 9, 10), ((1, 2, 3, 1, 2, 1), 20, 300)],
 )
@@ -400,24 +430,25 @@ def test_pool_interns_values_by_exact_content():
     s, t = source_sink(cm.conflated)
     c = next(cl for cl in cm.conflated.clouds if cl not in (s, t)).representative
     s, t = s.representative, t.representative
-    pool = fpc._MatrixPool()
-    ident = pool.intern(MorphismMatrix.identity(s, 4))
-    assert pool.intern(MorphismMatrix.identity(s, 4)) == ident
+    pool = fpc._MatrixPool(cm)
+    ident = pool.identity(s)
+    assert pool.identity(s) == ident
+    assert oracle_fpc.rebuild(pool, ident) == MorphismMatrix.identity(s, 4)
     # a value stores one column id per generator mask, fewer than its columns
-    assert len(pool.values[ident][3]) == len(generator_masks(s)) < 1 << len(s)
+    assert len(pool.values[ident][2]) == len(generator_masks(s)) < 1 << len(s)
     for (a, b), step in {**cm.forward, **cm.backward}.items():
-        one_step = pool.extend(cm, pool.intern(MorphismMatrix.identity(a, 4)), (a, b))
-        assert pool.intern(step) == one_step
-        assert oracle_fpc.rebuild(pool, one_step) == step
-    p1, p2 = pool.walk(cm, [s, c, t, c]), pool.walk(cm, [s, c, t, c, s, c])
+        assert oracle_fpc.rebuild(pool, pool.extend(pool.identity(a), (a, b))) == step
+    p1, p2 = pool.walk([s, c, t, c]), pool.walk([s, c, t, c, s, c])
     assert p1 == p2
-    assert pool.walk(cm, [s, c, t]) != p1
+    assert pool.walk([s, c, t]) != p1
     assert oracle_fpc.rebuild(pool, p1) == cm.path_matrix([s, c, t, c]) == cm.path_matrix([s, c, t, c, s, c])
     # extending a value is the product with the step, interned by content
-    for v in range(len(pool.values)):
-        mat = oracle_fpc.rebuild(pool, v)
+    mats = [oracle_fpc.rebuild(pool, v) for v in range(len(pool.values))]
+    assert all(a != b for a, b in combinations(mats, 2))
+    for v, mat in enumerate(mats):
         for w in cm.conflated.links[mat.codomain]:
-            assert pool.extend(cm, v, (mat.codomain, w)) == pool.intern(cm.step_matrix(mat.codomain, w).compose(mat))
+            product = oracle_fpc.rebuild(pool, pool.extend(v, (mat.codomain, w)))
+            assert product == cm.step_matrix(mat.codomain, w).compose(mat)
 
 
 # -- the generator-column lemma ------------------------------------------------
@@ -490,8 +521,8 @@ def _random_walks(conf, rng, count, max_steps):
 def test_walk_matches_path_matrix(word, rank):
     cm = fpc._calculus(word, rank)
     walks = _random_walks(cm.conflated, random.Random(8), 16, 7)
-    pool = fpc._MatrixPool()
-    ids = [pool.walk(cm, w) for w in walks]
+    pool = fpc._MatrixPool(cm)
+    ids = [pool.walk(w) for w in walks]
     mats = [cm.path_matrix(w) for w in walks]
     for i, mat in zip(ids, mats):
         assert oracle_fpc.rebuild(pool, i) == mat
@@ -517,8 +548,8 @@ def test_witness_matches_the_whole_matrix_witness(words, rank):
     for word in words:
         cm = fpc._calculus(word, rank)
         walks = _random_walks(cm.conflated, random.Random(len(word) + rank), 24, 6)
-        pool = fpc._MatrixPool()
-        ids = [pool.walk(cm, w) for w in walks]
+        pool = fpc._MatrixPool(cm)
+        ids = [pool.walk(w) for w in walks]
         for (wa, a), (wb, b) in combinations(zip(walks, ids), 2):
             if (wa[0], wa[-1]) != (wb[0], wb[-1]) or a == b:
                 continue

@@ -8,9 +8,20 @@ import pickle
 import pytest
 
 from rexcalc import fpc
+from rexcalc.braidmor import MorphismMatrix, apply_edge
 from rexcalc.bsbimod import BSElement
 from rexcalc.polyring import Polynomial
-from rexcalc.rexgraph import CONFLATED, EXPANDED, Cloud, Path, build_conflated, build_rex_graph
+from rexcalc.rexgraph import (
+    CONFLATED,
+    EXPANDED,
+    Cloud,
+    Path,
+    build_conflated,
+    build_rex_graph,
+    distant_path,
+    graph_for_word,
+    oriented_run,
+)
 from rexcalc.symgroup import BraidMove, Permutation, word_to_perm
 
 
@@ -127,6 +138,34 @@ def test_braid_move_repr_names_every_field():
     with pytest.raises(ValueError) as info:
         move.apply((2, 1, 2))
     assert str(info.value) == "move BraidMove(position=0, kind='up', i=1, j=0) does not apply to (2, 1, 2)"
+
+
+UP_1 = BraidMove(0, "up", 1)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fpc.check_fpc((10, 10), 9, rank=11), "word 10,10 is not reduced"),
+        (lambda: graph_for_word((1, 1)), "word 11 is not reduced"),
+        (
+            lambda: distant_path(graph_for_word((1, 2, 1))[0], (1, 2, 1), (2, 1, 2)),
+            "212 not reachable from 121 by distant edges",
+        ),
+        (
+            lambda: oriented_run(graph_for_word((1, 2, 3, 2, 1))[1], (3, 2, 1, 2, 3), (1, 2, 3, 2, 1), "down"),
+            "no down run from 32123 to 12321",
+        ),
+        (lambda: apply_edge(BSElement.generator((2, 1, 2), 3), UP_1), f"move {UP_1} does not apply to word 212"),
+        (lambda: MorphismMatrix.for_edge(UP_1, (2, 1, 2), 3), f"move {UP_1} does not apply to word 212"),
+    ],
+    ids=["check_fpc", "graph_for_word", "distant_path", "oriented_run", "apply_edge", "for_edge"],
+)
+def test_library_errors_name_words_by_their_labels(call, message):
+    # symgroup cannot import word_label, so BraidMove.apply above keeps the tuple
+    with pytest.raises(ValueError) as info:
+        call()
+    assert str(info.value) == message
 
 
 def test_report_records_take_keywords_and_print_their_fields():
