@@ -262,7 +262,7 @@ def search_work(check) -> dict:
     return {
         "values": sum(len(pool.values) for pool in pools),
         "columns": sum(len(pool.cols) for pool in pools),
-        "column_images": sum(len(memo) - 1 for pool in pools for memo in pool.images.values()),
+        "column_images": sum(len(memo) for pool in pools for memo in pool.images.values()),
         "states": states[0],
     }
 

@@ -11,7 +11,6 @@ exception, which the harness reproduces).
 from .bsbimod import BSElement, basis_degree, dot_cap, from_tensor, left_mul, right_mul
 from .braidmor import (
     ConflatedMorphisms,
-    LocalImageTable,
     MorphismMatrix,
     apply_edge,
     derive_local_table,

@@ -57,22 +57,11 @@ time by ``polyring.tagged_image``, where a column holding a single entry
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import NamedTuple
 
 from .bsbimod import BSElement, basis_slots, from_tensor, left_mul, right_mul
 from .polyring import Polynomial, Scalar, row_key, tag_column, tagged_image, untag_column
 from .rexgraph import CONFLATED, EXPANDED, ConflatedGraph, Path, RexGraph, lift_conflated_path, word_label
 from .symgroup import DISTANT, UP, BraidMove, Word, braid_moves
-
-
-class LocalImageTable(NamedTuple):
-    """Images of all window basis tensors under one braid morphism."""
-
-    rank: int
-    kind: str
-    source_window: Word
-    target_window: Word
-    images: tuple[BSElement, ...]  # indexed by source window mask
 
 
 def _x(i: int, rank: int) -> Polynomial:
@@ -132,7 +121,7 @@ def _combine(
 
 
 @lru_cache(maxsize=None)
-def _adjacent_table(i: int, kind: str, rank: int) -> LocalImageTable:
+def _adjacent_table(i: int, kind: str, rank: int) -> tuple[BSElement, ...]:
     # window letters (p, q, p): up moves have q = p + 1, down have q = p - 1
     p, q = (i, i + 1) if kind == UP else (i + 1, i)
     for letter in (p, q):
@@ -162,11 +151,11 @@ def _adjacent_table(i: int, kind: str, rank: int) -> LocalImageTable:
         if check != BSElement.basis(src, mask, rank):
             raise RuntimeError(f"window rewrite failed for mask {mask} of {word_label(src)}")
         images.append(_combine(expr, dst_gens))
-    return LocalImageTable(rank, kind, src, dst, tuple(images))
+    return tuple(images)
 
 
 @lru_cache(maxsize=None)
-def _distant_table(i: int, j: int, rank: int) -> LocalImageTable:
+def _distant_table(i: int, j: int, rank: int) -> tuple[BSElement, ...]:
     if abs(i - j) < 2:
         raise ValueError(f"letters {i}, {j} are not distant")
     for letter in (i, j):
@@ -190,11 +179,12 @@ def _distant_table(i: int, j: int, rank: int) -> LocalImageTable:
         if image != BSElement.basis(dst, b | a << 1, rank):
             raise RuntimeError(f"distant image of mask {mask} of {word_label(src)} is not its swapped basis tensor")
         images.append(image)
-    return LocalImageTable(rank, DISTANT, src, dst, tuple(images))
+    return tuple(images)
 
 
-def derive_local_table(move: BraidMove, rank: int) -> LocalImageTable:
-    """The cached local image table realizing one braid move."""
+def derive_local_table(move: BraidMove, rank: int) -> tuple[BSElement, ...]:
+    """The cached local image table realizing one braid move: the images of
+    the source window's basis tensors, indexed by window mask."""
     if move.kind == DISTANT:
         return _distant_table(move.i, move.j, rank)
     return _adjacent_table(move.i, move.kind, rank)
@@ -206,11 +196,11 @@ def apply_edge(elem: BSElement, move: BraidMove) -> BSElement:
         raise ValueError(f"move {move} does not apply to word {word_label(elem.word)}")
     table = derive_local_table(move, elem.rank)
     pos, m = move.position, move.width
-    new_word = elem.word[:pos] + table.target_window + elem.word[pos + m:]
+    new_word = elem.word[:pos] + move.target_window() + elem.word[pos + m:]
     window = (1 << m) - 1
     out = BSElement.zero(new_word, elem.rank)
     for mask, coeff in elem.coeffs.items():
-        for imask, icoeff in table.images[mask >> pos & window].coeffs.items():
+        for imask, icoeff in table[mask >> pos & window].coeffs.items():
             slots = basis_slots(new_word, mask & ~(window << pos) | imask << pos, coeff)
             # the image's left coefficient crosses the plain tensor-over-R
             # boundary into the slot left of the window
@@ -293,14 +283,14 @@ class MorphismMatrix:
                 partial = partials[low] = tag_column(
                     {
                         r | imask << pos: coeff
-                        for imask, icoeff in table.images[wm].coeffs.items()
+                        for imask, icoeff in table[wm].coeffs.items()
                         for r, coeff in prefix_normal(p, icoeff).items()
                     },
                     rank,
                 )
             offset = row_key(suffix, rank)
             cols[c] = {k + offset: v for k, v in partial.items()} if offset else partial
-        return cls._make(rank, word, prefix + table.target_window + word[pos + m:], cols)
+        return cls._make(rank, word, prefix + move.target_window() + word[pos + m:], cols)
 
     def column(self, c: int) -> dict[int, Polynomial]:
         """Column c as {row: polynomial}, empty if it is zero."""
@@ -311,7 +301,7 @@ class MorphismMatrix:
         if other.codomain != self.domain or other.rank != self.rank:
             raise ValueError("composition shape mismatch")
         cols = {
-            c: image for c, col in other.cols.items() if (image := tagged_image(self.cols, col, self.rank))
+            c: image for c, col in other.cols.items() if (image := tagged_image(self.cols, col.items(), self.rank))
         }
         return MorphismMatrix._make(self.rank, other.domain, self.codomain, cols)
 
@@ -319,7 +309,7 @@ class MorphismMatrix:
         """Evaluate the morphism on a normal-form element."""
         if elem.word != self.domain or elem.rank != self.rank:
             raise ValueError("element does not live in the domain bimodule")
-        image = tagged_image(self.cols, tag_column(elem.coeffs, self.rank), self.rank)
+        image = tagged_image(self.cols, tag_column(elem.coeffs, self.rank).items(), self.rank)
         return BSElement(self.rank, self.codomain, untag_column(image, self.rank))
 
     def key(self) -> tuple:
@@ -383,7 +373,8 @@ def path_morphism(path: Path, rank: int) -> MorphismMatrix:
     acc = MorphismMatrix.identity(words[0], rank)
     for u, v in zip(words, words[1:]):
         move = move_between(u, v)
-        if derive_local_table(move, rank).kind != DISTANT:
+        derive_local_table(move, rank)  # a distant move's table checks the bit swap below
+        if move.kind != DISTANT:
             acc = edge_matrix(move, u, rank).compose(acc)
             continue
         # row bit pos sits at key bit lo; flip both bits where they differ

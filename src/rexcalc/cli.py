@@ -219,11 +219,11 @@ def write_expanded_json(word: Word, rex: RexGraph, out) -> None:
 
 def _emit(payload, fmt: str, text_lines) -> None:
     # text_lines may be lazy: it is read only for text output, and written
-    # as print would write each line
+    # as print would write each line, in one write (stdout may be unbuffered)
     if fmt == "json":
         print(_dumps(payload))
     else:
-        sys.stdout.writelines(f"{line}\n" for line in text_lines)
+        sys.stdout.write("".join(f"{line}\n" for line in text_lines))
 
 
 def cmd_graph(args) -> int:
@@ -372,7 +372,7 @@ def cmd_verify(args) -> int:
         ]
         payload = report
         if n == 4:
-            img_long, img_short = fpc.family_extra_pair(4)
+            img_long, img_short = fpc.family_extra_pair()
             extra = img_long != img_short
             payload = {**report._asdict(), "extra_pair_differs": extra}
             lines.append(f"  source-start pair separates on 1 (x) x2 (x) 1 ...: {extra}")

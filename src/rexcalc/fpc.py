@@ -6,17 +6,19 @@ up to a path-length bound by a value search: walks are explored as
 states (morphism value, visited set), whose value also fixes the start
 and the current vertex (its domain and codomain); values are interned
 exactly, and equal states are merged, which is sound because they have
-identical futures.  A value is a bimodule map, so its columns at the
-generator masks of its domain (``bsbimod.generator_masks``) fix it: any
-other column is one of them times variables on the right.  Only those
-columns are kept.  Values share most of them, so the columns are
+identical futures; states wait in one queue in path order, so a state's
+first path is its least.  A value is a bimodule map, so its columns at
+the generator masks of its domain (``bsbimod.generator_masks``) fix it:
+any other column is one of them times variables on the right.  Only
+those columns are kept.  Values share most of them, so the columns are
 interned by content and a value is stored once, as a record of its
 generator column ids; a step multiplies each distinct column once and
-memoizes the image per (step, column).  A column is the tagged term map
-a matrix stores (row and monomial packed into one int key), kept as it
-is, so a step is the multiply-accumulate loop of int products that
-every matrix product runs (``polyring.tagged_image``), with no
-polynomial object built per entry.
+memoizes the image per (step, column).  A column is kept once, as the
+frozenset of the terms of the tagged term map a matrix stores (row and
+monomial packed into one int key), which is also its intern key, so a
+step is the multiply-accumulate loop of int products that every matrix
+product runs (``polyring.tagged_image``), with no polynomial object
+built per entry.
 A verdict is either Holds or a reproducible counterexample consisting of
 two concrete paths plus the least basis column on which their matrices
 differ, which is always a generator column.
@@ -37,6 +39,7 @@ evaluated on a path (``reproduce_counterexample``, ``family_extra_pair``)."""
 
 from __future__ import annotations
 
+from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
@@ -105,12 +108,13 @@ class _MatrixPool:
 
     Every value is a bimodule map, so it is fixed by its columns at the
     generator masks of its domain (``bsbimod.generator_masks``), and only
-    those are stored.  A column is a matrix's own tagged term map (row and
-    monomial packed into one int key, the coefficient as value, see
-    ``braidmor.MorphismMatrix``), and each distinct nonzero column gets an
-    id by its exact content.  A value is one record, (domain, codomain,
-    column ids) with the ids of its generator columns in mask order and -1
-    for a zero column, which is also its key: two values are equal
+    those are stored.  A column is the frozenset of the (key, coefficient)
+    terms of a matrix's own tagged term map (row and monomial packed into
+    one int key, see ``braidmor.MorphismMatrix``); that one object is both
+    its intern key and its stored form, and each distinct column, the
+    empty one too, gets an id by its exact content.  A value is one
+    record, (domain, codomain, column ids) with the ids of its generator
+    columns in mask order, which is also its key: two values are equal
     exactly when their records are.  Extending a value by a step of ``cm``
     maps its column ids through that step's memo of column images, so a
     column shared by many values is multiplied once per step, in one
@@ -125,21 +129,19 @@ class _MatrixPool:
         self.cm = cm
         self.rank = cm.rank
         self.col_ids: dict[frozenset, int] = {}
-        self.cols: list[dict[int, Scalar]] = []
+        self.cols: list[frozenset] = []  # the keys of col_ids, in id order
         self.ids: dict[tuple, int] = {}
         self.values: list[tuple] = []
         self.products: dict[tuple[int, tuple[Word, Word]], int] = {}
-        # per step: column id -> id of its image, -1 -> -1 for a zero column
+        # per step: column id -> id of its image
         self.images: dict[tuple[Word, Word], dict[int, int]] = {}
 
     def _column_id(self, terms: dict[int, Scalar]) -> int:
-        if not terms:
-            return -1
-        content = frozenset(terms.items())
-        found = self.col_ids.get(content)
+        column = frozenset(terms.items())
+        found = self.col_ids.get(column)
         if found is None:
-            found = self.col_ids[content] = len(self.cols)
-            self.cols.append(terms)
+            found = self.col_ids[column] = len(self.cols)
+            self.cols.append(column)
         return found
 
     def _intern(self, record: tuple) -> int:
@@ -159,7 +161,7 @@ class _MatrixPool:
         found = self.products.get(key)
         if found is None:
             step_mat = self.cm.step_matrix(*step)
-            memo = self.images.setdefault(step, {-1: -1})
+            memo = self.images.setdefault(step, {})
             domain, _, col_ids = self.values[value]
             ids = []
             for i in col_ids:
@@ -189,7 +191,7 @@ class _MatrixPool:
         domain, codomain, ids_a = self.values[a]
         for mask, i, j in zip(generator_masks(domain), ids_a, self.values[b][2]):
             if i != j:
-                image_a, image_b = (untag_column(self.cols[k] if k >= 0 else {}, self.rank) for k in (i, j))
+                image_a, image_b = (untag_column(dict(self.cols[k]), self.rank) for k in (i, j))
                 return mask, BSElement(self.rank, codomain, image_a), BSElement(self.rank, codomain, image_b)
         raise AssertionError("values differ but no generator column does")
 
@@ -202,18 +204,19 @@ def _value_search(
     full_flags: int,
     budget: int,
 ) -> FpcVerdict:
-    """Level-synchronized search comparing morphism values of flagged-complete walks.
+    """Breadth-first search comparing morphism values of flagged-complete walks.
 
     Walks start at every vertex of the conflated graph of ``cm``, in
     ascending order, and run over its links with ``cm``'s step matrices.
     A state is (value id, visited flags): the value's record fixes the
-    walk's start (its domain) and current vertex (its codomain).
-    ``flag_of`` maps a vertex to the visit bits it contributes; a walk
-    with accumulated flags ``full_flags`` is eligible and its morphism
-    value joins the group of its (start, end) pair.  The first group
-    holding two distinct values yields the counterexample, with the
-    lexicographically least representative paths.  The search stops
-    early once the frontier is empty, and a bound under which no walk
+    walk's start (its domain) and current vertex (its codomain).  Each
+    unseen state waits with its path in one queue, in path order, until
+    it is extended.  ``flag_of`` maps a vertex to the visit bits it
+    contributes; a walk with accumulated flags ``full_flags`` is eligible
+    and its morphism value joins the group of its (start, end) pair.  The
+    first group holding two distinct values yields the counterexample,
+    with the lexicographically least representative paths.  The search
+    stops early once the queue is empty, and a bound under which no walk
     is eligible is a ValueError, not a vacuous Holds.  Once the pool holds
     more than ``budget`` distinct values the search stops with a
     BudgetExceededError.
@@ -223,8 +226,12 @@ def _value_search(
     seen: set[tuple[int, int]] = set()
     # (start, end) -> the first eligible value and its path
     groups: dict[tuple[Word, Word], tuple[int, tuple[Word, ...]]] = {}
+    # no sort: level 1 is queued by ascending start, then each parent's children
+    # along ascending links, so paths leave in path order and a state's first
+    # path is its least
+    queue: deque[tuple[tuple[int, int], tuple[Word, ...]]] = deque()
 
-    def admit(level_states: dict, state: tuple[int, int], path: tuple[Word, ...]) -> FpcVerdict | None:
+    def admit(state: tuple[int, int], path: tuple[Word, ...]) -> FpcVerdict | None:
         # queue an unseen state; a counterexample once its group gets a second
         # value.  A state comes here right after its value was interned, so
         # this is where the budget is checked, before the state counts.
@@ -237,7 +244,7 @@ def _value_search(
         if state in seen:
             return None
         seen.add(state)
-        level_states[state] = path
+        queue.append((state, path))
         value, flags = state
         if flags != full_flags:
             return None
@@ -248,24 +255,19 @@ def _value_search(
         mask, img_a, img_b = pool.witness(value_a, value_b)
         return FpcVerdict(word, max_len, False, PathPairWitness(path[0], path[-1], a, b, mask, img_a, img_b))
 
-    frontier: dict[tuple[int, int], tuple[Word, ...]] = {}
     for start in links:
-        found = admit(frontier, (pool.identity(start), flag_of(start)), (start,))
+        found = admit((pool.identity(start), flag_of(start)), (start,))
         if found is not None:
             return found
-    for level in range(2, max_len + 1):
-        if not frontier:
-            break  # every walk has been extended as far as it can go
-        nxt: dict[tuple[int, int], tuple[Word, ...]] = {}
-        # no sort: level 1 is queued by ascending start, each parent in path order
-        # along ascending links, so a level is in path order and keeps least paths
-        for (value, flags), path in frontier.items():
-            v = path[-1]
-            for w in links[v]:
-                found = admit(nxt, (pool.extend(value, (v, w)), flags | flag_of(w)), path + (w,))
-                if found is not None:
-                    return found
-        frontier = nxt
+    while queue:
+        (value, flags), path = queue.popleft()
+        if len(path) >= max_len:
+            break  # every state still queued is as long
+        v = path[-1]
+        for w in links[v]:
+            found = admit((pool.extend(value, (v, w)), flags | flag_of(w)), path + (w,))
+            if found is not None:
+                return found
     if not groups:
         raise ValueError(f"no walk of at most {max_len} vertices is eligible, so no paths were compared")
     return FpcVerdict(word, max_len, True, None)
@@ -637,12 +639,13 @@ def check_family(n: int) -> FamilyReport:
     )
 
 
-def family_extra_pair(n: int = 4) -> tuple[BSElement, BSElement]:
-    """Images of 1 (x) x_2 (x) 1 (x) 1 (x) 1 (x) 1 under the two source-start paths.
+def family_extra_pair() -> tuple[BSElement, BSElement]:
+    """Images of 1 (x) x_2 (x) 1 (x) 1 (x) 1 (x) 1 under the two source-start paths on 12321.
 
-    On 12321 the paths [s,c,t,c,s,c] and [s,c,t,c] give distinct
-    morphisms, distinguished already by this single element.
+    On its line s - c - t the paths [s,c,t,c,s,c] and [s,c,t,c] give
+    distinct morphisms, distinguished already by this single element.
     """
+    n = 4
     word = family_word(n)
     cm = _calculus(word, n)
     s, t = source_sink(cm.conflated)
@@ -660,14 +663,15 @@ def family_extra_pair(n: int = 4) -> tuple[BSElement, BSElement]:
 # -- simplification soundness -------------------------------------------------
 
 
-def check_simplify_soundness(n: int = 4, max_len: int = 10) -> bool:
-    """f(simplify(p)) == f(p) for complete paths with a direct subpath."""
-    cm = _calculus(longest_element(n), n)
+def check_simplify_soundness() -> bool:
+    """f(simplify(p)) == f(p) for complete paths of at most 10 vertices with a
+    direct subpath, on the longest element of S_4."""
+    cm = _calculus(longest_element(4), 4)
     conf = cm.conflated
     pool = _MatrixPool(cm)
     for a in conf.links:
         for z in conf.links:
-            for path in enumerate_complete_paths(conf, a, z, max_len):
+            for path in enumerate_complete_paths(conf, a, z, 10):
                 try:
                     simplified = simplify_path(conf, path)
                 except NoDirectSubpathError:

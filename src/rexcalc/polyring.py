@@ -59,7 +59,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 from operator import or_
-from typing import Iterator, Mapping, Union
+from typing import Collection, Iterator, Mapping, Union
 
 from .symgroup import Permutation
 
@@ -219,7 +219,7 @@ class Polynomial:
         big, small = self.terms, other.terms
         if len(big) < len(small):
             big, small = small, big
-        return _make(self.rank, tagged_image({0: big}, small, self.rank))
+        return _make(self.rank, tagged_image({0: big}, small.items(), self.rank))
 
     __rmul__ = __mul__
 
@@ -419,10 +419,12 @@ def untag_column(terms: Mapping[int, Scalar], rank: int) -> dict[int, Polynomial
 
 
 def tagged_image(
-    matrix_cols: Mapping[int, Mapping[int, Scalar]], col_terms: Mapping[int, Scalar], rank: int
+    matrix_cols: Mapping[int, Mapping[int, Scalar]], col_terms: Collection[tuple[int, Scalar]], rank: int
 ) -> dict[int, Scalar]:
     """Image of a tagged column under a matrix whose columns are tagged term maps.
 
+    The column comes as its (key, coefficient) terms: a term map's
+    ``items()``, or the frozenset of them that a search pool stores.
     ``matrix_cols[m]`` is the matrix's column m; a missing column is zero.
     A column term at row m with monomial u times a matrix term with key t
     lands at key t + u: the monomials add inside the low fields and the
@@ -436,13 +438,13 @@ def tagged_image(
     shift = (rank + 1) * _WIDTH
     low = (1 << shift) - 1
     if len(col_terms) == 1:
-        ((k, c),) = col_terms.items()
+        ((k, c),) = col_terms
         if c == 1 and not k & low:
             return matrix_cols.get(k >> shift, {})
     acc: dict[int, Scalar] = {}
     get = acc.get
     column = matrix_cols.get
-    for k, c in col_terms.items():
+    for k, c in col_terms:
         image = column(k >> shift)
         if image is None:
             continue

@@ -173,10 +173,9 @@ def rebuild(pool, value: int) -> MorphismMatrix:
     for c in range(1 << len(domain)):
         if free_bits := c & free:
             j = (free_bits & -free_bits).bit_length() - 1  # the lowest free bit of c
-            col = tagged_image(_right_mul_columns(codomain, domain[j], rank), cols.get(c ^ 1 << j, {}), rank)
+            col = tagged_image(_right_mul_columns(codomain, domain[j], rank), cols.get(c ^ 1 << j, {}).items(), rank)
         else:
-            i = next(stored)
-            col = pool.cols[i] if i >= 0 else {}
+            col = dict(pool.cols[next(stored)])
         if col:
             cols[c] = col
     return MorphismMatrix._make(rank, domain, codomain, cols)

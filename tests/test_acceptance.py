@@ -104,7 +104,7 @@ def test_criterion_2_braid_morphism_tables():
     # defining images, normalized
     up_table = derive_local_table(up, rank)
     checks.append(
-        up_table.images[0b001]
+        up_table[0b001]
         == from_tensor((2, 1, 2), (x(1) + x(2), one(), one(), one()), rank)
         - from_tensor((2, 1, 2), (one(), one(), one(), x(3)), rank)
     )
@@ -127,12 +127,12 @@ def test_criterion_2_braid_morphism_tables():
     moves = [up, down, BraidMove(0, "up", 2), BraidMove(0, "down", 2), BraidMove(0, "distant", 1, 3)]
     for move in moves:
         table = derive_local_table(move, rank)
-        checks.append(table.images[0] == BSElement.generator(table.target_window, rank))
-        k = len(table.source_window)
+        checks.append(table[0] == BSElement.generator(move.target_window(), rank))
+        k = len(move.source_window())
         checks.append(
             all(
                 img.is_homogeneous_of_degree(basis_degree(mask, k))
-                for mask, img in enumerate(table.images)
+                for mask, img in enumerate(table)
             )
         )
 
@@ -236,7 +236,7 @@ def test_criterion_7_family_of_counterexamples():
     fam5 = fpc.check_family(5)  # pinned golden value, confirmed by this computation
     checks.append(fam5.morphisms_differ)
     checks.append(fam5.word == (1, 2, 3, 4, 3, 2, 1))
-    img_long, img_short = fpc.family_extra_pair(4)
+    img_long, img_short = fpc.family_extra_pair()
     checks.append(img_long != img_short)
     report(7, all(checks), "line-family paths separate at ranks 4 and 5", time.time() - t0, 300.0)
 
@@ -254,6 +254,6 @@ def test_simplification_preserves_morphisms_on_the_cycle():
     # supporting invariant: canonical zig-zag rewriting is sound on the
     # longest element of S_4 for every complete path with a direct subpath
     t0 = time.time()
-    ok = fpc.check_simplify_soundness(4, 10)
+    ok = fpc.check_simplify_soundness()
     print(f"supporting: simplify soundness on the rank-4 cycle ({time.time() - t0:.2f}s)")
     assert ok

@@ -563,6 +563,26 @@ def test_text_output_is_the_printed_lines(monkeypatch):
     assert out.getvalue() == "first\n2\n\n(1)*e[0]\n"
 
 
+def test_text_output_is_one_write_on_an_unbuffered_stdout(monkeypatch):
+    # an unbuffered stdout (python -u, PYTHONUNBUFFERED) passes each text
+    # write straight to the file, so the lines are joined into one write
+    class Raw(io.RawIOBase):
+        def __init__(self):
+            self.writes = []
+
+        def writable(self):
+            return True
+
+        def write(self, b):
+            self.writes.append(bytes(b))
+            return len(b)
+
+    raw = Raw()
+    monkeypatch.setattr(sys, "stdout", io.TextIOWrapper(raw, encoding="utf-8", write_through=True))
+    cli._emit(None, "text", ["a", "b", "c"])
+    assert raw.writes == [b"a\nb\nc\n"]
+
+
 def test_element_term_product_is_a_usage_error():
     # each slot is within the term limit, but the two slots together span
     # 3,060^2 term products, which from_tensor and apply would multiply out

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import random
 from itertools import combinations
+from types import SimpleNamespace
 
 import oracle_fpc
 import pytest
@@ -216,7 +217,7 @@ def test_family_rank_four_matches_counterexample():
 
 
 def test_family_extra_pair_differs():
-    img_long, img_short = fpc.family_extra_pair(4)
+    img_long, img_short = fpc.family_extra_pair()
     assert img_long != img_short
     word = (1, 2, 3, 2, 1)
     assert img_long.word == img_short.word == (1, 3, 2, 1, 3)
@@ -404,7 +405,7 @@ def _pool_work(monkeypatch, check):
         sum(len(pool.values) for pool in pools),
         sum(len(pool.cols) for pool in pools),
         sum(len(pool.products) for pool in pools),
-        sum(len(memo) - 1 for pool in pools for memo in pool.images.values()),  # less -1 -> -1
+        sum(len(memo) for pool in pools for memo in pool.images.values()),
     )
 
 
@@ -449,6 +450,28 @@ def test_pool_interns_values_by_exact_content():
         for w in cm.conflated.links[mat.codomain]:
             product = oracle_fpc.rebuild(pool, pool.extend(v, (mat.codomain, w)))
             assert product == cm.step_matrix(mat.codomain, w).compose(mat)
+
+
+def test_a_killed_generator_column_is_the_interned_empty_column():
+    # no verdict's walk has a zero generator column, so a step matrix with
+    # its column at mask 0 dropped makes one: both steps it is reached by
+    # give one value, whose column at mask 0 is the one empty column
+    cm = fpc._calculus((1, 2, 1), 3)
+    (a, b), whole = next(iter(cm.forward.items()))
+    killed = MorphismMatrix._make(3, a, b, {c: col for c, col in whole.cols.items() if c})
+    steps = {"whole": whole, "killed": killed, "killed again": killed}
+    pool = fpc._MatrixPool(SimpleNamespace(rank=3, step_matrix=lambda _, name: steps[name]))
+    start = pool.identity(a)
+    kept = pool.extend(start, (a, "whole"))
+    zero = pool.extend(start, (a, "killed"))
+    assert pool.extend(start, (a, "killed again")) == zero != kept
+    empty = pool.col_ids[frozenset()]
+    assert pool.cols[empty] == frozenset()
+    (_, _, kept_ids), (_, _, zero_ids) = pool.values[kept], pool.values[zero]
+    assert zero_ids == (empty,) + kept_ids[1:] and kept_ids[0] != empty
+    mask, image_kept, image_zero = pool.witness(kept, zero)
+    assert (mask, str(image_zero)) == (0, "0")
+    assert image_kept == BSElement(3, b, whole.column(0)) and image_zero == BSElement.zero(b, 3)
 
 
 # -- the generator-column lemma ------------------------------------------------
