@@ -33,8 +33,8 @@ from .rexgraph import (
     RexGraph,
     build_conflated,
     build_rex_graph,
+    cloud_aliases,
     lift_conflated_path,
-    source_sink,
     to_dot,
     word_label,
 )
@@ -51,6 +51,17 @@ EXIT_UNEXPECTED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
+
+# the options each verify suite reads, in the parser's order; giving a suite
+# another one is a usage error.  With --word the family suite reads them all.
+VERIFY_OPTIONS = ("rank", "max_len", "budget", "word")
+SUITE_READS = {
+    "fpc-s4": ("budget",),
+    "zam": ("rank",),
+    "lemmas": ("budget",),
+    "family": ("rank", "word"),
+    "refined": ("rank", "max_len", "budget"),
+}
 
 SHAPE_DISPLAY = {
     fpc.DOT: "*",
@@ -98,17 +109,6 @@ def _resolve_config(args) -> tuple[Word, int]:
     return word, rank
 
 
-def _alias_vertices(conf: ConflatedGraph) -> dict[str, Word]:
-    aliases: dict[str, Word] = {}
-    s, t = source_sink(conf)
-    aliases["s"] = s.representative
-    aliases["t"] = t.representative
-    middle = [c for c in conf.clouds if c not in (s, t)]
-    if len(middle) == 1:
-        aliases["c"] = middle[0].representative
-    return aliases
-
-
 def _cloud_representative(conf: ConflatedGraph, word: Word) -> Word:
     try:
         return conf.cloud(word).representative
@@ -126,7 +126,7 @@ def parse_path_spec(spec: str, rex: RexGraph, conf: ConflatedGraph) -> Path:
         raise UsageError("empty path spec")
     is_alias = [tok.isalpha() and tok != "e" for tok in raw]
     if any(is_alias):
-        aliases = _alias_vertices(conf)
+        aliases = cloud_aliases(conf)
         vertices = []
         for tok, alias in zip(raw, is_alias):
             if alias:
@@ -157,71 +157,70 @@ def parse_element_spec(spec: str, word: Word, rank: int) -> BSElement:
     return from_tensor(word, slots, rank)
 
 
-_encode_str = json.encoder.encode_basestring_ascii
-
-
-def _dumps(value, newline: str = "\n") -> str:
-    """The text of json.dumps(value, indent=2, sort_keys=True), built directly.
-
-    Python's json module falls back to its pure-Python encoder whenever
-    indent is set.  Strings, ints and non-empty lists, tuples and
-    str-keyed dicts are written here.  A report record (a NamedTuple) is
-    written as the object of its fields, so its field names are the JSON
-    keys, and a ``BSElement`` as its ``to_json`` form.  Any other value
-    goes to json.dumps and is re-indented to its depth, which is exactly
-    how nested values are indented there.
-    """
-    if type(value) is str:
-        return _encode_str(value)
-    if type(value) is int:
-        return repr(value)
+def _int_list(word: Word, newline: str) -> str:
+    """json.dumps(list(word), indent=2) for a list that ``newline`` indents as a nested one."""
+    if not word:
+        return "[]"
     inner = newline + "  "
-    if type(value) in (list, tuple) and value:
-        items = [repr(v) if type(v) is int else _dumps(v, inner) for v in value]
-        return "[" + inner + ("," + inner).join(items) + newline + "]"
-    if type(value) is dict and value and all(type(k) is str for k in value):
-        items = [_encode_str(k) + ": " + _dumps(v, inner) for k, v in sorted(value.items())]
-        return "{" + inner + ("," + inner).join(items) + newline + "}"
-    if hasattr(value, "_asdict"):
-        return _dumps(value._asdict(), newline)
-    if type(value) is BSElement:
-        return _dumps(value.to_json(), newline)
-    return json.dumps(value, indent=2, sort_keys=True).replace("\n", newline)
+    return "[" + inner + ("," + inner).join(map(str, word)) + newline + "]"
 
 
-def write_expanded_json(word: Word, rex: RexGraph, out) -> None:
-    """Write the JSON of ``graph WORD --format json`` to ``out``, piece by piece.
+def write_graph_json(word: Word, graph: RexGraph | ConflatedGraph, out) -> None:
+    """Write the JSON of ``graph WORD [--conflated] --format json`` to ``out``, piece by piece.
 
-    The bytes are those of ``_dumps`` of the v1 payload {"edges": [{"kind",
-    "source", "target"}, ...], "element", "vertices": [word, ...]} and a
-    newline, but neither the payload nor the whole text is built: each
-    word's text inside an edge is built once and each edge is written
-    from two of them.
+    The bytes are those of json.dumps(payload, indent=2, sort_keys=True)
+    and a newline, for the v1 payload {"edges": [{"kind", "source",
+    "target"}, ...], "element", "vertices": [word, ...]} of an expanded
+    graph, or {"edges": [{"source", "target"}, ...], "element",
+    "vertices": [[word, ...], ...]} of a conflated one, whose edges join
+    cloud representatives and whose vertices list each cloud's members.
+    Neither the payload nor the whole text is built: each edge is written
+    from the texts of its two words, each built once.
     """
+    if isinstance(graph, RexGraph):
+        in_edge = {w: _int_list(w, "\n      ") for w in graph.words}
+        edges = ((f'"kind": "{m.kind}",\n      ', u, v) for u, v, m in graph.edges)
+        vertices = (_int_list(w, "\n    ") for w in graph.words)
+    else:
+        in_edge = {c.representative: _int_list(c.representative, "\n      ") for c in graph.clouds}
+        edges = (("", e.source.representative, e.target.representative) for e in graph.edges)
+        vertices = (
+            "[\n      " + ",\n      ".join(_int_list(w, "\n      ") for w in c.members) + "\n    ]"
+            for c in graph.clouds
+        )
     write = out.write
-    in_edge = {w: _dumps(w, "\n      ") for w in rex.words}
     write('{\n  "edges": [')
     sep = "\n"
-    for u, v, m in rex.edges:
-        write(
-            f'{sep}    {{\n      "kind": {_encode_str(m.kind)},\n      "source": {in_edge[u]},'
-            f'\n      "target": {in_edge[v]}\n    }}'
-        )
+    for kind, u, v in edges:
+        write(f'{sep}    {{\n      {kind}"source": {in_edge[u]},\n      "target": {in_edge[v]}\n    }}')
         sep = ",\n"
-    write("\n  ]," if rex.edges else "],")
-    write(f'\n  "element": {_encode_str(word_label(word))},\n  "vertices": [')
+    write("],\n" if sep == "\n" else "\n  ],\n")
+    write(f'  "element": {json.dumps(word_label(word))},\n  "vertices": [')
     sep = "\n    "
-    for w in rex.words:
-        write(sep + _dumps(w, "\n    "))
+    for text in vertices:
+        write(sep + text)
         sep = ",\n    "
     write("\n  ]\n}\n")
+
+
+def _plain(value):
+    """A report as JSON data: a record as the dict of its fields, an element by its to_json."""
+    if hasattr(value, "_asdict"):
+        value = value._asdict()
+    if type(value) is dict:
+        return {k: _plain(v) for k, v in value.items()}
+    if type(value) in (list, tuple):
+        return [_plain(v) for v in value]
+    if type(value) is BSElement:
+        return value.to_json()
+    return value
 
 
 def _emit(payload, fmt: str, text_lines) -> None:
     # text_lines may be lazy: it is read only for text output, and written
     # as print would write each line, in one write (stdout may be unbuffered)
     if fmt == "json":
-        print(_dumps(payload))
+        print(json.dumps(_plain(payload), indent=2, sort_keys=True))
     else:
         sys.stdout.write("".join(f"{line}\n" for line in text_lines))
 
@@ -229,42 +228,30 @@ def _emit(payload, fmt: str, text_lines) -> None:
 def cmd_graph(args) -> int:
     word, rank = _resolve_config(args)
     rex = build_rex_graph(word_to_perm(word, rank))
-    conf = build_conflated(rex) if args.conflated else None
+    graph = build_conflated(rex) if args.conflated else rex
     if args.format == "dot":
-        print(to_dot(conf or rex))
+        print(to_dot(graph))
         return EXIT_OK
-    if args.format == "json" and not args.conflated:
-        write_expanded_json(word, rex, sys.stdout)
+    if args.format == "json":
+        write_graph_json(word, graph, sys.stdout)
         return EXIT_OK
     if args.conflated:
-        payload = {
-            "element": word_label(word),
-            "vertices": [[list(w) for w in c.members] for c in conf.clouds],
-            "edges": [
-                {
-                    "source": list(e.source.representative),
-                    "target": list(e.target.representative),
-                }
-                for e in conf.edges
-            ],
-        }
         lines = chain(
             [f"conflated graph of {word_label(word)} (rank {rank})"],
-            (f"  cloud {c}: {{{', '.join(word_label(w) for w in c.members)}}}" for c in conf.clouds),
+            (f"  cloud {c}: {{{', '.join(word_label(w) for w in c.members)}}}" for c in graph.clouds),
             (
                 f"  {word_label(e.source.representative)} -> {word_label(e.target.representative)}"
-                for e in conf.edges
+                for e in graph.edges
             ),
         )
     else:
-        payload = None  # text only: the JSON is written above
         label = {w: word_label(w) for w in rex.words}
         lines = chain(
             [f"expanded graph of {word_label(word)} (rank {rank})"],
             (f"  {text}" for text in label.values()),
             (f"  {label[u]} -- {label[v]} [{m.kind}]" for u, v, m in rex.edges),
         )
-    _emit(payload, args.format, lines)
+    _emit(None, args.format, lines)
     return EXIT_OK
 
 
@@ -309,21 +296,19 @@ def _verdict_lines(v: fpc.FpcVerdict) -> list[str]:
     ]
 
 
-def _refuse_unread(args, *options: str, reads: str = "does not read {}") -> None:
-    """A usage error naming the given options that the suite does not read, phrased by ``reads``."""
-    given = [f"--{o.replace('_', '-')}" for o in options if getattr(args, o) is not None]
-    if given:
-        raise UsageError(f"the {args.suite} suite " + reads.format(" or ".join(given)))
-
-
 def cmd_verify(args) -> int:
     fmt = args.format
     budget = fpc.DEFAULT_BUDGET if args.budget is None else args.budget
     if budget < 1:  # refused before anything is built
         raise UsageError(f"--budget {budget} is below 1, so no search could intern a single matrix")
     suite = args.suite
+    with_word = suite == "family" and args.word is not None
+    reads = VERIFY_OPTIONS if with_word else SUITE_READS.get(suite, VERIFY_OPTIONS)
+    unread = [f"--{o.replace('_', '-')}" for o in VERIFY_OPTIONS if o not in reads and getattr(args, o) is not None]
+    if unread:
+        phrase = "reads {} only with --word" if suite == "family" else "does not read {}"
+        raise UsageError(f"the {suite} suite " + phrase.format(" or ".join(unread)))
     if suite == "zam":
-        _refuse_unread(args, "max_len", "budget", "word")
         n = args.rank or 3
         if n not in (3, 4):
             raise UsageError("the zam suite runs at rank 3 or 4")
@@ -337,12 +322,10 @@ def cmd_verify(args) -> int:
         )
         return EXIT_OK if report.all_hold and dud else EXIT_UNEXPECTED
     if suite == "lemmas":
-        _refuse_unread(args, "rank", "max_len", "word")
         report = fpc.check_equivalence_lemmas(budget)
         _emit(report.results, fmt, [f"{name}: {ok}" for name, ok in report.results.items()])
         return EXIT_OK if report.all_hold else EXIT_UNEXPECTED
     if suite == "fpc-s4":
-        _refuse_unread(args, "rank", "max_len", "word")
         sweep = fpc.check_s4_sweep(budget=budget)
         lines = []
         for r in sweep.rows:
@@ -361,7 +344,6 @@ def cmd_verify(args) -> int:
             verdict = fpc.check_fpc(word, args.max_len, rank=rank, budget=budget)
             _emit(verdict, fmt, _verdict_lines(verdict))
             return EXIT_OK
-        _refuse_unread(args, "max_len", "budget", reads="reads {} only with --word")
         n = args.rank or 4
         report = fpc.check_family(n)
         lines = [
@@ -382,7 +364,6 @@ def cmd_verify(args) -> int:
         _emit(payload, fmt, lines)
         return EXIT_OK if ok else EXIT_UNEXPECTED
     if suite == "refined":
-        _refuse_unread(args, "word")
         n = args.rank or 3
         if n not in (3, 4):
             raise UsageError("the refined suite runs at rank 3 or 4")
@@ -419,7 +400,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=("fpc-s4", "zam", "lemmas", "family", "refined"))
+    p_verify.add_argument("suite", choices=tuple(SUITE_READS))
     p_verify.add_argument("--rank", type=int, default=None)
     p_verify.add_argument("--max-len", type=int, default=None, dest="max_len")
     p_verify.add_argument("--budget", type=int, default=None, help="max distinct matrices")

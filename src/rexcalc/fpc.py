@@ -53,6 +53,7 @@ from .rexgraph import (
     Path,
     build_conflated,
     build_rex_graph,
+    cloud_aliases,
     enumerate_complete_paths,
     oriented_run,
     simplify_path,
@@ -479,9 +480,8 @@ def check_equivalence_lemmas(budget: int = DEFAULT_BUDGET) -> LemmaReport:
     results["w04: [A,B,C,B,A,B,C] == [A,B,C]"] = pool.walk([a, b, c, b, a, b, c]) == pool.walk([a, b, c])
 
     pool = _MatrixPool(_calculus((2, 3, 1, 2, 1), 4))
-    s, t = source_sink(pool.cm.conflated)
-    cc = next(cl for cl in pool.cm.conflated.clouds if cl not in (s, t)).representative
-    ss, tt = s.representative, t.representative
+    line = cloud_aliases(pool.cm.conflated)
+    ss, cc, tt = line["s"], line["c"], line["t"]
     results["23121: P1 == P2"] = pool.walk([ss, cc, tt, cc]) == pool.walk([ss, cc, tt, cc, ss, cc])
     results["23121: Q1 == Q2"] = pool.walk([cc, ss, cc, tt, cc]) == pool.walk([cc, tt, cc, ss, cc])
     results["23121: Q3 == Q1"] = pool.walk([cc, ss, cc, tt, cc, ss, cc]) == pool.walk([cc, ss, cc, tt, cc])
@@ -648,9 +648,8 @@ def family_extra_pair() -> tuple[BSElement, BSElement]:
     n = 4
     word = family_word(n)
     cm = _calculus(word, n)
-    s, t = source_sink(cm.conflated)
-    c = next(cl for cl in cm.conflated.clouds if cl not in (s, t)).representative
-    sr, tr = s.representative, t.representative
+    line = cloud_aliases(cm.conflated)
+    sr, c, tr = line["s"], line["c"], line["t"]
     one = Polynomial.one(n)
     elem = from_tensor(
         word, (one, Polynomial.variable(2, n)) + (one,) * (len(word) - 1), n

@@ -306,6 +306,16 @@ def source_sink(conflated: ConflatedGraph) -> tuple[Cloud, Cloud]:
     )
 
 
+def cloud_aliases(conflated: ConflatedGraph) -> dict[str, Word]:
+    """The representatives of the source s, the sink t and, when it is the only other cloud, c."""
+    s, t = source_sink(conflated)
+    aliases = {"s": s.representative, "t": t.representative}
+    middle = [c for c in conflated.clouds if c not in (s, t)]
+    if len(middle) == 1:
+        aliases["c"] = middle[0].representative
+    return aliases
+
+
 def distant_path(graph: RexGraph, start: Word, goal: Word) -> list[Word]:
     """Lexicographically least shortest distant-edge path inside a cloud."""
     start, goal = tuple(start), tuple(goal)
@@ -504,10 +514,10 @@ def to_dot(graph) -> str:
 
 
 def word_label(word: Word) -> str:
-    """Digits run together (12321); with a letter above 9 they are comma-separated."""
+    """Digits run together (12321); with a letter outside 1..9 they are comma-separated."""
     if not word:
         return "e"
-    return ("" if max(word) <= 9 else ",").join(map(str, word))
+    return ("" if 1 <= min(word) and max(word) <= 9 else ",").join(map(str, word))
 
 
 def graph_for_word(word, rank: int | None = None) -> tuple[RexGraph, ConflatedGraph]:

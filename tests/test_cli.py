@@ -17,8 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from rexcalc import cli, fpc
 from rexcalc.bsbimod import BSElement
-from rexcalc.cli import _dumps, main, parse_word
-from rexcalc.rexgraph import build_rex_graph, word_label
+from rexcalc.cli import main, parse_word
+from rexcalc.rexgraph import build_conflated, build_rex_graph, word_label
 from rexcalc.symgroup import MAX_REDUCED_WORDS, longest_element, word_to_perm
 
 
@@ -423,6 +423,21 @@ def test_family_word_is_read_like_every_other_word(capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, label",
+    [
+        (["graph", "1,0"], "1,0"),
+        (["graph", "1,-2"], "1,-2"),
+        (["eval", "1,0", "--path", "s", "--element", "1,1,1"], "1,0"),
+        (["verify", "family", "--word", "1,0"], "1,0"),
+    ],
+)
+def test_a_word_with_a_letter_outside_1_to_9_is_named_with_commas(capsys, argv, label):
+    code, out, err = run(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert err == f"error: letters of {label} out of range for rank 2\n"
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["graph", "e", "--rank", "10000"],
@@ -665,36 +680,6 @@ def test_exit_code_contract_holds_on_drawn_command_lines(argv):
     assert code in (0, 1, 2, 3)
 
 
-def _reference_dumps(value) -> str:
-    return json.dumps(value, indent=2, sort_keys=True)
-
-
-_json_strings = st.text() | st.sampled_from(["", '"', "\\", 'a"b\\c', "\x00\x1f\x7f", "\n\t\r", "é€😀\ud800"])
-_json_scalars = (
-    st.none()
-    | st.booleans()
-    | st.integers()
-    | st.integers(min_value=2**64, max_value=2**80)
-    | st.integers(min_value=-(2**80), max_value=-(2**64))
-    | _json_strings
-)
-_json_values = st.recursive(
-    _json_scalars,
-    lambda inner: st.lists(inner, max_size=4)
-    | st.lists(inner, max_size=3).map(tuple)
-    | st.dictionaries(_json_strings, inner, max_size=4),
-    max_leaves=40,
-)
-
-
-@given(_json_values)
-@example([])
-@example({})
-@example([[], [[]], {"a": {}, "b": [{}]}, (), [1, [2, [True, None]]]])
-def test_dumps_matches_json_dumps(value):
-    assert _dumps(value) == _reference_dumps(value)
-
-
 CLI_MIX_FIXED = [
     "graph 121321 --conflated --format dot",
     "graph 1213214321 --format json",
@@ -724,16 +709,30 @@ def assert_same_text(got: str, want: str, label: str) -> None:
         pytest.fail(f"{label}: text differs at {at}: {got[lo:at + 30]!r} != {want[lo:at + 30]!r}")
 
 
-def expanded_graph_payload(word: str, rank: int | None = None) -> dict:
-    """The v1 JSON payload of ``rexcalc graph WORD [--rank RANK] --format json``, as a dict."""
+def graph_payload(word: str, rank: int | None = None, conflated: bool = False) -> dict:
+    """The v1 JSON payload of ``rexcalc graph WORD [--rank RANK] [--conflated] --format json``, as a dict."""
     letters = parse_word(word)
     rank = rank or (max(letters) + 1 if letters else 2)
     rex = build_rex_graph(word_to_perm(letters, rank))
-    return {
-        "element": word_label(letters),
-        "vertices": [list(w) for w in rex.words],
-        "edges": [{"source": list(u), "target": list(v), "kind": m.kind} for u, v, m in rex.edges],
-    }
+    if conflated:
+        conf = build_conflated(rex)
+        vertices = [[list(w) for w in c.members] for c in conf.clouds]
+        edges = [
+            {"source": list(e.source.representative), "target": list(e.target.representative)} for e in conf.edges
+        ]
+    else:
+        vertices = [list(w) for w in rex.words]
+        edges = [{"source": list(u), "target": list(v), "kind": m.kind} for u, v, m in rex.edges]
+    return {"element": word_label(letters), "vertices": vertices, "edges": edges}
+
+
+def assert_graph_json(capsys, word: str, rank: int | None, conflated: bool) -> None:
+    argv = ["graph", word, "--format", "json"] + ([] if rank is None else ["--rank", str(rank)])
+    argv += ["--conflated"] if conflated else []
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    reference = json.dumps(graph_payload(word, rank, conflated), indent=2, sort_keys=True) + "\n"
+    assert_same_text(out, reference, " ".join(argv))
 
 
 @pytest.mark.parametrize(
@@ -741,11 +740,14 @@ def expanded_graph_payload(word: str, rank: int | None = None) -> dict:
     [("e", 3), ("1", None), ("2", 4), ("13", None), ("12321", None), ("121321", None), ("1213214321", None)],
 )
 def test_expanded_graph_json_matches_json_dumps(capsys, word, rank):
-    argv = ["graph", word, "--format", "json"] + ([] if rank is None else ["--rank", str(rank)])
-    code, out, err = run(capsys, *argv)
-    assert (code, err) == (0, "")
-    reference = json.dumps(expanded_graph_payload(word, rank), indent=2, sort_keys=True) + "\n"
-    assert_same_text(out, reference, " ".join(argv))
+    assert_graph_json(capsys, word, rank, conflated=False)
+
+
+@pytest.mark.parametrize(
+    "word, rank", [("e", 3), ("246", None), ("12321", None), ("121321", None), ("1213214321", None)]
+)
+def test_conflated_graph_json_matches_json_dumps(capsys, word, rank):
+    assert_graph_json(capsys, word, rank, conflated=True)
 
 
 def test_cli_import_loads_neither_dataclasses_nor_inspect():
@@ -783,21 +785,17 @@ def test_dumps_matches_json_dumps_on_cli_payloads(capsys, monkeypatch):
     monkeypatch.setattr(cli, "_emit", spy)
     assert sorted(CLI_MIX_FIXED) == sorted(EXPECTED)
     for command in CLI_MIX_FIXED:
-        before = len(payloads)
         code, out, _ = run(capsys, *command.split())
         assert code == EXPECTED[command]["exit"], command
         assert sha256(out.encode()).hexdigest() == EXPECTED[command]["sha256"], command
-        if "--format dot" in command:
+        if "--format json" not in command:
             continue
-        if command.startswith("graph") and "--conflated" not in command:
-            # the expanded graph is streamed by its own writer, not through _emit
-            payloads.append(expanded_graph_payload(command.split()[1]))
-        assert len(payloads) == before + 1, command
-        payload = payloads[-1]
-        reference = _reference_dumps(_plain(payload))
-        assert_same_text(_dumps(payload), reference, command)
-        if "--format text" not in command:
-            assert_same_text(out, reference + "\n", command)
+        if command.startswith("graph"):
+            # a graph document is streamed by its own writer, not through _emit
+            payload = graph_payload(command.split()[1], conflated="--conflated" in command)
+        else:
+            payload = _plain(payloads[-1])
+        assert_same_text(out, json.dumps(payload, indent=2, sort_keys=True) + "\n", command)
 
 
 # stdout digests of the outputs that print a counterexample with its witness
