@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Time the polynomial kernel, matrix keys and products, edge matrices, the graph layer and the path search.
+"""Time the polynomial kernel, element normal forms, matrix products, edge matrices, the graph layer and the path search.
 
 Usage, from the root of a checkout:
 
@@ -13,7 +13,13 @@ for ``Polynomial`` multiplication, addition and ``split``, for
 element of S_4 as pool walks, with the graphs and edge matrices built
 before the row), and for ``MorphismMatrix.for_edge`` on one distant and one adjacent move of the
 word 123545321 of the element 123454321 (512 columns), with the package's
-cached tables cleared before each repeat.  ``step_tables`` times one cold
+cached tables cleared before each repeat.  The ``bsbimod`` rows:
+``from_tensor`` is one normal form of a pure tensor over the rank-5 word
+1213214321, whose slots are 1 but for one or two seeded random
+polynomials of rank 5, and ``local_tables`` is one cold
+``derive_local_table`` of each of the 8 adjacent moves of rank 6 (the
+element arithmetic of the window rewrites), with the cached tables
+cleared before each repeat.  ``step_tables`` times one cold
 ``ConflatedMorphisms`` of 123454321 at rank 6, the line6 workload's step
 matrices (4 conflated edges, so 8 steps, whose lifts make 8 adjacent
 and 24 distant moves), with its graphs built before the row and the
@@ -83,7 +89,18 @@ PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file_
 sys.path.insert(0, PERFBENCH)
 from launch import current_cpu, meter  # noqa: E402
 
-from rexcalc import BraidMove, ConflatedMorphisms, MorphismMatrix, Polynomial, braidmor, cli, fpc, graph_for_word
+from rexcalc import (
+    BraidMove,
+    ConflatedMorphisms,
+    MorphismMatrix,
+    Polynomial,
+    braidmor,
+    cli,
+    derive_local_table,
+    fpc,
+    from_tensor,
+    graph_for_word,
+)
 from rexcalc.rexgraph import build_conflated, build_rex_graph
 from rexcalc.symgroup import reduced_words, word_to_perm
 
@@ -96,6 +113,13 @@ EDGE_MOVES = {
 }
 
 STEP_WORD = (1, 2, 3, 4, 5, 4, 3, 2, 1)
+
+TENSOR_RANK = 5
+TENSOR_WORD = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)
+TENSOR_COUNT = 100
+
+# the adjacent moves of rank 6: windows (i, i+1, i) up and (i+1, i, i+1) down
+TABLE_MOVES = [BraidMove(0, kind, i) for kind in ("up", "down") for i in range(1, 5)]
 
 GRAPH_WORD = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)
 GRAPH_REPEAT = 5
@@ -124,15 +148,27 @@ print(took, min(loops))
 """
 
 
-def random_polys(rng: random.Random, count: int) -> list[Polynomial]:
+def random_polys(rng: random.Random, count: int, rank: int = RANK) -> list[Polynomial]:
     polys = []
     for _ in range(count):
         terms = {}
         for _ in range(rng.randint(1, 4)):
-            mono = tuple(rng.randint(0, 2) for _ in range(RANK))
+            mono = tuple(rng.randint(0, 2) for _ in range(rank))
             terms[mono] = terms.get(mono, 0) + rng.choice((-2, -1, 1, 1, 2, 3))
-        polys.append(Polynomial(RANK, terms))
+        polys.append(Polynomial(rank, terms))
     return polys
+
+
+def tensor_slots(rng: random.Random) -> list[list[Polynomial]]:
+    """TENSOR_COUNT slot lists for TENSOR_WORD: all 1 but for one or two random polynomials."""
+    one = Polynomial.one(TENSOR_RANK)
+    sets = []
+    for _ in range(TENSOR_COUNT):
+        slots = [one] * (len(TENSOR_WORD) + 1)
+        for j, p in zip(rng.sample(range(len(slots)), 2), random_polys(rng, rng.randint(1, 2), TENSOR_RANK)):
+            slots[j] = p
+        sets.append(slots)
+    return sets
 
 
 def run_ns(fn, ops: int) -> float:
@@ -167,6 +203,12 @@ def time_for_edge(move: BraidMove) -> float:
     """One cold build of one edge matrix of EDGE_WORD, in nanoseconds."""
     clear_tables()
     return run_ns(lambda: MorphismMatrix.for_edge(move, EDGE_WORD, 6), 1)
+
+
+def time_local_tables() -> float:
+    """One cold derive_local_table of every move of TABLE_MOVES at rank 6, in nanoseconds per move."""
+    clear_tables()
+    return run_ns(lambda: [derive_local_table(move, 6) for move in TABLE_MOVES], len(TABLE_MOVES))
 
 
 def time_step_tables(rex, conf) -> float:
@@ -292,6 +334,7 @@ def main() -> int:
     rng = random.Random(2024)
     left, right = random_polys(rng, 2000), random_polys(rng, 2000)
     pairs = list(zip(left, right))
+    slot_sets = tensor_slots(random.Random(5))  # its own seed: the operands below stay as they were
 
     rex, conf = graph_for_word((1, 2, 3, 2, 1), rank=RANK)
     cm = ConflatedMorphisms(rex, conf)
@@ -313,6 +356,11 @@ def main() -> int:
             args.repeat,
         ),
         "matrix_key": (lambda: run_ns(lambda: [m.key() for m in mats], len(mats)), args.repeat),
+        "from_tensor": (
+            lambda: run_ns(lambda: [from_tensor(TENSOR_WORD, s, TENSOR_RANK) for s in slot_sets], len(slot_sets)),
+            args.repeat,
+        ),
+        "local_tables": (time_local_tables, args.repeat),
         "zam_walks": (lambda: run_ns(zam_walks, 1), args.repeat),
     }
     for name, move in EDGE_MOVES.items():

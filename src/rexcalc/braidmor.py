@@ -47,11 +47,12 @@ two window bits swapped, with coefficient 1, which ``_distant_table``
 verifies when it builds the move's table, so ``path_morphism`` relabels
 the rows of the product so far instead of multiplying in an edge matrix.
 Only adjacent moves cost an edge matrix and a product.  A matrix stores each
-column as one tagged term map (``polyring.tag_column``: row and packed
-monomial in one int key, the coefficient as value), and every product,
-in ``compose``, ``apply`` and the path search, is taken one column at a
-time by ``polyring.tagged_image``, where a column holding a single entry
-1 only selects a column.  ``column`` gives a column back as polynomials.
+column as one tagged term map (``polyring``: row and packed monomial in
+one int key, the coefficient as value), the ``terms`` of its image
+element, and every product, in ``compose``, ``apply`` and the path
+search, is taken one column at a time by ``polyring.tagged_image``, where
+a column holding a single entry 1 only selects a column.  ``column``
+reads a column as {row: Polynomial}, as ``BSElement.coeffs`` does.
 """
 
 from __future__ import annotations
@@ -59,7 +60,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bsbimod import BSElement, basis_slots, from_tensor, left_mul, right_mul
-from .polyring import Polynomial, Scalar, row_key, tag_column, tagged_image, untag_column
+from .polyring import Polynomial, Scalar, row_key, tagged_image, untag_column
 from .rexgraph import CONFLATED, EXPANDED, ConflatedGraph, Path, RexGraph, lift_conflated_path, word_label
 from .symgroup import DISTANT, UP, BraidMove, Word, braid_moves
 
@@ -222,29 +223,20 @@ class MorphismMatrix:
 
     __slots__ = ("rank", "domain", "codomain", "cols")
 
-    def __init__(self, rank: int, domain: Word, codomain: Word, cols):
-        """Columns given as {column: {row: Polynomial}} maps; zero entries and columns are dropped."""
+    def __init__(self, rank: int, domain: Word, codomain: Word, cols: dict[int, dict[int, Scalar]]):
+        """Columns given as {column: tagged term map}, with no zero coefficient and no empty column."""
         if len(domain) != len(codomain):
             raise ValueError("braid moves preserve word length")
         self.rank = rank
         self.domain = tuple(domain)
         self.codomain = tuple(codomain)
-        self.cols: dict[int, dict[int, Scalar]] = {
-            c: tagged for c, col in cols.items() if (tagged := tag_column(col, rank))
-        }
-
-    @classmethod
-    def _make(cls, rank: int, domain: Word, codomain: Word, cols) -> MorphismMatrix:
-        """Trusted constructor: word tuples, tagged columns, no zero coefficient and no empty column."""
-        m = object.__new__(cls)
-        m.rank, m.domain, m.codomain, m.cols = rank, domain, codomain, cols
-        return m
+        self.cols = cols
 
     @classmethod
     def identity(cls, word: Word, rank: int) -> MorphismMatrix:
         word = tuple(word)
         cols = {c: {row_key(c, rank): 1} for c in range(1 << len(word))}
-        return cls._make(rank, word, word, cols)
+        return cls(rank, word, word, cols)
 
     @classmethod
     def for_edge(cls, move: BraidMove, word: Word, rank: int) -> MorphismMatrix:
@@ -260,16 +252,19 @@ class MorphismMatrix:
         pos, m = move.position, move.width
         prefix = word[:pos]
         one = Polynomial.one(rank)
-        renormalized: dict[tuple[int, Polynomial], dict[int, Polynomial]] = {}
+        # per window mask: the image's (key of its window rows, left coefficient) pairs
+        images = [[(row_key(imask << pos, rank), icoeff) for imask, icoeff in t.coeffs.items()] for t in table]
+        renormalized: dict[tuple[int, Polynomial], dict[int, Scalar]] = {}
 
-        def prefix_normal(p: int, coeff: Polynomial) -> dict[int, Polynomial]:
+        def prefix_normal(p: int, coeff: Polynomial) -> dict[int, Scalar]:
+            """The tagged normal form of the prefix tensor of p with coeff in its last slot."""
             if coeff.is_one():
-                return {p: one}  # a basis tensor is already in normal form
+                return {row_key(p, rank): 1}  # a basis tensor is already in normal form
             found = renormalized.get((p, coeff))
             if found is None:
                 slots = basis_slots(prefix, p, one)
                 slots[-1] = slots[-1] * coeff
-                found = renormalized[(p, coeff)] = from_tensor(prefix, slots, rank).coeffs
+                found = renormalized[(p, coeff)] = from_tensor(prefix, slots, rank).terms
             return found
 
         low_mask = (1 << (pos + m)) - 1
@@ -280,17 +275,12 @@ class MorphismMatrix:
             partial = partials.get(low)
             if partial is None:
                 p, wm = low & ((1 << pos) - 1), low >> pos
-                partial = partials[low] = tag_column(
-                    {
-                        r | imask << pos: coeff
-                        for imask, icoeff in table[wm].coeffs.items()
-                        for r, coeff in prefix_normal(p, icoeff).items()
-                    },
-                    rank,
-                )
+                partial = partials[low] = {
+                    k + window: coeff for window, icoeff in images[wm] for k, coeff in prefix_normal(p, icoeff).items()
+                }
             offset = row_key(suffix, rank)
             cols[c] = {k + offset: v for k, v in partial.items()} if offset else partial
-        return cls._make(rank, word, prefix + move.target_window() + word[pos + m:], cols)
+        return cls(rank, word, prefix + move.target_window() + word[pos + m:], cols)
 
     def column(self, c: int) -> dict[int, Polynomial]:
         """Column c as {row: polynomial}, empty if it is zero."""
@@ -303,14 +293,13 @@ class MorphismMatrix:
         cols = {
             c: image for c, col in other.cols.items() if (image := tagged_image(self.cols, col.items(), self.rank))
         }
-        return MorphismMatrix._make(self.rank, other.domain, self.codomain, cols)
+        return MorphismMatrix(self.rank, other.domain, self.codomain, cols)
 
     def apply(self, elem: BSElement) -> BSElement:
         """Evaluate the morphism on a normal-form element."""
         if elem.word != self.domain or elem.rank != self.rank:
             raise ValueError("element does not live in the domain bimodule")
-        image = tagged_image(self.cols, tag_column(elem.coeffs, self.rank).items(), self.rank)
-        return BSElement(self.rank, self.codomain, untag_column(image, self.rank))
+        return BSElement(self.rank, self.codomain, tagged_image(self.cols, elem.terms.items(), self.rank))
 
     def key(self) -> tuple:
         """Hashable form, built on each call: keys are equal exactly when the matrices are."""
@@ -381,7 +370,7 @@ def path_morphism(path: Path, rank: int) -> MorphismMatrix:
         lo = row_key(1 << move.position, rank).bit_length() - 1
         flip = (0, 3 << lo, 3 << lo, 0)
         cols = {c: {k ^ flip[k >> lo & 3]: a for k, a in col.items()} for c, col in acc.cols.items()}
-        acc = MorphismMatrix._make(rank, acc.domain, v, cols)
+        acc = MorphismMatrix(rank, acc.domain, v, cols)
     return acc
 
 

@@ -12,11 +12,13 @@ is a free left R-module on the 2^k basis tensors
 
     1 (x) x_{w_1}^{e_1} (x) ... (x) x_{w_k}^{e_k},    e in {0,1}^k.
 
-A BSElement stores the coefficients of this basis, keyed by the bitmask
-e (bit j-1 set means slot j carries x_{w_j}).  Normalization works right
-to left: each slot polynomial splits as pi_0 + pi_1 * x_{w_j} with both
-parts s_{w_j}-invariant, and the invariant parts slide one slot to the
-left.  Normal forms are unique, so equality is plain map comparison.
+A BSElement stores its vector over this basis, indexed by the bitmask e
+(bit j-1 set means slot j carries x_{w_j}), as the tagged term map a
+matrix stores a column in (``polyring``); ``coeffs`` reads it as {mask:
+Polynomial}.  Normalization works right to left: each slot polynomial
+splits as pi_0 + pi_1 * x_{w_j} with both parts s_{w_j}-invariant, and
+the invariant parts slide one slot to the left.  Normal forms are unique,
+so equality is plain map comparison.
 
 The grading convention shifts each factor by 1, so the basis tensor of
 mask e in a length-k word sits in degree 2*popcount(e) - k.
@@ -26,7 +28,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .polyring import Polynomial
+from .polyring import Polynomial, Scalar, row_key, tag_column, tagged_image, term_sum, untag_column
 from .symgroup import Frozen, Word
 
 
@@ -43,59 +45,54 @@ def basis_slots(word, mask: int, coeff: Polynomial) -> list[Polynomial]:
 
 
 class BSElement(Frozen):
-    """An element of the Bott-Samelson bimodule of ``word`` in normal form."""
+    """An element of the Bott-Samelson bimodule of ``word`` in normal form, as its
+    tagged term map ``terms``: settled, with no zero coefficient, never mutated."""
 
-    __slots__ = ("rank", "word", "coeffs")
+    __slots__ = ("rank", "word", "terms")
 
-    def __init__(self, rank: int, word: Word, coeffs: Mapping[int, Polynomial] | None = None):
-        clean = {}
-        for mask, c in (coeffs or {}).items():
-            if not 0 <= mask < (1 << len(word)):
-                raise ValueError(f"mask {mask} out of range for word of length {len(word)}")
-            if c.rank != rank:
-                raise ValueError("coefficient rank mismatch")
-            if not c.is_zero():
-                clean[mask] = c
-        self._init(rank, tuple(word), clean)
+    def __init__(self, rank: int, word: Word, terms: Mapping[int, Scalar] | None = None):
+        word = tuple(word)
+        terms = {} if terms is None else terms
+        if terms and not 0 <= min(terms) <= max(terms) < (end := row_key(1 << len(word), rank)):
+            bad = next(k for k in terms if not 0 <= k < end)
+            raise ValueError(f"mask {bad // row_key(1, rank)} out of range for word of length {len(word)}")
+        self._init(rank, word, terms)
 
     # -- constructors --------------------------------------------------------
 
     @classmethod
     def zero(cls, word: Word, rank: int) -> BSElement:
-        return cls(rank, tuple(word), {})
+        return cls(rank, word)
 
     @classmethod
     def generator(cls, word: Word, rank: int) -> BSElement:
         """The distinguished generator 1 (x) 1 (x) ... (x) 1."""
-        return cls(rank, tuple(word), {0: Polynomial.one(rank)})
+        return cls.basis(word, 0, rank)
 
     @classmethod
     def basis(cls, word: Word, mask: int, rank: int) -> BSElement:
-        return cls(rank, tuple(word), {mask: Polynomial.one(rank)})
+        return cls(rank, word, {row_key(mask, rank): 1})
 
     # -- structure -----------------------------------------------------------
+
+    @property
+    def coeffs(self) -> dict[int, Polynomial]:
+        """The coefficients as {mask: Polynomial}, built on each read."""
+        return untag_column(self.terms, self.rank)
 
     def __add__(self, other: BSElement) -> BSElement:
         if self.word != other.word or self.rank != other.rank:
             raise ValueError("cannot add elements of different bimodules")
-        coeffs = dict(self.coeffs)
-        for mask, c in other.coeffs.items():
-            acc = coeffs.get(mask)
-            acc = c if acc is None else acc + c
-            if acc.is_zero():
-                coeffs.pop(mask, None)
-            else:
-                coeffs[mask] = acc
-        return BSElement(self.rank, self.word, coeffs)
+        return BSElement(self.rank, self.word, term_sum(self.terms, other.terms))
 
     def __neg__(self) -> BSElement:
-        return BSElement(self.rank, self.word, {m: -c for m, c in self.coeffs.items()})
+        return BSElement(self.rank, self.word, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: BSElement) -> BSElement:
         return self + (-other)
 
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     def is_homogeneous_of_degree(self, d: int) -> bool:
         k = len(self.word)
@@ -105,26 +102,28 @@ class BSElement(Frozen):
         )
 
     def __hash__(self) -> int:
-        # Frozen compares the fields; the coefficient dict hashes as its items
-        return hash((self.rank, self.word, frozenset(self.coeffs.items())))
+        # Frozen compares the fields; the term map hashes as its items
+        return hash((self.rank, self.word, frozenset(self.terms.items())))
 
     def to_json(self) -> dict:
+        coeffs = self.coeffs
         return {
             "word": list(self.word),
             "entries": [
-                {"mask": mask, "poly": str(self.coeffs[mask])}
-                for mask in sorted(self.coeffs)
+                {"mask": mask, "poly": str(coeffs[mask])}
+                for mask in sorted(coeffs)
             ],
         }
 
     def __str__(self) -> str:
-        if not self.coeffs:
+        coeffs = self.coeffs
+        if not coeffs:
             return "0"
         k = len(self.word)
         parts = []
-        for mask in sorted(self.coeffs):
+        for mask in sorted(coeffs):
             bits = "".join(str((mask >> j) & 1) for j in range(k))
-            parts.append(f"({self.coeffs[mask]})*e[{bits}]")
+            parts.append(f"({coeffs[mask]})*e[{bits}]")
         return " + ".join(parts)
 
 
@@ -157,7 +156,7 @@ def from_tensor(word, slots: Sequence[Polynomial], rank: int) -> BSElement:
             if not pi1.is_zero():
                 nxt[mask | (1 << (j - 1))] = left * pi1
         state = nxt
-    return BSElement(rank, word, state)
+    return BSElement(rank, word, tag_column(state, rank))
 
 
 def free_slots(word) -> int:
@@ -187,19 +186,19 @@ def left_mul(p: Polynomial, e: BSElement) -> BSElement:
     """Left action of R: multiply every normal-form coefficient."""
     if p.rank != e.rank:
         raise ValueError("rank mismatch")
-    return BSElement(e.rank, e.word, {m: p * c for m, c in e.coeffs.items()})
+    return BSElement(e.rank, e.word, tagged_image({0: e.terms}, p.terms.items(), e.rank))
 
 
 def right_mul(e: BSElement, p: Polynomial) -> BSElement:
     """Right action of R: multiply the last slot, then renormalize."""
     if p.rank != e.rank:
         raise ValueError("rank mismatch")
-    out = BSElement.zero(e.word, e.rank)
+    terms: dict[int, Scalar] = {}
     for mask, c in e.coeffs.items():
         slots = basis_slots(e.word, mask, c)
         slots[-1] = slots[-1] * p
-        out = out + from_tensor(e.word, slots, e.rank)
-    return out
+        terms = term_sum(terms, from_tensor(e.word, slots, e.rank).terms)
+    return BSElement(e.rank, e.word, terms)
 
 
 def dot_cap(e: BSElement, factor: int) -> BSElement:
@@ -212,9 +211,9 @@ def dot_cap(e: BSElement, factor: int) -> BSElement:
     if not 0 <= factor < k:
         raise ValueError(f"factor {factor} out of range for word of length {k}")
     new_word = e.word[:factor] + e.word[factor + 1:]
-    out = BSElement.zero(new_word, e.rank)
+    terms: dict[int, Scalar] = {}
     for mask, c in e.coeffs.items():
         slots = basis_slots(e.word, mask, c)
         merged = slots[:factor] + [slots[factor] * slots[factor + 1]] + slots[factor + 2:]
-        out = out + from_tensor(new_word, merged, e.rank)
-    return out
+        terms = term_sum(terms, from_tensor(new_word, merged, e.rank).terms)
+    return BSElement(e.rank, new_word, terms)

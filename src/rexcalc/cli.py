@@ -19,7 +19,7 @@ import json
 import math
 import os
 import sys
-from itertools import chain
+from itertools import chain, islice
 
 from . import fpc
 from .braidmor import path_morphism
@@ -45,6 +45,9 @@ from .symgroup import Word, is_reduced, word_to_perm
 MAX_RANK = 11
 # the longest reduced word at rank MAX_RANK, that of its longest element
 MAX_WORD_LENGTH = MAX_RANK * (MAX_RANK - 1) // 2
+
+# lines per write of text output: a long text is never held whole in memory
+TEXT_PIECE_LINES = 4096
 
 EXIT_OK = 0
 EXIT_UNEXPECTED = 1
@@ -218,11 +221,14 @@ def _plain(value):
 
 def _emit(payload, fmt: str, text_lines) -> None:
     # text_lines may be lazy: it is read only for text output, and written
-    # as print would write each line, in one write (stdout may be unbuffered)
+    # as print would write each line, one write per TEXT_PIECE_LINES lines
+    # (stdout may be unbuffered)
     if fmt == "json":
         print(json.dumps(_plain(payload), indent=2, sort_keys=True))
-    else:
-        sys.stdout.write("".join(f"{line}\n" for line in text_lines))
+        return
+    lines = iter(text_lines)
+    while piece := "".join(f"{line}\n" for line in islice(lines, TEXT_PIECE_LINES)):
+        sys.stdout.write(piece)
 
 
 def cmd_graph(args) -> int:

@@ -45,7 +45,7 @@ from typing import NamedTuple
 
 from .bsbimod import BSElement, dot_cap, from_tensor, generator_masks
 from .braidmor import ConflatedMorphisms, path_morphism
-from .polyring import Polynomial, Scalar, row_key, tagged_image, untag_column
+from .polyring import Polynomial, Scalar, row_key, tagged_image
 from .rexgraph import (
     EXPANDED,
     ConflatedGraph,
@@ -192,8 +192,7 @@ class _MatrixPool:
         domain, codomain, ids_a = self.values[a]
         for mask, i, j in zip(generator_masks(domain), ids_a, self.values[b][2]):
             if i != j:
-                image_a, image_b = (untag_column(dict(self.cols[k]), self.rank) for k in (i, j))
-                return mask, BSElement(self.rank, codomain, image_a), BSElement(self.rank, codomain, image_b)
+                return mask, *(BSElement(self.rank, codomain, dict(self.cols[k])) for k in (i, j))
         raise AssertionError("values differ but no generator column does")
 
 

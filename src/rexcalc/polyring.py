@@ -32,17 +32,18 @@ as the final verdict throughout the package.
 ring operations build their results through the unchecked ``_make``.
 ``iter_terms`` yields the terms with their exponent tuples.
 
-A column of polynomials {row: p}, the form in which morphism matrices
-store their columns, is one tagged term map: the key is the row shifted
-above the packed monomial, ``row << (rank + 1) * _WIDTH | monomial``, and
-the value is the coefficient.  ``tag_column`` and ``untag_column``
-convert, and ``row_key`` is the key of a row at monomial 1, which moves a
-key down that many rows when added.  A polynomial's term map is the
-tagged column of row 0.  ``tagged_image`` maps a tagged column through a
-matrix of tagged columns in one multiply-accumulate loop of int
-additions, with no ``Polynomial`` built per entry; it is the package's
-only product: ``Polynomial.__mul__`` is the image of the factor with
-fewer terms under the one-column matrix {0: other factor}.
+A vector of polynomials {row: p}, the one stored form of an element
+(``BSElement.terms``) and of a matrix or search column, is one tagged term
+map: the key is the row shifted above the packed monomial, ``row << (rank
++ 1) * _WIDTH | monomial``, and the value is the coefficient.
+``tag_column`` and ``untag_column`` convert, and ``row_key`` is the key
+of a row at monomial 1, which moves a key down that many rows when added.
+A polynomial's term map is the tagged vector of row 0; ``term_sum`` adds
+either kind.  ``tagged_image`` maps a tagged vector through a matrix of
+tagged columns in one multiply-accumulate loop of int additions, with no
+``Polynomial`` built per entry; it is the package's only product:
+``Polynomial.__mul__`` is the image of the factor with fewer terms under
+the one-column matrix {0: other factor}.
 
 >>> x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
 >>> str((x1 + x2) * (x1 - x2))
@@ -100,15 +101,17 @@ def _settle(terms: dict[int, Scalar]) -> dict[int, Scalar]:
     return terms
 
 
-def _add_into(terms: dict[int, Scalar], other: dict[int, Scalar], scale: int, shift: int = 0) -> None:
-    """terms += scale * (monomial packed as shift) * other, in place, dropping zeros."""
+def term_sum(terms: Mapping, other: Mapping, scale: int = 1, shift: int = 0) -> dict[int, Scalar]:
+    """terms + scale * (monomial packed as shift) * other, as a new settled map with no zero coefficient."""
+    out = dict(terms)
     for m, c in other.items():
         m += shift
-        acc = terms.get(m, 0) + scale * c
+        acc = out.get(m, 0) + scale * c
         if acc:
-            terms[m] = acc
+            out[m] = acc
         else:
-            del terms[m]
+            del out[m]
+    return _settle(out)
 
 
 def _make(rank: int, terms: dict[int, Scalar]) -> Polynomial:
@@ -191,9 +194,7 @@ class Polynomial:
             return NotImplemented
         if not other.terms:
             return self
-        terms = self.terms.copy()
-        _add_into(terms, other.terms, scale)
-        return _make(self.rank, _settle(terms))
+        return _make(self.rank, term_sum(self.terms, other.terms, scale))
 
     def __add__(self, other) -> Polynomial:
         return self._plus(other, 1)
@@ -343,9 +344,7 @@ class Polynomial:
         """Decompose p = pi_0 + pi_1 * x_i with both parts s_i-invariant."""
         pi1 = self.demazure(i)
         x_i = (1 << self.rank * _WIDTH) + (1 << ((self.rank - i) * _WIDTH))
-        terms = self.terms.copy()
-        _add_into(terms, pi1.terms, -1, x_i)
-        return _make(self.rank, _settle(terms)), pi1
+        return _make(self.rank, term_sum(self.terms, pi1.terms, -1, x_i)), pi1
 
     # -- canonical form ------------------------------------------------------
 

@@ -5,7 +5,9 @@ from __future__ import annotations
 import random
 from fractions import Fraction
 
-from rexcalc.polyring import Polynomial
+from rexcalc.braidmor import MorphismMatrix
+from rexcalc.bsbimod import BSElement
+from rexcalc.polyring import Polynomial, tag_column
 from rexcalc.symgroup import Permutation, braid_moves
 
 
@@ -23,6 +25,16 @@ def random_polynomial(
         if coeff:
             terms[mono] = terms.get(mono, Fraction(0)) + coeff
     return Polynomial(rank, terms)
+
+
+def element(rank: int, word, coeffs: dict[int, Polynomial]) -> BSElement:
+    """The element with the coefficients {mask: Polynomial}, through its stored tagged form."""
+    return BSElement(rank, word, tag_column(coeffs, rank))
+
+
+def matrix(rank: int, domain, codomain, cols: dict[int, dict[int, Polynomial]]) -> MorphismMatrix:
+    """The matrix with the columns {column: {row: Polynomial}}, through their stored tagged form."""
+    return MorphismMatrix(rank, domain, codomain, {c: t for c, col in cols.items() if (t := tag_column(col, rank))})
 
 
 def random_invariant(rng: random.Random, rank: int, i: int) -> Polynomial:

@@ -109,7 +109,8 @@ def compose(self: MorphismMatrix, other: MorphismMatrix) -> MorphismMatrix:
                     _accumulate(acc, r, _times(prm, pmc))
         if acc:
             cols[c] = _package(acc)
-    return MorphismMatrix(self.rank, other.domain, self.codomain, cols)
+    tagged = {c: tag_column(col, self.rank) for c, col in cols.items()}
+    return MorphismMatrix(self.rank, other.domain, self.codomain, tagged)
 
 
 def path_morphism(path: Path, rank: int) -> MorphismMatrix:
@@ -178,14 +179,14 @@ def rebuild(pool, value: int) -> MorphismMatrix:
             col = dict(pool.cols[next(stored)])
         if col:
             cols[c] = col
-    return MorphismMatrix._make(rank, domain, codomain, cols)
+    return MorphismMatrix(rank, domain, codomain, cols)
 
 
 def column_witness(a: MorphismMatrix, b: MorphismMatrix) -> tuple[int, BSElement, BSElement]:
     """The least mask whose columns differ, over every column of two whole matrices."""
     for c in sorted(set(a.cols) | set(b.cols)):
         if a.cols.get(c) != b.cols.get(c):
-            return c, BSElement(a.rank, a.codomain, a.column(c)), BSElement(b.rank, b.codomain, b.column(c))
+            return c, BSElement(a.rank, a.codomain, a.cols.get(c, {})), BSElement(b.rank, b.codomain, b.cols.get(c, {}))
     raise AssertionError("matrices differ but no column does")
 
 

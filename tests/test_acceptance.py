@@ -22,7 +22,7 @@ from rexcalc.polyring import Polynomial
 from rexcalc.rexgraph import graph_for_word, source_sink
 from rexcalc.symgroup import BraidMove, braid_moves, longest_element, word_to_perm
 
-from conftest import random_polynomial
+from conftest import element, random_polynomial
 
 
 def x(i, rank=4):
@@ -151,7 +151,7 @@ def test_criterion_2_braid_morphism_tables():
             mask: random_polynomial(rng, rank, max_terms=2)
             for mask in rng.sample(range(1 << len(word)), k=2)
         }
-        e = BSElement(rank, word, coeffs)
+        e = element(rank, word, coeffs)
         p = random_polynomial(rng, rank, max_terms=2)
         left_ok = apply_edge(left_mul(p, e), move) == left_mul(p, apply_edge(e, move))
         right_ok = apply_edge(right_mul(e, p), move) == right_mul(apply_edge(e, move), p)

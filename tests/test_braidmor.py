@@ -40,7 +40,7 @@ from rexcalc.rexgraph import (
 from rexcalc.fpc import family_word
 from rexcalc.symgroup import BraidMove, braid_moves, longest_element, reduced_words, word_to_perm
 
-from conftest import random_polynomial, random_reduced_word
+from conftest import element, matrix, random_polynomial, random_reduced_word
 
 
 def x(i, rank=4):
@@ -225,7 +225,7 @@ def test_bimodule_linearity_randomized():
             mask: random_polynomial(rng, 4)
             for mask in rng.sample(range(8), k=rng.randint(1, 4))
         }
-        e = BSElement(4, word, coeffs)
+        e = element(4, word, coeffs)
         p = random_polynomial(rng, 4)
         assert apply_edge(left_mul(p, e), UP_MOVE) == left_mul(p, apply_edge(e, UP_MOVE))
         assert apply_edge(right_mul(e, p), UP_MOVE) == right_mul(apply_edge(e, UP_MOVE), p)
@@ -236,7 +236,7 @@ def _column_by_column(move, word, rank):
     cols, target = {}, None
     for c in range(1 << len(word)):
         image = apply_edge(BSElement.basis(word, c, rank), move)
-        target, cols[c] = image.word, dict(image.coeffs)
+        target, cols[c] = image.word, image.terms
     return MorphismMatrix(rank, word, target, cols)
 
 
@@ -338,7 +338,7 @@ def test_distant_edge_matrices_are_row_bit_swaps():
         for v, move in rex.distant_neighbors(u):
             pos = move.position
             swap = {c: c ^ 3 << pos if (c >> pos ^ c >> pos + 1) & 1 else c for c in range(1 << len(u))}
-            expected = MorphismMatrix(6, u, v, {c: {r: one(6)} for c, r in swap.items()})
+            expected = matrix(6, u, v, {c: {r: one(6)} for c, r in swap.items()})
             assert edge_matrix(move, u, 6) == expected, (u, v)
             assert path_morphism(Path(EXPANDED, (u, v)), 6) == expected, (u, v)
             count += 1
@@ -623,7 +623,7 @@ def columns(rank, rows=4):
 def step_and_column(draw):
     rank = draw(st.integers(1, 4))
     cols = {c: draw(columns(rank)) for c in range(4)}
-    step = MorphismMatrix(rank, KERNEL_WORD, KERNEL_WORD, cols)
+    step = matrix(rank, KERNEL_WORD, KERNEL_WORD, cols)
     return step, draw(columns(rank)), rank
 
 
@@ -669,7 +669,7 @@ def test_tagged_image_matches_column_image(case):
     ids=["product", "sum", "zero-row", "zero-column"],
 )
 def test_tagged_image_settles_and_drops_zeros(step_cols, col, expected):
-    step = MorphismMatrix(4, KERNEL_WORD, KERNEL_WORD, step_cols)
+    step = matrix(4, KERNEL_WORD, KERNEL_WORD, step_cols)
     assert oracle_fpc.column_image(step, col) == expected
     tagged = tagged_image(step.cols, tag_column(col, 4).items(), 4)
     assert all(type(c) is int for c in tagged.values())
@@ -691,7 +691,7 @@ def test_tagged_image_settles_and_drops_zeros(step_cols, col, expected):
 )
 def test_tagged_image_overflows_exactly_where_column_image_does(step_cols, raises):
     big = Polynomial(4, {(MAX_DEGREE - 1, 0, 0, 0): 1})
-    step = MorphismMatrix(4, KERNEL_WORD, KERNEL_WORD, step_cols)
+    step = matrix(4, KERNEL_WORD, KERNEL_WORD, step_cols)
     col = {0: big, 1: big}
     # the kernel raises for any entry product past MAX_DEGREE, even when such
     # products cancel; the oracle's seed kernel has no degree guard, so it is

@@ -21,7 +21,7 @@ from rexcalc.bsbimod import (
 from rexcalc.polyring import Polynomial
 from rexcalc.symgroup import all_permutations, reduced_words
 
-from conftest import random_invariant, random_polynomial, random_reduced_word
+from conftest import element, random_invariant, random_polynomial, random_reduced_word
 
 
 def x(i, rank=4):
@@ -144,7 +144,7 @@ def test_basis_slots_are_in_normal_form():
             word = random_reduced_word(rng, rank)
             for mask in range(1 << len(word)):
                 c = random_polynomial(rng, rank)
-                assert from_tensor(word, basis_slots(word, mask, c), rank) == BSElement(rank, word, {mask: c})
+                assert from_tensor(word, basis_slots(word, mask, c), rank) == element(rank, word, {mask: c})
 
 
 def test_dot_cap_on_generator():

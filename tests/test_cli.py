@@ -598,6 +598,18 @@ def test_text_output_is_one_write_on_an_unbuffered_stdout(monkeypatch):
     assert raw.writes == [b"a\nb\nc\n"]
 
 
+def test_long_text_output_is_written_in_pieces(capsys, monkeypatch):
+    # the rank-11 line graph prints 22.8 MB of text, which is not joined
+    # into one string; one piece more than fits makes a second write
+    writes = []
+    real_write = sys.stdout.write
+    monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or real_write(text))
+    lines = [f"line {i}" for i in range(cli.TEXT_PIECE_LINES + 1)]
+    cli._emit(None, "text", iter(lines))
+    assert [len(w.splitlines()) for w in writes] == [cli.TEXT_PIECE_LINES, 1]
+    assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
+
+
 def test_element_term_product_is_a_usage_error():
     # each slot is within the term limit, but the two slots together span
     # 3,060^2 term products, which from_tensor and apply would multiply out

@@ -8,7 +8,7 @@ from types import SimpleNamespace
 
 import oracle_fpc
 import pytest
-from conftest import random_reduced_word
+from conftest import matrix, random_reduced_word
 
 from rexcalc import cli, fpc
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix, edge_matrix, move_between
@@ -459,7 +459,7 @@ def test_a_killed_generator_column_is_the_interned_empty_column():
     # give one value, whose column at mask 0 is the one empty column
     cm = fpc._calculus((1, 2, 1), 3)
     (a, b), whole = next(iter(cm.forward.items()))
-    killed = MorphismMatrix._make(3, a, b, {c: col for c, col in whole.cols.items() if c})
+    killed = MorphismMatrix(3, a, b, {c: col for c, col in whole.cols.items() if c})
     steps = {"whole": whole, "killed": killed, "killed again": killed}
     pool = fpc._MatrixPool(SimpleNamespace(rank=3, step_matrix=lambda _, name: steps[name]))
     start = pool.identity(a)
@@ -472,7 +472,7 @@ def test_a_killed_generator_column_is_the_interned_empty_column():
     assert zero_ids == (empty,) + kept_ids[1:] and kept_ids[0] != empty
     mask, image_kept, image_zero = pool.witness(kept, zero)
     assert (mask, str(image_zero)) == (0, "0")
-    assert image_kept == BSElement(3, b, whole.column(0)) and image_zero == BSElement.zero(b, 3)
+    assert image_kept == BSElement(3, b, whole.cols[0]) and image_zero == BSElement.zero(b, 3)
 
 
 # -- the generator-column lemma ------------------------------------------------
@@ -500,8 +500,8 @@ def test_step_matrices_are_right_linear_on_free_slots(words, rank):
             xj = Polynomial.variable(step.domain[j], rank)
             for m in range(1 << len(step.domain)):
                 if not m >> j & 1:
-                    below = BSElement(rank, step.codomain, step.column(m))
-                    assert BSElement(rank, step.codomain, step.column(m | 1 << j)) == right_mul(below, xj)
+                    below = BSElement(rank, step.codomain, step.cols[m])
+                    assert BSElement(rank, step.codomain, step.cols[m | 1 << j]) == right_mul(below, xj)
                     checked += 1
     assert checked
 
@@ -620,5 +620,5 @@ def test_column_image_is_a_one_column_product(word):
             assert step.compose(right) == oracle_fpc.compose(step, right)
             for c in right.cols:
                 col = right.column(c)
-                one_column = MorphismMatrix(4, right.domain, a, {c: col})
+                one_column = matrix(4, right.domain, a, {c: col})
                 assert oracle_fpc.column_image(step, col) == oracle_fpc.compose(step, one_column).column(c)

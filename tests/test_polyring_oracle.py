@@ -17,7 +17,7 @@ from oracle_polyring import Polynomial as OraclePolynomial
 from rexcalc import EXPANDED, MorphismMatrix, Path, graph_for_word, path_morphism
 from rexcalc.polyring import Polynomial
 
-from conftest import random_permutation
+from conftest import matrix, random_permutation
 
 RANKS = range(1, 7)
 
@@ -137,7 +137,7 @@ def test_matrix_key_equality_is_matrix_equality(word, rank):
         c = rng.choice(sorted(cols))
         r = rng.choice(sorted(cols[c]))
         cols[c][r] = 2 * cols[c][r]
-        mats.append(MorphismMatrix(rank, m.domain, m.codomain, cols))
+        mats.append(matrix(rank, m.domain, m.codomain, cols))
     equal_pairs = 0
     for a in mats:
         for b in mats:

@@ -9,8 +9,8 @@ import pytest
 
 from rexcalc import fpc
 from rexcalc.braidmor import MorphismMatrix, apply_edge
-from rexcalc.bsbimod import BSElement
-from rexcalc.polyring import Polynomial
+from rexcalc.bsbimod import BSElement, from_tensor
+from rexcalc.polyring import Polynomial, tag_column
 from rexcalc.rexgraph import (
     CONFLATED,
     EXPANDED,
@@ -24,10 +24,11 @@ from rexcalc.rexgraph import (
 )
 from rexcalc.symgroup import BraidMove, Permutation, word_to_perm
 
+from conftest import element
+
 
 def x(i, rank=4):
     return Polynomial.variable(i, rank)
-
 
 # -- validation ----------------------------------------------------------------
 
@@ -52,11 +53,15 @@ def test_path_refuses_an_unknown_graph_kind():
 
 def test_bs_element_refuses_a_mask_out_of_range_and_a_rank_mismatch():
     with pytest.raises(ValueError, match="mask 4 out of range for word of length 2"):
-        BSElement(4, (1, 2), {4: x(1)})
+        element(4, (1, 2), {4: x(1)})
     with pytest.raises(ValueError, match="mask -1 out of range"):
-        BSElement(4, (1, 2), {-1: x(1)})
-    with pytest.raises(ValueError, match="coefficient rank mismatch"):
-        BSElement(4, (1, 2), {1: x(1, rank=3)})
+        element(4, (1, 2), {-1: x(1)})
+    # packed terms carry no rank, so the rank is checked where polynomials
+    # meet an element: the slots of from_tensor, and the two sides of a sum
+    with pytest.raises(ValueError, match="slot rank mismatch"):
+        from_tensor((1, 2), (x(1), x(1), x(1, rank=3)), 4)
+    with pytest.raises(ValueError, match="cannot add elements of different bimodules"):
+        BSElement.generator((1, 2), 4) + BSElement.generator((1, 2), 3)
 
 
 # -- normal forms --------------------------------------------------------------
@@ -78,7 +83,7 @@ def test_cloud_sorts_its_members():
 
 
 def test_bs_element_drops_zero_coefficients_and_stores_its_word_as_a_tuple():
-    e = BSElement(4, [1, 2], {0: Polynomial.zero(4), 1: x(1), 3: x(2) - x(2)})
+    e = element(4, [1, 2], {0: Polynomial.zero(4), 1: x(1), 3: x(2) - x(2)})
     assert e.coeffs == {1: x(1)}
     assert e.word == (1, 2) and type(e.word) is tuple
     assert BSElement(4, (1,)).coeffs == {}
@@ -95,7 +100,7 @@ def _twice():
         (BraidMove(2, "distant", 3, 5), BraidMove(position=2, kind="distant", i=3, j=5)),
         (Path(CONFLATED, [[1, 2, 1]]), Path(kind=CONFLATED, vertices=((1, 2, 1),))),
         (Cloud(((3, 1), (1, 3))), Cloud([[1, 3], [3, 1]])),
-        (BSElement(4, (1,), {1: x(2)}), BSElement(rank=4, word=[1], coeffs={1: x(2), 0: x(1) - x(1)})),
+        (element(4, (1,), {1: x(2)}), BSElement(rank=4, word=[1], terms=tag_column({1: x(2), 0: x(1) - x(1)}, 4))),
     ]
 
 
@@ -113,7 +118,7 @@ def test_values_differing_in_one_field_are_unequal():
     assert BraidMove(0, "up", 1) != BraidMove(1, "up", 1)
     assert Path(EXPANDED, [(1,)]) != Path(CONFLATED, [(1,)])
     assert Cloud([(1, 3)]) != Cloud([(3, 1)])
-    assert BSElement(4, (1,), {1: x(2)}) != BSElement(4, (2,), {1: x(2)})
+    assert element(4, (1,), {1: x(2)}) != element(4, (2,), {1: x(2)})
     assert Permutation((1, 2)) != (1, 2)
 
 
@@ -195,7 +200,7 @@ def _records():
         ("BraidMove", BraidMove(0, "up", 1), "kind"),
         ("Path", Path(EXPANDED, [(1,)]), "vertices"),
         ("Cloud", Cloud([(1,)]), "members"),
-        ("BSElement", BSElement(4, (1,), {1: x(2)}), "coeffs"),
+        ("BSElement", element(4, (1,), {1: x(2)}), "terms"),
         ("RexGraph", rex, "words"),
         ("ConflatedGraph", conf, "clouds"),
         ("ConflatedEdge", conf.edges[0], "move"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import importlib.util
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -61,6 +62,17 @@ def test_bench_polyring_clears_its_tables_and_times_an_edge_row():
     script = load_script("bench_polyring")
     script.clear_tables()
     assert script.time_for_edge(script.EDGE_MOVES["for_edge_adjacent"]) > 0
+
+
+def test_bench_polyring_times_the_bsbimod_rows():
+    script = load_script("bench_polyring")
+    slot_sets = script.tensor_slots(random.Random(5))
+    assert len(slot_sets) == script.TENSOR_COUNT
+    assert all(len(slots) == len(script.TENSOR_WORD) + 1 for slots in slot_sets)
+    one = script.Polynomial.one(script.TENSOR_RANK)
+    assert all(sum(p is not one for p in slots) in (1, 2) for slots in slot_sets)
+    assert len(set(script.TABLE_MOVES)) == 8
+    assert script.time_local_tables() > 0
 
 
 def test_bench_polyring_times_cold_step_tables():
