@@ -17,13 +17,17 @@ cached tables cleared before each repeat.  The ``bsbimod`` rows:
 ``from_tensor`` is one normal form of a pure tensor over the rank-5 word
 1213214321, whose slots are 1 but for one or two seeded random
 polynomials of rank 5, and ``local_tables`` is one cold
-``derive_local_table`` of each of the 8 adjacent moves of rank 6 (the
-element arithmetic of the window rewrites), with the cached tables
-cleared before each repeat.  ``step_tables`` times one cold
-``ConflatedMorphisms`` of 123454321 at rank 6, the line6 workload's step
-matrices (4 conflated edges, so 8 steps, whose lifts make 8 adjacent
-and 24 distant moves), with its graphs built before the row and the
-cached tables cleared before each repeat.  The graph rows time, best of
+``derive_local_table`` of each of the 8 adjacent moves of rank 6, with
+the cached tables cleared before each repeat: 2 window derivations (the
+element arithmetic of the window rewrites, once per adjacent shape, up
+and down) and 8 renamings of their variables.  ``step_tables`` times one
+cold ``ConflatedMorphisms`` of 123454321 at rank 6, the line6 workload's
+step matrices (4 conflated edges, so 8 steps, whose lifts make 8
+adjacent and 24 distant moves), with its graphs built before the row and
+the cached tables cleared before each repeat.  Its 24 distant moves form
+12 runs, each applied as one mask permutation: 6 lead a step and are
+read through by its edge matrix's columns, and 6 end a step and relabel
+its rows.  The graph rows time, best of
 ``GRAPH_REPEAT`` runs and in nanoseconds, ``reduced_words``,
 ``build_rex_graph`` and ``build_conflated`` on the element 121321432154 of
 S_6 (5,775 words, 17,486 edges, 82 clouds), and the writing of its

@@ -23,6 +23,15 @@ renormalized.  The rewrite is re-verified at table build time by
 reassembling the expression in the source window; any mismatch is a
 hard error rather than a silent extension.
 
+An adjacent table is derived once per shape, up (1, 2, 1) or down
+(2, 1, 2), at rank 3, the smallest rank that holds it.  The table of the
+window at letter i and rank n is that table with x_1, x_2, x_3 renamed
+x_i, x_{i+1}, x_{i+2} (``polyring.relabel``).  The renaming is a ring
+monomorphism taking s_1 and s_2 to s_i and s_{i+1}, so it commutes with
+every split, product and normal form of the derivation: the renamed
+table is the one the window would derive, term for term.  A distant
+table, whose derivation is its check, is derived per window.
+
 Whole-word edge morphisms Id (x) f (x) Id act on a stored basis term by
 looking up the window mask in the table, multiplying the image's left
 coefficient into the slot left of the window, and renormalizing
@@ -41,18 +50,23 @@ arithmetic.
 
 Path morphisms are ordered products of edge morphisms over the normal-form
 bases; they are faithful because those bases are free, so path equality
-questions reduce to entrywise polynomial equality.  A distant move in a
-path is a bit swap of row indices: it sends basis mask m to m with its
-two window bits swapped, with coefficient 1, which ``_distant_table``
-verifies when it builds the move's table, so ``path_morphism`` relabels
-the rows of the product so far instead of multiplying in an edge matrix.
-Only adjacent moves cost an edge matrix and a product.  A matrix stores each
-column as one tagged term map (``polyring``: row and packed monomial in
-one int key, the coefficient as value), the ``terms`` of its image
-element, and every product, in ``compose``, ``apply`` and the path
-search, is taken one column at a time by ``polyring.tagged_image``, where
-a column holding a single entry 1 only selects a column.  ``column``
-reads a column as {row: Polynomial}, as ``BSElement.coeffs`` does.
+questions reduce to entrywise polynomial equality.  A distant move sends
+basis mask m to m with its two window bits swapped, with coefficient 1,
+which ``_distant_table`` verifies when it builds the move's table, so a
+run of consecutive distant moves is one permutation of the mask bits.
+``path_morphism`` keeps the run pending and builds no edge matrix for
+it: the next adjacent move's edge matrix takes the run in by reading each
+column c from the run's image of c, and a run that ends the path relabels
+the rows of the product once.  Only adjacent moves cost an edge matrix,
+and all but the first a product.
+
+A matrix stores each column as one tagged term map (``polyring``: row
+and packed monomial in one int key, the coefficient as value), the
+``terms`` of its image element, and every product, in ``compose``,
+``apply`` and the path search, is taken one column at a time by
+``polyring.tagged_image``, where a column holding a single entry 1 only
+selects a column.  ``column`` reads a column as {row: Polynomial}, as
+``BSElement.coeffs`` does.
 """
 
 from __future__ import annotations
@@ -60,7 +74,7 @@ from __future__ import annotations
 from functools import lru_cache
 
 from .bsbimod import BSElement, basis_slots, from_tensor, left_mul, right_mul
-from .polyring import Polynomial, Scalar, row_key, tagged_image, untag_column
+from .polyring import Polynomial, Scalar, relabel, row_key, tagged_image, untag_column
 from .rexgraph import CONFLATED, EXPANDED, ConflatedGraph, Path, RexGraph, lift_conflated_path, word_label
 from .symgroup import DISTANT, UP, BraidMove, Word, braid_moves
 
@@ -121,13 +135,20 @@ def _combine(
     return acc
 
 
+class _RewriteFailed(RuntimeError):
+    """A window shape's rewrite failed its re-verification at the mask in ``args[0]``."""
+
+
 @lru_cache(maxsize=None)
-def _adjacent_table(i: int, kind: str, rank: int) -> tuple[BSElement, ...]:
+def _adjacent_table(kind: str) -> tuple[BSElement, ...]:
+    """The local table of an adjacent shape, up (1, 2, 1) or down (2, 1, 2), at rank 3.
+
+    Raises _RewriteFailed for the first mask whose rewrite does not
+    reassemble its basis tensor; ``derive_local_table`` names the window.
+    """
+    rank = 3
     # window letters (p, q, p): up moves have q = p + 1, down have q = p - 1
-    p, q = (i, i + 1) if kind == UP else (i + 1, i)
-    for letter in (p, q):
-        if not 1 <= letter <= rank - 1:
-            raise ValueError(f"letter {letter} out of range for rank {rank}")
+    p, q = (1, 2) if kind == UP else (2, 1)
     src: Word = (p, q, p)
     dst: Word = (q, p, q)
     one = Polynomial.one(rank)
@@ -148,9 +169,8 @@ def _adjacent_table(i: int, kind: str, rank: int) -> tuple[BSElement, ...]:
     for mask in range(8):
         expr = _express_adjacent_slots(p, q, basis_slots(src, mask, one), rank)
         # re-verify the rewrite in the source window before trusting it
-        check = _combine(expr, src_gens)
-        if check != BSElement.basis(src, mask, rank):
-            raise RuntimeError(f"window rewrite failed for mask {mask} of {word_label(src)}")
+        if _combine(expr, src_gens) != BSElement.basis(src, mask, rank):
+            raise _RewriteFailed(mask)
         images.append(_combine(expr, dst_gens))
     return tuple(images)
 
@@ -175,7 +195,7 @@ def _distant_table(i: int, j: int, rank: int) -> tuple[BSElement, ...]:
         if check != BSElement.basis(src, mask, rank):
             raise RuntimeError(f"window rewrite failed for mask {mask} of {word_label(src)}")
         # the image must be the basis tensor with the two exponents swapped,
-        # coefficient 1: path_morphism applies the move as that bit swap
+        # coefficient 1: path_morphism applies the move as that bit swap of masks
         image = from_tensor(dst, (one, one, mult), rank)
         if image != BSElement.basis(dst, b | a << 1, rank):
             raise RuntimeError(f"distant image of mask {mask} of {word_label(src)} is not its swapped basis tensor")
@@ -184,11 +204,26 @@ def _distant_table(i: int, j: int, rank: int) -> tuple[BSElement, ...]:
 
 
 def derive_local_table(move: BraidMove, rank: int) -> tuple[BSElement, ...]:
-    """The cached local image table realizing one braid move: the images of
-    the source window's basis tensors, indexed by window mask."""
+    """The local image table realizing one braid move: the images of the
+    source window's basis tensors, indexed by window mask.
+
+    A distant table is derived and cached per window.  An adjacent table is
+    its shape's table, derived once at rank 3, with x_1, x_2, x_3 renamed
+    x_i, x_{i+1}, x_{i+2} (``polyring.relabel``).
+    """
     if move.kind == DISTANT:
         return _distant_table(move.i, move.j, rank)
-    return _adjacent_table(move.i, move.kind, rank)
+    window = move.source_window()
+    for letter in window[:2]:
+        if not 1 <= letter <= rank - 1:
+            raise ValueError(f"letter {letter} out of range for rank {rank}")
+    try:
+        shape = _adjacent_table(move.kind)
+    except _RewriteFailed as failed:
+        raise RuntimeError(f"window rewrite failed for mask {failed.args[0]} of {word_label(window)}") from None
+    variables = (move.i, move.i + 1, move.i + 2)
+    target = move.target_window()
+    return tuple(BSElement(rank, target, relabel(image.terms, image.rank, variables, rank)) for image in shape)
 
 
 def apply_edge(elem: BSElement, move: BraidMove) -> BSElement:
@@ -347,31 +382,56 @@ def move_between(u: Word, v: Word) -> BraidMove:
     raise ValueError(f"{word_label(u)} and {word_label(v)} do not differ by a single braid move")
 
 
+def _run_images(slots: list[int]) -> list[int]:
+    """images[m]: mask m after a run of distant moves that has moved bit slots[p] to position p."""
+    images = [0]
+    for p in sorted(range(len(slots)), key=slots.__getitem__):
+        images += [m | 1 << p for m in images]
+    return images
+
+
 def path_morphism(path: Path, rank: int) -> MorphismMatrix:
     """Ordered product of the edge morphisms along an expanded-graph path.
 
-    An adjacent move multiplies its edge matrix in.  A distant move at
-    position pos is a bit swap of row indices: its edge morphism sends
-    basis mask m to the mask with bits pos and pos + 1 swapped, with
-    coefficient 1 (verified when its table is built), so it relabels the
-    rows of the product so far, and no edge matrix is built for it.
+    A distant move at position pos sends basis mask m to the mask with
+    bits pos and pos + 1 swapped, with coefficient 1 (verified when its
+    table is built), so a run of consecutive distant moves is one mask
+    permutation s, and no edge matrix is built for it.  The run is kept
+    pending.  The next adjacent move's edge matrix E takes it in: column c
+    of E after the run is column s(c) of E.  A run that ends the path
+    relabels the rows of the product instead.  The first adjacent move's
+    edge matrix starts the product, so no identity is multiplied in.
     """
     if path.kind != EXPANDED:
         raise ValueError("path_morphism expects an expanded path")
     words = path.vertices
-    acc = MorphismMatrix.identity(words[0], rank)
+    acc = None  # the product up to the pending run; None before the first adjacent move
+    start = words[0]  # the word the pending run starts from
+    unmoved = list(range(len(start)))
+    slots = unmoved[:]  # slots[p]: the bit of start the run has moved to position p
     for u, v in zip(words, words[1:]):
         move = move_between(u, v)
-        derive_local_table(move, rank)  # a distant move's table checks the bit swap below
-        if move.kind != DISTANT:
-            acc = edge_matrix(move, u, rank).compose(acc)
+        if move.kind == DISTANT:
+            derive_local_table(move, rank)  # its table checks that the move is this bit swap
+            pos = move.position
+            slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
             continue
-        # row bit pos sits at key bit lo; flip both bits where they differ
-        lo = row_key(1 << move.position, rank).bit_length() - 1
-        flip = (0, 3 << lo, 3 << lo, 0)
-        cols = {c: {k ^ flip[k >> lo & 3]: a for k, a in col.items()} for c, col in acc.cols.items()}
-        acc = MorphismMatrix(rank, acc.domain, v, cols)
-    return acc
+        edge = edge_matrix(move, u, rank)
+        if slots != unmoved:
+            cols = {c: col for c, m in enumerate(_run_images(slots)) if (col := edge.cols.get(m)) is not None}
+            edge = MorphismMatrix(rank, start, edge.codomain, cols)
+            slots = unmoved[:]
+        acc = edge if acc is None else edge.compose(acc)
+        start = v
+    if acc is None:
+        acc = MorphismMatrix.identity(words[0], rank)
+    if slots == unmoved:
+        return acc
+    # move every key by the row_key distance from its row to that row's image
+    shift = row_key(1, rank).bit_length() - 1
+    moves = [row_key(m - r, rank) for r, m in enumerate(_run_images(slots))]
+    cols = {c: {k + moves[k >> shift]: a for k, a in col.items()} for c, col in acc.cols.items()}
+    return MorphismMatrix(rank, acc.domain, words[-1], cols)
 
 
 class ConflatedMorphisms:

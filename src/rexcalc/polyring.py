@@ -39,7 +39,8 @@ map: the key is the row shifted above the packed monomial, ``row << (rank
 ``tag_column`` and ``untag_column`` convert, and ``row_key`` is the key
 of a row at monomial 1, which moves a key down that many rows when added.
 A polynomial's term map is the tagged vector of row 0; ``term_sum`` adds
-either kind.  ``tagged_image`` maps a tagged vector through a matrix of
+either kind, and ``relabel`` renames the variables of either kind into
+another rank.  ``tagged_image`` maps a tagged vector through a matrix of
 tagged columns in one multiply-accumulate loop of int additions, with no
 ``Polynomial`` built per entry; it is the package's only product:
 ``Polynomial.__mul__`` is the image of the factor with fewer terms under
@@ -60,7 +61,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import comb
 from operator import or_
-from typing import Collection, Iterator, Mapping, Union
+from typing import Collection, Iterator, Mapping, Sequence, Union
 
 from .symgroup import Permutation
 
@@ -415,6 +416,26 @@ def untag_column(terms: Mapping[int, Scalar], rank: int) -> dict[int, Polynomial
     for k, c in terms.items():
         rows.setdefault(k >> shift, {})[k & low] = c
     return {r: _make(rank, t) for r, t in rows.items()}
+
+
+def relabel(terms: Mapping[int, Scalar], rank: int, variables: Sequence[int], new_rank: int) -> dict[int, Scalar]:
+    """A tagged term map of ``rank`` with x_k renamed x_{variables[k - 1]}, as a term map of ``new_rank``.
+
+    Rows and coefficients are kept.  The renaming must be injective: it is
+    then a ring monomorphism, so distinct keys stay distinct.
+    """
+    shift = (rank + 1) * _WIDTH
+    low = (1 << shift) - 1
+    fields = [((rank - k) * _WIDTH, (new_rank - v) * _WIDTH) for k, v in enumerate(variables, 1)]
+    out = {}
+    for key, c in terms.items():
+        mono = key & low
+        # the row, then the total degree, then each renamed exponent
+        new = row_key(key >> shift, new_rank) | mono >> rank * _WIDTH << new_rank * _WIDTH
+        for old, to in fields:
+            new |= (mono >> old & _FIELD) << to
+        out[new] = c
+    return out
 
 
 def tagged_image(

@@ -297,7 +297,8 @@ def _random_expanded_walks(rng, rex, count, max_steps):
 
 def test_path_morphism_matches_edge_by_edge_products():
     # the oracle multiplies in every move's edge matrix; path_morphism
-    # relabels rows for a distant move and multiplies only adjacent ones
+    # applies each run of distant moves as one mask permutation and
+    # multiplies only adjacent ones
     rng = random.Random(20)
     shapes = set()
     for word, rank in [

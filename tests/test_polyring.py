@@ -8,7 +8,15 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
-from rexcalc.polyring import MAX_DEGREE, ExponentOverflowError, Polynomial, parse_polynomial
+from rexcalc.polyring import (
+    MAX_DEGREE,
+    ExponentOverflowError,
+    Polynomial,
+    parse_polynomial,
+    relabel,
+    tag_column,
+    untag_column,
+)
 from rexcalc.symgroup import Permutation
 
 from conftest import random_permutation, random_polynomial
@@ -272,3 +280,30 @@ def test_parse_bounds_term_count():
     ):
         with pytest.raises(ValueError, match="term limit"):
             parse_polynomial(text, 4)
+
+
+def test_relabel_renames_variables_and_commutes_with_splits():
+    # x_1, x_2, x_3 of rank 3 renamed x_i, x_{i+1}, x_{i+2} of rank 7, on
+    # tagged columns of two rows: the renaming is substitution, and s_1 and
+    # s_2 become s_i and s_{i+1}
+    rng = random.Random(71)
+
+    def renamed(col, i):
+        return untag_column(relabel(tag_column(col, 3), 3, (i, i + 1, i + 2), 7), 7)
+
+    for _ in range(40):
+        i = rng.randint(1, 5)
+        p, q = random_polynomial(rng, 3, max_exp=3), random_polynomial(rng, 3, max_exp=3)
+        col = {r: f for r, f in ((0, p), (5, q)) if f}
+        want = {
+            r: Polynomial(7, {(0,) * (i - 1) + mono + (0,) * (5 - i): c for mono, c in f.iter_terms()})
+            for r, f in col.items()
+        }
+        assert renamed(col, i) == want
+        image = renamed({0: p}, i).get(0, Polynomial.zero(7))
+        for s in (1, 2):
+            assert [renamed({0: f}, i) for f in p.split(s)] == [{0: f} if f else {} for f in image.split(s + i - 1)]
+    # a distant shape's x_1, x_2 and x_3, x_4 renamed into two pairs far apart
+    p = parse_polynomial("x1^2*x4 - 3*x2*x3 + 1", 4)
+    renamed = relabel(tag_column({1: p}, 4), 4, (2, 3, 7, 8), 9)
+    assert untag_column(renamed, 9) == {1: parse_polynomial("x2^2*x8 - 3*x3*x7 + 1", 9)}

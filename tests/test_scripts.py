@@ -73,13 +73,20 @@ def test_bench_polyring_times_the_bsbimod_rows():
     assert all(sum(p is not one for p in slots) in (1, 2) for slots in slot_sets)
     assert len(set(script.TABLE_MOVES)) == 8
     assert script.time_local_tables() > 0
+    # cold: the row derived both adjacent shapes, after clearing them
+    assert script.braidmor._adjacent_table.cache_info().misses == 2
 
 
 def test_bench_polyring_times_cold_step_tables():
     script = load_script("bench_polyring")
     rex, conf = graph_for_word(script.STEP_WORD, rank=6)
     assert len(conf.edges) == 4
+    script.time_step_tables(rex, conf)  # warm
     assert script.time_step_tables(rex, conf) > 0
+    # cold: the row derived both adjacent shapes and every distant table it used, after clearing them
+    distant = script.braidmor._distant_table.cache_info()
+    assert script.braidmor._adjacent_table.cache_info().misses == 2
+    assert distant.misses == distant.currsize > 0
 
 
 def test_bench_polyring_times_a_cold_import_and_the_graph_writer(monkeypatch):
