@@ -17,10 +17,11 @@ cached tables cleared before each repeat.  The ``bsbimod`` rows:
 ``from_tensor`` is one normal form of a pure tensor over the rank-5 word
 1213214321, whose slots are 1 but for one or two seeded random
 polynomials of rank 5, and ``local_tables`` is one cold
-``derive_local_table`` of each of the 8 adjacent moves of rank 6, with
-the cached tables cleared before each repeat: 2 window derivations (the
-element arithmetic of the window rewrites, once per adjacent shape, up
-and down) and 8 renamings of their variables.  ``step_tables`` times one
+``derive_local_table`` of each of the 8 adjacent and 12 distant moves of
+rank 6, with the cached tables cleared before each repeat: 4 shape
+derivations (the element arithmetic of the window rewrites and checks,
+once per shape, up, down, (1, 3) and (3, 1)) and 20 renamings of their
+variables.  ``step_tables`` times one
 cold ``ConflatedMorphisms`` of 123454321 at rank 6, the line6 workload's
 step matrices (4 conflated edges, so 8 steps, whose lifts make 8
 adjacent and 24 distant moves), with its graphs built before the row and
@@ -122,8 +123,10 @@ TENSOR_RANK = 5
 TENSOR_WORD = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1)
 TENSOR_COUNT = 100
 
-# the adjacent moves of rank 6: windows (i, i+1, i) up and (i+1, i, i+1) down
-TABLE_MOVES = [BraidMove(0, kind, i) for kind in ("up", "down") for i in range(1, 5)]
+# the moves of rank 6: adjacent windows (i, i+1, i) up and (i+1, i, i+1) down, then distant windows (i, j)
+TABLE_MOVES = [BraidMove(0, kind, i) for kind in ("up", "down") for i in range(1, 5)] + [
+    BraidMove(0, "distant", i, j) for i in range(1, 6) for j in range(1, 6) if abs(i - j) >= 2
+]
 
 GRAPH_WORD = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)
 GRAPH_REPEAT = 5
@@ -199,8 +202,7 @@ def measure(once, repeat: int) -> tuple[float, float]:
 
 
 def clear_tables() -> None:
-    braidmor._adjacent_table.cache_clear()
-    braidmor._distant_table.cache_clear()
+    braidmor._shape_table.cache_clear()
 
 
 def time_for_edge(move: BraidMove) -> float:

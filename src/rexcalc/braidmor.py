@@ -23,14 +23,19 @@ renormalized.  The rewrite is re-verified at table build time by
 reassembling the expression in the source window; any mismatch is a
 hard error rather than a silent extension.
 
-An adjacent table is derived once per shape, up (1, 2, 1) or down
-(2, 1, 2), at rank 3, the smallest rank that holds it.  The table of the
-window at letter i and rank n is that table with x_1, x_2, x_3 renamed
-x_i, x_{i+1}, x_{i+2} (``polyring.relabel``).  The renaming is a ring
-monomorphism taking s_1 and s_2 to s_i and s_{i+1}, so it commutes with
-every split, product and normal form of the derivation: the renamed
-table is the one the window would derive, term for term.  A distant
-table, whose derivation is its check, is derived per window.
+Every table is derived once per window shape, at the smallest rank that
+holds it: up (1, 2, 1) and down (2, 1, 2) at rank 3, distant (1, 3) and
+(3, 1) at rank 4.  A letter a brings the variables x_a and x_{a+1}; the
+window's variables are the sorted union of those pairs, and the window's
+shape puts each letter at its place among them, so (i, i+1, i) has shape
+(1, 2, 1) and variables x_i, x_{i+1}, x_{i+2}, and a distant (i, j) with
+i < j has shape (1, 3) and variables x_i, x_{i+1}, x_j, x_{j+1}.  The
+window's table is its shape's table with x_1, x_2, ... renamed to those
+variables (``polyring.relabel``).  The renaming is injective, so it is a
+ring monomorphism, and it takes each shape letter's reflection to its
+window letter's, so it commutes with every split, product and normal form
+of the derivation and its check: the renamed table is the one the window
+would derive, term for term.
 
 Whole-word edge morphisms Id (x) f (x) Id act on a stored basis term by
 looking up the window mask in the table, multiplying the image's left
@@ -52,13 +57,13 @@ Path morphisms are ordered products of edge morphisms over the normal-form
 bases; they are faithful because those bases are free, so path equality
 questions reduce to entrywise polynomial equality.  A distant move sends
 basis mask m to m with its two window bits swapped, with coefficient 1,
-which ``_distant_table`` verifies when it builds the move's table, so a
-run of consecutive distant moves is one permutation of the mask bits.
-``path_morphism`` keeps the run pending and builds no edge matrix for
-it: the next adjacent move's edge matrix takes the run in by reading each
-column c from the run's image of c, and a run that ends the path relabels
-the rows of the product once.  Only adjacent moves cost an edge matrix,
-and all but the first a product.
+which its shape's derivation verifies, so a run of consecutive distant
+moves is one permutation of the mask bits.  ``path_morphism`` keeps the
+run pending and builds no edge matrix for it: the next adjacent move's
+edge matrix takes the run in by reading each column c from the run's
+image of c, and a run that ends the path relabels the rows of the
+product once.  Only adjacent moves cost an edge matrix, and all but the
+first a product.
 
 A matrix stores each column as one tagged term map (``polyring``: row
 and packed monomial in one int key, the coefficient as value), the
@@ -75,8 +80,8 @@ from functools import lru_cache
 
 from .bsbimod import BSElement, basis_slots, from_tensor, left_mul, right_mul
 from .polyring import Polynomial, Scalar, relabel, row_key, tagged_image, untag_column
-from .rexgraph import CONFLATED, EXPANDED, ConflatedGraph, Path, RexGraph, lift_conflated_path, word_label
-from .symgroup import DISTANT, UP, BraidMove, Word, braid_moves
+from .rexgraph import CONFLATED, EXPANDED, ConflatedGraph, Path, RexGraph, lift_conflated_path
+from .symgroup import DISTANT, BraidMove, Word, braid_moves, word_label
 
 
 def _x(i: int, rank: int) -> Polynomial:
@@ -136,22 +141,39 @@ def _combine(
 
 
 class _RewriteFailed(RuntimeError):
-    """A window shape's rewrite failed its re-verification at the mask in ``args[0]``."""
+    """A window shape failed its check; ``args[0]`` is the message, with ``{}`` where the window goes."""
 
 
 @lru_cache(maxsize=None)
-def _adjacent_table(kind: str) -> tuple[BSElement, ...]:
-    """The local table of an adjacent shape, up (1, 2, 1) or down (2, 1, 2), at rank 3.
+def _shape_table(shape: Word) -> tuple[BSElement, ...]:
+    """The local table of a window shape, derived and checked at the smallest rank that holds it.
 
-    Raises _RewriteFailed for the first mask whose rewrite does not
-    reassemble its basis tensor; ``derive_local_table`` names the window.
+    The shapes are up (1, 2, 1) and down (2, 1, 2) at rank 3 and distant
+    (1, 3) and (3, 1) at rank 4.  Raises _RewriteFailed for the first mask
+    whose check fails; ``derive_local_table`` names the window.
     """
-    rank = 3
-    # window letters (p, q, p): up moves have q = p + 1, down have q = p - 1
-    p, q = (1, 2) if kind == UP else (2, 1)
-    src: Word = (p, q, p)
-    dst: Word = (q, p, q)
+    rank = max(shape) + 1
     one = Polynomial.one(rank)
+    p, q = shape[:2]
+    src: Word = shape
+    dst: Word = tuple(q if letter == p else p for letter in shape)  # the two letters exchanged
+    images = []
+    if len(shape) == 2:
+        for mask in range(4):
+            # 1 (x) x_p^a (x) x_q^b equals the all-ones tensor times x_p^a x_q^b
+            # on the right, since x_p slides across the s_q boundary
+            a, b = mask & 1, (mask >> 1) & 1
+            mult = (_x(p, rank) ** a) * (_x(q, rank) ** b)
+            if from_tensor(src, (one, one, mult), rank) != BSElement.basis(src, mask, rank):
+                raise _RewriteFailed(f"window rewrite failed for mask {mask} of {{}}")
+            # the image must be the basis tensor with the two exponents swapped,
+            # coefficient 1: path_morphism applies the move as that bit swap of masks
+            image = from_tensor(dst, (one, one, mult), rank)
+            if image != BSElement.basis(dst, b | a << 1, rank):
+                raise _RewriteFailed(f"distant image of mask {mask} of {{}} is not its swapped basis tensor")
+            images.append(image)
+        return tuple(images)
+    # an adjacent window (p, q, p): up shapes have q = p + 1, down have q = p - 1
     src_gens = (
         BSElement.generator(src, rank),
         from_tensor(src, (one, _x(p, rank) if q == p + 1 else _x(p + 1, rank), one, one), rank),
@@ -165,41 +187,12 @@ def _adjacent_table(kind: str) -> tuple[BSElement, ...]:
             dst, (_x(p - 1, rank), one, one, one), rank
         )
     dst_gens = (BSElement.generator(dst, rank), gen1_image)
-    images = []
     for mask in range(8):
         expr = _express_adjacent_slots(p, q, basis_slots(src, mask, one), rank)
         # re-verify the rewrite in the source window before trusting it
         if _combine(expr, src_gens) != BSElement.basis(src, mask, rank):
-            raise _RewriteFailed(mask)
+            raise _RewriteFailed(f"window rewrite failed for mask {mask} of {{}}")
         images.append(_combine(expr, dst_gens))
-    return tuple(images)
-
-
-@lru_cache(maxsize=None)
-def _distant_table(i: int, j: int, rank: int) -> tuple[BSElement, ...]:
-    if abs(i - j) < 2:
-        raise ValueError(f"letters {i}, {j} are not distant")
-    for letter in (i, j):
-        if not 1 <= letter <= rank - 1:
-            raise ValueError(f"letter {letter} out of range for rank {rank}")
-    src: Word = (i, j)
-    dst: Word = (j, i)
-    one = Polynomial.one(rank)
-    images = []
-    for mask in range(4):
-        # 1 (x) x_i^a (x) x_j^b equals the all-ones tensor times x_i^a x_j^b
-        # on the right, since x_i slides across the s_j boundary
-        a, b = mask & 1, (mask >> 1) & 1
-        mult = (_x(i, rank) ** a) * (_x(j, rank) ** b)
-        check = from_tensor(src, (one, one, mult), rank)
-        if check != BSElement.basis(src, mask, rank):
-            raise RuntimeError(f"window rewrite failed for mask {mask} of {word_label(src)}")
-        # the image must be the basis tensor with the two exponents swapped,
-        # coefficient 1: path_morphism applies the move as that bit swap of masks
-        image = from_tensor(dst, (one, one, mult), rank)
-        if image != BSElement.basis(dst, b | a << 1, rank):
-            raise RuntimeError(f"distant image of mask {mask} of {word_label(src)} is not its swapped basis tensor")
-        images.append(image)
     return tuple(images)
 
 
@@ -207,32 +200,27 @@ def derive_local_table(move: BraidMove, rank: int) -> tuple[BSElement, ...]:
     """The local image table realizing one braid move: the images of the
     source window's basis tensors, indexed by window mask.
 
-    A distant table is derived and cached per window.  An adjacent table is
-    its shape's table, derived once at rank 3, with x_1, x_2, x_3 renamed
-    x_i, x_{i+1}, x_{i+2} (``polyring.relabel``).
+    It is the table of the window's shape, derived once, with the shape's
+    variables renamed to the window's, as the module docstring explains.
     """
-    if move.kind == DISTANT:
-        return _distant_table(move.i, move.j, rank)
     window = move.source_window()
-    for letter in window[:2]:
+    for letter in window:
         if not 1 <= letter <= rank - 1:
             raise ValueError(f"letter {letter} out of range for rank {rank}")
+    variables = sorted({v for letter in window for v in (letter, letter + 1)})
     try:
-        shape = _adjacent_table(move.kind)
+        table = _shape_table(tuple(variables.index(letter) + 1 for letter in window))
     except _RewriteFailed as failed:
-        raise RuntimeError(f"window rewrite failed for mask {failed.args[0]} of {word_label(window)}") from None
-    variables = (move.i, move.i + 1, move.i + 2)
+        raise RuntimeError(failed.args[0].format(word_label(window))) from None
     target = move.target_window()
-    return tuple(BSElement(rank, target, relabel(image.terms, image.rank, variables, rank)) for image in shape)
+    return tuple(BSElement(rank, target, relabel(image.terms, image.rank, variables, rank)) for image in table)
 
 
 def apply_edge(elem: BSElement, move: BraidMove) -> BSElement:
     """Apply Id (x) f (x) Id for the braid move to a normal-form element."""
-    if not move.applies_to(elem.word):
-        raise ValueError(f"move {move} does not apply to word {word_label(elem.word)}")
+    new_word = move.apply(elem.word)
     table = derive_local_table(move, elem.rank)
     pos, m = move.position, move.width
-    new_word = elem.word[:pos] + move.target_window() + elem.word[pos + m:]
     window = (1 << m) - 1
     out = BSElement.zero(new_word, elem.rank)
     for mask, coeff in elem.coeffs.items():
@@ -281,8 +269,7 @@ class MorphismMatrix:
         module docstring explains; the suffix bits pass through unchanged.
         """
         word = tuple(word)
-        if not move.applies_to(word):
-            raise ValueError(f"move {move} does not apply to word {word_label(word)}")
+        codomain = move.apply(word)
         table = derive_local_table(move, rank)
         pos, m = move.position, move.width
         prefix = word[:pos]
@@ -315,7 +302,7 @@ class MorphismMatrix:
                 }
             offset = row_key(suffix, rank)
             cols[c] = {k + offset: v for k, v in partial.items()} if offset else partial
-        return cls(rank, word, prefix + move.target_window() + word[pos + m:], cols)
+        return cls(rank, word, codomain, cols)
 
     def column(self, c: int) -> dict[int, Polynomial]:
         """Column c as {row: polynomial}, empty if it is zero."""
@@ -412,7 +399,7 @@ def path_morphism(path: Path, rank: int) -> MorphismMatrix:
     for u, v in zip(words, words[1:]):
         move = move_between(u, v)
         if move.kind == DISTANT:
-            derive_local_table(move, rank)  # its table checks that the move is this bit swap
+            derive_local_table(move, rank)  # its shape's table checks that the move is this bit swap
             pos = move.position
             slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
             continue

@@ -42,6 +42,7 @@ from .symgroup import (
     Word,
     braid_closure,
     is_reduced,
+    word_label,
     word_to_perm,
 )
 
@@ -511,13 +512,6 @@ def to_dot(graph) -> str:
         raise TypeError(f"not a graph: {graph!r}")
     lines.append("}")
     return "\n".join(lines)
-
-
-def word_label(word: Word) -> str:
-    """Digits run together (12321); with a letter outside 1..9 they are comma-separated."""
-    if not word:
-        return "e"
-    return ("" if 1 <= min(word) and max(word) <= 9 else ",").join(map(str, word))
 
 
 def graph_for_word(word, rank: int | None = None) -> tuple[RexGraph, ConflatedGraph]:

@@ -135,6 +135,13 @@ UP = "up"
 DOWN = "down"
 
 
+def word_label(word: Word) -> str:
+    """Digits run together (12321); with a letter outside 1..9 they are comma-separated."""
+    if not word:
+        return "e"
+    return ("" if 1 <= min(word) and max(word) <= 9 else ",").join(map(str, word))
+
+
 class BraidMove(Frozen):
     """A single braid relation applied at a 0-based position of a word.
 
@@ -176,14 +183,10 @@ class BraidMove(Frozen):
             return _move(self.position, DISTANT, self.j, self.i)
         return _move(self.position, UP if self.kind == DOWN else DOWN, self.i)
 
-    def applies_to(self, word: Word) -> bool:
-        p = self.position
-        return word[p:p + self.width] == self.source_window()
-
     def apply(self, word: Word) -> Word:
-        if not self.applies_to(word):
-            raise ValueError(f"move {self} does not apply to {word}")
         p = self.position
+        if word[p:p + self.width] != self.source_window():
+            raise ValueError(f"move {self} does not apply to word {word_label(word)}")
         return word[:p] + self.target_window() + word[p + self.width:]
 
 

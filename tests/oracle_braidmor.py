@@ -1,12 +1,12 @@
 # Reference implementation for the cross-checks in test_braidmor_oracle.py:
 # the local tables and path_morphism of rexcalc.braidmor as they were before
-# each adjacent window shape was derived once and relabelled, and before a
-# run of distant moves became one pending mask permutation.  The tables are
-# derived directly in the requested window at the requested rank, with the
-# package's window rewrite (_express_adjacent_slots, _combine) and the same
-# re-verification; path_morphism starts from the identity and relabels the
-# rows of the product for each distant move by its own bit swap.  Not used
-# by the package.
+# each window shape, adjacent or distant, was derived once and relabelled,
+# and before a run of distant moves became one pending mask permutation.
+# Every table is derived directly in the requested window at the requested
+# rank, with the package's window rewrite (_express_adjacent_slots,
+# _combine) and the same checks; path_morphism starts from the identity and
+# relabels the rows of the product for each distant move by its own bit
+# swap.  Not used by the package.
 
 from __future__ import annotations
 

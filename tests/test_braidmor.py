@@ -360,13 +360,13 @@ def _fake_from_tensor(bad_word, image):
     [
         (
             "from_tensor",
-            _fake_from_tensor((1, 10), BSElement.zero),
+            _fake_from_tensor((1, 3), BSElement.zero),
             BraidMove(0, "distant", 1, 10),
             "window rewrite failed for mask 0 of 1,10",
         ),
         (
             "from_tensor",
-            _fake_from_tensor((10, 1), BSElement.generator),
+            _fake_from_tensor((3, 1), BSElement.generator),
             BraidMove(0, "distant", 1, 10),
             "distant image of mask 1 of 1,10 is not its swapped basis tensor",
         ),
@@ -376,18 +376,23 @@ def _fake_from_tensor(bad_word, image):
             BraidMove(0, "up", 9),
             "window rewrite failed for mask 0 of 9,10,9",
         ),
+        (
+            "from_tensor",
+            _fake_from_tensor((3, 1), BSElement.zero),
+            BraidMove(0, "distant", 10, 1),
+            "window rewrite failed for mask 0 of 10,1",
+        ),
     ],
 )
 def test_table_checks_name_the_window_by_its_label(monkeypatch, name, fake, move, message):
+    # the fault sits in the window's shape, derived at rank 3 or 4; the message names the window
     monkeypatch.setattr(braidmor, name, fake)
-    braidmor._adjacent_table.cache_clear()
-    braidmor._distant_table.cache_clear()
+    braidmor._shape_table.cache_clear()
     try:
         with pytest.raises(RuntimeError, match=f"^{message}$"):
             derive_local_table(move, 11)
     finally:
-        braidmor._adjacent_table.cache_clear()
-        braidmor._distant_table.cache_clear()
+        braidmor._shape_table.cache_clear()
 
 
 def test_move_between_rejects_non_neighbors():

@@ -1,8 +1,9 @@
 """Relabelled local tables and run-collecting path morphisms, cross-checked against oracle_braidmor.
 
-Every adjacent table is its shape's rank-3 table with its variables
-renamed, and a run of distant moves is applied as one mask permutation;
-both are compared with the direct derivations that preceded them.
+Every table is its window shape's table, derived once at rank 3 or 4,
+with its variables renamed, and a run of distant moves is applied as one
+mask permutation; both are compared with the direct derivations that
+preceded them.
 """
 
 from __future__ import annotations
@@ -56,6 +57,28 @@ def test_adjacent_letters_out_of_range_raise_as_the_direct_derivation_does(kind,
         oracle.adjacent_table(i, kind, 11)
     with pytest.raises(ValueError, match=f"^{direct.value}$"):
         derive_local_table(BraidMove(0, kind, i), 11)
+
+
+@pytest.mark.parametrize("i, j", [(1, 11), (11, 1), (0, 5)])
+def test_distant_letters_out_of_range_raise_as_the_direct_derivation_does(i, j):
+    with pytest.raises(ValueError) as direct:
+        oracle.distant_table(i, j, 11)
+    with pytest.raises(ValueError, match=f"^{direct.value}$"):
+        derive_local_table(BraidMove(0, DISTANT, i, j), 11)
+
+
+def test_every_table_at_ranks_3_to_11_comes_from_four_shapes():
+    braidmor._shape_table.cache_clear()
+    for rank in RANKS:
+        for i in range(1, rank):
+            if i < rank - 1:
+                derive_local_table(BraidMove(0, "up", i), rank)
+                derive_local_table(BraidMove(0, "down", i), rank)
+            for j in range(1, rank):
+                if abs(i - j) >= 2:
+                    derive_local_table(BraidMove(0, DISTANT, i, j), rank)
+    info = braidmor._shape_table.cache_info()
+    assert info.misses == info.currsize == 4
 
 
 @pytest.mark.parametrize("word, rank", [((1, 2, 1, 3, 2, 1), 4), ((1, 2, 1, 3, 2, 1, 4, 3, 2, 1), 5)])
@@ -121,13 +144,10 @@ def test_random_walks_match_the_bit_swap_oracle(word, rank):
 
 
 def test_each_adjacent_shape_is_derived_once_for_the_line6_tables():
-    braidmor._adjacent_table.cache_clear()
-    braidmor._distant_table.cache_clear()
+    braidmor._shape_table.cache_clear()
     rex, conf = graph_for_word((1, 2, 3, 4, 5, 4, 3, 2, 1), 6)
     ConflatedMorphisms(rex, conf)
-    adjacent = braidmor._adjacent_table.cache_info()
-    distant = braidmor._distant_table.cache_info()
-    # the two adjacent shapes, up and down, each derived once; each distant
-    # window's table, checked in its own window, derived once
-    assert adjacent.misses == adjacent.currsize <= 2 and adjacent.hits > 0
-    assert distant.misses == distant.currsize > 0 and distant.hits > 0
+    info = braidmor._shape_table.cache_info()
+    # every window's table is one of the four shapes, up, down, (1, 3) and
+    # (3, 1), each derived once; no window is derived in its own place
+    assert info.misses == info.currsize <= 4 and info.hits > 0

@@ -55,7 +55,12 @@ def test_setup_probe_builds_the_cli_mix_tables(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "task", ["verify fpc-s4 --format json", "eval 12321 --path s,c,t,c --element 1,x2,1,1,1,1"]
+    "task",
+    [
+        "verify fpc-s4 --format json",
+        "verify family --rank 6 --format json",
+        "eval 12321 --path s,c,t,c --element 1,x2,1,1,1,1",
+    ],
 )
 def test_traced_run_matches_its_expected_output_and_reports_every_name(tmp_path, task):
     expected = json.loads((PERFBENCH / "expected.json").read_text())[task]

@@ -142,7 +142,7 @@ def test_braid_move_repr_names_every_field():
     assert repr(move) == "BraidMove(position=0, kind='up', i=1, j=0)"
     with pytest.raises(ValueError) as info:
         move.apply((2, 1, 2))
-    assert str(info.value) == "move BraidMove(position=0, kind='up', i=1, j=0) does not apply to (2, 1, 2)"
+    assert str(info.value) == "move BraidMove(position=0, kind='up', i=1, j=0) does not apply to word 212"
 
 
 UP_1 = BraidMove(0, "up", 1)
@@ -167,7 +167,6 @@ UP_1 = BraidMove(0, "up", 1)
     ids=["check_fpc", "graph_for_word", "distant_path", "oriented_run", "apply_edge", "for_edge"],
 )
 def test_library_errors_name_words_by_their_labels(call, message):
-    # symgroup cannot import word_label, so BraidMove.apply above keeps the tuple
     with pytest.raises(ValueError) as info:
         call()
     assert str(info.value) == message

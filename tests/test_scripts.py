@@ -71,10 +71,10 @@ def test_bench_polyring_times_the_bsbimod_rows():
     assert all(len(slots) == len(script.TENSOR_WORD) + 1 for slots in slot_sets)
     one = script.Polynomial.one(script.TENSOR_RANK)
     assert all(sum(p is not one for p in slots) in (1, 2) for slots in slot_sets)
-    assert len(set(script.TABLE_MOVES)) == 8
+    assert len(set(script.TABLE_MOVES)) == 20
     assert script.time_local_tables() > 0
-    # cold: the row derived both adjacent shapes, after clearing them
-    assert script.braidmor._adjacent_table.cache_info().misses == 2
+    # cold: the row derived all four window shapes, after clearing them
+    assert script.braidmor._shape_table.cache_info().misses == 4
 
 
 def test_bench_polyring_times_cold_step_tables():
@@ -83,10 +83,9 @@ def test_bench_polyring_times_cold_step_tables():
     assert len(conf.edges) == 4
     script.time_step_tables(rex, conf)  # warm
     assert script.time_step_tables(rex, conf) > 0
-    # cold: the row derived both adjacent shapes and every distant table it used, after clearing them
-    distant = script.braidmor._distant_table.cache_info()
-    assert script.braidmor._adjacent_table.cache_info().misses == 2
-    assert distant.misses == distant.currsize > 0
+    # cold: the row derived every window shape it used once, after clearing them
+    shapes = script.braidmor._shape_table.cache_info()
+    assert shapes.misses == shapes.currsize == 4
 
 
 def test_bench_polyring_times_a_cold_import_and_the_graph_writer(monkeypatch):
