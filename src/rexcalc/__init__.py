@@ -34,7 +34,6 @@ from .rexgraph import (
     enumerate_complete_paths,
     graph_for_word,
     lift_conflated_path,
-    project_path,
     simplify_path,
     source_sink,
     to_dot,
@@ -46,7 +45,6 @@ from .symgroup import (
     braid_moves,
     is_reduced,
     longest_element,
-    n_statistic,
     reduced_words,
     word_to_perm,
 )

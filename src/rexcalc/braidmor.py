@@ -196,6 +196,19 @@ def _shape_table(shape: Word) -> tuple[BSElement, ...]:
     return tuple(images)
 
 
+def _window_table(move: BraidMove, rank: int) -> tuple[list[int], tuple[BSElement, ...]]:
+    """The variables of the move's source window, and its shape's table, checked and named by the window."""
+    window = move.source_window()
+    for letter in window:
+        if not 1 <= letter <= rank - 1:
+            raise ValueError(f"letter {letter} out of range for rank {rank}")
+    variables = sorted({v for letter in window for v in (letter, letter + 1)})
+    try:
+        return variables, _shape_table(tuple(variables.index(letter) + 1 for letter in window))
+    except _RewriteFailed as failed:
+        raise RuntimeError(failed.args[0].format(word_label(window))) from None
+
+
 def derive_local_table(move: BraidMove, rank: int) -> tuple[BSElement, ...]:
     """The local image table realizing one braid move: the images of the
     source window's basis tensors, indexed by window mask.
@@ -203,15 +216,7 @@ def derive_local_table(move: BraidMove, rank: int) -> tuple[BSElement, ...]:
     It is the table of the window's shape, derived once, with the shape's
     variables renamed to the window's, as the module docstring explains.
     """
-    window = move.source_window()
-    for letter in window:
-        if not 1 <= letter <= rank - 1:
-            raise ValueError(f"letter {letter} out of range for rank {rank}")
-    variables = sorted({v for letter in window for v in (letter, letter + 1)})
-    try:
-        table = _shape_table(tuple(variables.index(letter) + 1 for letter in window))
-    except _RewriteFailed as failed:
-        raise RuntimeError(failed.args[0].format(word_label(window))) from None
+    variables, table = _window_table(move, rank)
     target = move.target_window()
     return tuple(BSElement(rank, target, relabel(image.terms, image.rank, variables, rank)) for image in table)
 
@@ -399,7 +404,7 @@ def path_morphism(path: Path, rank: int) -> MorphismMatrix:
     for u, v in zip(words, words[1:]):
         move = move_between(u, v)
         if move.kind == DISTANT:
-            derive_local_table(move, rank)  # its shape's table checks that the move is this bit swap
+            _window_table(move, rank)  # its shape's table checks that the move is this bit swap
             pos = move.position
             slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
             continue

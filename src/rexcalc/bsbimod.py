@@ -15,10 +15,12 @@ is a free left R-module on the 2^k basis tensors
 A BSElement stores its vector over this basis, indexed by the bitmask e
 (bit j-1 set means slot j carries x_{w_j}), as the tagged term map a
 matrix stores a column in (``polyring``); ``coeffs`` reads it as {mask:
-Polynomial}.  Normalization works right to left: each slot polynomial
-splits as pi_0 + pi_1 * x_{w_j} with both parts s_{w_j}-invariant, and
-the invariant parts slide one slot to the left.  Normal forms are unique,
-so equality is plain map comparison.
+Polynomial}.  Normalization works right to left on one such tagged map,
+whose rows are the bits chosen so far: at word position j every row
+splits as pi_0 + pi_1 * x_{w_j} with both parts s_{w_j}-invariant, the
+kept x_{w_j} sets bit j - 1 of pi_1's rows, and the invariant parts slide
+one slot to the left into a product with that slot.  Normal forms are
+unique, so equality is plain map comparison.
 
 The grading convention shifts each factor by 1, so the basis tensor of
 mask e in a length-k word sits in degree 2*popcount(e) - k.
@@ -28,7 +30,7 @@ from __future__ import annotations
 
 from typing import Mapping, Sequence
 
-from .polyring import Polynomial, Scalar, row_key, tag_column, tagged_image, term_sum, untag_column
+from .polyring import Polynomial, Scalar, row_key, split_terms, tagged_image, term_sum, untag_column
 from .symgroup import Frozen, Word
 
 
@@ -130,10 +132,13 @@ class BSElement(Frozen):
 def from_tensor(word, slots: Sequence[Polynomial], rank: int) -> BSElement:
     """Normal form of the pure tensor slots[0] (x) slots[1] (x) ... (x) slots[k].
 
-    Normalization runs right to left: the slot at word position j splits
-    as pi_0 + pi_1 * x_{w_j} with s_{w_j}-invariant parts, which slide
-    across the boundary into the slot to the left; the process branches
-    over the kept basis monomial {1, x_{w_j}}.
+    The state is one tagged term map whose rows are the bits chosen so far,
+    starting as slots[k] in row 0.  Normalization runs right to left: at
+    word position j the whole state splits as pi_0 + pi_1 * x_{w_j} with
+    s_{w_j}-invariant parts, the kept x_{w_j} sets row bit j - 1 of pi_1,
+    and both parts slide across the boundary, multiplied by slots[j - 1].
+    Every split checks its letter, so a letter out of range raises even
+    once the state is zero.
     """
     word = tuple(word)
     k = len(word)
@@ -142,21 +147,12 @@ def from_tensor(word, slots: Sequence[Polynomial], rank: int) -> BSElement:
     for p in slots:
         if p.rank != rank:
             raise ValueError("slot rank mismatch")
-    state: dict[int, Polynomial] = {0: slots[k]}
+    state = slots[k].terms
     for j in range(k, 0, -1):
-        letter = word[j - 1]
-        left = slots[j - 1]
-        nxt: dict[int, Polynomial] = {}
-        for mask, p in state.items():
-            if p.is_zero():
-                continue
-            pi0, pi1 = p.split(letter)
-            if not pi0.is_zero():
-                nxt[mask] = left * pi0
-            if not pi1.is_zero():
-                nxt[mask | (1 << (j - 1))] = left * pi1
-        state = nxt
-    return BSElement(rank, word, tag_column(state, rank))
+        pi0, pi1 = split_terms(state, word[j - 1], rank)
+        state = term_sum(pi0, pi1, shift=row_key(1 << (j - 1), rank))
+        state = tagged_image({0: state}, slots[j - 1].terms.items(), rank)
+    return BSElement(rank, word, state)
 
 
 def free_slots(word) -> int:

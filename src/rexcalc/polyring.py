@@ -39,12 +39,14 @@ map: the key is the row shifted above the packed monomial, ``row << (rank
 ``tag_column`` and ``untag_column`` convert, and ``row_key`` is the key
 of a row at monomial 1, which moves a key down that many rows when added.
 A polynomial's term map is the tagged vector of row 0; ``term_sum`` adds
-either kind, and ``relabel`` renames the variables of either kind into
-another rank.  ``tagged_image`` maps a tagged vector through a matrix of
-tagged columns in one multiply-accumulate loop of int additions, with no
-``Polynomial`` built per entry; it is the package's only product:
-``Polynomial.__mul__`` is the image of the factor with fewer terms under
-the one-column matrix {0: other factor}.
+either kind, ``split_terms`` splits either kind row by row (it is the one
+divided-difference loop: ``Polynomial.split`` and ``Polynomial.demazure``
+read their results off it), and ``relabel`` renames the variables of
+either kind into another rank.  ``tagged_image`` maps a tagged vector
+through a matrix of tagged columns in one multiply-accumulate loop of int
+additions, with no ``Polynomial`` built per entry; it is the package's
+only product: ``Polynomial.__mul__`` is the image of the factor with
+fewer terms under the one-column matrix {0: other factor}.
 
 >>> x1, x2 = Polynomial.variable(1, 2), Polynomial.variable(2, 2)
 >>> str((x1 + x2) * (x1 - x2))
@@ -113,6 +115,44 @@ def term_sum(terms: Mapping, other: Mapping, scale: int = 1, shift: int = 0) -> 
         else:
             del out[m]
     return _settle(out)
+
+
+def split_terms(terms: Mapping[int, Scalar], i: int, rank: int) -> tuple[dict[int, Scalar], dict[int, Scalar]]:
+    """The term maps (pi_0, pi_1) of p = pi_0 + pi_1 * x_i, both s_i-invariant, with pi_1 = d_i(p).
+
+    ``terms`` is a polynomial's term map or a tagged one: only the x_i,
+    x_{i+1} and degree fields are read and written, and a term that moves
+    has degree at least 1, so no borrow reaches the row and each row
+    splits on its own.  The divided difference is computed termwise: on
+    x_i^a * x_{i+1}^b * m (with m free of x_i, x_{i+1}) it yields
+    sign(a-b) * m * sum of the monomials x_i^j * x_{i+1}^{a+b-1-j} for j
+    strictly between min and max of a, b; the division is always exact.
+    """
+    if not 1 <= i <= rank - 1:
+        raise ValueError(f"generator index {i} out of range 1..{rank - 1}")
+    hi = (rank - i) * _WIDTH
+    lo = hi - _WIDTH
+    x_hi, x_lo = 1 << hi, 1 << lo
+    step = x_hi - x_lo
+    deg1 = 1 << rank * _WIDTH
+    pi1: dict[int, Scalar] = {}
+    get = pi1.get
+    for m, c in terms.items():
+        a, b = (m >> hi) & _FIELD, (m >> lo) & _FIELD
+        if a == b:
+            continue
+        base = m - a * x_hi - b * x_lo - deg1
+        if a < b:
+            a, b, c = b, a, -c
+        # x_i^b * x_{i+1}^(a-1), then move one degree from x_{i+1} to x_i per step
+        mono = base + b * x_hi + (a - 1) * x_lo
+        for _ in range(a - b):
+            pi1[mono] = get(mono, 0) + c
+            mono += step
+    if 0 in pi1.values():
+        pi1 = {m: c for m, c in pi1.items() if c}
+    pi1 = _settle(pi1)
+    return term_sum(terms, pi1, -1, deg1 + x_hi), pi1
 
 
 def _make(rank: int, terms: dict[int, Scalar]) -> Polynomial:
@@ -296,12 +336,6 @@ class Polynomial:
             out[_pack(m2)] = c
         return _make(rank, out)
 
-    def _generator_shift(self, i: int) -> int:
-        """Shift of the x_i field of s_i; the x_{i+1} field sits right below it."""
-        if not 1 <= i <= self.rank - 1:
-            raise ValueError(f"generator index {i} out of range 1..{self.rank - 1}")
-        return (self.rank - i) * _WIDTH
-
     def swap(self, i: int) -> Polynomial:
         """Apply the simple reflection s_i, swapping x_i and x_{i+1}."""
         return self.act(Permutation.simple_reflection(i, self.rank))
@@ -311,41 +345,13 @@ class Polynomial:
         return self == self.swap(i)
 
     def demazure(self, i: int) -> Polynomial:
-        """The divided difference d_i(p) = (p - s_i.p)/(x_i - x_{i+1}).
-
-        Computed termwise: on x_i^a * x_{i+1}^b * m (with m free of x_i,
-        x_{i+1}) the operator yields sign(a-b) * m * sum of the monomials
-        x_i^j * x_{i+1}^{a+b-1-j} for j strictly between min and max of
-        a, b; the division is always exact.
-        """
-        hi = self._generator_shift(i)
-        lo = hi - _WIDTH
-        x_hi, x_lo = 1 << hi, 1 << lo
-        step = x_hi - x_lo
-        deg1 = 1 << self.rank * _WIDTH
-        out: dict[int, Scalar] = {}
-        get = out.get
-        for m, c in self.terms.items():
-            a, b = (m >> hi) & _FIELD, (m >> lo) & _FIELD
-            if a == b:
-                continue
-            base = m - a * x_hi - b * x_lo - deg1
-            if a < b:
-                a, b, c = b, a, -c
-            # x_i^b * x_{i+1}^(a-1), then move one degree from x_{i+1} to x_i per step
-            mono = base + b * x_hi + (a - 1) * x_lo
-            for _ in range(a - b):
-                out[mono] = get(mono, 0) + c
-                mono += step
-        if 0 in out.values():
-            out = {m: c for m, c in out.items() if c}
-        return _make(self.rank, _settle(out))
+        """The divided difference d_i(p) = (p - s_i.p)/(x_i - x_{i+1}), the pi_1 of ``split_terms``."""
+        return _make(self.rank, split_terms(self.terms, i, self.rank)[1])
 
     def split(self, i: int) -> tuple[Polynomial, Polynomial]:
         """Decompose p = pi_0 + pi_1 * x_i with both parts s_i-invariant."""
-        pi1 = self.demazure(i)
-        x_i = (1 << self.rank * _WIDTH) + (1 << ((self.rank - i) * _WIDTH))
-        return _make(self.rank, term_sum(self.terms, pi1.terms, -1, x_i)), pi1
+        pi0, pi1 = split_terms(self.terms, i, self.rank)
+        return _make(self.rank, pi0), _make(self.rank, pi1)
 
     # -- canonical form ------------------------------------------------------
 

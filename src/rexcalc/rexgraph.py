@@ -117,11 +117,6 @@ class RexGraph(Frozen):
     def distant_neighbors(self, w: Word) -> list[tuple[Word, BraidMove]]:
         return [(v, m) for v, m in self.adjacency[w] if m.kind == DISTANT]
 
-    def edge_counts(self) -> tuple[int, int]:
-        """Number of (distant, adjacent) edges."""
-        distant = sum(1 for _, _, m in self.edges if m.kind == DISTANT)
-        return distant, len(self.edges) - distant
-
 
 class Cloud(Frozen):
     """A distant-edge connected component; the representative is lex-least."""
@@ -366,20 +361,6 @@ def lift_conflated_path(conflated: ConflatedGraph, graph: RexGraph, path: Path) 
         current = hop_to
     lifted.extend(distant_path(graph, current, seq[-1].representative)[1:])
     return Path(EXPANDED, tuple(lifted))
-
-
-def project_path(conflated: ConflatedGraph, path: Path) -> Path:
-    """Project an expanded path to the conflated graph (dropping distant hops)."""
-    if path.kind != EXPANDED:
-        raise ValueError("expected an expanded path")
-    seq = [conflated.cloud(v) for v in path.vertices]
-    out = [seq[0]]
-    for c in seq[1:]:
-        # adjacent edges always cross clouds (the N statistic changes), so
-        # dropping repeats is exactly dropping the distant hops
-        if c != out[-1]:
-            out.append(c)
-    return Path(CONFLATED, tuple(c.representative for c in out))
 
 
 def enumerate_complete_paths(conflated: ConflatedGraph, start, end, max_len: int) -> Iterator[Path]:

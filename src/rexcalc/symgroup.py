@@ -302,11 +302,6 @@ def reduced_words(perm: Permutation) -> list[Word]:
     return sorted(braid_closure(perm))
 
 
-def n_statistic(word) -> int:
-    """Sum of the letters; constant on clouds (distant moves preserve it)."""
-    return sum(word)
-
-
 def all_permutations(n: int) -> list[Permutation]:
     """All n! permutations, sorted by one-line notation."""
     from itertools import permutations as iperm

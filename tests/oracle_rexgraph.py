@@ -7,7 +7,9 @@
 # here reading those scans; and the path simplification that found its
 # monotone runs one step direction at a time.  Kept verbatim below, the
 # accessors as functions of the graph.  They build and read the package's
-# own graph types.  Not used by the package.
+# own graph types.  Not used by the package.  Also the edge count by kind
+# and the projection of an expanded path to the conflated graph, which the
+# graph-shape checks and the lift round trip read and no verdict needs.
 
 from __future__ import annotations
 
@@ -15,6 +17,7 @@ from collections import deque
 
 from rexcalc.rexgraph import (
     CONFLATED,
+    EXPANDED,
     Cloud,
     ConflatedEdge,
     ConflatedGraph,
@@ -264,3 +267,23 @@ def simplify_path(conflated: ConflatedGraph, path: Path) -> Path:
     through = oriented_run(conflated, d_start, d_end, direction)
     out = oriented_run(conflated, d_end, seq[-1].representative, "up" if d_end == tr else "down")
     return Path(CONFLATED, tuple(into + through[1:] + out[1:]))
+
+
+def edge_counts(graph: RexGraph) -> tuple[int, int]:
+    """Number of (distant, adjacent) edges."""
+    distant = sum(1 for _, _, m in graph.edges if m.kind == DISTANT)
+    return distant, len(graph.edges) - distant
+
+
+def project_path(conflated: ConflatedGraph, path: Path) -> Path:
+    """Project an expanded path to the conflated graph (dropping distant hops)."""
+    if path.kind != EXPANDED:
+        raise ValueError("expected an expanded path")
+    seq = [conflated.cloud(v) for v in path.vertices]
+    out = [seq[0]]
+    for c in seq[1:]:
+        # adjacent edges always cross clouds (the letter sum changes), so
+        # dropping repeats is exactly dropping the distant hops
+        if c != out[-1]:
+            out.append(c)
+    return Path(CONFLATED, tuple(c.representative for c in out))

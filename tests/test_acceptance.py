@@ -23,6 +23,7 @@ from rexcalc.rexgraph import graph_for_word, source_sink
 from rexcalc.symgroup import BraidMove, braid_moves, longest_element, word_to_perm
 
 from conftest import element, random_polynomial
+from oracle_rexgraph import edge_counts
 
 
 def x(i, rank=4):
@@ -55,7 +56,7 @@ def test_criterion_1_graph_reproduction():
         ((3, 1, 2, 1, 3), (3, 2, 1, 2, 3)),
     }
     checks.append({(u, v) for u, v, _ in rex.edges} == pinned_edges)
-    checks.append(rex.edge_counts() == (4, 2))
+    checks.append(edge_counts(rex) == (4, 2))
     checks.append(len(conf.clouds) == 3)
 
     line, _ = graph_for_word((2, 1, 3, 2, 1))
@@ -72,7 +73,7 @@ def test_criterion_1_graph_reproduction():
     checks.append(all(len(octagon.neighbors(w)) == 2 for w in octagon.words))
 
     hexagon, hex_conf = graph_for_word((2, 4, 6))
-    checks.append(len(hexagon.words) == 6 and hexagon.edge_counts() == (6, 0))
+    checks.append(len(hexagon.words) == 6 and edge_counts(hexagon) == (6, 0))
     checks.append(len(hex_conf.clouds) == 1)
 
     w04, zam = graph_for_word(longest_element(4), rank=4)

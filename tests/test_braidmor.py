@@ -382,15 +382,22 @@ def _fake_from_tensor(bad_word, image):
             BraidMove(0, "distant", 10, 1),
             "window rewrite failed for mask 0 of 10,1",
         ),
+        (
+            "from_tensor",
+            _fake_from_tensor((1, 3), BSElement.zero),
+            Path(EXPANDED, ((1, 10), (10, 1))),
+            "window rewrite failed for mask 0 of 1,10",
+        ),
     ],
 )
 def test_table_checks_name_the_window_by_its_label(monkeypatch, name, fake, move, message):
-    # the fault sits in the window's shape, derived at rank 3 or 4; the message names the window
+    # the fault sits in the window's shape, derived at rank 3 or 4; the message names the window,
+    # also when a path's run of distant moves checks its shapes
     monkeypatch.setattr(braidmor, name, fake)
     braidmor._shape_table.cache_clear()
     try:
         with pytest.raises(RuntimeError, match=f"^{message}$"):
-            derive_local_table(move, 11)
+            path_morphism(move, 11) if isinstance(move, Path) else derive_local_table(move, 11)
     finally:
         braidmor._shape_table.cache_clear()
 

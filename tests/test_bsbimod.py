@@ -65,6 +65,17 @@ def test_slot_count_validated():
         from_tensor((1, 2), (one(), one()), 4)
 
 
+@pytest.mark.parametrize(
+    "word, last, letter",
+    [((5,), Polynomial.zero(4), 5), ((1, 7), Polynomial.zero(4), 7), ((5,), one(), 5)],
+)
+def test_out_of_range_letters_raise_whatever_the_state(word, last, letter):
+    # a letter is checked when its split runs, also on a state that is already zero
+    slots = [one()] * len(word) + [last]
+    with pytest.raises(ValueError, match=f"^generator index {letter} out of range 1..3$"):
+        from_tensor(word, slots, 4)
+
+
 def test_left_mul():
     e = left_mul(x(1), BSElement.generator((1, 2), 4))
     assert e.coeffs == {0: x(1)}

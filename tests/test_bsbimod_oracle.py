@@ -2,7 +2,8 @@
 
 Every operation of rexcalc.bsbimod, and MorphismMatrix.apply, is compared by
 ``coeffs`` with the {mask: Polynomial} arithmetic that preceded the tagged
-form, on seeded random elements over random reduced words of ranks 4 and 5.
+form, on seeded random elements over random reduced words of ranks 4 and 5;
+``from_tensor`` also on words of rank 6.
 """
 
 from __future__ import annotations
@@ -56,6 +57,14 @@ def test_from_tensor_matches_the_oracle(seed):
     for rng, word, rank in cases(seed):
         slots = random_slots(rng, word, rank)
         assert from_tensor(word, slots, rank).coeffs == oracle.from_tensor(word, slots, rank)
+    # rank 6, the first word with one zero slot
+    rng = random.Random(seed)
+    for count in range(4):
+        word = random_reduced_word(rng, 6)
+        slots = random_slots(rng, word, 6)
+        if not count:
+            slots[rng.randrange(len(slots))] = Polynomial.zero(6)
+        assert from_tensor(word, slots, 6).coeffs == oracle.from_tensor(word, slots, 6)
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

@@ -59,6 +59,7 @@ def test_setup_probe_builds_the_cli_mix_tables(monkeypatch):
     [
         "verify fpc-s4 --format json",
         "verify family --rank 6 --format json",
+        "verify zam --rank 4 --format json",
         "eval 12321 --path s,c,t,c --element 1,x2,1,1,1,1",
     ],
 )

@@ -14,6 +14,7 @@ from rexcalc.polyring import (
     Polynomial,
     parse_polynomial,
     relabel,
+    split_terms,
     tag_column,
     untag_column,
 )
@@ -211,6 +212,25 @@ def test_split_reassembles(data):
     pi0, pi1 = p.split(i)
     assert pi0.is_invariant(i) and pi1.is_invariant(i)
     assert pi0 + pi1 * x(i) == p
+
+
+@pytest.mark.parametrize("rank", [3, 4, 5, 6])
+def test_split_terms_splits_each_row_of_a_tagged_map(rank):
+    # only the x_i, x_{i+1} and degree fields move, so rows split on their own
+    rng = random.Random(rank)
+    fractions = 0
+    for _ in range(10):
+        col = {r: random_polynomial(rng, rank, max_exp=3) for r in (0, 1, 6)}
+        fractions += sum(type(c) is Fraction for p in col.values() for c in p.terms.values())
+        for i in range(1, rank):
+            pi0, pi1 = split_terms(tag_column(col, rank), i, rank)
+            parts = {r: p.split(i) for r, p in col.items()}
+            assert pi0 == tag_column({r: f[0] for r, f in parts.items()}, rank)
+            assert pi1 == tag_column({r: f[1] for r, f in parts.items()}, rank)
+    assert fractions
+    for i in (0, rank):
+        with pytest.raises(ValueError, match=f"^generator index {i} out of range 1..{rank - 1}$"):
+            split_terms(tag_column(col, rank), i, rank)
 
 
 # -- grading ---------------------------------------------------------------------
