@@ -6,7 +6,10 @@ Usage, from the root of a checkout:
     PYTHONPATH=src python3 scripts/bench_polyring.py [--repeat 7] [--w0-rank5]
 
 Prints one JSON object: nanoseconds per operation (best of the repeats)
-for ``Polynomial`` multiplication, addition and ``split``, for
+for ``Polynomial`` multiplication and addition, for ``polyring.split_terms``
+(``split``) on the ``split_calls`` tagged states that the ``from_tensor``
+row's normal forms split, recorded once by wrapping the name ``bsbimod``
+calls, for
 ``MorphismMatrix.key()`` on composed matrices, for one warm
 ``fpc.check_zam_identities(4)`` and ``fpc.check_dud_udu_all(4)``
 (``zam_walks``: the source/sink identities and DUD = UDU on the longest
@@ -35,6 +38,10 @@ S_6 (5,775 words, 17,486 edges, 82 clouds), and the writing of its
 ``rexcalc graph --format json`` (``emit_graph_json``) and ``rexcalc graph
 --conflated --format json`` (``emit_conflated_json``) documents into
 /dev/null by ``cli.write_graph_json``, the writer ``cmd_graph`` uses.
+``generator_sets`` times one cold ``bsbimod.bimodule_generator_masks``
+(its cache cleared before each repeat) of each of the 8 cloud
+representatives of the longest element of S_4 and of 123543215 at rank 6,
+where the line6 workload's two walks start, in nanoseconds per word.
 ``cold_import`` times ``import rexcalc.cli`` in a fresh child
 interpreter, one child per repeat and best of ``IMPORT_REPEAT``: the
 import every CLI call pays once.  The
@@ -46,17 +53,19 @@ matrices already built by a first call, so they measure the path search
 alone: ``value_search`` on 12321, the S_4 counterexample, at bound 9
 (it stops after a few dozen steps), and ``value_search_w0`` on 121321,
 the longest element of S_4 (an 8-cloud cycle), at bound 20.  The
-12321 row includes reading its witness off the generator columns.
+12321 row includes walking its witness's right-generator columns.
 For each, and for ``zam_walks``, ``search_work`` gives what the
 ``fpc._MatrixPool`` pools did, read by wrapping that class: interned
 values, distinct columns, memoized column images, and generated states
 (one per start and per ``extend``, merged or not) with their rate over
-the row's best time.  A value keeps only its columns at the generator
-masks of its domain (``bsbimod.generator_masks``), so columns and column
-images count those.  ``--w0-rank5`` also builds
+the row's best time.  A value keeps only its columns at the two-sided
+generator masks of its domain (``bsbimod.bimodule_generator_masks``), so
+columns and column images count those.  ``--w0-rank5`` also builds
 the ``ConflatedMorphisms`` of the longest element of S_5 in a fresh child
 process and reports the build's seconds and the child's peak RSS in MB
-(``ru_maxrss`` from ``os.wait4``).  The operands are fixed: seeded random
+(``ru_maxrss`` from ``os.wait4``), and adds the row
+``generator_sets_w0_rank5``: ``generator_sets`` on the 62 cloud
+representatives of the longest element of S_5.  The operands are fixed: seeded random
 integer-coefficient polynomials of rank 4 (1-4 terms, exponents up to 2,
 the shape of the S_4 sweep's matrix entries) and the matrices of seeded
 random walks on the conflated graph of 12321.
@@ -75,8 +84,8 @@ CPU it starts on, as ``perfbench/launch.py`` does, so the child
 interpreters of ``cold_import`` and ``--w0-rank5`` run on the meter's
 CPU.
 
-Apart from clearing the cached tables and the pool wrapper, only public
-names are used.
+Apart from clearing the cached tables, the pool wrapper and the
+``split_terms`` recorder, only public names are used.
 """
 
 from __future__ import annotations
@@ -100,14 +109,16 @@ from rexcalc import (
     MorphismMatrix,
     Polynomial,
     braidmor,
+    bsbimod,
     cli,
     derive_local_table,
     fpc,
     from_tensor,
     graph_for_word,
 )
+from rexcalc.polyring import split_terms
 from rexcalc.rexgraph import build_conflated, build_rex_graph
-from rexcalc.symgroup import reduced_words, word_to_perm
+from rexcalc.symgroup import longest_element, reduced_words, word_to_perm
 
 RANK = 4
 
@@ -127,6 +138,9 @@ TENSOR_COUNT = 100
 TABLE_MOVES = [BraidMove(0, kind, i) for kind in ("up", "down") for i in range(1, 5)] + [
     BraidMove(0, "distant", i, j) for i in range(1, 6) for j in range(1, 6) if abs(i - j) >= 2
 ]
+
+# where the line6 workload's walks start: the second cloud of 123454321's line
+LINE6_START = (1, 2, 3, 5, 4, 3, 2, 1, 5)
 
 GRAPH_WORD = (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)
 GRAPH_REPEAT = 5
@@ -176,6 +190,34 @@ def tensor_slots(rng: random.Random) -> list[list[Polynomial]]:
             slots[j] = p
         sets.append(slots)
     return sets
+
+
+def recorded_splits(slot_sets) -> list[tuple]:
+    """The (terms, letter, rank) of every split_terms call that from_tensor makes on the slot lists."""
+    calls = []
+
+    def record(terms, i, rank):
+        calls.append((terms, i, rank))
+        return split_terms(terms, i, rank)
+
+    bsbimod.split_terms = record
+    try:
+        for slots in slot_sets:
+            from_tensor(TENSOR_WORD, slots, TENSOR_RANK)
+    finally:
+        bsbimod.split_terms = split_terms
+    return calls
+
+
+def cloud_words(word, rank: int) -> list:
+    """The cloud representatives of the conflated graph of the element a word spells."""
+    return [c.representative for c in graph_for_word(word, rank=rank)[1].clouds]
+
+
+def time_generator_sets(words) -> float:
+    """One cold bimodule_generator_masks of each (word, rank), in nanoseconds per word."""
+    bsbimod.bimodule_generator_masks.cache_clear()
+    return run_ns(lambda: [bsbimod.bimodule_generator_masks(w, rank) for w, rank in words], len(words))
 
 
 def run_ns(fn, ops: int) -> float:
@@ -354,32 +396,35 @@ def main() -> int:
 
     mats = [cm.path_matrix(walk) for walk in walks]
     zam_walks()  # builds the graphs and edge matrices
+    splits = recorded_splits(slot_sets)
+    set_words = [(w, 4) for w in cloud_words(longest_element(4), 4)] + [(LINE6_START, 6)]
     rows = {
         "mul": (lambda: run_ns(lambda: [p * q for p, q in pairs], len(pairs)), args.repeat),
         "add": (lambda: run_ns(lambda: [p + q for p, q in pairs], len(pairs)), args.repeat),
-        "split": (
-            lambda: run_ns(lambda: [p.split(1 + k % 3) for k, p in enumerate(left)], len(left)),
-            args.repeat,
-        ),
+        "split": (lambda: run_ns(lambda: [split_terms(*call) for call in splits], len(splits)), args.repeat),
         "matrix_key": (lambda: run_ns(lambda: [m.key() for m in mats], len(mats)), args.repeat),
         "from_tensor": (
             lambda: run_ns(lambda: [from_tensor(TENSOR_WORD, s, TENSOR_RANK) for s in slot_sets], len(slot_sets)),
             args.repeat,
         ),
         "local_tables": (time_local_tables, args.repeat),
+        "generator_sets": (lambda: time_generator_sets(set_words), args.repeat),
         "zam_walks": (lambda: run_ns(zam_walks, 1), args.repeat),
     }
     for name, move in EDGE_MOVES.items():
         rows[name] = (lambda move=move: time_for_edge(move), args.repeat)
     step_graphs = graph_for_word(STEP_WORD, rank=6)
     rows["step_tables"] = (lambda: time_step_tables(*step_graphs), args.repeat)
+    if args.w0_rank5:
+        rank5_words = [(w, 5) for w in cloud_words(longest_element(5), 5)]
+        rows["generator_sets_w0_rank5"] = (lambda: time_generator_sets(rank5_words), args.repeat)
     rows.update(graph_layer_rows())
     rows["cold_import"] = (time_cold_import, IMPORT_REPEAT)
     for name, (word, bound) in SEARCHES.items():
         fpc.check_fpc(word, bound, rank=RANK)  # builds its graphs and edge matrices
         rows[name] = (lambda word=word, bound=bound: time_value_search(word, bound), args.repeat)
 
-    result = {"unit": "ns/op", "matrix_key_walks": len(walks)}
+    result = {"unit": "ns/op", "matrix_key_walks": len(walks), "split_calls": len(splits)}
     per_loop = {}
     for name, (once, repeat) in rows.items():
         result[name], per_loop[name] = measure(once, repeat)

@@ -33,7 +33,7 @@ def main() -> int:
     print(f"{'suite':<44} {'verdict':>10}   {'time':>7}")
     ok = True
     ok &= timed("12321 counterexample (images + dots differ)", counterexample_differs)
-    for n in (3, 4):
+    for n in (3, 4, 5):
         ok &= timed(f"source/sink identities, rank {n}", lambda n=n: fpc.check_zam_identities(n).all_hold)
         ok &= timed(f"down-up-down = up-down-up, rank {n}", lambda n=n: fpc.check_dud_udu_all(n))
     ok &= timed("path equivalence lemmas", lambda: fpc.check_equivalence_lemmas().all_hold)

@@ -24,10 +24,30 @@ unique, so equality is plain map comparison.
 
 The grading convention shifts each factor by 1, so the basis tensor of
 mask e in a length-k word sits in degree 2*popcount(e) - k.
+
+A bimodule map is fixed by its images of a set of basis tensors that
+generates the bimodule.  ``generator_masks`` drops the masks that the
+right action alone reaches; ``bimodule_generator_masks`` finds a least
+set, by graded Nakayama: basis masks whose images span the constants
+Q (x)_R BS(w) (x)_R Q generate.  Q (x)_R BS(w) is Q^(2^k) on the masks,
+and right multiplication by x_l acts on it by the integer matrix X_l of
+the constant parts of the e_m * x_l.  The matrices are found one letter
+at a time, with no normal form computed: appending letter s at bit j,
+write x_l = c * x_s + q with c = d_s(x_l) and q s-invariant, so that
+
+    (e_m (x) 1) * x_l   = c e_{m | 1 << j} + (e_m * q) (x) 1
+    (e_m (x) x_s) * x_l = (e_m * (c sigma + q)) (x) x_s - c (e_m * pi) (x) 1
+
+with sigma = x_s + x_{s+1} and pi = x_s x_{s+1}, both s-invariant, and
+X_pi = X_s X_{s+1}.  The last letter needs no doubling: BS(w s) (x)_R Q
+is BS(w) (x)_{R^s} Q, whose relations are the images of the prefix's
+masks under x_l (l not s, s+1), sigma and pi.
 """
 
 from __future__ import annotations
 
+from functools import lru_cache
+from math import gcd
 from typing import Mapping, Sequence
 
 from .polyring import Polynomial, Scalar, row_key, split_terms, tagged_image, term_sum, untag_column
@@ -176,6 +196,95 @@ def generator_masks(word) -> tuple[int, ...]:
     """
     free = free_slots(word)
     return tuple(m for m in range(1 << len(word)) if not m & free)
+
+
+def constant_right_action(word, rank: int) -> list[list[dict[int, int]]]:
+    """The matrices X_1, ..., X_rank of right multiplication on Q (x)_R BS(word).
+
+    Entry l - 1 lists, for each mask m, the constant parts of e_m * x_l as
+    {mask: int}, found letter by letter by the recursion of the module
+    docstring.
+    """
+    action: list[list[dict[int, int]]] = [[{}] for _ in range(rank)]
+    for j, s in enumerate(word):
+        bit = 1 << j
+        sigma, pi = _sigma_pi(action, s)
+        # columns with bit j clear, then set: x_s has c = 1, q = 0; x_{s+1} has
+        # c = -1, q = sigma; any other x_l has c = 0, q = x_l
+        moved = {
+            s: [{m | bit: 1} for m in range(bit)]
+            + [{**{m | bit: c for m, c in v.items()}, **{m: -c for m, c in p.items()}} for v, p in zip(sigma, pi)],
+            s + 1: [{**v, m | bit: -1} for m, v in enumerate(sigma)] + pi,
+        }
+        action = [
+            moved[l] if l in moved else xl + [{m | bit: c for m, c in v.items()} for v in xl]
+            for l, xl in enumerate(action, 1)
+        ]
+    return action
+
+
+def _sigma_pi(action: list[list[dict[int, int]]], s: int) -> tuple[list[dict[int, int]], list[dict[int, int]]]:
+    """The columns of X_sigma = X_s + X_{s+1} and X_pi = X_s X_{s+1}."""
+    xs, xt = action[s - 1], action[s]
+    sigma = [_combination(((1, a), (1, b))) for a, b in zip(xs, xt)]
+    pi = [_combination((c, xs[m]) for m, c in v.items()) for v in xt]
+    return sigma, pi
+
+
+def _combination(terms) -> dict[int, int]:
+    """The sum of c * v over the pairs (c, v) of ``terms``, without zero entries."""
+    acc: dict[int, int] = {}
+    get = acc.get
+    for c, v in terms:
+        for m, d in v.items():
+            acc[m] = get(m, 0) + c * d
+    return {m: c for m, c in acc.items() if c}
+
+
+@lru_cache(maxsize=None)
+def bimodule_generator_masks(word: Word, rank: int) -> tuple[int, ...]:
+    """A least set of masks whose basis tensors generate the bimodule, in increasing order.
+
+    The relations of Q (x)_R BS(w s) (x)_R Q are the images of the
+    prefix's masks under X_l (l not s, s + 1), X_sigma and X_pi; the masks
+    that lead no relation in their span are the generators.  Each has the
+    last bit clear, mask 0 is always one, and they are a subset of
+    ``generator_masks``.
+    """
+    if not word:
+        return (0,)
+    *prefix, s = word
+    action = constant_right_action(prefix, rank)
+    relations = [v for l, xl in enumerate(action, 1) if l not in (s, s + 1) for v in xl]
+    relations += [v for part in _sigma_pi(action, s) for v in part]
+    return unled_masks(relations, 1 << len(prefix))
+
+
+def unled_masks(vectors, size: int) -> tuple[int, ...]:
+    """The masks below ``size`` that are the highest mask of no nonzero vector in the span of ``vectors``.
+
+    The vectors have integer entries.  A single-entry vector takes its
+    mask out, and with it that mask's entries of every other vector,
+    until no vector is left with a single entry; the rest are reduced by
+    exact fraction-free elimination, each row led by its highest mask
+    and kept with coprime entries.
+    """
+    units: set[int] = set()
+    rest = [v for v in vectors if v]
+    while singles := {m for v in rest if len(v) == 1 for m in v}:
+        units |= singles
+        rest = [w for v in rest if (w := {m: c for m, c in v.items() if m not in singles})]
+    rows: dict[int, dict[int, int]] = {}
+    for v in rest:
+        while v:
+            top = max(v)
+            row = rows.get(top)
+            if row is None:
+                g = gcd(*v.values())
+                rows[top] = {m: c // g for m, c in v.items()}
+                break
+            v = _combination(((row[top], v), (-v[top], row)))
+    return tuple(m for m in range(size) if m not in units and m not in rows)
 
 
 def left_mul(p: Polynomial, e: BSElement) -> BSElement:

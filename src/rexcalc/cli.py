@@ -316,8 +316,8 @@ def cmd_verify(args) -> int:
         raise UsageError(f"the {suite} suite " + phrase.format(" or ".join(unread)))
     if suite == "zam":
         n = args.rank or 3
-        if n not in (3, 4):
-            raise UsageError("the zam suite runs at rank 3 or 4")
+        if not 3 <= n <= 5:
+            raise UsageError("the zam suite runs at rank 3 to 5")
         report = fpc.check_zam_identities(n)
         dud = fpc.check_dud_udu_all(n)
         payload = {**report._asdict(), "dud_equals_udu_all_pairs": dud}

@@ -7,21 +7,24 @@ states (morphism value, visited set), whose value also fixes the start
 and the current vertex (its domain and codomain); values are interned
 exactly, and equal states are merged, which is sound because they have
 identical futures; states wait in one queue in path order, so a state's
-first path is its least.  A value is a bimodule map, so its columns at
-the generator masks of its domain (``bsbimod.generator_masks``) fix it:
-any other column is one of them times variables on the right.  Only
-those columns are kept.  Values share most of them, so the columns are
-interned by content and a value is stored once, as a record of its
-generator column ids; a step multiplies each distinct column once and
-memoizes the image per (step, column).  A column is kept once, as the
-frozenset of the terms of the tagged term map a matrix stores (row and
-monomial packed into one int key), which is also its intern key, so a
-step is the multiply-accumulate loop of int products that every matrix
-product runs (``polyring.tagged_image``), with no polynomial object
-built per entry.
+first path is its least.  A value is a map of R-bimodules, so by graded
+Nakayama it is fixed by its images of any basis tensors that generate
+its domain as a bimodule: those whose images span the constants
+Q (x)_R BS (x)_R Q.  Only its columns at such a least set of masks
+(``bsbimod.bimodule_generator_masks``) are kept.  Values share most of
+them, so the columns are interned by content and a value is stored once,
+as a record of its generator column ids; a step multiplies each distinct
+column once and memoizes the image per (step, column).  A column is kept
+once, as the frozenset of the terms of the tagged term map a matrix
+stores (row and monomial packed into one int key), which is also its
+intern key, so a step is the multiply-accumulate loop of int products
+that every matrix product runs (``polyring.tagged_image``), with no
+polynomial object built per entry.
 A verdict is either Holds or a reproducible counterexample consisting of
 two concrete paths plus the least basis column on which their matrices
-differ, which is always a generator column.
+differ.  That column is always a right-generator column
+(``bsbimod.generator_masks``), and the witness walks those columns one at
+a time along both paths, through the same column memos.
 
 The same engine, tracking only visits to the source and sink, checks
 the refined statement that any two paths through both extremes with
@@ -43,7 +46,7 @@ from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bsbimod import BSElement, dot_cap, from_tensor, generator_masks
+from .bsbimod import BSElement, bimodule_generator_masks, dot_cap, from_tensor, generator_masks
 from .braidmor import ConflatedMorphisms, path_morphism
 from .polyring import Polynomial, Scalar, row_key, tagged_image
 from .rexgraph import (
@@ -105,25 +108,29 @@ class FpcVerdict(NamedTuple):
 
 
 class _MatrixPool:
-    """Interns the walk values of one calculus by their generator columns, and memoizes products.
+    """Interns the walk values of one calculus by their two-sided generator columns, and memoizes products.
 
-    Every value is a bimodule map, so it is fixed by its columns at the
-    generator masks of its domain (``bsbimod.generator_masks``), and only
-    those are stored.  A column is the frozenset of the (key, coefficient)
-    terms of a matrix's own tagged term map (row and monomial packed into
-    one int key, see ``braidmor.MorphismMatrix``); that one object is both
-    its intern key and its stored form, and each distinct column, the
-    empty one too, gets an id by its exact content.  A value is one
-    record, (domain, codomain, column ids) with the ids of its generator
-    columns in mask order, which is also its key: two values are equal
-    exactly when their records are.  Extending a value by a step of ``cm``
+    Every value is a map of R-bimodules.  By graded Nakayama, basis masks
+    whose basis tensors span Q (x)_R BS (x)_R Q generate the domain as an
+    R (x) R-module, so the value is fixed by its columns at them; only its
+    columns at the least such set (``bsbimod.bimodule_generator_masks``,
+    cached per word) are stored.  A column is the frozenset of the (key,
+    coefficient) terms of a matrix's own tagged term map (row and monomial
+    packed into one int key, see ``braidmor.MorphismMatrix``); that one
+    object is both its intern key and its stored form, and each distinct
+    column, the empty one too, gets an id by its exact content.  A value
+    is one record, (domain, codomain, column ids) with the ids of its
+    generator columns in mask order, which is also its key: two values
+    are equal exactly when their records are.  Extending a value by a step of ``cm``
     maps its column ids through that step's memo of column images, so a
     column shared by many values is multiplied once per step, in one
     multiply-accumulate loop over the tagged terms
     (``polyring.tagged_image``).  ``walk`` extends a value step by step,
-    so walks share their prefixes' products, and ``witness`` reads the
-    first column on which two values differ.  The pool only interns: a
-    search that must stop at a budget reads ``len(values)`` itself.
+    so walks share their prefixes' products.  ``witness`` takes two walks
+    and carries single right-generator columns along both through the
+    same memos, in mask order, up to the first that differs.  The pool
+    only interns: a search that must stop at a budget reads
+    ``len(values)`` itself.
     """
 
     def __init__(self, cm: ConflatedMorphisms):
@@ -154,23 +161,27 @@ class _MatrixPool:
 
     def identity(self, word: Word) -> int:
         """The identity of a word: generator mask g maps to the basis tensor g."""
-        ids = tuple(self._column_id({row_key(g, self.rank): 1}) for g in generator_masks(word))
+        ids = tuple(self._column_id({row_key(g, self.rank): 1}) for g in bimodule_generator_masks(word, self.rank))
         return self._intern((word, word, ids))
+
+    def _images(self, ids, step: tuple[Word, Word]) -> tuple[Word, tuple[int, ...]]:
+        """The codomain of a step, and the ids of its images of the columns ``ids``, through its memo."""
+        step_mat = self.cm.step_matrix(*step)
+        memo = self.images.setdefault(step, {})
+        out = []
+        for i in ids:
+            j = memo.get(i)
+            if j is None:
+                j = memo[i] = self._column_id(tagged_image(step_mat.cols, self.cols[i], self.rank))
+            out.append(j)
+        return step_mat.codomain, tuple(out)
 
     def extend(self, value: int, step: tuple[Word, Word]) -> int:
         key = (value, step)
         found = self.products.get(key)
         if found is None:
-            step_mat = self.cm.step_matrix(*step)
-            memo = self.images.setdefault(step, {})
             domain, _, col_ids = self.values[value]
-            ids = []
-            for i in col_ids:
-                j = memo.get(i)
-                if j is None:
-                    j = memo[i] = self._column_id(tagged_image(step_mat.cols, self.cols[i], self.rank))
-                ids.append(j)
-            found = self.products[key] = self._intern((domain, step_mat.codomain, tuple(ids)))
+            found = self.products[key] = self._intern((domain, *self._images(col_ids, step)))
         return found
 
     def walk(self, vertices, value: int | None = None) -> int:
@@ -182,18 +193,25 @@ class _MatrixPool:
             value = self.extend(value, step)
         return value
 
-    def witness(self, a: int, b: int) -> tuple[int, BSElement, BSElement]:
-        """The least basis mask on which two values of one shape differ, and their images of it.
+    def witness(self, path_a, path_b) -> tuple[int, BSElement, BSElement]:
+        """The least basis mask on which the maps of two walks from one start to one end differ, and both images.
 
-        A column whose mask sets free bits is the generator column below
-        it times their variables on the right, so the least differing
-        column is a generator column.
+        A column whose mask sets free bits is the right-generator column
+        below it times their variables on the right, so the least
+        differing column is a right-generator column
+        (``bsbimod.generator_masks``).  Each is walked alone along both
+        paths, in mask order, through the steps' column memos.
         """
-        domain, codomain, ids_a = self.values[a]
-        for mask, i, j in zip(generator_masks(domain), ids_a, self.values[b][2]):
-            if i != j:
-                return mask, *(BSElement(self.rank, codomain, dict(self.cols[k])) for k in (i, j))
-        raise AssertionError("values differ but no generator column does")
+        for mask in generator_masks(path_a[0]):
+            ends = []
+            for path in (path_a, path_b):
+                codomain, ids = path[0], (self._column_id({row_key(mask, self.rank): 1}),)
+                for step in zip(path, path[1:]):
+                    codomain, ids = self._images(ids, step)
+                ends.append((codomain, ids[0]))
+            if ends[0][1] != ends[1][1]:
+                return mask, *(BSElement(self.rank, codomain, dict(self.cols[i])) for codomain, i in ends)
+        raise AssertionError("the walks differ on no basis column")
 
 
 def _value_search(
@@ -251,8 +269,8 @@ def _value_search(
         first, first_path = groups.setdefault((path[0], path[-1]), (value, path))
         if first == value:
             return None
-        (a, value_a), (b, value_b) = sorted([(first_path, first), (path, value)])
-        mask, img_a, img_b = pool.witness(value_a, value_b)
+        a, b = sorted([first_path, path])
+        mask, img_a, img_b = pool.witness(a, b)
         return FpcVerdict(word, max_len, False, PathPairWitness(path[0], path[-1], a, b, mask, img_a, img_b))
 
     for start in links:
@@ -624,7 +642,7 @@ def check_family(n: int) -> FamilyReport:
     pool = _MatrixPool(cm)
     value_a, value_b = pool.walk(path_a), pool.walk(path_b)
     differ = value_a != value_b
-    mask, img_a, img_b = pool.witness(value_a, value_b) if differ else (None, None, None)
+    mask, img_a, img_b = pool.witness(path_a, path_b) if differ else (None, None, None)
     return FamilyReport(
         word=word,
         rank=n,

@@ -2,9 +2,10 @@
 # test_braidmor.py: the value-search pool that preceded column interning in
 # rexcalc.fpc (whole matrices keyed by MorphismMatrix.key(), each product a
 # full step matrix times value), kept as it was but for the budget and the
-# interface: like the package pool it checks no budget, and its matrix list
-# is named ``values``, whose length the search compares with the budget; it
-# serves one calculus and makes identities itself.  Also matrix products
+# interface: like the package pool it checks no budget, its matrix list
+# is named ``values``, whose length the search compares with the budget, and
+# its witness takes the two walks; it serves one calculus and makes
+# identities itself.  Also matrix products
 # as they were before every product ran through polyring.tagged_image:
 # compose as a plain function of the two factors, and column_image for one
 # column.  Both read a matrix's columns as {row: Polynomial} maps
@@ -16,8 +17,11 @@
 # rexcalc.fpc: the source/sink morphisms Z and Zb and their identities as
 # products of whole matrices, the per-vertex path halves of DUD and UDU
 # (dud_udu_pairs) and the per-pair matrices, each rebuilding all three runs
-# of one pair; a pool value's whole matrix rebuilt from its generator
-# columns; and the witness read off two whole matrices column by column.
+# of one pair; the value-search pool that preceded two-sided generator
+# columns in rexcalc.fpc (RightGeneratorPool: a value stored by its columns
+# at the right-generator masks of bsbimod.generator_masks, with the
+# witness read off two values), a value of it rebuilt as its whole matrix
+# (rebuild), and the witness read off two whole matrices column by column.
 # Also path_morphism as it was before distant moves became row-bit swaps:
 # every move's edge matrix built and multiplied in, adjacent or distant.
 # Not used by the package.
@@ -27,10 +31,10 @@ from __future__ import annotations
 from functools import lru_cache
 
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix, edge_matrix, move_between
-from rexcalc.bsbimod import BSElement, free_slots, right_mul
+from rexcalc.bsbimod import BSElement, free_slots, generator_masks, right_mul
 from rexcalc.fpc import ZamReport, _longest
 from rexcalc.rexgraph import Cloud, ConflatedGraph, Path, oriented_run
-from rexcalc.polyring import Polynomial, tag_column, tagged_image
+from rexcalc.polyring import Polynomial, Scalar, row_key, tag_column, tagged_image
 from rexcalc.symgroup import Word
 
 from oracle_polyring import Polynomial as SeedPolynomial
@@ -152,8 +156,82 @@ class _MatrixPool:
             self.products[key] = found
         return found
 
+    def witness(self, path_a, path_b) -> tuple[int, BSElement, BSElement]:
+        """The least differing column of the whole matrices of two walks, built apart from the pool."""
+        return column_witness(self.cm.path_matrix(path_a), self.cm.path_matrix(path_b))
+
+
+class RightGeneratorPool:
+    """Interns walk values by their columns at the right-generator masks of their domain.
+
+    Every value is a bimodule map, so its columns at the masks of
+    ``bsbimod.generator_masks`` fix it: any other column is one of them
+    times variables on the right.  A column is the frozenset of its tagged
+    terms and gets an id by content; a value is the record (domain,
+    codomain, column ids), which is also its key, and a step maps a
+    value's column ids through its memo of column images.
+    """
+
+    def __init__(self, cm: ConflatedMorphisms):
+        self.cm = cm
+        self.rank = cm.rank
+        self.col_ids: dict[frozenset, int] = {}
+        self.cols: list[frozenset] = []  # the keys of col_ids, in id order
+        self.ids: dict[tuple, int] = {}
+        self.values: list[tuple] = []
+        self.products: dict[tuple[int, tuple[Word, Word]], int] = {}
+        # per step: column id -> id of its image
+        self.images: dict[tuple[Word, Word], dict[int, int]] = {}
+
+    def _column_id(self, terms: dict[int, Scalar]) -> int:
+        column = frozenset(terms.items())
+        found = self.col_ids.get(column)
+        if found is None:
+            found = self.col_ids[column] = len(self.cols)
+            self.cols.append(column)
+        return found
+
+    def _intern(self, record: tuple) -> int:
+        found = self.ids.get(record)
+        if found is None:
+            found = self.ids[record] = len(self.values)
+            self.values.append(record)
+        return found
+
+    def identity(self, word: Word) -> int:
+        ids = tuple(self._column_id({row_key(g, self.rank): 1}) for g in generator_masks(word))
+        return self._intern((word, word, ids))
+
+    def extend(self, value: int, step: tuple[Word, Word]) -> int:
+        key = (value, step)
+        found = self.products.get(key)
+        if found is None:
+            step_mat = self.cm.step_matrix(*step)
+            memo = self.images.setdefault(step, {})
+            domain, _, col_ids = self.values[value]
+            ids = []
+            for i in col_ids:
+                j = memo.get(i)
+                if j is None:
+                    j = memo[i] = self._column_id(tagged_image(step_mat.cols, self.cols[i], self.rank))
+                ids.append(j)
+            found = self.products[key] = self._intern((domain, step_mat.codomain, tuple(ids)))
+        return found
+
+    def walk(self, vertices, value: int | None = None) -> int:
+        if value is None:
+            value = self.identity(vertices[0])
+        for step in zip(vertices, vertices[1:]):
+            value = self.extend(value, step)
+        return value
+
     def witness(self, a: int, b: int) -> tuple[int, BSElement, BSElement]:
-        return column_witness(self.values[a], self.values[b])
+        """The least basis mask on which two values of one shape differ, and their images of it."""
+        domain, codomain, ids_a = self.values[a]
+        for mask, i, j in zip(generator_masks(domain), ids_a, self.values[b][2]):
+            if i != j:
+                return mask, *(BSElement(self.rank, codomain, dict(self.cols[k])) for k in (i, j))
+        raise AssertionError("values differ but no generator column does")
 
 
 @lru_cache(maxsize=None)
@@ -163,9 +241,9 @@ def _right_mul_columns(word: Word, letter: int, rank: int) -> dict[int, dict]:
     return {m: tag_column(right_mul(BSElement.basis(word, m, rank), x).coeffs, rank) for m in range(1 << len(word))}
 
 
-def rebuild(pool, value: int) -> MorphismMatrix:
-    """A package pool value's whole matrix: a column whose mask sets free
-    bits is the generator column below it times their variables, on the right."""
+def rebuild(pool: RightGeneratorPool, value: int) -> MorphismMatrix:
+    """A value's whole matrix: a column whose mask sets free bits is the
+    generator column below it times their variables, on the right."""
     domain, codomain, ids = pool.values[value]
     rank = pool.rank
     free = free_slots(domain)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -11,15 +12,19 @@ from rexcalc.bsbimod import (
     BSElement,
     basis_degree,
     basis_slots,
+    bimodule_generator_masks,
+    constant_right_action,
     dot_cap,
     free_slots,
     from_tensor,
     generator_masks,
     left_mul,
     right_mul,
+    unled_masks,
 )
 from rexcalc.polyring import Polynomial
-from rexcalc.symgroup import all_permutations, reduced_words
+from rexcalc.rexgraph import graph_for_word
+from rexcalc.symgroup import all_permutations, longest_element, reduced_words
 
 from conftest import element, random_invariant, random_polynomial, random_reduced_word
 
@@ -259,3 +264,90 @@ def test_generator_masks_of_small_words():
     assert generator_masks((1, 2, 1)) == (0, 1, 2, 3)
     assert free_slots((1, 2, 3, 2, 1)) == 0b10000
     assert free_slots((3, 1, 2)) == 0b110  # x_3 does not slide across s_2
+
+
+# -- two-sided generators ----------------------------------------------------
+
+
+def _constant_parts(word, rank):
+    """Per variable x_l, per mask m: the constant parts of e_m * x_l by right_mul, as {mask: int}."""
+    return [
+        [
+            {n: p.constant_value() for n, p in right_mul(basis, x(l, rank)).coeffs.items() if p.is_constant()}
+            for basis in (BSElement.basis(word, m, rank) for m in range(1 << len(word)))
+        ]
+        for l in range(1, rank + 1)
+    ]
+
+
+def _rank_over_q(vectors):
+    """Rank over Q of integer vectors {mask: int}: sparse elimination with Fractions, rows led by their lowest mask."""
+    rows: dict[int, dict[int, Fraction]] = {}
+    for v in vectors:
+        v = {m: Fraction(c) for m, c in v.items() if c}
+        while v:
+            low = min(v)
+            row = rows.get(low)
+            if row is None:
+                rows[low] = {m: c / v[low] for m, c in v.items()}
+                break
+            f = v[low]
+            for m, c in row.items():
+                v[m] = v.get(m, 0) - f * c
+                if not v[m]:
+                    del v[m]
+    return len(rows)
+
+
+_TWO_SIDED_WORDS = [(w, 3) for perm in all_permutations(3) for w in reduced_words(perm) if len(w) >= 2] + [
+    (w, rank) for rank, seed in ((4, 40), (5, 50)) for w in _short_random_words(seed, rank, 6, max_len=7)
+]
+_TWO_SIDED_IDS = [f"{rank}-{''.join(map(str, w))}" for w, rank in _TWO_SIDED_WORDS]
+
+
+@pytest.mark.parametrize("word, rank", _TWO_SIDED_WORDS, ids=_TWO_SIDED_IDS)
+def test_constant_right_action_matches_right_mul(word, rank):
+    # the letter-by-letter recursion computes no normal form; right_mul does
+    assert constant_right_action(word, rank) == _constant_parts(word, rank)
+
+
+@pytest.mark.parametrize("word, rank", _TWO_SIDED_WORDS, ids=_TWO_SIDED_IDS)
+def test_bimodule_generators_are_a_basis_of_the_constants(word, rank):
+    # Q (x)_R BS (x)_R Q is Q^(2^k) modulo the constant parts of all e_m * x_l:
+    # the generators' basis vectors span it, and no fewer masks could
+    size = 1 << len(word)
+    relations = [v for xl in _constant_parts(word, rank) for v in xl]
+    gens = bimodule_generator_masks(word, rank)
+    assert _rank_over_q(relations + [{g: 1} for g in gens]) == size
+    assert len(gens) == size - _rank_over_q(relations)
+    assert gens[0] == 0 and set(gens) <= set(generator_masks(word))
+
+
+def test_halved_relations_give_the_generators_of_the_whole_word():
+    # the last letter needs no doubling: the prefix's relations under x_l
+    # (l not s, s + 1), sigma and pi lead the same masks as every relation
+    # of the whole word
+    rng = random.Random(7)
+    for _ in range(40):
+        rank = rng.randint(3, 6)
+        word = random_reduced_word(rng, rank)
+        relations = [v for xl in constant_right_action(word, rank) for v in xl]
+        assert bimodule_generator_masks(word, rank) == unled_masks(relations, 1 << len(word)), word
+
+
+def test_unled_masks_eliminates_exactly():
+    # the single entry takes mask 4 out; 2 e_1 + 3 e_2 and e_1 - e_2 + e_4 then span e_1 and e_2
+    assert unled_masks([{4: 1}, {1: 2, 2: 3}, {1: 1, 2: -1, 4: 1}], 8) == (0, 3, 5, 6, 7)
+    # a multiple of a row adds nothing
+    assert unled_masks([{1: 2, 2: 3}, {1: -4, 2: -6}], 4) == (0, 1, 3)
+
+
+def test_bimodule_generator_set_sizes_are_pinned():
+    words = ("12321", "121321", "1234321", "1213214321")
+    sizes = {w: len(bimodule_generator_masks(tuple(map(int, w)), int(max(w)) + 1)) for w in words}
+    assert sizes == {"12321": 4, "121321": 6, "1234321": 8, "1213214321": 34}
+    rex, conf = graph_for_word(longest_element(5), rank=5)
+    reps = [c.representative for c in conf.clouds]
+    counts = [len(bimodule_generator_masks(w, 5)) for w in reps]
+    assert len(reps) == 62 and sum(counts) == 2_024
+    assert all(27 <= c <= 40 for c in counts)

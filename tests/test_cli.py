@@ -141,6 +141,26 @@ def test_verify_zam(capsys):
     assert "True" in out
 
 
+def test_verify_zam_at_rank_five(capsys):
+    # all four source/sink identities and DUD = UDU hold on the longest element of S_5
+    code, out, _ = run(capsys, "verify", "zam", "--rank", "5", "--format", "json")
+    assert code == 0
+    assert json.loads(out) == {
+        "rank": 5,
+        "z_zb_z_equals_z": True,
+        "zb_z_zb_equals_zb": True,
+        "zb_z_idempotent": True,
+        "zb_z_proper": True,
+        "dud_equals_udu_all_pairs": True,
+    }
+
+
+@pytest.mark.parametrize("rank", ["2", "6"])
+def test_verify_zam_refuses_a_rank_outside_three_to_five(capsys, rank):
+    code, out, err = run(capsys, "verify", "zam", "--rank", rank)
+    assert (code, out, err) == (2, "", "error: the zam suite runs at rank 3 to 5\n")
+
+
 def test_verify_lemmas_json(capsys):
     code, out, _ = run(capsys, "verify", "lemmas", "--format", "json")
     assert code == 0

@@ -12,7 +12,15 @@ from conftest import matrix, random_reduced_word
 
 from rexcalc import cli, fpc
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix, edge_matrix, move_between
-from rexcalc.bsbimod import BSElement, free_slots, from_tensor, generator_masks, left_mul, right_mul
+from rexcalc.bsbimod import (
+    BSElement,
+    bimodule_generator_masks,
+    free_slots,
+    from_tensor,
+    generator_masks,
+    left_mul,
+    right_mul,
+)
 from rexcalc.polyring import Polynomial
 from rexcalc.rexgraph import (
     CONFLATED,
@@ -144,11 +152,43 @@ def test_shared_halves_match_per_pair_matrices_rank_four():
     assert fpc.check_dud_udu_all(4)
 
 
-def _pools_of(monkeypatch, check):
-    """What check() returned, and the package pools it made."""
+class _Mirrored(fpc._MatrixPool):
+    """The package pool, with every identity and extend repeated on the right-generator oracle pool.
+
+    Both intern in one order, so ids that agree call by call mean that two
+    walks get equal package ids exactly when they get equal oracle ids.
+    ``matrix`` rebuilds a value's whole matrix from the oracle, after
+    checking that each stored column is that matrix's column at its mask.
+    """
+
+    def __init__(self, cm):
+        super().__init__(cm)
+        self.oracle = oracle_fpc.RightGeneratorPool(cm)
+
+    def identity(self, word):
+        found = super().identity(word)
+        assert self.oracle.identity(word) == found
+        return found
+
+    def extend(self, value, step):
+        found = super().extend(value, step)
+        assert self.oracle.extend(value, step) == found
+        return found
+
+    def matrix(self, value):
+        mat = oracle_fpc.rebuild(self.oracle, value)
+        domain, codomain, ids = self.values[value]
+        assert (domain, codomain) == (mat.domain, mat.codomain)
+        masks = bimodule_generator_masks(domain, self.rank)
+        assert [self.cols[i] for i in ids] == [frozenset(mat.cols.get(g, {}).items()) for g in masks]
+        return mat
+
+
+def _pools_of(monkeypatch, check, pool_cls=_Mirrored):
+    """What check() returned, and the pools of pool_cls it made in place of the package pool."""
     pools = []
 
-    class Kept(fpc._MatrixPool):
+    class Kept(pool_cls):
         def __init__(self, cm):
             super().__init__(cm)
             pools.append(self)
@@ -180,7 +220,7 @@ def test_zam_identities_match_whole_matrix_products(monkeypatch, n):
         ((up, down, up), zb.compose(z).compose(zb)),
         ((down, up, down, up), zb.compose(z).compose(zb).compose(z)),
     ]:
-        assert oracle_fpc.rebuild(pool, pool.walk(_joined(*runs))) == want
+        assert pool.matrix(pool.walk(_joined(*runs))) == want
     assert len(pool.values) == size
 
 
@@ -201,8 +241,8 @@ def test_dud_udu_walks_match_per_pair_matrices(monkeypatch, n):
             # the pair's whole walks reuse the products the check memoized
             dud = pool.walk(_joined(run(x, tr, "down"), run(tr, sr, "up"), run(sr, y, "down")))
             udu = pool.walk(_joined(run(x, sr, "up"), run(sr, tr, "down"), run(tr, y, "up")))
-            assert oracle_fpc.rebuild(pool, dud) == oracle_fpc.dud_matrix(n, x, y)
-            assert oracle_fpc.rebuild(pool, udu) == oracle_fpc.udu_matrix(n, x, y)
+            assert pool.matrix(dud) == oracle_fpc.dud_matrix(n, x, y)
+            assert pool.matrix(udu) == oracle_fpc.udu_matrix(n, x, y)
             assert dud == udu
     assert len(pool.values) == size
 
@@ -307,8 +347,8 @@ def _search_with(monkeypatch, pool_cls, check):
             return found
 
     def matrix(pool, i):
-        # the oracle pool keeps a matrix per value; the package pool's is rebuilt
-        return pool.values[i] if pool_cls is oracle_fpc._MatrixPool else oracle_fpc.rebuild(pool, i)
+        # the oracle pool keeps a matrix per value; the package pool's is rebuilt by its mirror
+        return pool.values[i] if pool_cls is oracle_fpc._MatrixPool else pool.matrix(i)
 
     monkeypatch.setattr(fpc, "_MatrixPool", Logged)
     verdict = check()
@@ -316,7 +356,7 @@ def _search_with(monkeypatch, pool_cls, check):
 
 
 def _assert_same_search(monkeypatch, check):
-    verdict, ids, mats = _search_with(monkeypatch, fpc._MatrixPool, check)
+    verdict, ids, mats = _search_with(monkeypatch, _Mirrored, check)
     expected, oracle_ids, oracle_mats = _search_with(monkeypatch, oracle_fpc._MatrixPool, check)
     assert ids == oracle_ids
     assert mats == oracle_mats
@@ -401,7 +441,7 @@ def test_pool_budget_error_matches_oracle(monkeypatch, word, bound, budget):
 
 def _pool_work(monkeypatch, check):
     """Values, distinct columns, memoized products and memoized column images of check()."""
-    _, pools = _pools_of(monkeypatch, check)
+    _, pools = _pools_of(monkeypatch, check, fpc._MatrixPool)
     return (
         sum(len(pool.values) for pool in pools),
         sum(len(pool.cols) for pool in pools),
@@ -413,15 +453,16 @@ def _pool_work(monkeypatch, check):
 @pytest.mark.parametrize(
     "check, work",
     [
-        (fpc.check_s4_sweep, (503, 1_816, 902, 4_416)),
-        (lambda: fpc.check_refined_conjecture(4, 10), (390, 1_511, 764, 3_868)),
-        (lambda: (fpc.check_zam_identities(4), fpc.check_dud_udu_all(4)), (154, 917, 208, 1_750)),
+        (fpc.check_s4_sweep, (503, 458, 902, 1_157)),
+        (lambda: fpc.check_refined_conjecture(4, 10), (390, 333, 764, 958)),
+        (lambda: (fpc.check_zam_identities(4), fpc.check_dud_udu_all(4)), (154, 219, 208, 489)),
     ],
     ids=["s4-sweep", "refined-4", "zam-dud-4"],
 )
 def test_pool_work_counts_are_pinned(monkeypatch, check, work):
     # the searches' values and products are those of the whole-matrix pool;
-    # columns and column images count generator columns only
+    # columns and column images count two-sided generator columns, and the
+    # right-generator columns the S_4 sweep's witness walks
     assert _pool_work(monkeypatch, check) == work
 
 
@@ -432,24 +473,25 @@ def test_pool_interns_values_by_exact_content():
     s, t = source_sink(cm.conflated)
     c = next(cl for cl in cm.conflated.clouds if cl not in (s, t)).representative
     s, t = s.representative, t.representative
-    pool = fpc._MatrixPool(cm)
+    pool = _Mirrored(cm)
     ident = pool.identity(s)
     assert pool.identity(s) == ident
-    assert oracle_fpc.rebuild(pool, ident) == MorphismMatrix.identity(s, 4)
-    # a value stores one column id per generator mask, fewer than its columns
-    assert len(pool.values[ident][2]) == len(generator_masks(s)) < 1 << len(s)
+    assert pool.matrix(ident) == MorphismMatrix.identity(s, 4)
+    # a value stores one column id per two-sided generator mask, fewer than
+    # the right-generator masks, which are fewer than its columns
+    assert len(pool.values[ident][2]) == len(bimodule_generator_masks(s, 4)) < len(generator_masks(s)) < 1 << len(s)
     for (a, b), step in {**cm.forward, **cm.backward}.items():
-        assert oracle_fpc.rebuild(pool, pool.extend(pool.identity(a), (a, b))) == step
+        assert pool.matrix(pool.extend(pool.identity(a), (a, b))) == step
     p1, p2 = pool.walk([s, c, t, c]), pool.walk([s, c, t, c, s, c])
     assert p1 == p2
     assert pool.walk([s, c, t]) != p1
-    assert oracle_fpc.rebuild(pool, p1) == cm.path_matrix([s, c, t, c]) == cm.path_matrix([s, c, t, c, s, c])
+    assert pool.matrix(p1) == cm.path_matrix([s, c, t, c]) == cm.path_matrix([s, c, t, c, s, c])
     # extending a value is the product with the step, interned by content
-    mats = [oracle_fpc.rebuild(pool, v) for v in range(len(pool.values))]
+    mats = [pool.matrix(v) for v in range(len(pool.values))]
     assert all(a != b for a, b in combinations(mats, 2))
     for v, mat in enumerate(mats):
         for w in cm.conflated.links[mat.codomain]:
-            product = oracle_fpc.rebuild(pool, pool.extend(v, (mat.codomain, w)))
+            product = pool.matrix(pool.extend(v, (mat.codomain, w)))
             assert product == cm.step_matrix(mat.codomain, w).compose(mat)
 
 
@@ -470,7 +512,7 @@ def test_a_killed_generator_column_is_the_interned_empty_column():
     assert pool.cols[empty] == frozenset()
     (_, _, kept_ids), (_, _, zero_ids) = pool.values[kept], pool.values[zero]
     assert zero_ids == (empty,) + kept_ids[1:] and kept_ids[0] != empty
-    mask, image_kept, image_zero = pool.witness(kept, zero)
+    mask, image_kept, image_zero = pool.witness((a, "whole"), (a, "killed"))
     assert (mask, str(image_zero)) == (0, "0")
     assert image_kept == BSElement(3, b, whole.cols[0]) and image_zero == BSElement.zero(b, 3)
 
@@ -506,8 +548,8 @@ def test_step_matrices_are_right_linear_on_free_slots(words, rank):
     assert checked
 
 
-def _generator_columns(mat):
-    return [mat.cols.get(g) for g in generator_masks(mat.domain)]
+def _columns_at(mat, masks):
+    return [mat.cols.get(g) for g in masks]
 
 
 @pytest.mark.parametrize(
@@ -517,12 +559,15 @@ def _generator_columns(mat):
 def test_generator_columns_decide_path_matrix_equality(word, rank):
     cm = fpc._calculus(word, rank)
     mats = [cm.path_matrix(w) for w in _random_walks(cm.conflated, random.Random(len(word)), 40, 6)]
+    # right generators (the witness's columns) and two-sided generators (the
+    # pool's) alike
     outcomes = set()
     for a, b in combinations(mats, 2):
         if (a.domain, a.codomain) == (b.domain, b.codomain):
-            same = _generator_columns(a) == _generator_columns(b)
-            assert same == (a == b)
-            outcomes.add(same)
+            for masks in (generator_masks(a.domain), bimodule_generator_masks(a.domain, rank)):
+                same = _columns_at(a, masks) == _columns_at(b, masks)
+                assert same == (a == b)
+                outcomes.add(same)
     assert outcomes == {True, False}
 
 
@@ -545,12 +590,13 @@ def _random_walks(conf, rng, count, max_steps):
 def test_walk_matches_path_matrix(word, rank):
     cm = fpc._calculus(word, rank)
     walks = _random_walks(cm.conflated, random.Random(8), 16, 7)
-    pool = fpc._MatrixPool(cm)
+    pool = _Mirrored(cm)
     ids = [pool.walk(w) for w in walks]
     mats = [cm.path_matrix(w) for w in walks]
     for i, mat in zip(ids, mats):
-        assert oracle_fpc.rebuild(pool, i) == mat
-    # one id per matrix: walks get equal ids exactly when their matrices are equal
+        assert pool.matrix(i) == mat
+    # one id per matrix: walks get equal ids, package and oracle alike,
+    # exactly when their matrices are equal
     for a, b in combinations(range(len(walks)), 2):
         assert (ids[a] == ids[b]) == (mats[a] == mats[b])
 
@@ -566,20 +612,21 @@ def test_walk_matches_path_matrix(word, rank):
     ids=["every-s4-element", "13231", "1234321", "random-rank-5"],
 )
 def test_witness_matches_the_whole_matrix_witness(words, rank):
-    # the least differing column of two bimodule maps is a generator column,
-    # so the pool reads it without rebuilding either matrix
+    # the least differing column of two bimodule maps is a right-generator
+    # column, so the pool walks those alone along both paths, without
+    # building either matrix; the oracle pool reads it off its two values
     differing = 0
     for word in words:
         cm = fpc._calculus(word, rank)
         walks = _random_walks(cm.conflated, random.Random(len(word) + rank), 24, 6)
-        pool = fpc._MatrixPool(cm)
+        pool = _Mirrored(cm)
         ids = [pool.walk(w) for w in walks]
         for (wa, a), (wb, b) in combinations(zip(walks, ids), 2):
             if (wa[0], wa[-1]) != (wb[0], wb[-1]) or a == b:
                 continue
-            want = oracle_fpc.column_witness(oracle_fpc.rebuild(pool, a), oracle_fpc.rebuild(pool, b))
-            assert pool.witness(a, b) == want
-            assert want == oracle_fpc.column_witness(cm.path_matrix(wa), cm.path_matrix(wb))
+            want = oracle_fpc.column_witness(cm.path_matrix(wa), cm.path_matrix(wb))
+            assert pool.witness(wa, wb) == want
+            assert pool.oracle.witness(a, b) == want
             differing += 1
     assert differing
 

@@ -35,7 +35,7 @@ def test_run_verification_reports_every_suite_as_expected():
     assert proc.returncode == 0, proc.stderr
     header, *rows, verdict = proc.stdout.splitlines()
     assert verdict == "all verdicts as expected"
-    assert len(rows) == 13 and all(" ok " in row for row in rows)
+    assert len(rows) == 15 and all(" ok " in row for row in rows)
     # every label fits its column, so the verdict and time columns line up
     assert {len(row) for row in rows} == {len(header)}
 
