@@ -53,7 +53,7 @@ matrices already built by a first call, so they measure the path search
 alone: ``value_search`` on 12321, the S_4 counterexample, at bound 9
 (it stops after a few dozen steps), and ``value_search_w0`` on 121321,
 the longest element of S_4 (an 8-cloud cycle), at bound 20.  The
-12321 row includes walking its witness's right-generator columns.
+12321 row includes walking its witness's unit columns.
 For each, and for ``zam_walks``, ``search_work`` gives what the
 ``fpc._MatrixPool`` pools did, read by wrapping that class: interned
 values, distinct columns, memoized column images, and generated states

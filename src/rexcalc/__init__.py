@@ -8,7 +8,7 @@ morphisms (they do not always: the element 12321 of S_4 is the known
 exception, which the harness reproduces).
 """
 
-from .bsbimod import BSElement, basis_degree, dot_cap, from_tensor, left_mul, right_mul
+from .bsbimod import BSElement, dot_cap, from_tensor, left_mul, right_mul
 from .braidmor import (
     ConflatedMorphisms,
     MorphismMatrix,

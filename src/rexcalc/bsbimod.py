@@ -26,8 +26,7 @@ The grading convention shifts each factor by 1, so the basis tensor of
 mask e in a length-k word sits in degree 2*popcount(e) - k.
 
 A bimodule map is fixed by its images of a set of basis tensors that
-generates the bimodule.  ``generator_masks`` drops the masks that the
-right action alone reaches; ``bimodule_generator_masks`` finds a least
+generates the bimodule.  ``bimodule_generator_masks`` finds a least such
 set, by graded Nakayama: basis masks whose images span the constants
 Q (x)_R BS(w) (x)_R Q generate.  Q (x)_R BS(w) is Q^(2^k) on the masks,
 and right multiplication by x_l acts on it by the integer matrix X_l of
@@ -52,11 +51,6 @@ from typing import Mapping, Sequence
 
 from .polyring import Polynomial, Scalar, row_key, split_terms, tagged_image, term_sum, untag_column
 from .symgroup import Frozen, Word
-
-
-def basis_degree(mask: int, k: int) -> int:
-    """Degree of the normal-form basis tensor with the given mask."""
-    return 2 * int(mask).bit_count() - k
 
 
 def basis_slots(word, mask: int, coeff: Polynomial) -> list[Polynomial]:
@@ -113,16 +107,6 @@ class BSElement(Frozen):
     def __sub__(self, other: BSElement) -> BSElement:
         return self + (-other)
 
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def is_homogeneous_of_degree(self, d: int) -> bool:
-        k = len(self.word)
-        return all(
-            c.is_homogeneous_of_degree(d - basis_degree(mask, k))
-            for mask, c in self.coeffs.items()
-        )
-
     def __hash__(self) -> int:
         # Frozen compares the fields; the term map hashes as its items
         return hash((self.rank, self.word, frozenset(self.terms.items())))
@@ -175,29 +159,6 @@ def from_tensor(word, slots: Sequence[Polynomial], rank: int) -> BSElement:
     return BSElement(rank, word, state)
 
 
-def free_slots(word) -> int:
-    """Bitmask of the free slots of a word, bit j for the letter a = word[j].
-
-    Bit j is set when no later letter is a or a - 1.  Then x_a is
-    invariant under every later boundary, so right multiplication by x_a
-    slides into the slot after letter j: for a mask m with bit j clear,
-    e_m * x_a = e_{m | 1 << j} exactly.
-    """
-    return sum(1 << j for j, a in enumerate(word) if not {a, a - 1} & set(word[j + 1:]))
-
-
-def generator_masks(word) -> tuple[int, ...]:
-    """Masks with every free slot clear, in increasing order.
-
-    Their basis tensors generate the bimodule: setting a free bit j is
-    right multiplication by x_{word[j]}, so a bimodule map f satisfies
-    f(e_{m | 1 << j}) = f(e_m) * x_{word[j]} and is fixed by its values
-    on these masks.
-    """
-    free = free_slots(word)
-    return tuple(m for m in range(1 << len(word)) if not m & free)
-
-
 def constant_right_action(word, rank: int) -> list[list[dict[int, int]]]:
     """The matrices X_1, ..., X_rank of right multiplication on Q (x)_R BS(word).
 
@@ -248,8 +209,7 @@ def bimodule_generator_masks(word: Word, rank: int) -> tuple[int, ...]:
     The relations of Q (x)_R BS(w s) (x)_R Q are the images of the
     prefix's masks under X_l (l not s, s + 1), X_sigma and X_pi; the masks
     that lead no relation in their span are the generators.  Each has the
-    last bit clear, mask 0 is always one, and they are a subset of
-    ``generator_masks``.
+    last bit clear, and mask 0 is always one.
     """
     if not word:
         return (0,)

@@ -22,9 +22,8 @@ that every matrix product runs (``polyring.tagged_image``), with no
 polynomial object built per entry.
 A verdict is either Holds or a reproducible counterexample consisting of
 two concrete paths plus the least basis column on which their matrices
-differ.  That column is always a right-generator column
-(``bsbimod.generator_masks``), and the witness walks those columns one at
-a time along both paths, through the same column memos.
+differ; the witness walks the unit columns one at a time along both
+paths, in mask order, through the same column memos.
 
 The same engine, tracking only visits to the source and sink, checks
 the refined statement that any two paths through both extremes with
@@ -46,7 +45,7 @@ from collections import deque
 from functools import lru_cache
 from typing import NamedTuple
 
-from .bsbimod import BSElement, bimodule_generator_masks, dot_cap, from_tensor, generator_masks
+from .bsbimod import BSElement, bimodule_generator_masks, dot_cap, from_tensor
 from .braidmor import ConflatedMorphisms, path_morphism
 from .polyring import Polynomial, Scalar, row_key, tagged_image
 from .rexgraph import (
@@ -127,8 +126,8 @@ class _MatrixPool:
     multiply-accumulate loop over the tagged terms
     (``polyring.tagged_image``).  ``walk`` extends a value step by step,
     so walks share their prefixes' products.  ``witness`` takes two walks
-    and carries single right-generator columns along both through the
-    same memos, in mask order, up to the first that differs.  The pool
+    and carries single unit columns along both through the same memos,
+    in mask order, up to the first that differs.  The pool
     only interns: a search that must stop at a budget reads
     ``len(values)`` itself.
     """
@@ -196,13 +195,10 @@ class _MatrixPool:
     def witness(self, path_a, path_b) -> tuple[int, BSElement, BSElement]:
         """The least basis mask on which the maps of two walks from one start to one end differ, and both images.
 
-        A column whose mask sets free bits is the right-generator column
-        below it times their variables on the right, so the least
-        differing column is a right-generator column
-        (``bsbimod.generator_masks``).  Each is walked alone along both
-        paths, in mask order, through the steps' column memos.
+        Each basis mask's unit column is walked alone along both paths, in
+        increasing mask order, through the steps' column memos.
         """
-        for mask in generator_masks(path_a[0]):
+        for mask in range(1 << len(path_a[0])):
             ends = []
             for path in (path_a, path_b):
                 codomain, ids = path[0], (self._column_id({row_key(mask, self.rank): 1}),)

@@ -84,10 +84,6 @@ class Path(Frozen):
     def start(self) -> Word:
         return self.vertices[0]
 
-    @property
-    def end(self) -> Word:
-        return self.vertices[-1]
-
 
 class RexGraph(Frozen):
     """Expanded expressions graph: reduced words joined by braid moves.
@@ -110,9 +106,6 @@ class RexGraph(Frozen):
         adjacency: dict[Word, tuple[tuple[Word, BraidMove], ...]],
     ):
         self._init(rank, element, words, edges, adjacency)
-
-    def neighbors(self, w: Word) -> tuple[tuple[Word, BraidMove], ...]:
-        return self.adjacency[w]
 
     def distant_neighbors(self, w: Word) -> list[tuple[Word, BraidMove]]:
         return [(v, m) for v, m in self.adjacency[w] if m.kind == DISTANT]
@@ -190,18 +183,8 @@ class ConflatedGraph(Frozen):
             links[b][a] = (e, False)
         return {a: dict(sorted(out.items(), key=itemgetter(0))) for a, out in links.items()}
 
-    def edge_between(self, a: Cloud, b: Cloud) -> tuple[ConflatedEdge, bool] | None:
-        """The unique edge joining a and b, plus whether a -> b follows it forward."""
-        return self.links[a.representative].get(b.representative)
-
     def neighbors(self, c: Cloud) -> list[Cloud]:
         return [self.cloud_of[b] for b in self.links[c.representative]]
-
-    def out_neighbors(self, c: Cloud) -> list[Cloud]:
-        return [self.cloud_of[b] for b, (_, fwd) in self.links[c.representative].items() if fwd]
-
-    def in_neighbors(self, c: Cloud) -> list[Cloud]:
-        return [self.cloud_of[b] for b, (_, fwd) in self.links[c.representative].items() if not fwd]
 
 
 def build_rex_graph(perm: Permutation) -> RexGraph:
@@ -295,11 +278,11 @@ def source_sink(conflated: ConflatedGraph) -> tuple[Cloud, Cloud]:
     """The unique source and sink of the orientation."""
     if conflated.source is not None and conflated.sink is not None:
         return conflated.source, conflated.sink
-    sources = [c for c in conflated.clouds if not conflated.in_neighbors(c)]
-    sinks = [c for c in conflated.clouds if not conflated.out_neighbors(c)]
-    raise NonUniqueOrientationError(
-        [c.representative for c in sources], [c.representative for c in sinks]
-    )
+    # a cloud is a source when it follows every link forward, a sink when none
+    links = conflated.links
+    sources = [a for a, out in links.items() if all(fwd for _, fwd in out.values())]
+    sinks = [a for a, out in links.items() if not any(fwd for _, fwd in out.values())]
+    raise NonUniqueOrientationError(sources, sinks)
 
 
 def cloud_aliases(conflated: ConflatedGraph) -> dict[str, Word]:
@@ -348,7 +331,7 @@ def lift_conflated_path(conflated: ConflatedGraph, graph: RexGraph, path: Path) 
     current = seq[0].representative
     lifted: list[Word] = [current]
     for a, b in zip(seq, seq[1:]):
-        found = conflated.edge_between(a, b)
+        found = conflated.links[a.representative].get(b.representative)
         if found is None:
             raise ValueError(f"no conflated edge between {a} and {b}")
         edge, forward = found

@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from rexcalc.braidmor import MorphismMatrix
 from rexcalc.bsbimod import BSElement
-from rexcalc.polyring import Polynomial, tag_column
+from rexcalc.polyring import Polynomial, Scalar, row_key
 from rexcalc.symgroup import Permutation, braid_moves
 
 
@@ -27,6 +27,34 @@ def random_polynomial(
     return Polynomial(rank, terms)
 
 
+def tag_column(col: dict[int, Polynomial], rank: int) -> dict[int, Scalar]:
+    """A column {row: polynomial} as one tagged term map {row_key(row) | monomial: coefficient}."""
+    return {row_key(r, rank) | m: c for r, p in col.items() for m, c in p.terms.items()}
+
+
+def tagged_degrees(terms, rank: int) -> set[int]:
+    """The degrees of a tagged map's terms: twice the total degree of the monomial plus twice the row's popcount.
+
+    A basis tensor of mask e in a word of length k sits in degree
+    2 * popcount(e) - k, so an element of that word is homogeneous of
+    degree d when the set lies within {d + k}, and a degree-0 matrix's
+    column c lies within {2 * popcount(c)}.
+    """
+    shift = row_key(1, rank).bit_length() - 1
+    width = shift // (rank + 1)
+    return {2 * (k >> rank * width & (1 << width) - 1) + 2 * (k >> shift).bit_count() for k in terms}
+
+
+def preserves_degree(mat: MorphismMatrix) -> bool:
+    """Whether every entry of a matrix sits in degree 2 * (popcount(column) - popcount(row))."""
+    return all(tagged_degrees(col, mat.rank) <= {2 * c.bit_count()} for c, col in mat.cols.items())
+
+
+def swap(p: Polynomial, i: int) -> Polynomial:
+    """p with x_i and x_{i+1} exchanged: the simple reflection s_i acting on it."""
+    return Polynomial(p.rank, {m[: i - 1] + (m[i], m[i - 1]) + m[i + 1 :]: c for m, c in p.iter_terms()})
+
+
 def element(rank: int, word, coeffs: dict[int, Polynomial]) -> BSElement:
     """The element with the coefficients {mask: Polynomial}, through its stored tagged form."""
     return BSElement(rank, word, tag_column(coeffs, rank))
@@ -40,7 +68,7 @@ def matrix(rank: int, domain, codomain, cols: dict[int, dict[int, Polynomial]]) 
 def random_invariant(rng: random.Random, rank: int, i: int) -> Polynomial:
     """A random polynomial fixed by the simple reflection s_i."""
     p = random_polynomial(rng, rank)
-    return p + p.swap(i)
+    return p + swap(p, i)
 
 
 def random_permutation(rng: random.Random, n: int) -> Permutation:

@@ -19,8 +19,9 @@
 # (dud_udu_pairs) and the per-pair matrices, each rebuilding all three runs
 # of one pair; the value-search pool that preceded two-sided generator
 # columns in rexcalc.fpc (RightGeneratorPool: a value stored by its columns
-# at the right-generator masks of bsbimod.generator_masks, with the
-# witness read off two values), a value of it rebuilt as its whole matrix
+# at the right-generator masks, with the witness read off two values), the
+# free slots and right-generator masks it stores values by (free_slots,
+# generator_masks; once in rexcalc.bsbimod), a value of it rebuilt as its whole matrix
 # (rebuild), and the witness read off two whole matrices column by column.
 # Also path_morphism as it was before distant moves became row-bit swaps:
 # every move's edge matrix built and multiplied in, adjacent or distant.
@@ -31,12 +32,13 @@ from __future__ import annotations
 from functools import lru_cache
 
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix, edge_matrix, move_between
-from rexcalc.bsbimod import BSElement, free_slots, generator_masks, right_mul
+from rexcalc.bsbimod import BSElement, right_mul
 from rexcalc.fpc import ZamReport, _longest
 from rexcalc.rexgraph import Cloud, ConflatedGraph, Path, oriented_run
-from rexcalc.polyring import Polynomial, Scalar, row_key, tag_column, tagged_image
+from rexcalc.polyring import Polynomial, Scalar, row_key, tagged_image
 from rexcalc.symgroup import Word
 
+from conftest import tag_column
 from oracle_polyring import Polynomial as SeedPolynomial
 
 
@@ -161,11 +163,34 @@ class _MatrixPool:
         return column_witness(self.cm.path_matrix(path_a), self.cm.path_matrix(path_b))
 
 
+def free_slots(word) -> int:
+    """Bitmask of the free slots of a word, bit j for the letter a = word[j].
+
+    Bit j is set when no later letter is a or a - 1.  Then x_a is
+    invariant under every later boundary, so right multiplication by x_a
+    slides into the slot after letter j: for a mask m with bit j clear,
+    e_m * x_a = e_{m | 1 << j} exactly.
+    """
+    return sum(1 << j for j, a in enumerate(word) if not {a, a - 1} & set(word[j + 1:]))
+
+
+def generator_masks(word) -> tuple[int, ...]:
+    """Masks with every free slot clear, in increasing order: the right-generator masks.
+
+    Their basis tensors generate the bimodule: setting a free bit j is
+    right multiplication by x_{word[j]}, so a bimodule map f satisfies
+    f(e_{m | 1 << j}) = f(e_m) * x_{word[j]} and is fixed by its values
+    on these masks.
+    """
+    free = free_slots(word)
+    return tuple(m for m in range(1 << len(word)) if not m & free)
+
+
 class RightGeneratorPool:
     """Interns walk values by their columns at the right-generator masks of their domain.
 
     Every value is a bimodule map, so its columns at the masks of
-    ``bsbimod.generator_masks`` fix it: any other column is one of them
+    ``generator_masks`` fix it: any other column is one of them
     times variables on the right.  A column is the frozenset of its tagged
     terms and gets an id by content; a value is the record (domain,
     codomain, column ids), which is also its key, and a step maps a

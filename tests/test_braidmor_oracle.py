@@ -114,7 +114,7 @@ def _walks(rng, rex, count):
         else:
             walk = [start]
         for _ in range(0 if k % 4 == 3 else rng.randint(1, 8)):
-            walk.append(rng.choice(rex.neighbors(walk[-1]))[0])
+            walk.append(rng.choice(rex.adjacency[walk[-1]])[0])
         if k % 4 >= 2:
             walk += _distant_run(rng, rex, walk[-1], rng.randint(1, 4))[1:]
         yield Path(EXPANDED, tuple(walk))

@@ -10,14 +10,11 @@ from hypothesis import given, settings, strategies as st
 
 from rexcalc.bsbimod import (
     BSElement,
-    basis_degree,
     basis_slots,
     bimodule_generator_masks,
     constant_right_action,
     dot_cap,
-    free_slots,
     from_tensor,
-    generator_masks,
     left_mul,
     right_mul,
     unled_masks,
@@ -26,7 +23,8 @@ from rexcalc.polyring import Polynomial
 from rexcalc.rexgraph import graph_for_word
 from rexcalc.symgroup import all_permutations, longest_element, reduced_words
 
-from conftest import element, random_invariant, random_polynomial, random_reduced_word
+from conftest import element, random_invariant, random_polynomial, random_reduced_word, swap, tagged_degrees
+from oracle_fpc import free_slots, generator_masks
 
 
 def x(i, rank=4):
@@ -49,7 +47,7 @@ def test_one_tensor_x2_normal_form():
     pi1 = e.coeffs[1]
     assert pi0 == x(1) + x(2)
     assert pi1 == Polynomial.constant(-1, 4)
-    assert pi0.is_invariant(1) and pi1.is_invariant(1)
+    assert swap(pi0, 1) == pi0 and swap(pi1, 1) == pi1
     # reassembling the slid parts recovers the original slot polynomial
     assert pi0 + pi1 * x(1) == x(2)
 
@@ -193,16 +191,15 @@ def test_dot_caps_separate_the_two_images():
     assert d_x3 != d_x2
 
 
-def test_basis_degree():
-    assert basis_degree(0, 5) == -5
-    assert basis_degree(0b00100, 5) == -3
-    assert basis_degree(0, 1) == -1
-
-
 def test_homogeneity_check():
+    # 1 (x) x_2 in B_1 sits in degree 1: each term's tagged degree is 1 + k
     e = from_tensor((1,), (one(), x(2)), 4)
-    assert e.is_homogeneous_of_degree(1)  # degree of 1 (x) x_2 in B_1
-    assert not e.is_homogeneous_of_degree(3)
+    assert e.coeffs == {0: x(1) + x(2), 1: Polynomial.constant(-1, 4)}
+    assert tagged_degrees(e.terms, 4) == {1 + 1}
+    # x_1 x_2 at mask 101 of a word of length 3 sits in degree 4 + 2 * 2 - 3
+    assert tagged_degrees(element(4, (1, 2, 1), {0b101: x(1) * x(2)}).terms, 4) == {5 + 3}
+    assert tagged_degrees(element(4, (1, 2, 1), {0: x(1), 0b111: one()}).terms, 4) == {2, 6}
+    assert tagged_degrees(BSElement.zero((1,), 4).terms, 4) == set()
 
 
 def test_equality_is_canonical():

@@ -17,10 +17,10 @@ import pytest
 
 from rexcalc.braidmor import apply_edge, edge_matrix
 from rexcalc.bsbimod import BSElement, dot_cap, from_tensor, left_mul, right_mul
-from rexcalc.polyring import Polynomial, tag_column
+from rexcalc.polyring import Polynomial
 from rexcalc.symgroup import braid_moves
 
-from conftest import random_polynomial, random_reduced_word
+from conftest import random_polynomial, random_reduced_word, tag_column
 
 
 def small_polynomial(rng: random.Random, rank: int) -> Polynomial:
@@ -74,7 +74,7 @@ def test_sum_difference_and_negation_match_the_oracle(seed):
         assert (a + b).coeffs == oracle.add(a.coeffs, b.coeffs)
         assert (-a).coeffs == oracle.neg(a.coeffs)
         assert (a - b).coeffs == oracle.add(a.coeffs, oracle.neg(b.coeffs))
-        assert (a - a).is_zero() and (a - a).terms == {}
+        assert (a - a).terms == {}
 
 
 @pytest.mark.parametrize("seed", [1, 2, 3])

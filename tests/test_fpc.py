@@ -9,18 +9,11 @@ from types import SimpleNamespace
 import oracle_fpc
 import pytest
 from conftest import matrix, random_reduced_word
+from oracle_fpc import free_slots, generator_masks
 
 from rexcalc import cli, fpc
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix, edge_matrix, move_between
-from rexcalc.bsbimod import (
-    BSElement,
-    bimodule_generator_masks,
-    free_slots,
-    from_tensor,
-    generator_masks,
-    left_mul,
-    right_mul,
-)
+from rexcalc.bsbimod import BSElement, bimodule_generator_masks, from_tensor, left_mul, right_mul
 from rexcalc.polyring import Polynomial
 from rexcalc.rexgraph import (
     CONFLATED,
@@ -462,7 +455,7 @@ def _pool_work(monkeypatch, check):
 def test_pool_work_counts_are_pinned(monkeypatch, check, work):
     # the searches' values and products are those of the whole-matrix pool;
     # columns and column images count two-sided generator columns, and the
-    # right-generator columns the S_4 sweep's witness walks
+    # unit columns the S_4 sweep's witness walks
     assert _pool_work(monkeypatch, check) == work
 
 
@@ -559,8 +552,8 @@ def _columns_at(mat, masks):
 def test_generator_columns_decide_path_matrix_equality(word, rank):
     cm = fpc._calculus(word, rank)
     mats = [cm.path_matrix(w) for w in _random_walks(cm.conflated, random.Random(len(word)), 40, 6)]
-    # right generators (the witness's columns) and two-sided generators (the
-    # pool's) alike
+    # right generators (the oracle pool's columns) and two-sided generators
+    # (the package pool's) alike
     outcomes = set()
     for a, b in combinations(mats, 2):
         if (a.domain, a.codomain) == (b.domain, b.codomain):
@@ -612,9 +605,10 @@ def test_walk_matches_path_matrix(word, rank):
     ids=["every-s4-element", "13231", "1234321", "random-rank-5"],
 )
 def test_witness_matches_the_whole_matrix_witness(words, rank):
-    # the least differing column of two bimodule maps is a right-generator
-    # column, so the pool walks those alone along both paths, without
-    # building either matrix; the oracle pool reads it off its two values
+    # the pool walks each unit column alone along both paths, in mask
+    # order, without building either matrix; the least differing column of
+    # two bimodule maps is a right-generator column, so the oracle pool
+    # reads it off its two values
     differing = 0
     for word in words:
         cm = fpc._calculus(word, rank)
