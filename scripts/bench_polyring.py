@@ -32,12 +32,16 @@ the cached tables cleared before each repeat.  Its 24 distant moves form
 12 runs, each applied as one mask permutation: 6 lead a step and are
 read through by its edge matrix's columns, and 6 end a step and relabel
 its rows.  The graph rows time, best of
-``GRAPH_REPEAT`` runs and in nanoseconds, ``reduced_words``,
-``build_rex_graph`` and ``build_conflated`` on the element 121321432154 of
-S_6 (5,775 words, 17,486 edges, 82 clouds), and the writing of its
-``rexcalc graph --format json`` (``emit_graph_json``) and ``rexcalc graph
---conflated --format json`` (``emit_conflated_json``) documents into
-/dev/null by ``cli.write_graph_json``, the writer ``cmd_graph`` uses.
+``GRAPH_REPEAT`` runs and in nanoseconds, ``braid_closure`` (the closure
+``build_rex_graph`` takes as its adjacency), ``build_rex_graph`` and
+``build_conflated`` on the element 121321432154 of S_6 (5,775 words,
+17,486 edges, 82 clouds), and the writing of its ``rexcalc graph --format
+json`` (``emit_graph_json``) and ``rexcalc graph --conflated --format
+json`` (``emit_conflated_json``) documents into /dev/null by
+``cli.write_graph_json``, the writer ``cmd_graph`` uses.
+``graph_peak_kb`` is the ``tracemalloc`` peak, in kB, of one
+``build_rex_graph`` and ``build_conflated`` of that element, taken after
+the rows: the memory the two graphs and their construction hold at once.
 ``generator_sets`` times one cold ``bsbimod.bimodule_generator_masks``
 (its cache cleared before each repeat) of each of the 8 cloud
 representatives of the longest element of S_4 and of 123543215 at rank 6,
@@ -97,6 +101,7 @@ import random
 import subprocess
 import sys
 import time
+import tracemalloc
 
 # the benchmark launcher's meter loop and CPU choice, so both tools read alike
 PERFBENCH = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "perfbench")
@@ -118,7 +123,7 @@ from rexcalc import (
 )
 from rexcalc.polyring import split_terms
 from rexcalc.rexgraph import build_conflated, build_rex_graph
-from rexcalc.symgroup import longest_element, reduced_words, word_to_perm
+from rexcalc.symgroup import braid_closure, longest_element, word_to_perm
 
 RANK = 4
 
@@ -322,12 +327,23 @@ def graph_layer_rows() -> dict:
             cli.write_graph_json(GRAPH_WORD, graph, sink)
 
     return {
-        "reduced_words": (lambda: run_ns(lambda: reduced_words(perm), 1), GRAPH_REPEAT),
+        "braid_closure": (lambda: run_ns(lambda: braid_closure(perm), 1), GRAPH_REPEAT),
         "build_rex_graph": (lambda: run_ns(lambda: build_rex_graph(perm), 1), GRAPH_REPEAT),
         "build_conflated": (lambda: run_ns(lambda: build_conflated(rex), 1), GRAPH_REPEAT),
         "emit_graph_json": (lambda: run_ns(lambda: emit_json(rex), 1), GRAPH_REPEAT),
         "emit_conflated_json": (lambda: run_ns(lambda: emit_json(conf), 1), GRAPH_REPEAT),
     }
+
+
+def graph_peak_kb() -> float:
+    """The tracemalloc peak of building both graphs of GRAPH_WORD, in kB."""
+    perm = word_to_perm(GRAPH_WORD, 6)
+    tracemalloc.start()
+    try:
+        build_conflated(build_rex_graph(perm))
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
 
 
 def search_work(check) -> dict:
@@ -429,6 +445,7 @@ def main() -> int:
     for name, (once, repeat) in rows.items():
         result[name], per_loop[name] = measure(once, repeat)
     result["per_meter_loop"] = per_loop
+    result["graph_peak_kb"] = graph_peak_kb()
     checks = {
         name: lambda word=word, bound=bound: fpc.check_fpc(word, bound, rank=RANK)
         for name, (word, bound) in SEARCHES.items()

@@ -16,19 +16,17 @@ a unique source and sink.
 Paths are vertex sequences; the length of a path is the number of
 vertices it lists.  A complete path visits every vertex at least once.
 
-Construction takes the words and each word's moves from one
-``braid_closure``, which finds every word's moves once.  Each word's
-neighbour list is sorted once and the edge list is read off those lists
-in word order, so no global sort is needed; clouds grow from the words in
-order, and conflation keys cloud pairs by their representatives.  The
-conflated graph's adjacency is one link map, ``ConflatedGraph.links``,
-built once from its edges; every accessor and walker reads it.
+Each graph is stored in one form.  The expanded graph's adjacency is
+its element's ``braid_closure``, which holds each reduced word as one
+object, and its edges are read off the adjacency.  Clouds grow from the
+words in order, conflation keys cloud pairs by their representatives,
+and the conflated graph's one link map, ``ConflatedGraph.links``, is
+what every accessor and walker, ``source_sink`` included, reads.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from functools import cached_property
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -56,7 +54,8 @@ class NonUniqueOrientationError(ValueError):
     def __init__(self, sources: Sequence[Word], sinks: Sequence[Word]):
         self.sources = tuple(sources)
         self.sinks = tuple(sinks)
-        super().__init__(f"sources {self.sources}, sinks {self.sinks}")
+        sources, sinks = (", ".join(map(word_label, words)) for words in (self.sources, self.sinks))
+        super().__init__(f"sources {{{sources}}}, sinks {{{sinks}}}")
 
 
 class NoDirectSubpathError(ValueError):
@@ -88,12 +87,12 @@ class Path(Frozen):
 class RexGraph(Frozen):
     """Expanded expressions graph: reduced words joined by braid moves.
 
-    ``edges`` is the canonical edge list: u < v lexicographically, and
-    the move rewrites u into v.  ``adjacency[u]`` lists (v, move u -> v)
-    sorted by v.  Two graphs are equal only if they are one object.
+    ``adjacency[u]`` lists (v, move u -> v) sorted by v, for the words u
+    in ascending order, and every v is the adjacency's own key object.
+    Two graphs are equal only if they are one object.
     """
 
-    __slots__ = ("rank", "element", "words", "edges", "adjacency")
+    __slots__ = ("rank", "element", "words", "adjacency")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -102,10 +101,14 @@ class RexGraph(Frozen):
         rank: int,
         element: Permutation,
         words: tuple[Word, ...],
-        edges: tuple[tuple[Word, Word, BraidMove], ...],
         adjacency: dict[Word, tuple[tuple[Word, BraidMove], ...]],
     ):
-        self._init(rank, element, words, edges, adjacency)
+        self._init(rank, element, words, adjacency)
+
+    @property
+    def edges(self) -> Iterator[tuple[Word, Word, BraidMove]]:
+        """The canonical edges (u, v, move u -> v), u < v, read off the adjacency in ascending order."""
+        return ((u, v, move) for u, neighbours in self.adjacency.items() for v, move in neighbours if u < v)
 
     def distant_neighbors(self, w: Word) -> list[tuple[Word, BraidMove]]:
         return [(v, m) for v, m in self.adjacency[w] if m.kind == DISTANT]
@@ -146,11 +149,12 @@ class ConflatedEdge(NamedTuple):
 class ConflatedGraph(Frozen):
     """Quotient of the expanded graph by distant edges, MS-oriented.
 
-    Two graphs are equal only if they are one object.  The ``__dict__``
-    slot holds the cached ``links``.
+    ``links[a][b]`` is (the edge joining the clouds of representatives a
+    and b, whether a -> b follows it), keyed in ascending order at both
+    levels.  Two graphs are equal only if they are one object.
     """
 
-    __slots__ = ("rank", "element", "clouds", "edges", "cloud_of", "source", "sink", "__dict__")
+    __slots__ = ("rank", "element", "clouds", "edges", "cloud_of", "links")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -161,27 +165,12 @@ class ConflatedGraph(Frozen):
         clouds: tuple[Cloud, ...],
         edges: tuple[ConflatedEdge, ...],
         cloud_of: dict[Word, Cloud],
-        source: Cloud | None,
-        sink: Cloud | None,
+        links: dict[Word, dict[Word, tuple[ConflatedEdge, bool]]],
     ):
-        self._init(rank, element, clouds, edges, cloud_of, source, sink)
+        self._init(rank, element, clouds, edges, cloud_of, links)
 
     def cloud(self, word) -> Cloud:
         return self.cloud_of[tuple(word)]
-
-    @cached_property
-    def links(self) -> dict[Word, dict[Word, tuple[ConflatedEdge, bool]]]:
-        """links[a][b] = (the edge joining a and b, whether a -> b follows it).
-
-        Keyed by cloud representatives, in ascending order in links and in
-        each links[a].
-        """
-        links = {a: {} for a in sorted(c.representative for c in self.clouds)}
-        for e in self.edges:
-            a, b = e.source.representative, e.target.representative
-            links[a][b] = (e, True)
-            links[b][a] = (e, False)
-        return {a: dict(sorted(out.items(), key=itemgetter(0))) for a, out in links.items()}
 
     def neighbors(self, c: Cloud) -> list[Cloud]:
         return [self.cloud_of[b] for b in self.links[c.representative]]
@@ -189,18 +178,8 @@ class ConflatedGraph(Frozen):
 
 def build_rex_graph(perm: Permutation) -> RexGraph:
     """Construct the expanded expressions graph of a permutation."""
-    closure = braid_closure(perm)
-    words = tuple(sorted(closure))
-    adjacency: dict[Word, tuple[tuple[Word, BraidMove], ...]] = {}
-    edges = []
-    for w in words:
-        # no two moves give one word (their windows differ), so sorting by
-        # the neighbour word alone keeps the (position, kind) tie-break
-        neigh = sorted([(w2, move) for move, w2 in closure[w]], key=itemgetter(0))
-        adjacency[w] = tuple(neigh)
-        # words ascend and each neighbour list ascends, so edges come sorted
-        edges.extend((w, w2, move) for w2, move in neigh if w < w2)
-    return RexGraph(rank=perm.n, element=perm, words=words, edges=tuple(edges), adjacency=adjacency)
+    adjacency = braid_closure(perm)
+    return RexGraph(rank=perm.n, element=perm, words=tuple(adjacency), adjacency=adjacency)
 
 
 def clouds(graph: RexGraph) -> list[Cloud]:
@@ -255,34 +234,36 @@ def build_conflated(graph: RexGraph) -> ConflatedGraph:
         # the quotient orientation is proper; two directions between one
         # cloud pair would contradict that
         raise AssertionError("conflicting orientation between clouds")
-    edges = [
+    edges = tuple(
         ConflatedEdge(cloud_of[a], cloud_of[b], u, v, move)
         for (a, b), (u, v, move) in sorted(retained.items(), key=itemgetter(0))
-    ]
-    has_in = {a for _, a in retained}
-    has_out = {a for a, _ in retained}
-    sources = [c for c in cloud_list if c.representative not in has_in]
-    sinks = [c for c in cloud_list if c.representative not in has_out]
+    )
+    # the clouds come sorted; each links[a] is sorted once filled
+    links = {c.representative: {} for c in cloud_list}
+    for e in edges:
+        a, b = e.source.representative, e.target.representative
+        links[a][b] = (e, True)
+        links[b][a] = (e, False)
+    links = {a: dict(sorted(out.items(), key=itemgetter(0))) for a, out in links.items()}
     return ConflatedGraph(
         rank=graph.rank,
         element=graph.element,
         clouds=tuple(cloud_list),
-        edges=tuple(edges),
+        edges=edges,
         cloud_of=cloud_of,
-        source=sources[0] if len(sources) == 1 else None,
-        sink=sinks[0] if len(sinks) == 1 else None,
+        links=links,
     )
 
 
 def source_sink(conflated: ConflatedGraph) -> tuple[Cloud, Cloud]:
-    """The unique source and sink of the orientation."""
-    if conflated.source is not None and conflated.sink is not None:
-        return conflated.source, conflated.sink
+    """The unique source and sink of the orientation, read off the link map."""
     # a cloud is a source when it follows every link forward, a sink when none
     links = conflated.links
     sources = [a for a, out in links.items() if all(fwd for _, fwd in out.values())]
     sinks = [a for a, out in links.items() if not any(fwd for _, fwd in out.values())]
-    raise NonUniqueOrientationError(sources, sinks)
+    if len(sources) != 1 or len(sinks) != 1:
+        raise NonUniqueOrientationError(sources, sinks)
+    return conflated.cloud_of[sources[0]], conflated.cloud_of[sinks[0]]
 
 
 def cloud_aliases(conflated: ConflatedGraph) -> dict[str, Word]:

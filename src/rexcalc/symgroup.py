@@ -9,8 +9,8 @@ Two reduced words of the same element differ by a chain of braid moves:
 the adjacent relation s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1} and the
 distant relation s_i s_j = s_j s_i for |i - j| >= 2.  The closure of one
 reduced word under single braid moves is the full set of reduced words:
-``braid_closure`` maps each of them to its moves, found once per word, and
-``reduced_words`` is its sorted key list.
+``braid_closure`` maps each of them, in order, to its neighbours, each
+word held once, and ``reduced_words`` is its key list.
 
 ``braid_moves`` rewrites each matching window of a word directly, slicing
 the result together, and takes its ``BraidMove`` values from a small
@@ -28,6 +28,7 @@ so every word of a graph shares the few instances of each position.
 from __future__ import annotations
 
 from functools import cache, reduce
+from operator import itemgetter
 
 Word = tuple[int, ...]
 
@@ -40,8 +41,7 @@ class Frozen:
     afterwards raises AttributeError.  Records compare and hash by their
     fields, in slot order, and print as ``Name(field=value, ...)``; a class
     that sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``
-    compares by identity instead, and one that lists a ``__dict__`` slot can
-    hold a ``cached_property``.
+    compares by identity instead.
     """
 
     __slots__ = ()
@@ -57,8 +57,7 @@ class Frozen:
         raise AttributeError(f"cannot delete field {name!r} of {type(self).__name__}")
 
     def _values(self) -> tuple:
-        # a __dict__ slot is not a field
-        return tuple(getattr(self, name) for name in self.__slots__ if name != "__dict__")
+        return tuple(getattr(self, name) for name in self.__slots__)
 
     def __reduce__(self):
         # copy and pickle rebuild a record through __init__, as __setattr__ refuses
@@ -274,33 +273,43 @@ def _seed_reduced_word(perm: Permutation) -> Word:
 MAX_REDUCED_WORDS = 50_000
 
 
-def braid_closure(perm: Permutation) -> dict[Word, list[tuple[BraidMove, Word]]]:
-    """Every reduced word of a permutation, mapped to its ``braid_moves``.
+def braid_closure(perm: Permutation) -> dict[Word, tuple[tuple[Word, BraidMove], ...]]:
+    """Every reduced word of a permutation, in ascending order, mapped to its neighbours.
 
-    Computed as the closure of one reduced word under single braid
-    moves, so each word's moves are found once; the closure does not
-    depend on the seed.  A closure that grows past MAX_REDUCED_WORDS is a
-    ValueError naming the limit.
+    Each word maps to the (neighbour, move) pairs of its ``braid_moves``,
+    sorted by neighbour, and each neighbour is the map's own key object.
+    Closing one reduced word under braid moves finds each word's moves
+    once; more than MAX_REDUCED_WORDS words is a ValueError naming the limit.
+
+    >>> braid_closure(word_to_perm((1, 2, 1), 3))[(1, 2, 1)]
+    (((2, 1, 2), BraidMove(position=0, kind='up', i=1, j=0)),)
     """
-    closure: dict[Word, list[tuple[BraidMove, Word]]] = {}
-    stack = [_seed_reduced_word(perm)]
+    seed = _seed_reduced_word(perm)
+    found = {seed: seed}  # each word found so far, to its one stored object
+    closure: dict[Word, tuple[tuple[Word, BraidMove], ...]] = {}
+    stack = [seed]
     while stack:
+        if len(found) > MAX_REDUCED_WORDS:
+            raise ValueError(
+                f"the element has more than {MAX_REDUCED_WORDS:,} reduced words, "
+                f"the limit on reduced-word closures"
+            )
         w = stack.pop()
-        if w not in closure:
-            if len(closure) == MAX_REDUCED_WORDS:
-                raise ValueError(
-                    f"the element has more than {MAX_REDUCED_WORDS:,} reduced words, "
-                    f"the limit on reduced-word closures"
-                )
-            closure[w] = found = braid_moves(w)
-            stack.extend(w2 for _, w2 in found if w2 not in closure)
-    return closure
+        moves = braid_moves(w)
+        for _, w2 in moves:
+            if w2 not in found:
+                found[w2] = w2
+                stack.append(w2)
+        # no two moves give one word (their windows differ), so sorting by
+        # the neighbour alone keeps the (position, kind) tie-break
+        closure[w] = tuple(sorted([(found[w2], move) for move, w2 in moves], key=itemgetter(0)))
+    return {w: closure[w] for w in sorted(closure)}
 
 
 # no verdict reads reduced_words; it stays while perfbench/tracer.py wraps it
 def reduced_words(perm: Permutation) -> list[Word]:
     """All reduced words of a permutation, sorted lexicographically."""
-    return sorted(braid_closure(perm))
+    return list(braid_closure(perm))
 
 
 def all_permutations(n: int) -> list[Permutation]:

@@ -6,14 +6,19 @@
 # oriented-run search that collected every run before taking the least,
 # here reading those scans; and the path simplification that found its
 # monotone runs one step direction at a time.  Kept verbatim below, the
-# accessors as functions of the graph.  They build and read the package's
-# own graph types.  Not used by the package.  Also the edge count by kind
-# and the projection of an expanded path to the conflated graph, which the
-# graph-shape checks and the lift round trip read and no verdict needs.
+# accessors as functions of the graph.  The builds make the oracle's own
+# records, ``OracleRexGraph`` and ``OracleConflatedGraph``, which store the
+# forms the package's graphs no longer store: the expanded edge list beside
+# the adjacency, and the conflated source and sink.  The accessors and the
+# simplification read the package's conflated graph.  Not used by the
+# package.  Also the edge count by kind and the projection of an expanded
+# path to the conflated graph, which the graph-shape checks and the lift
+# round trip read and no verdict needs.
 
 from __future__ import annotations
 
 from collections import deque
+from typing import NamedTuple
 
 from rexcalc.rexgraph import (
     CONFLATED,
@@ -23,13 +28,37 @@ from rexcalc.rexgraph import (
     ConflatedGraph,
     NoDirectSubpathError,
     Path,
-    RexGraph,
     UnsupportedElementError,
     source_sink,
 )
 from rexcalc.symgroup import DISTANT, DOWN, UP, BraidMove, Permutation, Word
 
 _KIND_ORDER = {DISTANT: 0, UP: 1, DOWN: 2}
+
+
+class OracleRexGraph(NamedTuple):
+    """The expanded graph with its sorted edge list (u, v, move u -> v), u < v, stored."""
+
+    rank: int
+    element: Permutation
+    words: tuple[Word, ...]
+    edges: tuple[tuple[Word, Word, BraidMove], ...]
+    adjacency: dict[Word, tuple[tuple[Word, BraidMove], ...]]
+
+    def distant_neighbors(self, w: Word) -> list[tuple[Word, BraidMove]]:
+        return [(v, m) for v, m in self.adjacency[w] if m.kind == DISTANT]
+
+
+class OracleConflatedGraph(NamedTuple):
+    """The conflated graph with its unique source and sink stored, None when not unique."""
+
+    rank: int
+    element: Permutation
+    clouds: tuple[Cloud, ...]
+    edges: tuple[ConflatedEdge, ...]
+    cloud_of: dict[Word, Cloud]
+    source: Cloud | None
+    sink: Cloud | None
 
 
 def braid_moves(word) -> list[tuple[BraidMove, Word]]:
@@ -83,7 +112,7 @@ def reduced_words(perm: Permutation) -> list[Word]:
     return sorted(seen)
 
 
-def build_rex_graph(perm: Permutation) -> RexGraph:
+def build_rex_graph(perm: Permutation) -> OracleRexGraph:
     """Construct the expanded expressions graph of a permutation."""
     words = tuple(reduced_words(perm))
     adjacency: dict[Word, list[tuple[Word, BraidMove]]] = {w: [] for w in words}
@@ -95,7 +124,7 @@ def build_rex_graph(perm: Permutation) -> RexGraph:
                 edges.append((w, w2, move))
     for w in adjacency:
         adjacency[w].sort(key=lambda vm: (vm[0], vm[1].position, vm[1].kind))
-    return RexGraph(
+    return OracleRexGraph(
         rank=perm.n,
         element=perm,
         words=words,
@@ -104,7 +133,7 @@ def build_rex_graph(perm: Permutation) -> RexGraph:
     )
 
 
-def clouds(graph: RexGraph) -> list[Cloud]:
+def clouds(graph: OracleRexGraph) -> list[Cloud]:
     """Connected components of the distant-edge subgraph, sorted."""
     remaining = set(graph.words)
     out = []
@@ -123,7 +152,7 @@ def clouds(graph: RexGraph) -> list[Cloud]:
     return sorted(out)
 
 
-def build_conflated(graph: RexGraph) -> ConflatedGraph:
+def build_conflated(graph: OracleRexGraph) -> OracleConflatedGraph:
     """Quotient by distant edges with the Manin-Schechtman orientation.
 
     Multiple adjacent edges projecting onto the same cloud pair collapse
@@ -156,7 +185,7 @@ def build_conflated(graph: RexGraph) -> ConflatedGraph:
         edges.append(ConflatedEdge(cu, cv, u, v, move))
     sources = [c for c in cloud_list if not any(e.target == c for e in edges)]
     sinks = [c for c in cloud_list if not any(e.source == c for e in edges)]
-    return ConflatedGraph(
+    return OracleConflatedGraph(
         rank=graph.rank,
         element=graph.element,
         clouds=tuple(cloud_list),
@@ -269,10 +298,11 @@ def simplify_path(conflated: ConflatedGraph, path: Path) -> Path:
     return Path(CONFLATED, tuple(into + through[1:] + out[1:]))
 
 
-def edge_counts(graph: RexGraph) -> tuple[int, int]:
-    """Number of (distant, adjacent) edges."""
-    distant = sum(1 for _, _, m in graph.edges if m.kind == DISTANT)
-    return distant, len(graph.edges) - distant
+def edge_counts(graph) -> tuple[int, int]:
+    """Number of (distant, adjacent) edges of the package's expanded graph or the oracle's."""
+    kinds = [m.kind for _, _, m in graph.edges]
+    distant = kinds.count(DISTANT)
+    return distant, len(kinds) - distant
 
 
 def project_path(conflated: ConflatedGraph, path: Path) -> Path:

@@ -124,7 +124,7 @@ def test_values_differing_in_one_field_are_unequal():
 def test_graphs_compare_by_identity():
     perm = word_to_perm((1, 2, 3, 2, 1), 4)
     rex_a, rex_b = build_rex_graph(perm), build_rex_graph(perm)
-    assert rex_a.words == rex_b.words and rex_a.edges == rex_b.edges
+    assert rex_a.words == rex_b.words and tuple(rex_a.edges) == tuple(rex_b.edges)
     assert rex_a != rex_b and rex_a == rex_a
     conf_a, conf_b = build_conflated(rex_a), build_conflated(rex_a)
     assert conf_a.clouds == conf_b.clouds and conf_a.edges == conf_b.edges
@@ -192,7 +192,6 @@ def test_report_records_take_keywords_and_print_their_fields():
 def _records():
     rex = build_rex_graph(word_to_perm((1, 2, 3, 2, 1), 4))
     conf = build_conflated(rex)
-    conf.links  # a cached property still caches on a frozen graph
     return [
         ("Permutation", Permutation((2, 1)), "images"),
         ("BraidMove", BraidMove(0, "up", 1), "kind"),

@@ -37,8 +37,18 @@ def test_line_graph_of_21321():
         [(2, 1, 3, 2, 1), (2, 3, 1, 2, 1), (2, 3, 2, 1, 2), (3, 2, 3, 1, 2), (3, 2, 1, 3, 2)]
     )
     assert list(rex.words) == expected
-    assert len(rex.edges) == 4
+    assert len(tuple(rex.edges)) == 4
     assert edge_counts(rex) == (2, 2)
+
+
+@pytest.mark.parametrize("word", [(1, 2, 1, 3, 2, 1), (1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4)])
+def test_each_reduced_word_is_one_object(word):
+    # the adjacency holds every word as the one object of its entry in words
+    rex = build_rex_graph(word_to_perm(word, max(word) + 1))
+    stored = {w: w for w in rex.words}
+    assert list(rex.adjacency) == list(rex.words)
+    assert all(u is stored[u] for u in rex.adjacency)
+    assert all(v is stored[v] for neighbours in rex.adjacency.values() for v, _ in neighbours)
 
 
 def test_octagon_1214():
@@ -136,23 +146,33 @@ def test_source_sink_reports_all_when_not_unique():
     _, line = graph_for_word((1, 2, 1), rank=3)
     (edge,) = line.edges
     isolated = (Cloud(((1, 2, 3),)), Cloud(((3, 2, 1),)))
-    for edges, sources, sinks in [
-        ((), ((1, 2, 3), (3, 2, 1)), ((1, 2, 3), (3, 2, 1))),
-        ((edge,), ((1, 2, 1), (1, 2, 3), (3, 2, 1)), ((1, 2, 3), (2, 1, 2), (3, 2, 1))),
+    for edges, sources, sinks, message in [
+        ((), ((1, 2, 3), (3, 2, 1)), ((1, 2, 3), (3, 2, 1)), "sources {123, 321}, sinks {123, 321}"),
+        (
+            (edge,),
+            ((1, 2, 1), (1, 2, 3), (3, 2, 1)),
+            ((1, 2, 3), (2, 1, 2), (3, 2, 1)),
+            "sources {121, 123, 321}, sinks {123, 212, 321}",
+        ),
     ]:
         clouds = tuple(sorted({c for e in edges for c in (e.source, e.target)} | set(isolated)))
+        links = {c.representative: {} for c in clouds}
+        for e in edges:
+            links[e.source.representative][e.target.representative] = (e, True)
+            links[e.target.representative][e.source.representative] = (e, False)
         fake = ConflatedGraph(
             rank=3,
             element=Permutation.identity(3),
             clouds=clouds,
             edges=edges,
             cloud_of={w: c for c in clouds for w in c.members},
-            source=None,
-            sink=None,
+            links=links,
         )
         with pytest.raises(NonUniqueOrientationError) as err:
             source_sink(fake)
         assert (err.value.sources, err.value.sinks) == (sources, sinks)
+        # clouds are named by their labels, as in every message
+        assert str(err.value) == message
 
 
 def test_distant_path_inside_cloud():

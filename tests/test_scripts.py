@@ -7,6 +7,7 @@ import os
 import random
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 from rexcalc.rexgraph import graph_for_word, to_dot
@@ -96,6 +97,13 @@ def test_bench_polyring_times_a_cold_import_and_the_graph_writer(monkeypatch):
     # the row's meter ratio is taken to the loop the child timed around its import
     assert script.measure(lambda: (ns, loop_ns), 1) == (ns, ns / loop_ns)
     rows = script.graph_layer_rows()
-    for name in ("emit_graph_json", "emit_conflated_json"):
+    for name in ("braid_closure", "emit_graph_json", "emit_conflated_json"):
         once, _ = rows[name]
         assert once() > 0
+
+
+def test_bench_polyring_reads_the_graph_build_peak():
+    script = load_script("bench_polyring")
+    peak = script.graph_peak_kb()
+    # both graphs of GRAPH_WORD are built under the trace, and tracing stops after
+    assert peak > 0 and not tracemalloc.is_tracing()
