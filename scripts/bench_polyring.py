@@ -38,7 +38,10 @@ its rows.  The graph rows time, best of
 17,486 edges, 82 clouds), and the writing of its ``rexcalc graph --format
 json`` (``emit_graph_json``) and ``rexcalc graph --conflated --format
 json`` (``emit_conflated_json``) documents into /dev/null by
-``cli.write_graph_json``, the writer ``cmd_graph`` uses.
+``cli.write_graph_json``, the writer ``cmd_graph`` uses for JSON, and of
+its ``rexcalc graph --format dot`` document (``emit_graph_dot``): the
+lines of ``to_dot`` into /dev/null through ``cli._emit``, the piecewise
+writer ``cmd_graph`` uses for text and DOT.
 ``graph_peak_kb`` is the ``tracemalloc`` peak, in kB, of one
 ``build_rex_graph`` and ``build_conflated`` of that element, taken after
 the rows: the memory the two graphs and their construction hold at once.
@@ -88,13 +91,15 @@ CPU it starts on, as ``perfbench/launch.py`` does, so the child
 interpreters of ``cold_import`` and ``--w0-rank5`` run on the meter's
 CPU.
 
-Apart from clearing the cached tables, the pool wrapper and the
-``split_terms`` recorder, only public names are used.
+Apart from clearing the cached tables, the pool wrapper, the
+``split_terms`` recorder and the DOT row's ``cli._emit``, only public
+names are used.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import os
 import random
@@ -122,7 +127,7 @@ from rexcalc import (
     graph_for_word,
 )
 from rexcalc.polyring import split_terms
-from rexcalc.rexgraph import build_conflated, build_rex_graph
+from rexcalc.rexgraph import build_conflated, build_rex_graph, to_dot
 from rexcalc.symgroup import braid_closure, longest_element, word_to_perm
 
 RANK = 4
@@ -326,12 +331,17 @@ def graph_layer_rows() -> dict:
         with open(os.devnull, "w") as sink:
             cli.write_graph_json(GRAPH_WORD, graph, sink)
 
+    def emit_dot():
+        with open(os.devnull, "w") as sink, contextlib.redirect_stdout(sink):
+            cli._emit(None, "dot", to_dot(rex))
+
     return {
         "braid_closure": (lambda: run_ns(lambda: braid_closure(perm), 1), GRAPH_REPEAT),
         "build_rex_graph": (lambda: run_ns(lambda: build_rex_graph(perm), 1), GRAPH_REPEAT),
         "build_conflated": (lambda: run_ns(lambda: build_conflated(rex), 1), GRAPH_REPEAT),
         "emit_graph_json": (lambda: run_ns(lambda: emit_json(rex), 1), GRAPH_REPEAT),
         "emit_conflated_json": (lambda: run_ns(lambda: emit_json(conf), 1), GRAPH_REPEAT),
+        "emit_graph_dot": (lambda: run_ns(emit_dot, 1), GRAPH_REPEAT),
     }
 
 

@@ -36,7 +36,7 @@ def main() -> None:
         rex, conf = graph_for_word(word, rank=rank)
         graph = rex if kind == "expanded" else conf
         target = args.out / f"{name}.dot"
-        target.write_text(to_dot(graph) + "\n")
+        target.write_text("\n".join(to_dot(graph)) + "\n")
         print(f"wrote {target}")
 
 

@@ -9,7 +9,9 @@ the number of distinct morphism matrices a search may hold, and is the
 only setting of it.  A budget below 1, a rank outside 1..MAX_RANK, a
 word longer than MAX_WORD_LENGTH letters, an element with more than
 ``symgroup.MAX_REDUCED_WORDS`` reduced words, and a ``verify`` option
-that the chosen suite does not read are usage errors.
+that the chosen suite does not read are usage errors.  Each ``verify``
+suite is one row of ``SUITES``, its runner and the options it reads;
+``_emit`` writes every report and every text or DOT graph.
 """
 
 from __future__ import annotations
@@ -46,7 +48,7 @@ MAX_RANK = 11
 # the longest reduced word at rank MAX_RANK, that of its longest element
 MAX_WORD_LENGTH = MAX_RANK * (MAX_RANK - 1) // 2
 
-# lines per write of text output: a long text is never held whole in memory
+# lines per write of text or DOT output: a long text is never held whole in memory
 TEXT_PIECE_LINES = 4096
 
 EXIT_OK = 0
@@ -54,17 +56,6 @@ EXIT_UNEXPECTED = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 EXIT_INTERNAL = 4
-
-# the options each verify suite reads, in the parser's order; giving a suite
-# another one is a usage error.  With --word the family suite reads them all.
-VERIFY_OPTIONS = ("rank", "max_len", "budget", "word")
-SUITE_READS = {
-    "fpc-s4": ("budget",),
-    "zam": ("rank",),
-    "lemmas": ("budget",),
-    "family": ("rank", "word"),
-    "refined": ("rank", "max_len", "budget"),
-}
 
 SHAPE_DISPLAY = {
     fpc.DOT: "*",
@@ -120,11 +111,11 @@ def _cloud_representative(conf: ConflatedGraph, word: Word) -> Word:
 
 
 def parse_path_spec(spec: str, rex: RexGraph, conf: ConflatedGraph) -> Path:
-    """A path is comma- or arrow-separated vertices; s/t/c name conflated clouds.
+    """Vertices split on ``->`` if the spec has one, else on commas; s/t/c name conflated clouds.
 
     ``e`` is the empty word, as in every other word argument.
     """
-    raw = [tok.strip() for tok in spec.replace("->", ",").split(",") if tok.strip()]
+    raw = [tok.strip() for tok in spec.split("->" if "->" in spec else ",") if tok.strip()]
     if not raw:
         raise UsageError("empty path spec")
     is_alias = [tok.isalpha() and tok != "e" for tok in raw]
@@ -220,7 +211,7 @@ def _plain(value):
 
 
 def _emit(payload, fmt: str, text_lines) -> None:
-    # text_lines may be lazy: it is read only for text output, and written
+    # text_lines may be lazy: it is read only for text or DOT output, and written
     # as print would write each line, one write per TEXT_PIECE_LINES lines
     # (stdout may be unbuffered)
     if fmt == "json":
@@ -235,13 +226,12 @@ def cmd_graph(args) -> int:
     word, rank = _resolve_config(args)
     rex = build_rex_graph(word_to_perm(word, rank))
     graph = build_conflated(rex) if args.conflated else rex
-    if args.format == "dot":
-        print(to_dot(graph))
-        return EXIT_OK
     if args.format == "json":
         write_graph_json(word, graph, sys.stdout)
         return EXIT_OK
-    if args.conflated:
+    if args.format == "dot":
+        lines = to_dot(graph)
+    elif args.conflated:
         lines = chain(
             [f"conflated graph of {word_label(word)} (rank {rank})"],
             (f"  cloud {c}: {{{', '.join(word_label(w) for w in c.members)}}}" for c in graph.clouds),
@@ -302,85 +292,95 @@ def _verdict_lines(v: fpc.FpcVerdict) -> list[str]:
     ]
 
 
+def _verify_zam(args, budget):
+    n = args.rank or 3
+    if not 3 <= n <= 5:
+        raise UsageError("the zam suite runs at rank 3 to 5")
+    report = fpc.check_zam_identities(n)
+    dud = fpc.check_dud_udu_all(n)
+    payload = {**report._asdict(), "dud_equals_udu_all_pairs": dud}
+    lines = [f"rank {n}: {k} = {v}" for k, v in payload.items() if k != "rank"]
+    return payload, lines, report.all_hold and dud
+
+
+def _verify_lemmas(args, budget):
+    report = fpc.check_equivalence_lemmas(budget)
+    return report.results, [f"{name}: {ok}" for name, ok in report.results.items()], report.all_hold
+
+
+def _verify_fpc_s4(args, budget):
+    sweep = fpc.check_s4_sweep(budget=budget)
+    lines = []
+    for r in sweep.rows:
+        status = "holds" if r.holds else "counterexample"
+        mark = "" if r.as_expected else "  UNEXPECTED"
+        lines.append(f"{word_label(r.element):>8}  {SHAPE_DISPLAY.get(r.shape, r.shape):>9}  {status}{mark}")
+    lines.append(f"all as expected: {sweep.all_expected}")
+    return sweep, lines, sweep.all_expected
+
+
+def _verify_family(args, budget):
+    if args.word is not None:
+        # exploratory mode: run the bounded comparison on a given element
+        word, rank = _resolve_config(args)
+        verdict = fpc.check_fpc(word, args.max_len, rank=rank, budget=budget)
+        return verdict, _verdict_lines(verdict), True
+    n = args.rank or 4
+    report = fpc.check_family(n)
+    lines = [
+        f"element {word_label(report.word)} (rank {n}), line of {len(report.line)} clouds",
+        f"  path a: {' -> '.join(word_label(x) for x in report.path_a)}",
+        f"  path b: {' -> '.join(word_label(x) for x in report.path_b)}",
+        f"  morphisms differ: {report.morphisms_differ}",
+    ]
+    if n != 4:
+        return report, lines, report.morphisms_differ
+    img_long, img_short = fpc.family_extra_pair()
+    extra = img_long != img_short
+    lines.append(f"  source-start pair separates on 1 (x) x2 (x) 1 ...: {extra}")
+    return {**report._asdict(), "extra_pair_differs": extra}, lines, report.morphisms_differ and extra
+
+
+def _verify_refined(args, budget):
+    n = args.rank or 3
+    if n not in (3, 4):
+        raise UsageError("the refined suite runs at rank 3 or 4")
+    bound = 10 if args.max_len is None else args.max_len
+    verdict = fpc.check_refined_conjecture(n, bound, budget=budget)
+    lines = _verdict_lines(verdict)
+    if not verdict.holds:
+        lines.insert(0, "UNEXPECTED: refined conjecture violated; please report this run")
+    return verdict, lines, verdict.holds
+
+
+# each verify suite's runner, (args, budget) -> (payload, text lines, verdicts
+# as expected), and the options it reads, in the parser's order; giving a suite
+# another is a usage error.  With --word the family suite reads them all.
+VERIFY_OPTIONS = ("rank", "max_len", "budget", "word")
+SUITES = {
+    "fpc-s4": (_verify_fpc_s4, ("budget",)),
+    "zam": (_verify_zam, ("rank",)),
+    "lemmas": (_verify_lemmas, ("budget",)),
+    "family": (_verify_family, ("rank", "word")),
+    "refined": (_verify_refined, ("rank", "max_len", "budget")),
+}
+
+
 def cmd_verify(args) -> int:
-    fmt = args.format
     budget = fpc.DEFAULT_BUDGET if args.budget is None else args.budget
     if budget < 1:  # refused before anything is built
         raise UsageError(f"--budget {budget} is below 1, so no search could intern a single matrix")
     suite = args.suite
-    with_word = suite == "family" and args.word is not None
-    reads = VERIFY_OPTIONS if with_word else SUITE_READS.get(suite, VERIFY_OPTIONS)
+    run, reads = SUITES[suite]
+    if suite == "family" and args.word is not None:
+        reads = VERIFY_OPTIONS
     unread = [f"--{o.replace('_', '-')}" for o in VERIFY_OPTIONS if o not in reads and getattr(args, o) is not None]
     if unread:
         phrase = "reads {} only with --word" if suite == "family" else "does not read {}"
         raise UsageError(f"the {suite} suite " + phrase.format(" or ".join(unread)))
-    if suite == "zam":
-        n = args.rank or 3
-        if not 3 <= n <= 5:
-            raise UsageError("the zam suite runs at rank 3 to 5")
-        report = fpc.check_zam_identities(n)
-        dud = fpc.check_dud_udu_all(n)
-        payload = {**report._asdict(), "dud_equals_udu_all_pairs": dud}
-        _emit(
-            payload,
-            fmt,
-            [f"rank {n}: {k} = {v}" for k, v in payload.items() if k != "rank"],
-        )
-        return EXIT_OK if report.all_hold and dud else EXIT_UNEXPECTED
-    if suite == "lemmas":
-        report = fpc.check_equivalence_lemmas(budget)
-        _emit(report.results, fmt, [f"{name}: {ok}" for name, ok in report.results.items()])
-        return EXIT_OK if report.all_hold else EXIT_UNEXPECTED
-    if suite == "fpc-s4":
-        sweep = fpc.check_s4_sweep(budget=budget)
-        lines = []
-        for r in sweep.rows:
-            status = "holds" if r.holds else "counterexample"
-            mark = "" if r.as_expected else "  UNEXPECTED"
-            lines.append(
-                f"{word_label(r.element):>8}  {SHAPE_DISPLAY.get(r.shape, r.shape):>9}  {status}{mark}"
-            )
-        lines.append(f"all as expected: {sweep.all_expected}")
-        _emit(sweep, fmt, lines)
-        return EXIT_OK if sweep.all_expected else EXIT_UNEXPECTED
-    if suite == "family":
-        if args.word is not None:
-            # exploratory mode: run the bounded comparison on a given element
-            word, rank = _resolve_config(args)
-            verdict = fpc.check_fpc(word, args.max_len, rank=rank, budget=budget)
-            _emit(verdict, fmt, _verdict_lines(verdict))
-            return EXIT_OK
-        n = args.rank or 4
-        report = fpc.check_family(n)
-        lines = [
-            f"element {word_label(report.word)} (rank {n}), line of {len(report.line)} clouds",
-            f"  path a: {' -> '.join(word_label(x) for x in report.path_a)}",
-            f"  path b: {' -> '.join(word_label(x) for x in report.path_b)}",
-            f"  morphisms differ: {report.morphisms_differ}",
-        ]
-        payload = report
-        if n == 4:
-            img_long, img_short = fpc.family_extra_pair()
-            extra = img_long != img_short
-            payload = {**report._asdict(), "extra_pair_differs": extra}
-            lines.append(f"  source-start pair separates on 1 (x) x2 (x) 1 ...: {extra}")
-            ok = report.morphisms_differ and extra
-        else:
-            ok = report.morphisms_differ
-        _emit(payload, fmt, lines)
-        return EXIT_OK if ok else EXIT_UNEXPECTED
-    if suite == "refined":
-        n = args.rank or 3
-        if n not in (3, 4):
-            raise UsageError("the refined suite runs at rank 3 or 4")
-        bound = 10 if args.max_len is None else args.max_len
-        verdict = fpc.check_refined_conjecture(n, bound, budget=budget)
-        lines = _verdict_lines(verdict)
-        if not verdict.holds:
-            lines.insert(0, "UNEXPECTED: refined conjecture violated; please report this run")
-        _emit(verdict, fmt, lines)
-        return EXIT_OK if verdict.holds else EXIT_UNEXPECTED
-    raise UsageError(f"unknown suite {suite!r}")
+    payload, lines, ok = run(args, budget)
+    _emit(payload, args.format, lines)
+    return EXIT_OK if ok else EXIT_UNEXPECTED
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,7 +406,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_eval.set_defaults(func=cmd_eval)
 
     p_verify = sub.add_parser("verify", help="run a verification suite")
-    p_verify.add_argument("suite", choices=tuple(SUITE_READS))
+    p_verify.add_argument("suite", choices=tuple(SUITES))
     p_verify.add_argument("--rank", type=int, default=None)
     p_verify.add_argument("--max-len", type=int, default=None, dest="max_len")
     p_verify.add_argument("--budget", type=int, default=None, help="max distinct matrices")

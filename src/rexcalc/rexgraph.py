@@ -432,31 +432,27 @@ def simplify_path(conflated: ConflatedGraph, path: Path) -> Path:
     return Path(CONFLATED, tuple(into + through[1:] + out[1:]))
 
 
-def to_dot(graph) -> str:
-    """Graphviz text: distant edges dashed and undirected, adjacent solid arrows."""
-    lines = ["digraph rexgraph {"]
+def to_dot(graph) -> Iterator[str]:
+    """Graphviz text, line by line: distant edges dashed and undirected, adjacent solid arrows."""
+    yield "digraph rexgraph {"
     if isinstance(graph, RexGraph):
         label = {w: word_label(w) for w in graph.words}
-        lines += [f'  "{text}";' for text in label.values()]
+        yield from (f'  "{text}";' for text in label.values())
         for u, v, move in graph.edges:
             if move.kind == DISTANT:
-                lines.append(f'  "{label[u]}" -> "{label[v]}" [style=dashed, dir=none];')
+                yield f'  "{label[u]}" -> "{label[v]}" [style=dashed, dir=none];'
             else:
                 if move.kind != UP:
                     u, v = v, u
-                lines.append(f'  "{label[u]}" -> "{label[v]}" [style=solid];')
+                yield f'  "{label[u]}" -> "{label[v]}" [style=solid];'
     elif isinstance(graph, ConflatedGraph):
         for c in graph.clouds:
-            lines.append(f'  "{word_label(c.representative)}";')
+            yield f'  "{word_label(c.representative)}";'
         for e in graph.edges:
-            lines.append(
-                f'  "{word_label(e.source.representative)}" -> '
-                f'"{word_label(e.target.representative)}" [style=solid];'
-            )
+            yield f'  "{word_label(e.source.representative)}" -> "{word_label(e.target.representative)}" [style=solid];'
     else:
         raise TypeError(f"not a graph: {graph!r}")
-    lines.append("}")
-    return "\n".join(lines)
+    yield "}"
 
 
 def graph_for_word(word, rank: int | None = None) -> tuple[RexGraph, ConflatedGraph]:

@@ -16,10 +16,12 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rexcalc import cli, fpc
-from rexcalc.bsbimod import BSElement
+from rexcalc.braidmor import apply_edge
+from rexcalc.bsbimod import BSElement, from_tensor
 from rexcalc.cli import main, parse_word
-from rexcalc.rexgraph import build_conflated, build_rex_graph, word_label
-from rexcalc.symgroup import MAX_REDUCED_WORDS, longest_element, word_to_perm
+from rexcalc.polyring import parse_polynomial
+from rexcalc.rexgraph import build_conflated, build_rex_graph, to_dot, word_label
+from rexcalc.symgroup import DISTANT, MAX_REDUCED_WORDS, BraidMove, longest_element, word_to_perm
 
 
 def run(capsys, *argv):
@@ -128,6 +130,22 @@ def test_eval_conflated_aliases(capsys):
     payload = json.loads(out)
     assert payload["image"]["word"] == [1, 3, 2, 1, 3]
     assert len(payload["image"]["entries"]) == 4
+
+
+def test_eval_path_over_multi_digit_letters(capsys):
+    # with arrows, each vertex may be a comma-separated word, so letters of
+    # 10 and more can be written; the image is that of the one distant move
+    argv = ["eval", "1,2,10", "--rank", "11", "--element", "1,x2,x10,1"]
+    code, out, _ = run(capsys, *argv, "--path", "1,2,10->1,10,2", "--format", "text")
+    assert code == 0
+    element = from_tensor((1, 2, 10), [parse_polynomial(p, 11) for p in ("1", "x2", "x10", "1")], 11)
+    image = apply_edge(element, BraidMove(1, DISTANT, 2, 10))
+    assert out == f"image: {image}\nover word 1,10,2\n"
+    assert str(image) == "(x1*x10 + x2*x10)*e[000] + (-x10)*e[100]"
+    # an arrow path and a comma path of the same vertices print the same bytes
+    assert run(capsys, "eval", "12321", "--path", "s->c->t->c", "--element", "1,x2,1,1,1,1") == run(
+        capsys, "eval", "12321", "--path", "s,c,t,c", "--element", "1,x2,1,1,1,1"
+    )
 
 
 def test_eval_bad_element_spec(capsys):
@@ -628,6 +646,18 @@ def test_long_text_output_is_written_in_pieces(capsys, monkeypatch):
     cli._emit(None, "text", iter(lines))
     assert [len(w.splitlines()) for w in writes] == [cli.TEXT_PIECE_LINES, 1]
     assert capsys.readouterr().out == "".join(f"{line}\n" for line in lines)
+
+
+def test_dot_output_is_written_in_pieces(capsys, monkeypatch):
+    # DOT text goes through the same piecewise writer as text output
+    monkeypatch.setattr(cli, "TEXT_PIECE_LINES", 5)
+    writes = []
+    real_write = sys.stdout.write
+    monkeypatch.setattr(sys.stdout, "write", lambda text: writes.append(text) or real_write(text))
+    assert main(["graph", "121321", "--format", "dot"]) == 0
+    assert len(writes) > 1 and max(len(w.splitlines()) for w in writes) <= 5
+    rex = build_rex_graph(word_to_perm((1, 2, 1, 3, 2, 1), 4))
+    assert capsys.readouterr().out == "\n".join(to_dot(rex)) + "\n"
 
 
 def test_element_term_product_is_a_usage_error():

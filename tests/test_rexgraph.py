@@ -371,7 +371,7 @@ def test_simplify_refuses_unsupported_elements():
 
 def test_dot_output_expanded_12321():
     rex, conf = graph_for_word((1, 2, 3, 2, 1))
-    dot = to_dot(rex)
+    dot = "\n".join(to_dot(rex))
     assert dot.count("style=dashed") == 4
     assert dot.count("style=solid") == 2
     assert dot.count('"12321"') >= 1
@@ -380,14 +380,14 @@ def test_dot_output_expanded_12321():
 
 def test_dot_output_singleton():
     rex, conf = graph_for_word((2, 4, 6))
-    dot = to_dot(conf)
+    dot = "\n".join(to_dot(conf))
     assert dot.count("->") == 0
     assert '"246"' in dot
 
 
 def test_dot_output_w04_counts():
     rex, conf = graph_for_word(longest_element(4), rank=4)
-    dot = to_dot(rex)
+    dot = "\n".join(to_dot(rex))
     assert dot.count("style=dashed") == 10
     assert dot.count("style=solid") == 8
     assert len([l for l in dot.splitlines() if l.endswith('";')]) == 16
