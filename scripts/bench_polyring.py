@@ -9,14 +9,15 @@ Prints one JSON object: nanoseconds per operation (best of the repeats)
 for ``Polynomial`` multiplication and addition, for ``polyring.split_terms``
 (``split``) on the ``split_calls`` tagged states that the ``from_tensor``
 row's normal forms split, recorded once by wrapping the name ``bsbimod``
-calls, for
-``MorphismMatrix.key()`` on composed matrices, for one warm
+calls, for one warm
 ``fpc.check_zam_identities(4)`` and ``fpc.check_dud_udu_all(4)``
 (``zam_walks``: the source/sink identities and DUD = UDU on the longest
 element of S_4 as pool walks, with the graphs and edge matrices built
-before the row), and for ``MorphismMatrix.for_edge`` on one distant and one adjacent move of the
+before the row), and for ``MorphismMatrix.for_edge`` on one adjacent move of the
 word 123545321 of the element 123454321 (512 columns), with the package's
-cached tables cleared before each repeat.  The ``bsbimod`` rows:
+cached tables cleared before each repeat (``for_edge_adjacent``; no
+verdict builds a distant move's matrix: ``path_morphism`` applies runs of
+distant moves as mask permutations).  The ``bsbimod`` rows:
 ``from_tensor`` is one normal form of a pure tensor over the rank-5 word
 1213214321, whose slots are 1 but for one or two seeded random
 polynomials of rank 5, and ``local_tables`` is one cold
@@ -74,8 +75,7 @@ process and reports the build's seconds and the child's peak RSS in MB
 ``generator_sets_w0_rank5``: ``generator_sets`` on the 62 cloud
 representatives of the longest element of S_5.  The operands are fixed: seeded random
 integer-coefficient polynomials of rank 4 (1-4 terms, exponents up to 2,
-the shape of the S_4 sweep's matrix entries) and the matrices of seeded
-random walks on the conflated graph of 12321.
+the shape of the S_4 sweep's matrix entries).
 
 Reading the two units.  The ns figures are wall times, and the speed of a
 vCPU on a shared machine drifts by up to 2x within seconds, so they
@@ -133,10 +133,7 @@ from rexcalc.symgroup import braid_closure, longest_element, word_to_perm
 RANK = 4
 
 EDGE_WORD = (1, 2, 3, 5, 4, 5, 3, 2, 1)
-EDGE_MOVES = {
-    "for_edge_distant": BraidMove(2, "distant", 3, 5),
-    "for_edge_adjacent": BraidMove(3, "down", 4),
-}
+EDGE_MOVE = BraidMove(3, "down", 4)
 
 STEP_WORD = (1, 2, 3, 4, 5, 4, 3, 2, 1)
 
@@ -257,10 +254,10 @@ def clear_tables() -> None:
     braidmor._shape_table.cache_clear()
 
 
-def time_for_edge(move: BraidMove) -> float:
-    """One cold build of one edge matrix of EDGE_WORD, in nanoseconds."""
+def time_for_edge() -> float:
+    """One cold build of the edge matrix of EDGE_MOVE on EDGE_WORD, in nanoseconds."""
     clear_tables()
-    return run_ns(lambda: MorphismMatrix.for_edge(move, EDGE_WORD, 6), 1)
+    return run_ns(lambda: MorphismMatrix.for_edge(EDGE_MOVE, EDGE_WORD, 6), 1)
 
 
 def time_local_tables() -> float:
@@ -410,17 +407,6 @@ def main() -> int:
     pairs = list(zip(left, right))
     slot_sets = tensor_slots(random.Random(5))  # its own seed: the operands below stay as they were
 
-    rex, conf = graph_for_word((1, 2, 3, 2, 1), rank=RANK)
-    cm = ConflatedMorphisms(rex, conf)
-    walks = []
-    for k in range(60):
-        walk = [conf.clouds[k % len(conf.clouds)].representative]
-        for _ in range(1 + k % 10):
-            neighbors = sorted(d.representative for d in conf.neighbors(conf.cloud(walk[-1])))
-            walk.append(rng.choice(neighbors))
-        walks.append(walk)
-
-    mats = [cm.path_matrix(walk) for walk in walks]
     zam_walks()  # builds the graphs and edge matrices
     splits = recorded_splits(slot_sets)
     set_words = [(w, 4) for w in cloud_words(longest_element(4), 4)] + [(LINE6_START, 6)]
@@ -428,7 +414,6 @@ def main() -> int:
         "mul": (lambda: run_ns(lambda: [p * q for p, q in pairs], len(pairs)), args.repeat),
         "add": (lambda: run_ns(lambda: [p + q for p, q in pairs], len(pairs)), args.repeat),
         "split": (lambda: run_ns(lambda: [split_terms(*call) for call in splits], len(splits)), args.repeat),
-        "matrix_key": (lambda: run_ns(lambda: [m.key() for m in mats], len(mats)), args.repeat),
         "from_tensor": (
             lambda: run_ns(lambda: [from_tensor(TENSOR_WORD, s, TENSOR_RANK) for s in slot_sets], len(slot_sets)),
             args.repeat,
@@ -436,9 +421,8 @@ def main() -> int:
         "local_tables": (time_local_tables, args.repeat),
         "generator_sets": (lambda: time_generator_sets(set_words), args.repeat),
         "zam_walks": (lambda: run_ns(zam_walks, 1), args.repeat),
+        "for_edge_adjacent": (time_for_edge, args.repeat),
     }
-    for name, move in EDGE_MOVES.items():
-        rows[name] = (lambda move=move: time_for_edge(move), args.repeat)
     step_graphs = graph_for_word(STEP_WORD, rank=6)
     rows["step_tables"] = (lambda: time_step_tables(*step_graphs), args.repeat)
     if args.w0_rank5:
@@ -450,7 +434,7 @@ def main() -> int:
         fpc.check_fpc(word, bound, rank=RANK)  # builds its graphs and edge matrices
         rows[name] = (lambda word=word, bound=bound: time_value_search(word, bound), args.repeat)
 
-    result = {"unit": "ns/op", "matrix_key_walks": len(walks), "split_calls": len(splits)}
+    result = {"unit": "ns/op", "split_calls": len(splits)}
     per_loop = {}
     for name, (once, repeat) in rows.items():
         result[name], per_loop[name] = measure(once, repeat)

@@ -62,7 +62,7 @@ def basis_slots(word, mask: int, coeff: Polynomial) -> list[Polynomial]:
 
 class BSElement(Frozen):
     """An element of the Bott-Samelson bimodule of ``word`` in normal form, as its
-    tagged term map ``terms``: settled, with no zero coefficient, never mutated."""
+    tagged term map ``terms``, with no zero coefficient, never mutated."""
 
     __slots__ = ("rank", "word", "terms")
 

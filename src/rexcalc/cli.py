@@ -113,7 +113,9 @@ def _cloud_representative(conf: ConflatedGraph, word: Word) -> Word:
 def parse_path_spec(spec: str, rex: RexGraph, conf: ConflatedGraph) -> Path:
     """Vertices split on ``->`` if the spec has one, else on commas; s/t/c name conflated clouds.
 
-    ``e`` is the empty word, as in every other word argument.
+    ``e`` is the empty word, as in every other word argument.  Reduced
+    words that are no walk of braid moves, but whose clouds form a walk of
+    links, are that conflated path; other reduced words an expanded path.
     """
     raw = [tok.strip() for tok in spec.split("->" if "->" in spec else ",") if tok.strip()]
     if not raw:
@@ -132,6 +134,10 @@ def parse_path_spec(spec: str, rex: RexGraph, conf: ConflatedGraph) -> Path:
         return Path(CONFLATED, tuple(vertices))
     vertices = [parse_word(tok) for tok in raw]
     if all(v in rex.adjacency for v in vertices):
+        reps = [conf.cloud(v).representative for v in vertices]
+        moves = all(v in dict(rex.adjacency[u]) for u, v in zip(vertices, vertices[1:]))
+        if not moves and all(b in conf.links[a] for a, b in zip(reps, reps[1:])):
+            return Path(CONFLATED, tuple(reps))
         return Path(EXPANDED, tuple(vertices))
     return Path(CONFLATED, tuple(_cloud_representative(conf, v) for v in vertices))
 

@@ -36,8 +36,8 @@ Zb Z on longest elements, the down-up-down equals up-down-up law for all
 vertex pairs, the small-path equivalence lemmas, the simplification
 soundness check, the table of all 24 conflated graphs of S_4 with the
 single failing element 12321, and the family of line-graph
-counterexamples.  Whole matrices are built only where an element is
-evaluated on a path (``reproduce_counterexample``, ``family_extra_pair``)."""
+counterexamples.  Whole matrices are built only where an expanded path
+is evaluated (``reproduce_counterexample``)."""
 
 from __future__ import annotations
 
@@ -125,9 +125,9 @@ class _MatrixPool:
     column shared by many values is multiplied once per step, in one
     multiply-accumulate loop over the tagged terms
     (``polyring.tagged_image``).  ``walk`` extends a value step by step,
-    so walks share their prefixes' products.  ``witness`` takes two walks
-    and carries single unit columns along both through the same memos,
-    in mask order, up to the first that differs.  The pool
+    so walks share their prefixes' products.  ``carry`` pushes one column
+    along a walk through the same memos, and ``witness`` carries unit
+    columns along two, in mask order, up to the first that differs.  The pool
     only interns: a search that must stop at a budget reads
     ``len(values)`` itself.
     """
@@ -192,19 +192,21 @@ class _MatrixPool:
             value = self.extend(value, step)
         return value
 
+    def carry(self, terms: dict[int, Scalar], path) -> tuple[Word, int]:
+        """The walk's last vertex, and the id of its image of the tagged column ``terms``, through the step memos."""
+        codomain, ids = path[0], (self._column_id(terms),)
+        for step in zip(path, path[1:]):
+            codomain, ids = self._images(ids, step)
+        return codomain, ids[0]
+
     def witness(self, path_a, path_b) -> tuple[int, BSElement, BSElement]:
         """The least basis mask on which the maps of two walks from one start to one end differ, and both images.
 
-        Each basis mask's unit column is walked alone along both paths, in
-        increasing mask order, through the steps' column memos.
+        Each basis mask's unit column is carried along both paths, in increasing mask order.
         """
         for mask in range(1 << len(path_a[0])):
-            ends = []
-            for path in (path_a, path_b):
-                codomain, ids = path[0], (self._column_id({row_key(mask, self.rank): 1}),)
-                for step in zip(path, path[1:]):
-                    codomain, ids = self._images(ids, step)
-                ends.append((codomain, ids[0]))
+            unit = {row_key(mask, self.rank): 1}
+            ends = [self.carry(unit, path) for path in (path_a, path_b)]
             if ends[0][1] != ends[1][1]:
                 return mask, *(BSElement(self.rank, codomain, dict(self.cols[i])) for codomain, i in ends)
         raise AssertionError("the walks differ on no basis column")
@@ -667,9 +669,9 @@ def family_extra_pair() -> tuple[BSElement, BSElement]:
     elem = from_tensor(
         word, (one, Polynomial.variable(2, n)) + (one,) * (len(word) - 1), n
     )
-    long_mat = cm.path_matrix([sr, c, tr, c, sr, c])
-    short_mat = cm.path_matrix([sr, c, tr, c])
-    return long_mat.apply(elem), short_mat.apply(elem)
+    pool = _MatrixPool(cm)
+    ends = [pool.carry(elem.terms, path) for path in ([sr, c, tr, c, sr, c], [sr, c, tr, c])]
+    return tuple(BSElement(n, codomain, dict(pool.cols[i])) for codomain, i in ends)
 
 
 # -- simplification soundness -------------------------------------------------

@@ -14,11 +14,11 @@ A polynomial is a sparse map from packed monomials to coefficients, so
 every operation is exact; equality of polynomials is decidable and used
 as the final verdict throughout the package.
 
-- Coefficients are ``int``.  A coefficient is a ``Fraction`` only when its
-  denominator is not 1, which happens only after a parsed ``/`` or a
-  division by a constant.  Every result is settled by one rule,
-  ``_settle``: a Fraction whose denominator cancels turns back into
-  ``int``.
+- Coefficients are ``int``; a ``Fraction`` enters only through a parsed
+  ``/`` or a division by a constant.  The constructor stores an integral
+  coefficient as ``int``; the kernels keep the type their arithmetic
+  gives, so after rationals cancel a coefficient may be ``Fraction(n,
+  1)``, which compares, hashes and prints exactly like ``n``.
 - A monomial x_1^e_1 ... x_n^e_n is one ``int`` made of n + 1 fields of
   ``_WIDTH`` bits: the total degree e_1 + ... + e_n in the most significant
   field, then e_1, ..., e_n.  The product of two monomials is the sum of
@@ -89,22 +89,8 @@ def _unpack(packed: int, rank: int) -> Monomial:
     return tuple((packed >> ((rank - 1 - k) * _WIDTH)) & _FIELD for k in range(rank))
 
 
-def _settle(terms: dict[int, Scalar]) -> dict[int, Scalar]:
-    """Turn the Fractions with denominator 1 into ints, in place, and return terms.
-
-    The rule that settles every result.  An int plus a Fraction is a
-    Fraction, so the coefficients sum to one exactly when some coefficient
-    is one; only then are they scanned.
-    """
-    if type(sum(terms.values())) is Fraction:
-        for m, c in terms.items():
-            if type(c) is Fraction and c.denominator == 1:
-                terms[m] = c.numerator
-    return terms
-
-
 def term_sum(terms: Mapping, other: Mapping, scale: int = 1, shift: int = 0) -> dict[int, Scalar]:
-    """terms + scale * (monomial packed as shift) * other, as a new settled map with no zero coefficient."""
+    """terms + scale * (monomial packed as shift) * other, as a new map with no zero coefficient."""
     out = dict(terms)
     for m, c in other.items():
         m += shift
@@ -113,7 +99,7 @@ def term_sum(terms: Mapping, other: Mapping, scale: int = 1, shift: int = 0) -> 
             out[m] = acc
         else:
             del out[m]
-    return _settle(out)
+    return out
 
 
 def split_terms(terms: Mapping[int, Scalar], i: int, rank: int) -> tuple[dict[int, Scalar], dict[int, Scalar]]:
@@ -150,12 +136,11 @@ def split_terms(terms: Mapping[int, Scalar], i: int, rank: int) -> tuple[dict[in
             mono += step
     if 0 in pi1.values():
         pi1 = {m: c for m, c in pi1.items() if c}
-    pi1 = _settle(pi1)
     return term_sum(terms, pi1, -1, deg1 + x_hi), pi1
 
 
 def _make(rank: int, terms: dict[int, Scalar]) -> Polynomial:
-    """Trusted constructor: terms are packed, nonzero and settled."""
+    """Trusted constructor: terms are packed and nonzero."""
     p = object.__new__(Polynomial)
     p.rank = rank
     p.terms = terms
@@ -418,7 +403,7 @@ def tagged_image(
     ``ExponentOverflowError``; while the guard holds, no carry reaches the
     row field.  A unit column, one term at monomial 1 with coefficient 1,
     only selects a column: that column is returned shared, so no result
-    may be mutated.  The result is settled and has no zero coefficient.
+    may be mutated.  The result has no zero coefficient.
     """
     shift = (rank + 1) * _WIDTH
     low = (1 << shift) - 1
@@ -441,7 +426,7 @@ def tagged_image(
         raise ExponentOverflowError(f"product exceeds the total degree limit {MAX_DEGREE}")
     if 0 in acc.values():
         acc = {k: c for k, c in acc.items() if c}
-    return _settle(acc)
+    return acc
 
 
 # -- parsing ----------------------------------------------------------------

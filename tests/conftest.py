@@ -7,7 +7,7 @@ from fractions import Fraction
 
 from rexcalc.braidmor import MorphismMatrix
 from rexcalc.bsbimod import BSElement
-from rexcalc.polyring import Polynomial, Scalar, row_key
+from rexcalc.polyring import Polynomial, Scalar, row_key, untag_column
 from rexcalc.symgroup import Permutation, braid_moves
 
 
@@ -30,6 +30,11 @@ def random_polynomial(
 def tag_column(col: dict[int, Polynomial], rank: int) -> dict[int, Scalar]:
     """A column {row: polynomial} as one tagged term map {row_key(row) | monomial: coefficient}."""
     return {row_key(r, rank) | m: c for r, p in col.items() for m, c in p.terms.items()}
+
+
+def column(mat: MorphismMatrix, c: int) -> dict[int, Polynomial]:
+    """Column c of a matrix as {row: polynomial}, empty if it is zero."""
+    return untag_column(mat.cols.get(c, {}), mat.rank)
 
 
 def tagged_degrees(terms, rank: int) -> set[int]:

@@ -4,7 +4,7 @@
 # tagged term map a matrix column is stored in.  Each function takes and
 # returns such coefficient maps and adds and multiplies whole polynomials,
 # mask by mask, as the earlier methods did.  ``apply`` is the matrix-vector
-# product by its definition, entry by entry over MorphismMatrix.column,
+# product by its definition, entry by entry over conftest.column,
 # rather than the earlier tag / tagged_image / untag round trip, which
 # would share the kernel under test.  Not used by the package.
 
@@ -13,6 +13,8 @@ from __future__ import annotations
 from rexcalc.braidmor import MorphismMatrix
 from rexcalc.bsbimod import basis_slots
 from rexcalc.polyring import Polynomial
+
+from conftest import column
 
 Coeffs = dict[int, Polynomial]
 
@@ -79,5 +81,5 @@ def apply(m: MorphismMatrix, a: Coeffs) -> Coeffs:
     """Row r of the image is the sum over columns c of M[r, c] * a[c]."""
     out: Coeffs = {}
     for c, coeff in a.items():
-        out = add(out, {r: entry * coeff for r, entry in m.column(c).items()})
+        out = add(out, {r: entry * coeff for r, entry in column(m, c).items()})
     return out

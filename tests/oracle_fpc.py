@@ -9,7 +9,7 @@
 # as they were before every product ran through polyring.tagged_image:
 # compose as a plain function of the two factors, and column_image for one
 # column.  Both read a matrix's columns as {row: Polynomial} maps
-# (MorphismMatrix.column) and multiply and add the entries with the seed
+# (conftest.column) and multiply and add the entries with the seed
 # kernel oracle_polyring.Polynomial, converting through iter_terms, so they
 # share no product code with the package (whose Polynomial.__mul__ is
 # polyring.tagged_image too); the pool calls compose in place of the
@@ -38,7 +38,7 @@ from rexcalc.rexgraph import Cloud, ConflatedGraph, Path, oriented_run
 from rexcalc.polyring import Polynomial, Scalar, row_key, tagged_image
 from rexcalc.symgroup import Word
 
-from conftest import tag_column
+from conftest import column, tag_column
 from oracle_polyring import Polynomial as SeedPolynomial
 
 
@@ -77,11 +77,11 @@ def _accumulate(acc: dict[int, SeedPolynomial], r: int, term: SeedPolynomial) ->
 def column_image(self: MorphismMatrix, col: dict[int, Polynomial]) -> dict[int, Polynomial]:
     """Image under self of one {row: Polynomial} column of a right factor, empty if it is zero.
 
-    Column c of self . other is column_image(self, other.column(c)).
+    Column c of self . other is column_image(self, column(other, c)).
     """
     acc: dict[int, SeedPolynomial] = {}
     for m, pmc in col.items():
-        for r, prm in self.column(m).items():
+        for r, prm in column(self, m).items():
             _accumulate(acc, r, _times(prm, pmc))
     return _package(acc)
 
@@ -94,11 +94,11 @@ def compose(self: MorphismMatrix, other: MorphismMatrix) -> MorphismMatrix:
     """
     if other.codomain != self.domain or other.rank != self.rank:
         raise ValueError("composition shape mismatch")
-    mine = {m: self.column(m) for m in self.cols}
+    mine = {m: column(self, m) for m in self.cols}
     units = {m: r for m, col in mine.items() if len(col) == 1 for r, p in col.items() if p.is_one()}
     cols: dict[int, dict[int, Polynomial]] = {}
     for c in other.cols:
-        col = other.column(c)
+        col = column(other, c)
         if len(col) == 1:
             ((m, pmc),) = col.items()
             if pmc.is_one():
@@ -209,11 +209,11 @@ class RightGeneratorPool:
         self.images: dict[tuple[Word, Word], dict[int, int]] = {}
 
     def _column_id(self, terms: dict[int, Scalar]) -> int:
-        column = frozenset(terms.items())
-        found = self.col_ids.get(column)
+        content = frozenset(terms.items())
+        found = self.col_ids.get(content)
         if found is None:
-            found = self.col_ids[column] = len(self.cols)
-            self.cols.append(column)
+            found = self.col_ids[content] = len(self.cols)
+            self.cols.append(content)
         return found
 
     def _intern(self, record: tuple) -> int:

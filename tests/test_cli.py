@@ -148,6 +148,21 @@ def test_eval_path_over_multi_digit_letters(capsys):
     )
 
 
+def test_eval_conflated_path_written_as_words(capsys):
+    # reduced words that are no walk of braid moves, but whose clouds form a
+    # walk of links, are that conflated path, as README documents
+    element = ["--element", "1,x2,1,1,1,1"]
+    code, out, err = run(capsys, "eval", "12321", "--path", "12321,13213,32123", *element)
+    assert (code, err) == (0, "")
+    assert (code, out, err) == run(capsys, "eval", "12321", "--path", "s,c,t", *element)
+    # the lemma walk A, B, A, B on the longest element of S_4 avoids s and t;
+    # it prints what its lift, given as an expanded path, prints
+    lemma = ["eval", "212321", "--element", "1,x2,1,x3,1,1,1", "--format", "text"]
+    code, out, _ = run(capsys, *lemma, "--path", "212321,213213,212321,213213")
+    assert code == 0 and out.endswith("over word 213213\n")
+    assert run(capsys, *lemma, "--path", "212321,213231,212321,213231,213213") == (code, out, "")
+
+
 def test_eval_bad_element_spec(capsys):
     code, _, err = run(capsys, "eval", "12321", "--path", "s,c", "--element", "1,1")
     assert code == 2

@@ -3,18 +3,19 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 from itertools import combinations
 from types import SimpleNamespace
 
 import oracle_fpc
 import pytest
-from conftest import matrix, random_reduced_word
+from conftest import column, matrix, random_reduced_word
 from oracle_fpc import free_slots, generator_masks
 
 from rexcalc import cli, fpc
 from rexcalc.braidmor import ConflatedMorphisms, MorphismMatrix, edge_matrix, move_between
 from rexcalc.bsbimod import BSElement, bimodule_generator_masks, from_tensor, left_mul, right_mul
-from rexcalc.polyring import Polynomial
+from rexcalc.polyring import Polynomial, row_key
 from rexcalc.rexgraph import (
     CONFLATED,
     Path,
@@ -488,6 +489,16 @@ def test_pool_interns_values_by_exact_content():
             assert product == cm.step_matrix(mat.codomain, w).compose(mat)
 
 
+def test_pool_interns_an_integral_fraction_with_its_int():
+    # no kernel turns a cancelled Fraction back into int, so a column may
+    # hold Fraction(2, 1) where another holds 2: both are one column
+    pool = fpc._MatrixPool(fpc._calculus((1, 2, 1), 3))
+    key = row_key(1, 3) | next(iter(Polynomial.variable(2, 3).terms))
+    ints = pool._column_id({key: 2, row_key(3, 3): -1})
+    fractions = pool._column_id({key: Fraction(4, 2), row_key(3, 3): Fraction(-1)})
+    assert fractions == ints and len(pool.cols) == 1
+
+
 def test_a_killed_generator_column_is_the_interned_empty_column():
     # no verdict's walk has a zero generator column, so a step matrix with
     # its column at mask 0 dropped makes one: both steps it is reached by
@@ -660,6 +671,6 @@ def test_column_image_is_a_one_column_product(word):
         for right in into:
             assert step.compose(right) == oracle_fpc.compose(step, right)
             for c in right.cols:
-                col = right.column(c)
+                col = column(right, c)
                 one_column = matrix(4, right.domain, a, {c: col})
-                assert oracle_fpc.column_image(step, col) == oracle_fpc.compose(step, one_column).column(c)
+                assert oracle_fpc.column_image(step, col) == column(oracle_fpc.compose(step, one_column), c)

@@ -17,7 +17,7 @@ from oracle_polyring import Polynomial as OraclePolynomial
 from rexcalc import EXPANDED, MorphismMatrix, Path, graph_for_word, path_morphism
 from rexcalc.polyring import Polynomial
 
-from conftest import matrix, random_permutation, swap
+from conftest import column, matrix, random_permutation, swap
 
 RANKS = range(1, 7)
 
@@ -44,8 +44,10 @@ def assert_same(new: Polynomial, old: OraclePolynomial) -> None:
     assert list(new.iter_terms()) == list(old.key())
     assert str(new) == str(old)
     assert new.degree() == old.degree()
-    for c in new.terms.values():
-        assert type(c) is int or c.denominator != 1
+    # a result keeps the type its arithmetic gives: an integral Fraction left
+    # by cancelling equals and hashes like the int the constructor stores
+    built = Polynomial(old.rank, dict(old.key()))
+    assert new == built and hash(new) == hash(built)
 
 
 @pytest.mark.parametrize("rational", [False, True], ids=["int", "fraction"])
@@ -103,13 +105,20 @@ def test_equality_and_hash_match_oracle(rank):
         assert (p == c) == (op == c)
 
 
-def test_rational_coefficients_settle_back_to_int():
+def test_cancelled_rationals_act_like_ints():
+    # no result is turned back into int: after cancelling, a coefficient may
+    # be Fraction(1, 1), which equals, hashes, keys and prints like 1
     half = Polynomial.constant(Fraction(1, 2), 3)
     x1 = Polynomial.variable(1, 3)
-    p = half * x1 + half * x1
-    assert p == x1
-    assert all(type(c) is int for c in p.terms.values())
-    assert all(type(c) is int for c in ((x1 / 3) * 3).terms.values())
+    x2 = Polynomial.variable(2, 3)
+    cases = [(x1 / 2) * 2, x1 / 2 + x1 / 2, half * x1 + half * x1, (x1 / 3) * 3, (x1 * x1 / 2 * 2).demazure(1) - x2]
+    assert all(type(c) is Fraction for p in cases for c in p.terms.values())
+    for p in cases:
+        assert p == x1 and hash(p) == hash(x1)
+        assert p.key() == x1.key()
+        assert str(p) == str(x1) == "x1" and repr(p) == repr(x1)
+    # the constructor still stores an integral coefficient as int
+    assert all(type(c) is int for c in Polynomial(3, dict(((x1 / 2) * 2).iter_terms())).terms.values())
 
 
 def random_walk_matrices(rng: random.Random, word, rank: int, count: int):
@@ -132,7 +141,7 @@ def test_matrix_key_equality_is_matrix_equality(word, rank):
     mats.append(MorphismMatrix.identity(mats[0].domain, rank))
     # copies with one entry doubled: same shape and support, different value
     for m in mats[:10]:
-        cols = {c: m.column(c) for c in m.cols}
+        cols = {c: column(m, c) for c in m.cols}
         c = rng.choice(sorted(cols))
         r = rng.choice(sorted(cols[c]))
         cols[c][r] = 2 * cols[c][r]
