@@ -46,6 +46,10 @@ writer ``cmd_graph`` uses for text and DOT.
 ``graph_peak_kb`` is the ``tracemalloc`` peak, in kB, of one
 ``build_rex_graph`` and ``build_conflated`` of that element, taken after
 the rows: the memory the two graphs and their construction hold at once.
+``emit_graph_json_peak_kb`` is the ``tracemalloc`` peak, in kB, while
+``cli.write_graph_json`` writes that element's built expanded graph
+into /dev/null, the graph included: where ``rexcalc graph --format
+json`` peaks.
 ``generator_sets`` times one cold ``bsbimod.bimodule_generator_masks``
 (its cache cleared before each repeat) of each of the 8 cloud
 representatives of the longest element of S_4 and of 123543215 at rank 6,
@@ -353,6 +357,20 @@ def graph_peak_kb() -> float:
         tracemalloc.stop()
 
 
+def emit_graph_json_peak_kb() -> float:
+    """The tracemalloc peak while cli.write_graph_json writes the built expanded graph of GRAPH_WORD, in kB."""
+    perm = word_to_perm(GRAPH_WORD, 6)
+    tracemalloc.start()
+    try:
+        rex = build_rex_graph(perm)
+        tracemalloc.reset_peak()
+        with open(os.devnull, "w") as sink:
+            cli.write_graph_json(GRAPH_WORD, rex, sink)
+        return tracemalloc.get_traced_memory()[1] / 1024
+    finally:
+        tracemalloc.stop()
+
+
 def search_work(check) -> dict:
     """What the pools of one run of check() did, read by wrapping fpc._MatrixPool."""
     pools, states = [], [0]
@@ -440,6 +458,7 @@ def main() -> int:
         result[name], per_loop[name] = measure(once, repeat)
     result["per_meter_loop"] = per_loop
     result["graph_peak_kb"] = graph_peak_kb()
+    result["emit_graph_json_peak_kb"] = emit_graph_json_peak_kb()
     checks = {
         name: lambda word=word, bound=bound: fpc.check_fpc(word, bound, rank=RANK)
         for name, (word, bound) in SEARCHES.items()

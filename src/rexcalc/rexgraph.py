@@ -16,9 +16,11 @@ a unique source and sink.
 Paths are vertex sequences; the length of a path is the number of
 vertices it lists.  A complete path visits every vertex at least once.
 
-Each graph is stored in one form.  The expanded graph's adjacency is
-its element's ``braid_closure``, which holds each reduced word as one
-object, and its edges are read off the adjacency.  Clouds grow from the
+Each graph is stored in one form.  The expanded graph's neighbour map
+is its element's ``braid_closure``: one flat tuple (v1, move1, v2,
+move2, ...) per reduced word, each word held as one object.  Its edges
+are read off that map, and ``RexGraph.adjacency`` is a read-only view
+that gives a word's (v, move) pairs on lookup.  Clouds grow from the
 words in order, conflation keys cloud pairs by their representatives,
 and the conflated graph's one link map, ``ConflatedGraph.links``, is
 what every accessor and walker, ``source_sink`` included, reads.
@@ -27,6 +29,7 @@ what every accessor and walker, ``source_sink`` included, reads.
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Mapping
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -84,15 +87,43 @@ class Path(Frozen):
         return self.vertices[0]
 
 
+def _pairs(flat: tuple) -> Iterator[tuple[Word, BraidMove]]:
+    """The (v, move) pairs of a flat neighbour tuple (v1, move1, v2, move2, ...)."""
+    items = iter(flat)
+    return zip(items, items)
+
+
+class _Adjacency(Mapping):
+    """Read-only view of a neighbour map: ``[u]`` is u's (v, move) pairs, built on lookup."""
+
+    __slots__ = ("_neighbours",)
+
+    def __init__(self, neighbours: dict[Word, tuple[Word | BraidMove, ...]]):
+        self._neighbours = neighbours
+
+    def __getitem__(self, u: Word) -> tuple[tuple[Word, BraidMove], ...]:
+        return tuple(_pairs(self._neighbours[u]))
+
+    def __contains__(self, u) -> bool:
+        return u in self._neighbours
+
+    def __iter__(self) -> Iterator[Word]:
+        return iter(self._neighbours)
+
+    def __len__(self) -> int:
+        return len(self._neighbours)
+
+
 class RexGraph(Frozen):
     """Expanded expressions graph: reduced words joined by braid moves.
 
-    ``adjacency[u]`` lists (v, move u -> v) sorted by v, for the words u
-    in ascending order, and every v is the adjacency's own key object.
-    Two graphs are equal only if they are one object.
+    ``neighbours[u]`` is one flat tuple (v1, move1, v2, move2, ...) of
+    the moves u -> v, sorted by v, for the words u in ascending order, and
+    every v is the map's own key object.  ``adjacency`` views it as
+    (v, move) pairs.  Two graphs are equal only if they are one object.
     """
 
-    __slots__ = ("rank", "element", "words", "adjacency")
+    __slots__ = ("rank", "element", "words", "neighbours")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
@@ -101,17 +132,22 @@ class RexGraph(Frozen):
         rank: int,
         element: Permutation,
         words: tuple[Word, ...],
-        adjacency: dict[Word, tuple[tuple[Word, BraidMove], ...]],
+        neighbours: dict[Word, tuple[Word | BraidMove, ...]],
     ):
-        self._init(rank, element, words, adjacency)
+        self._init(rank, element, words, neighbours)
+
+    @property
+    def adjacency(self) -> Mapping[Word, tuple[tuple[Word, BraidMove], ...]]:
+        """``adjacency[u]`` lists (v, move u -> v) sorted by v, built from ``neighbours`` on lookup."""
+        return _Adjacency(self.neighbours)
 
     @property
     def edges(self) -> Iterator[tuple[Word, Word, BraidMove]]:
-        """The canonical edges (u, v, move u -> v), u < v, read off the adjacency in ascending order."""
-        return ((u, v, move) for u, neighbours in self.adjacency.items() for v, move in neighbours if u < v)
+        """The canonical edges (u, v, move u -> v), u < v, read off the neighbours in ascending order."""
+        return ((u, v, move) for u, flat in self.neighbours.items() for v, move in _pairs(flat) if u < v)
 
     def distant_neighbors(self, w: Word) -> list[tuple[Word, BraidMove]]:
-        return [(v, m) for v, m in self.adjacency[w] if m.kind == DISTANT]
+        return [(v, m) for v, m in _pairs(self.neighbours[w]) if m.kind == DISTANT]
 
 
 class Cloud(Frozen):
@@ -178,8 +214,8 @@ class ConflatedGraph(Frozen):
 
 def build_rex_graph(perm: Permutation) -> RexGraph:
     """Construct the expanded expressions graph of a permutation."""
-    adjacency = braid_closure(perm)
-    return RexGraph(rank=perm.n, element=perm, words=tuple(adjacency), adjacency=adjacency)
+    neighbours = braid_closure(perm)
+    return RexGraph(rank=perm.n, element=perm, words=tuple(neighbours), neighbours=neighbours)
 
 
 def clouds(graph: RexGraph) -> list[Cloud]:

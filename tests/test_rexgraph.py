@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 
 import pytest
 
@@ -26,7 +27,7 @@ from rexcalc.rexgraph import (
     source_sink,
     to_dot,
 )
-from rexcalc.symgroup import Permutation, longest_element, word_to_perm
+from rexcalc.symgroup import BraidMove, Permutation, longest_element, word_to_perm
 
 from oracle_rexgraph import edge_counts, in_neighbors, out_neighbors, project_path
 
@@ -49,6 +50,28 @@ def test_each_reduced_word_is_one_object(word):
     assert list(rex.adjacency) == list(rex.words)
     assert all(u is stored[u] for u in rex.adjacency)
     assert all(v is stored[v] for neighbours in rex.adjacency.values() for v, _ in neighbours)
+    # each word's neighbours are one flat tuple alternating stored words and moves
+    assert list(rex.neighbours) == list(rex.words)
+    for u, flat in rex.neighbours.items():
+        assert type(flat) is tuple and len(flat) % 2 == 0
+        assert all(v is stored[v] for v in flat[::2])
+        assert all(type(m) is BraidMove for m in flat[1::2])
+        assert rex.adjacency[u] == tuple(zip(flat[::2], flat[1::2]))
+
+
+def test_expanded_graph_holds_under_80_bytes_per_adjacency_entry():
+    # 121321432154: 5,775 words and 34,972 adjacency entries (each edge twice);
+    # one (neighbour, move) tuple per entry held about 102 bytes each
+    perm = word_to_perm((1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4), 6)
+    tracemalloc.start()
+    try:
+        rex = build_rex_graph(perm)
+        held = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    entries = sum(len(rex.adjacency[u]) for u in rex.words)
+    assert entries == 34_972
+    assert held / entries < 80
 
 
 def test_octagon_1214():

@@ -107,3 +107,10 @@ def test_bench_polyring_reads_the_graph_build_peak():
     peak = script.graph_peak_kb()
     # both graphs of GRAPH_WORD are built under the trace, and tracing stops after
     assert peak > 0 and not tracemalloc.is_tracing()
+
+
+def test_bench_polyring_reads_the_graph_json_writer_peak():
+    script = load_script("bench_polyring")
+    peak = script.emit_graph_json_peak_kb()
+    # the built graph is traced too, and it alone holds about 1,900 kB
+    assert peak > 1000 and not tracemalloc.is_tracing()
