@@ -34,7 +34,7 @@ the cached tables cleared before each repeat.  Its 24 distant moves form
 read through by its edge matrix's columns, and 6 end a step and relabel
 its rows.  The graph rows time, best of
 ``GRAPH_REPEAT`` runs and in nanoseconds, ``braid_closure`` (the closure
-``build_rex_graph`` takes as its adjacency), ``build_rex_graph`` and
+``build_rex_graph`` takes as its neighbour map), ``build_rex_graph`` and
 ``build_conflated`` on the element 121321432154 of S_6 (5,775 words,
 17,486 edges, 82 clouds), and the writing of its ``rexcalc graph --format
 json`` (``emit_graph_json``) and ``rexcalc graph --conflated --format

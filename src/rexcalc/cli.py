@@ -1,8 +1,8 @@
 """Command-line front end: graph export, morphism evaluation, verification.
 
 Exit codes: 0 all verdicts as expected, 1 unexpected mathematical
-verdict, 2 usage error, 3 resource budget exceeded or memory exhausted,
-4 internal error (a failed table check or a broken graph or pool
+verdict, 2 usage error, 3 resource budget exceeded, memory exhausted or
+output that cannot be written, 4 internal error (a failed table check or a broken graph or pool
 invariant, reported as ``internal error: ...`` on stderr with no
 traceback).  ``verify --budget`` (default ``fpc.DEFAULT_BUDGET``) caps
 the number of distinct morphism matrices a search may hold, and is the
@@ -133,9 +133,9 @@ def parse_path_spec(spec: str, rex: RexGraph, conf: ConflatedGraph) -> Path:
                 vertices.append(_cloud_representative(conf, parse_word(tok)))
         return Path(CONFLATED, tuple(vertices))
     vertices = [parse_word(tok) for tok in raw]
-    if all(v in rex.adjacency for v in vertices):
+    if all(v in rex.neighbours for v in vertices):
         reps = [conf.cloud(v).representative for v in vertices]
-        moves = all(v in dict(rex.adjacency[u]) for u, v in zip(vertices, vertices[1:]))
+        moves = all(v in dict(rex.moves(u)) for u, v in zip(vertices, vertices[1:]))
         if not moves and all(b in conf.links[a] for a, b in zip(reps, reps[1:])):
             return Path(CONFLATED, tuple(reps))
         return Path(EXPANDED, tuple(vertices))
@@ -452,6 +452,12 @@ def main(argv=None) -> int:
         # the flush at interpreter exit does not fail a second time
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_OK
+    except OSError as exc:
+        # stdout cannot take the output (say, a full disk): as above, so that
+        # the flush at interpreter exit does not fail a second time
+        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BUDGET
 
 
 if __name__ == "__main__":

@@ -18,18 +18,19 @@ vertices it lists.  A complete path visits every vertex at least once.
 
 Each graph is stored in one form.  The expanded graph's neighbour map
 is its element's ``braid_closure``: one flat tuple (v1, move1, v2,
-move2, ...) per reduced word, each word held as one object.  Its edges
-are read off that map, and ``RexGraph.adjacency`` is a read-only view
-that gives a word's (v, move) pairs on lookup.  Clouds grow from the
-words in order, conflation keys cloud pairs by their representatives,
-and the conflated graph's one link map, ``ConflatedGraph.links``, is
-what every accessor and walker, ``source_sink`` included, reads.
+move2, ...) per reduced word, each word held as one object.  Only this
+module reads that layout: ``RexGraph.moves`` gives a word's (v, move)
+pairs and ``RexGraph.edges`` the canonical edges.  One breadth-first
+search over distant edges grows the clouds, from the words in order,
+and finds the distant paths of a lift.  Conflation keys cloud pairs by
+their representatives, and the conflated graph's one link map,
+``ConflatedGraph.links``, is what every accessor and walker,
+``source_sink`` included, reads.
 """
 
 from __future__ import annotations
 
 from collections import deque
-from collections.abc import Mapping
 from itertools import groupby
 from operator import itemgetter
 from typing import Iterator, NamedTuple, Sequence
@@ -93,33 +94,12 @@ def _pairs(flat: tuple) -> Iterator[tuple[Word, BraidMove]]:
     return zip(items, items)
 
 
-class _Adjacency(Mapping):
-    """Read-only view of a neighbour map: ``[u]`` is u's (v, move) pairs, built on lookup."""
-
-    __slots__ = ("_neighbours",)
-
-    def __init__(self, neighbours: dict[Word, tuple[Word | BraidMove, ...]]):
-        self._neighbours = neighbours
-
-    def __getitem__(self, u: Word) -> tuple[tuple[Word, BraidMove], ...]:
-        return tuple(_pairs(self._neighbours[u]))
-
-    def __contains__(self, u) -> bool:
-        return u in self._neighbours
-
-    def __iter__(self) -> Iterator[Word]:
-        return iter(self._neighbours)
-
-    def __len__(self) -> int:
-        return len(self._neighbours)
-
-
 class RexGraph(Frozen):
     """Expanded expressions graph: reduced words joined by braid moves.
 
     ``neighbours[u]`` is one flat tuple (v1, move1, v2, move2, ...) of
     the moves u -> v, sorted by v, for the words u in ascending order, and
-    every v is the map's own key object.  ``adjacency`` views it as
+    every v is the map's own key object.  ``moves(u)`` reads it as
     (v, move) pairs.  Two graphs are equal only if they are one object.
     """
 
@@ -136,18 +116,22 @@ class RexGraph(Frozen):
     ):
         self._init(rank, element, words, neighbours)
 
-    @property
-    def adjacency(self) -> Mapping[Word, tuple[tuple[Word, BraidMove], ...]]:
-        """``adjacency[u]`` lists (v, move u -> v) sorted by v, built from ``neighbours`` on lookup."""
-        return _Adjacency(self.neighbours)
+    def moves(self, u: Word) -> Iterator[tuple[Word, BraidMove]]:
+        """The pairs (v, move u -> v) of a word u, sorted by v, read off ``neighbours[u]``.
+
+        >>> rex = build_rex_graph(word_to_perm((1, 2, 1), 3))
+        >>> list(rex.moves((1, 2, 1)))
+        [((2, 1, 2), BraidMove(position=0, kind='up', i=1, j=0))]
+        >>> [(_, up)], [(_, down)] = map(list, map(rex.moves, rex.words))
+        >>> down.reversed() is up
+        True
+        """
+        return _pairs(self.neighbours[u])
 
     @property
     def edges(self) -> Iterator[tuple[Word, Word, BraidMove]]:
         """The canonical edges (u, v, move u -> v), u < v, read off the neighbours in ascending order."""
         return ((u, v, move) for u, flat in self.neighbours.items() for v, move in _pairs(flat) if u < v)
-
-    def distant_neighbors(self, w: Word) -> list[tuple[Word, BraidMove]]:
-        return [(v, m) for v, m in _pairs(self.neighbours[w]) if m.kind == DISTANT]
 
 
 class Cloud(Frozen):
@@ -211,11 +195,37 @@ class ConflatedGraph(Frozen):
     def neighbors(self, c: Cloud) -> list[Cloud]:
         return [self.cloud_of[b] for b in self.links[c.representative]]
 
+    def link(self, a: Word, b: Word) -> tuple[ConflatedEdge, bool]:
+        """``links[a][b]``; a ValueError naming both words when no edge joins their clouds."""
+        found = self.links[a].get(b)
+        if found is None:
+            raise ValueError(f"no conflated edge between {word_label(a)} and {word_label(b)}")
+        return found
+
 
 def build_rex_graph(perm: Permutation) -> RexGraph:
     """Construct the expanded expressions graph of a permutation."""
     neighbours = braid_closure(perm)
     return RexGraph(rank=perm.n, element=perm, words=tuple(neighbours), neighbours=neighbours)
+
+
+def _distant_tree(graph: RexGraph, start: Word, goal: Word | None = None) -> dict[Word, Word]:
+    """Breadth-first parents of the words reached from start by distant edges.
+
+    The start is its own parent.  Neighbours are taken in ascending
+    order, so walking a word's parents back gives the lexicographically
+    least shortest path to it.  The search covers start's whole cloud,
+    or stops once ``goal`` is reached.
+    """
+    parent = {start: start}
+    queue = deque([start])
+    while queue and goal not in parent:
+        w = queue.popleft()
+        for v, move in graph.moves(w):
+            if move.kind == DISTANT and v not in parent:
+                parent[v] = w
+                queue.append(v)
+    return parent
 
 
 def clouds(graph: RexGraph) -> list[Cloud]:
@@ -227,18 +237,10 @@ def clouds(graph: RexGraph) -> list[Cloud]:
     seen: set[Word] = set()
     out = []
     for seed in graph.words:
-        if seed in seen:
-            continue
-        component = {seed}
-        queue = deque([seed])
-        while queue:
-            w = queue.popleft()
-            for v, _ in graph.distant_neighbors(w):
-                if v not in component:
-                    component.add(v)
-                    queue.append(v)
-        seen |= component
-        out.append(Cloud(tuple(component)))
+        if seed not in seen:
+            component = _distant_tree(graph, seed)
+            seen.update(component)
+            out.append(Cloud(component))
     return out
 
 
@@ -315,22 +317,13 @@ def cloud_aliases(conflated: ConflatedGraph) -> dict[str, Word]:
 def distant_path(graph: RexGraph, start: Word, goal: Word) -> list[Word]:
     """Lexicographically least shortest distant-edge path inside a cloud."""
     start, goal = tuple(start), tuple(goal)
-    if start == goal:
-        return [start]
-    parent: dict[Word, Word] = {start: start}
-    queue = deque([start])
-    while queue:
-        w = queue.popleft()
-        for v, _ in graph.distant_neighbors(w):
-            if v not in parent:
-                parent[v] = w
-                if v == goal:
-                    path = [v]
-                    while path[-1] != start:
-                        path.append(parent[path[-1]])
-                    return list(reversed(path))
-                queue.append(v)
-    raise ValueError(f"{word_label(goal)} not reachable from {word_label(start)} by distant edges")
+    parent = _distant_tree(graph, start, goal)
+    if goal not in parent:
+        raise ValueError(f"{word_label(goal)} not reachable from {word_label(start)} by distant edges")
+    path = [goal]
+    while path[-1] != start:
+        path.append(parent[path[-1]])
+    return path[::-1]
 
 
 def lift_conflated_path(conflated: ConflatedGraph, graph: RexGraph, path: Path) -> Path:
@@ -344,22 +337,18 @@ def lift_conflated_path(conflated: ConflatedGraph, graph: RexGraph, path: Path) 
     """
     if path.kind != CONFLATED:
         raise ValueError("expected a conflated path")
-    seq = [conflated.cloud(v) for v in path.vertices]
-    current = seq[0].representative
+    seq = [conflated.cloud(v).representative for v in path.vertices]
+    current = seq[0]
     lifted: list[Word] = [current]
     for a, b in zip(seq, seq[1:]):
-        found = conflated.links[a.representative].get(b.representative)
-        if found is None:
-            raise ValueError(f"no conflated edge between {a} and {b}")
-        edge, forward = found
-        if forward:
-            hop_from, hop_to, move = edge.expanded_source, edge.expanded_target, edge.move
-        else:
-            hop_from, hop_to, move = edge.expanded_target, edge.expanded_source, edge.move.reversed()
+        edge, forward = conflated.link(a, b)
+        hop_from, hop_to = edge.expanded_source, edge.expanded_target
+        if not forward:
+            hop_from, hop_to = hop_to, hop_from
         lifted.extend(distant_path(graph, current, hop_from)[1:])
         lifted.append(hop_to)
         current = hop_to
-    lifted.extend(distant_path(graph, current, seq[-1].representative)[1:])
+    lifted.extend(distant_path(graph, current, seq[-1])[1:])
     return Path(EXPANDED, tuple(lifted))
 
 
@@ -445,12 +434,7 @@ def simplify_path(conflated: ConflatedGraph, path: Path) -> Path:
     s, t = source_sink(conflated)
     sr, tr = s.representative, t.representative
     # whether each step follows the orientation
-    forward = []
-    for a, b in zip(seq, seq[1:]):
-        link = conflated.links[a].get(b)
-        if link is None:
-            raise ValueError(f"no conflated edge between {word_label(a)} and {word_label(b)}")
-        forward.append(link[1])
+    forward = [conflated.link(a, b)[1] for a, b in zip(seq, seq[1:])]
     # locate the first direct subpath: a maximal monotone run from s to t
     # along the orientation, or from t to s against it
     i = 0

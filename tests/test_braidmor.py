@@ -37,7 +37,7 @@ from rexcalc.rexgraph import (
     source_sink,
 )
 from rexcalc.fpc import family_word
-from rexcalc.symgroup import BraidMove, braid_moves, longest_element, reduced_words, word_to_perm
+from rexcalc.symgroup import DISTANT, BraidMove, braid_moves, longest_element, reduced_words, word_to_perm
 
 from conftest import (
     column,
@@ -299,7 +299,7 @@ def _random_expanded_walks(rng, rex, count, max_steps):
     for _ in range(count):
         walk = [rng.choice(rex.words)]
         for _ in range(rng.randint(1, max_steps)):
-            walk.append(rng.choice(rex.adjacency[walk[-1]])[0])
+            walk.append(rng.choice(list(rex.moves(walk[-1])))[0])
         yield Path(EXPANDED, tuple(walk))
 
 
@@ -344,7 +344,9 @@ def test_distant_edge_matrices_are_row_bit_swaps():
     rex, _ = graph_for_word((1, 2, 3, 5, 4, 5, 3, 2, 1), 6)
     count = 0
     for u in rex.words:
-        for v, move in rex.distant_neighbors(u):
+        for v, move in rex.moves(u):
+            if move.kind != DISTANT:
+                continue
             pos = move.position
             swap = {c: c ^ 3 << pos if (c >> pos ^ c >> pos + 1) & 1 else c for c in range(1 << len(u))}
             expected = matrix(6, u, v, {c: {r: one(6)} for c, r in swap.items()})
@@ -448,7 +450,7 @@ def test_apply_matches_chained_apply_edge():
         for _ in range(6):
             walk = [word]
             for _ in range(rng.randint(1, 5)):
-                walk.append(rng.choice(rex.adjacency[walk[-1]])[0])
+                walk.append(rng.choice(list(rex.moves(walk[-1])))[0])
             slots = [random_polynomial(rng, rank, max_terms=2, max_exp=1) + one(rank) for _ in word]
             elem = from_tensor(word, [one(rank)] + slots, rank)
             assert elem.coeffs

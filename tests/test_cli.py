@@ -623,6 +623,16 @@ def test_closed_stdout_exits_quietly():
     assert stderr == b""
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["graph", "121"], ["verify", "zam", "--format", "json"]])
+def test_unwritable_output_is_exit_3_without_a_traceback(argv):
+    # every write to /dev/full fails with ENOSPC, as on a full disk
+    with open("/dev/full", "w") as full:
+        proc = _run_cli(*argv, stdout=full, stderr=subprocess.PIPE)
+    assert proc.returncode == 3
+    assert proc.stderr == "error: cannot write the output: No space left on device\n"
+
+
 def test_text_output_is_the_printed_lines(monkeypatch):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)

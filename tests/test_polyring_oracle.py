@@ -129,7 +129,7 @@ def random_walk_matrices(rng: random.Random, word, rank: int, count: int):
     for _ in range(count):
         walk = [start]
         for _ in range(rng.randint(0, 6)):
-            walk.append(rng.choice(graph.adjacency[walk[-1]])[0])
+            walk.append(rng.choice(list(graph.moves(walk[-1])))[0])
         mats.append(path_morphism(Path(EXPANDED, tuple(walk)), rank))
     return mats
 

@@ -3,10 +3,10 @@
 ``oracle_rexgraph`` keeps the braid-move enumeration that applied each
 validated move, the closure, the graph build with its global edge sort,
 the ``min(remaining)`` cloud search and the Cloud-keyed conflation.  The
-package's versions must give the same moves, words, edges, adjacency,
-clouds, conflated edges, source and sink; the oracle stores the edges
-and the source and sink, which the package reads off its adjacency and
-its link map.  It keeps the linear scans
+package's versions must give the same moves, words, edges, adjacency
+(the package's ``moves`` of every word), clouds, conflated edges, source
+and sink; the oracle stores the edges and the source and sink, which the
+package reads off its neighbour map and its link map.  It keeps the linear scans
 over the conflated edge list that the accessors ran before the link map,
 and the package's accessors must answer as they do for every cloud pair.
 It also keeps the oriented-run search that collected every monotone run
@@ -58,8 +58,9 @@ def assert_graph_layer_matches(perm: Permutation) -> None:
     rex, ref = build_rex_graph(perm), oracle.build_rex_graph(perm)
     assert rex.words == ref.words
     assert tuple(rex.edges) == ref.edges
-    assert rex.adjacency == ref.adjacency
-    assert list(rex.adjacency) == list(ref.adjacency)
+    adjacency = {u: tuple(rex.moves(u)) for u in rex.neighbours}
+    assert adjacency == ref.adjacency
+    assert list(adjacency) == list(ref.adjacency)
     assert clouds(rex) == oracle.clouds(ref)
 
     conf, ref_conf = build_conflated(rex), oracle.build_conflated(ref)
