@@ -45,9 +45,9 @@ masks under x_l (l not s, s+1), sigma and pi.
 
 from __future__ import annotations
 
+from collections.abc import Mapping, Sequence
 from functools import lru_cache
 from math import gcd
-from typing import Mapping, Sequence
 
 from .polyring import Polynomial, Scalar, row_key, split_terms, tagged_image, term_sum, untag_column
 from .symgroup import Frozen, Word

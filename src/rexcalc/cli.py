@@ -40,7 +40,7 @@ from .rexgraph import (
     to_dot,
     word_label,
 )
-from .symgroup import Word, is_reduced, word_to_perm
+from .symgroup import Frozen, Word, is_reduced, word_to_perm
 
 # the largest rank any command accepts: the cost of a rank-n element grows
 # with n^2 before any graph is built; 11 admits README's 1,2,10
@@ -204,15 +204,15 @@ def write_graph_json(word: Word, graph: RexGraph | ConflatedGraph, out) -> None:
 
 
 def _plain(value):
-    """A report as JSON data: a record as the dict of its fields, an element by its to_json."""
-    if hasattr(value, "_asdict"):
+    """A report as JSON data: an element by its to_json, another record as the dict of its fields."""
+    if type(value) is BSElement:
+        return value.to_json()
+    if isinstance(value, Frozen):
         value = value._asdict()
     if type(value) is dict:
         return {k: _plain(v) for k, v in value.items()}
     if type(value) in (list, tuple):
         return [_plain(v) for v in value]
-    if type(value) is BSElement:
-        return value.to_json()
     return value
 
 
@@ -389,8 +389,18 @@ def cmd_verify(args) -> int:
     return EXIT_OK if ok else EXIT_UNEXPECTED
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    def _print_message(self, message, file=None):
+        # argparse drops a failed write; help on stdout must raise instead, so
+        # that main reports it as output that cannot be written
+        if file is sys.stdout:
+            file.write(message)
+        else:
+            super()._print_message(message, file)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="rexcalc",
         description="exact reduced-expression-graph and Bott-Samelson morphism computations",
     )

@@ -43,7 +43,6 @@ from __future__ import annotations
 
 from collections import deque
 from functools import lru_cache
-from typing import NamedTuple
 
 from .bsbimod import BSElement, bimodule_generator_masks, dot_cap, from_tensor
 from .braidmor import ConflatedMorphisms, path_morphism
@@ -62,7 +61,7 @@ from .rexgraph import (
     source_sink,
     word_label,
 )
-from .symgroup import Permutation, Word, all_permutations, is_reduced, longest_element, word_to_perm
+from .symgroup import Frozen, Permutation, Word, all_permutations, is_reduced, longest_element, word_to_perm
 
 DEFAULT_BUDGET = 50_000
 
@@ -87,23 +86,29 @@ def _element_calculus(perm: Permutation) -> ConflatedMorphisms:
     return ConflatedMorphisms(rex, build_conflated(rex))
 
 
-class PathPairWitness(NamedTuple):
+class PathPairWitness(Frozen):
     """Two same-endpoint paths with a basis column separating their matrices."""
 
-    start: Word
-    end: Word
-    path_a: tuple[Word, ...]
-    path_b: tuple[Word, ...]
-    witness_mask: int
-    image_a: BSElement
-    image_b: BSElement
+    __slots__ = ("start", "end", "path_a", "path_b", "witness_mask", "image_a", "image_b")
+
+    def __init__(
+        self,
+        start: Word,
+        end: Word,
+        path_a: tuple[Word, ...],
+        path_b: tuple[Word, ...],
+        witness_mask: int,
+        image_a: BSElement,
+        image_b: BSElement,
+    ):
+        self._init(start, end, path_a, path_b, witness_mask, image_a, image_b)
 
 
-class FpcVerdict(NamedTuple):
-    element: Word
-    bound: int
-    holds: bool
-    counterexample: PathPairWitness | None = None
+class FpcVerdict(Frozen):
+    __slots__ = ("element", "bound", "holds", "counterexample")
+
+    def __init__(self, element: Word, bound: int, holds: bool, counterexample: PathPairWitness | None = None):
+        self._init(element, bound, holds, counterexample)
 
 
 class _MatrixPool:
@@ -322,18 +327,24 @@ def check_refined_conjecture(n: int, max_len: int, budget: int = DEFAULT_BUDGET)
 # -- the S_4 counterexample ---------------------------------------------------
 
 
-class CounterexampleReport(NamedTuple):
+class CounterexampleReport(Frozen):
     """Exact reproduction of the two loop morphisms at 13231 separating on x."""
 
-    word: Word
-    element: BSElement
-    path_a: Path
-    path_b: Path
-    image_a: BSElement
-    image_b: BSElement
-    matrices_differ: bool
-    dots_a: BSElement  # image under caps on both outer factors, in B_3 B_2 B_3
-    dots_b: BSElement
+    __slots__ = ("word", "element", "path_a", "path_b", "image_a", "image_b", "matrices_differ", "dots_a", "dots_b")
+
+    def __init__(
+        self,
+        word: Word,
+        element: BSElement,
+        path_a: Path,
+        path_b: Path,
+        image_a: BSElement,
+        image_b: BSElement,
+        matrices_differ: bool,
+        dots_a: BSElement,  # image under caps on both outer factors, in B_3 B_2 B_3
+        dots_b: BSElement,
+    ):
+        self._init(word, element, path_a, path_b, image_a, image_b, matrices_differ, dots_a, dots_b)
 
 
 COUNTEREXAMPLE_PATH_A = Path(
@@ -400,12 +411,18 @@ def reproduce_counterexample() -> CounterexampleReport:
 # -- longest-element identities -----------------------------------------------
 
 
-class ZamReport(NamedTuple):
-    rank: int
-    z_zb_z_equals_z: bool
-    zb_z_zb_equals_zb: bool
-    zb_z_idempotent: bool  # (Zb Z)^2 == Zb Z
-    zb_z_proper: bool  # Zb Z != identity
+class ZamReport(Frozen):
+    __slots__ = ("rank", "z_zb_z_equals_z", "zb_z_zb_equals_zb", "zb_z_idempotent", "zb_z_proper")
+
+    def __init__(
+        self,
+        rank: int,
+        z_zb_z_equals_z: bool,
+        zb_z_zb_equals_zb: bool,
+        zb_z_idempotent: bool,  # (Zb Z)^2 == Zb Z
+        zb_z_proper: bool,  # Zb Z != identity
+    ):
+        self._init(rank, z_zb_z_equals_z, zb_z_zb_equals_zb, zb_z_idempotent, zb_z_proper)
 
     @property
     def all_hold(self) -> bool:
@@ -466,8 +483,11 @@ def check_dud_udu_all(n: int) -> bool:
 # -- equivalence lemmas -------------------------------------------------------
 
 
-class LemmaReport(NamedTuple):
-    results: dict[str, bool]
+class LemmaReport(Frozen):
+    __slots__ = ("results",)
+
+    def __init__(self, results: dict[str, bool]):
+        self._init(results)
 
     @property
     def all_hold(self) -> bool:
@@ -559,17 +579,25 @@ def classify_shape(conf: ConflatedGraph) -> str:
     return f"other({v},{e})"
 
 
-class SweepRow(NamedTuple):
-    element: Word  # lexicographically least reduced word of the element
-    shape: str
-    expected_shape: str
-    holds: bool  # all compared complete paths agree
-    as_expected: bool  # the shape is the table's and only 12321 fails
+class SweepRow(Frozen):
+    __slots__ = ("element", "shape", "expected_shape", "holds", "as_expected")
+
+    def __init__(
+        self,
+        element: Word,  # lexicographically least reduced word of the element
+        shape: str,
+        expected_shape: str,
+        holds: bool,  # all compared complete paths agree
+        as_expected: bool,  # the shape is the table's and only 12321 fails
+    ):
+        self._init(element, shape, expected_shape, holds, as_expected)
 
 
-class SweepReport(NamedTuple):
-    rows: tuple[SweepRow, ...]
-    all_expected: bool
+class SweepReport(Frozen):
+    __slots__ = ("rows", "all_expected")
+
+    def __init__(self, rows: tuple[SweepRow, ...], all_expected: bool):
+        self._init(rows, all_expected)
 
 
 def sweep_max_len(cloud_count: int) -> int:
@@ -603,18 +631,24 @@ def check_s4_sweep(budget: int = DEFAULT_BUDGET) -> SweepReport:
 # -- the family of line counterexamples ---------------------------------------
 
 
-class FamilyReport(NamedTuple):
+class FamilyReport(Frozen):
     """The two sweeping paths on the line graph of 1 2 .. (n-1) .. 2 1."""
 
-    word: Word
-    rank: int
-    line: tuple[Word, ...]  # cloud representatives from source to sink
-    path_a: tuple[Word, ...]
-    path_b: tuple[Word, ...]
-    morphisms_differ: bool
-    witness_mask: int | None
-    image_a: BSElement | None
-    image_b: BSElement | None
+    __slots__ = ("word", "rank", "line", "path_a", "path_b", "morphisms_differ", "witness_mask", "image_a", "image_b")
+
+    def __init__(
+        self,
+        word: Word,
+        rank: int,
+        line: tuple[Word, ...],  # cloud representatives from source to sink
+        path_a: tuple[Word, ...],
+        path_b: tuple[Word, ...],
+        morphisms_differ: bool,
+        witness_mask: int | None,
+        image_a: BSElement | None,
+        image_b: BSElement | None,
+    ):
+        self._init(word, rank, line, path_a, path_b, morphisms_differ, witness_mask, image_a, image_b)
 
 
 def family_word(n: int) -> Word:

@@ -15,7 +15,9 @@ every operation is exact; equality of polynomials is decidable and used
 as the final verdict throughout the package.
 
 - Coefficients are ``int``; a ``Fraction`` enters only through a parsed
-  ``/`` or a division by a constant.  The constructor stores an integral
+  ``/``, a division by a constant or a non-``int`` coefficient given to
+  the constructor, and ``fractions`` is imported only there: integer
+  arithmetic never loads it.  The constructor stores an integral
   coefficient as ``int``; the kernels keep the type their arithmetic
   gives, so after rationals cancel a coefficient may be ``Fraction(n,
   1)``, which compares, hashes and prints exactly like ``n``.
@@ -60,14 +62,14 @@ fewer terms under the one-column matrix {0: other factor}.
 
 from __future__ import annotations
 
-from fractions import Fraction
+from collections.abc import Collection, Iterator, Mapping, Sequence
 from functools import lru_cache, reduce
 from math import comb
 from operator import or_
-from typing import Collection, Iterator, Mapping, Sequence, Union
 
 Monomial = tuple[int, ...]
-Scalar = Union[int, Fraction]
+# the coefficient type, for annotations only: a string, so that naming Fraction imports nothing
+Scalar = "int | Fraction"
 
 _WIDTH = 12
 _FIELD = (1 << _WIDTH) - 1
@@ -139,6 +141,15 @@ def split_terms(terms: Mapping[int, Scalar], i: int, rank: int) -> tuple[dict[in
     return term_sum(terms, pi1, -1, deg1 + x_hi), pi1
 
 
+def _is_scalar(c) -> bool:
+    """Whether ``c`` is an ``int`` (``bool`` included) or a ``Fraction``: a coefficient, unlike a ``float``."""
+    if isinstance(c, int):
+        return True
+    from fractions import Fraction
+
+    return isinstance(c, Fraction)
+
+
 def _make(rank: int, terms: dict[int, Scalar]) -> Polynomial:
     """Trusted constructor: terms are packed and nonzero."""
     p = object.__new__(Polynomial)
@@ -158,7 +169,12 @@ class Polynomial:
             raise ValueError(f"rank must be nonnegative, got {rank}")
         clean: dict[int, Scalar] = {}
         for mono, c in terms.items():
-            c = Fraction(c)
+            if type(c) is not int:
+                from fractions import Fraction
+
+                c = Fraction(c)
+                if c.denominator == 1:
+                    c = c.numerator
             if c:
                 if len(mono) != rank or any(e < 0 for e in mono):
                     raise ValueError(f"bad exponent vector {mono} for rank {rank}")
@@ -166,7 +182,7 @@ class Polynomial:
                     raise ExponentOverflowError(
                         f"monomial {mono} exceeds the total degree limit {MAX_DEGREE}"
                     )
-                clean[_pack(mono)] = c.numerator if c.denominator == 1 else c
+                clean[_pack(mono)] = c
         self.rank = rank
         self.terms = clean
         self._hash: int | None = None
@@ -208,7 +224,7 @@ class Polynomial:
             if other.rank != self.rank:
                 raise ValueError(f"rank mismatch: {self.rank} vs {other.rank}")
             return other
-        if isinstance(other, (int, Fraction)):
+        if _is_scalar(other):
             return Polynomial.constant(other, self.rank)
         return None
 
@@ -250,10 +266,12 @@ class Polynomial:
     __rmul__ = __mul__
 
     def __truediv__(self, other) -> Polynomial:
+        from fractions import Fraction
+
+        if isinstance(other, Polynomial) and other.is_constant():
+            other = other.constant_value()
         if isinstance(other, (int, Fraction)) and other != 0:
-            return self * (Fraction(1) / Fraction(other))
-        if isinstance(other, Polynomial) and other.is_constant() and not other.is_zero():
-            return self * (Fraction(1) / other.constant_value())
+            return self * (1 / Fraction(other))
         raise ValueError("can only divide by a nonzero constant")
 
     def __pow__(self, e: int) -> Polynomial:
@@ -310,10 +328,10 @@ class Polynomial:
         return tuple(self.iter_terms())
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, (int, Fraction)):
-            other = Polynomial.constant(other, self.rank)
         if not isinstance(other, Polynomial):
-            return NotImplemented
+            if not _is_scalar(other):
+                return NotImplemented
+            other = Polynomial.constant(other, self.rank)
         return self.rank == other.rank and self.terms == other.terms
 
     def __hash__(self) -> int:

@@ -31,9 +31,9 @@ their representatives, and the conflated graph's one link map,
 from __future__ import annotations
 
 from collections import deque
+from collections.abc import Iterator, Sequence
 from itertools import groupby
 from operator import itemgetter
-from typing import Iterator, NamedTuple, Sequence
 
 from .symgroup import (
     DISTANT,
@@ -156,14 +156,20 @@ class Cloud(Frozen):
         return word_label(self.representative)
 
 
-class ConflatedEdge(NamedTuple):
+class ConflatedEdge(Frozen):
     """An oriented cloud edge with its retained expanded representative."""
 
-    source: Cloud
-    target: Cloud
-    expanded_source: Word  # word inside source where the retained move applies
-    expanded_target: Word
-    move: BraidMove  # the up move expanded_source -> expanded_target
+    __slots__ = ("source", "target", "expanded_source", "expanded_target", "move")
+
+    def __init__(
+        self,
+        source: Cloud,
+        target: Cloud,
+        expanded_source: Word,  # word inside source where the retained move applies
+        expanded_target: Word,
+        move: BraidMove,  # the up move expanded_source -> expanded_target
+    ):
+        self._init(source, target, expanded_source, expanded_target, move)
 
 
 class ConflatedGraph(Frozen):
@@ -196,8 +202,8 @@ class ConflatedGraph(Frozen):
         return [self.cloud_of[b] for b in self.links[c.representative]]
 
     def link(self, a: Word, b: Word) -> tuple[ConflatedEdge, bool]:
-        """``links[a][b]``; a ValueError naming both words when no edge joins their clouds."""
-        found = self.links[a].get(b)
+        """``links[a][b]``; a ValueError naming both words when they are no two linked representatives."""
+        found = self.links.get(a, {}).get(b)
         if found is None:
             raise ValueError(f"no conflated edge between {word_label(a)} and {word_label(b)}")
         return found

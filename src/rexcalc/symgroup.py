@@ -43,7 +43,8 @@ class Frozen:
     afterwards raises AttributeError.  Records compare and hash by their
     fields, in slot order, and print as ``Name(field=value, ...)``; a class
     that sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``
-    compares by identity instead.
+    compares by identity instead.  ``_asdict`` reads the fields as a dict
+    (the underscore keeps the name clear of any field's).
     """
 
     __slots__ = ()
@@ -61,6 +62,10 @@ class Frozen:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)
 
+    def _asdict(self) -> dict:
+        """The fields, name to value, in slot order."""
+        return dict(zip(self.__slots__, self._values()))
+
     def __reduce__(self):
         # copy and pickle rebuild a record through __init__, as __setattr__ refuses
         return type(self), self._values()
@@ -74,7 +79,7 @@ class Frozen:
         return hash(self._values())
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={value!r}" for name, value in zip(self.__slots__, self._values()))
+        fields = ", ".join(f"{name}={value!r}" for name, value in self._asdict().items())
         return f"{type(self).__qualname__}({fields})"
 
 

@@ -21,7 +21,7 @@ from rexcalc.bsbimod import BSElement, from_tensor
 from rexcalc.cli import main, parse_word
 from rexcalc.polyring import parse_polynomial
 from rexcalc.rexgraph import build_conflated, build_rex_graph, to_dot, word_label
-from rexcalc.symgroup import DISTANT, MAX_REDUCED_WORDS, BraidMove, longest_element, word_to_perm
+from rexcalc.symgroup import DISTANT, MAX_REDUCED_WORDS, BraidMove, Frozen, longest_element, word_to_perm
 
 
 def run(capsys, *argv):
@@ -161,6 +161,20 @@ def test_eval_conflated_path_written_as_words(capsys):
     code, out, _ = run(capsys, *lemma, "--path", "212321,213213,212321,213213")
     assert code == 0 and out.endswith("over word 213213\n")
     assert run(capsys, *lemma, "--path", "212321,213231,212321,213231,213213") == (code, out, "")
+
+
+def test_eval_with_rational_slots_prints_pinned_bytes(capsys):
+    # a rational coefficient is where fractions is first imported
+    argv = ["eval", "121", "--rank", "4", "--path", "121,212", "--element", "1/2*x1,1,x2/3 - 1/6,(x3+1)/2"]
+    code, out, err = run(capsys, *argv, "--format", "text")
+    assert (code, err) == (0, "")
+    assert out == (
+        "image: (1/12*x1^2*x3 + 1/12*x1*x2*x3 + 1/12*x1*x3^2 - 1/24*x1^2 - 1/24*x1*x2 + 1/24*x1*x3 - 1/24*x1)*e[000]"
+        " + (-1/12*x1*x3 + 1/24*x1)*e[010] + (-1/12*x1*x3 + 1/24*x1)*e[001]\nover word 212\n"
+    )
+    code, out, err = run(capsys, *argv, "--format", "json")
+    assert (code, err) == (0, "")
+    assert sha256(out.encode()).hexdigest() == "a3feea23b15435a198a63d8c5453ad9c01dfd3b2c81a99d023e250fb8c1555f7"
 
 
 def test_eval_bad_element_spec(capsys):
@@ -624,13 +638,19 @@ def test_closed_stdout_exits_quietly():
 
 
 @pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
-@pytest.mark.parametrize("argv", [["graph", "121"], ["verify", "zam", "--format", "json"]])
-def test_unwritable_output_is_exit_3_without_a_traceback(argv):
-    # every write to /dev/full fails with ENOSPC, as on a full disk
-    with open("/dev/full", "w") as full:
-        proc = _run_cli(*argv, stdout=full, stderr=subprocess.PIPE)
-    assert proc.returncode == 3
-    assert proc.stderr == "error: cannot write the output: No space left on device\n"
+@pytest.mark.parametrize(
+    "argv", [["graph", "121"], ["verify", "zam", "--format", "json"], ["--help"], ["verify", "--help"]]
+)
+def test_unwritable_output_is_exit_3_without_a_traceback(argv, monkeypatch):
+    # every write to /dev/full fails with ENOSPC, as on a full disk: on a
+    # buffered stdout at the flush, on an unbuffered one (python -u) at the
+    # write itself, which argparse would swallow when printing help
+    for unbuffered in ("", "1"):
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        with open("/dev/full", "w") as full:
+            proc = _run_cli(*argv, stdout=full, stderr=subprocess.PIPE)
+        assert proc.returncode == 3, unbuffered
+        assert proc.stderr == "error: cannot write the output: No space left on device\n"
 
 
 def test_text_output_is_the_printed_lines(monkeypatch):
@@ -848,11 +868,33 @@ def test_cli_import_loads_neither_dataclasses_nor_inspect():
     assert proc.stdout == "[]\n"
 
 
+def test_package_import_loads_neither_fractions_nor_typing():
+    # with site off (-S), as site may load typing itself; fractions loads
+    # decimal and numbers, and only a rational coefficient needs it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    probe = (
+        "import sys\n"
+        "def loaded(): return sorted({'fractions', 'decimal', 'typing'} & set(sys.modules))\n"
+        "import rexcalc.cli\n"
+        "print(loaded())\n"
+        "import rexcalc\n"
+        "print(loaded())\n"
+        "p = rexcalc.parse_polynomial('(x1 - 2*x2)^3 + 1', 3)\n"
+        "p * 2 - 1 == 1, p.split(1), p.demazure(2), rexcalc.from_tensor((1, 2), (p, p, 1 + p), 3)\n"
+        "print(loaded())\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-S", "-c", probe], capture_output=True, text=True, env={**os.environ, "PYTHONPATH": src}
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n" * 3
+
+
 def _plain(value):
     """A CLI payload as JSON data: a record as the dict of its fields, an element by to_json."""
     if isinstance(value, BSElement):
         return value.to_json()
-    if hasattr(value, "_asdict"):
+    if isinstance(value, Frozen):
         value = value._asdict()
     if isinstance(value, dict):
         return {k: _plain(v) for k, v in value.items()}

@@ -72,6 +72,32 @@ def test_scalar_multiples():
     assert 2 * (Fraction(1, 2) * x(3)) == x(3)
 
 
+def test_scalar_operands_keep_their_results_and_coefficient_types():
+    # fractions is imported only once a rational enters; the results, and
+    # which coefficients are int and which Fraction, are those of a module
+    # that imported it up front
+    def terms(p):
+        return [(mono, c, type(c)) for mono, c in p.iter_terms()]
+
+    p = 2 * x(1) + 1
+    one = Polynomial.one(4)
+    assert p != 1 and one == 1 and 1 == one and one == True and one == Fraction(1) and Polynomial.zero(4) == 0
+    assert one != 1.0
+    half = [((1, 0, 0, 0), Fraction(1), Fraction), ((0, 0, 0, 0), Fraction(1, 2), Fraction)]
+    assert terms(p * Fraction(1, 2)) == terms(Fraction(1, 2) * p) == half
+    assert terms(p / 3) == [((1, 0, 0, 0), Fraction(2, 3), Fraction), ((0, 0, 0, 0), Fraction(1, 3), Fraction)]
+    assert terms(p + True) == [((1, 0, 0, 0), 2, int), ((0, 0, 0, 0), 2, int)]
+    parsed = parse_polynomial("1/2*x1", 4)
+    assert terms(parsed) == [((1, 0, 0, 0), Fraction(1, 2), Fraction)] and str(parsed) == "1/2*x1"
+    given = Polynomial(4, {(0, 0, 0, 0): Fraction(4, 2), (1, 0, 0, 0): True, (0, 1, 0, 0): Fraction(3, 2)})
+    assert terms(given) == [((1, 0, 0, 0), 1, int), ((0, 1, 0, 0), Fraction(3, 2), Fraction), ((0, 0, 0, 0), 2, int)]
+    for refused in (lambda: p * 1.5, lambda: 1.5 * p, lambda: p + 1.5):
+        with pytest.raises(TypeError):
+            refused()
+    with pytest.raises(ValueError, match="can only divide by a nonzero constant"):
+        p / 1.5
+
+
 def test_rank_mismatch_rejected():
     with pytest.raises(ValueError):
         x(1, 3) + x(1, 4)

@@ -100,6 +100,12 @@ def _twice():
         (Path(CONFLATED, [[1, 2, 1]]), Path(kind=CONFLATED, vertices=((1, 2, 1),))),
         (Cloud(((3, 1), (1, 3))), Cloud([[1, 3], [3, 1]])),
         (element(4, (1,), {1: x(2)}), BSElement(rank=4, word=[1], terms=tag_column({1: x(2), 0: x(1) - x(1)}, 4))),
+        (graph_for_word((1, 2, 1))[1].edges[0], graph_for_word((1, 2, 1))[1].edges[0]),
+        (fpc.FpcVerdict((1,), 3, True), fpc.FpcVerdict(element=(1,), bound=3, holds=True, counterexample=None)),
+        (
+            fpc.SweepReport((fpc.SweepRow((1,), "dot", "dot", True, True),), True),
+            fpc.SweepReport(rows=(fpc.SweepRow((1,), "dot", "dot", True, as_expected=True),), all_expected=True),
+        ),
     ]
 
 
@@ -184,6 +190,13 @@ def test_report_records_take_keywords_and_print_their_fields():
     assert repr(verdict) == "FpcVerdict(element=(1,), bound=3, holds=True, counterexample=None)"
     lemmas = fpc.LemmaReport(results={"a": True})
     assert lemmas.all_hold and lemmas.results == {"a": True}
+    # the CLI's JSON keys: the fields, in slot order
+    assert list(report._asdict().items()) == [
+        ("rank", 3), ("z_zb_z_equals_z", True), ("zb_z_zb_equals_zb", True), ("zb_z_idempotent", True),
+        ("zb_z_proper", False),
+    ]
+    with pytest.raises(TypeError):
+        fpc.FpcVerdict(element=(1,), bound=3)
 
 
 # -- immutability --------------------------------------------------------------
