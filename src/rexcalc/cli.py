@@ -4,7 +4,9 @@ Exit codes: 0 all verdicts as expected, 1 unexpected mathematical
 verdict, 2 usage error, 3 resource budget exceeded, memory exhausted or
 output that cannot be written, 4 internal error (a failed table check or a broken graph or pool
 invariant, reported as ``internal error: ...`` on stderr with no
-traceback).  ``verify --budget`` (default ``fpc.DEFAULT_BUDGET``) caps
+traceback).  Every ``error:`` line goes through ``_report``, so a stderr
+that cannot be written loses the line but changes no exit code.
+``verify --budget`` (default ``fpc.DEFAULT_BUDGET``) caps
 the number of distinct morphism matrices a search may hold, and is the
 only setting of it.  A budget below 1, a rank outside 1..MAX_RANK, a
 word longer than MAX_WORD_LENGTH letters, an element with more than
@@ -158,11 +160,28 @@ def parse_element_spec(spec: str, word: Word, rank: int) -> BSElement:
 
 
 def _int_list(word: Word, newline: str) -> str:
-    """json.dumps(list(word), indent=2) for a list that ``newline`` indents as a nested one."""
+    """json.dumps(list(word), indent=2) for a list that ``newline`` indents as a nested one.
+
+    The letters are read off ``word_label``, the one word-label function.
+    """
     if not word:
         return "[]"
+    label = word_label(word)
     inner = newline + "  "
-    return "[" + inner + ("," + inner).join(map(str, word)) + newline + "]"
+    return "[" + inner + ("," + inner).join(label.split(",") if "," in label else label) + newline + "]"
+
+
+def _expanded_edge_texts(graph: RexGraph):
+    """(kind field, source text, target text) of each canonical edge, in order, holding only pending texts."""
+    pending: dict[Word, str] = {}  # the text of each word an edge has needed, until its own edges are out
+    for u in graph.words:
+        source = pending.pop(u, None) or _int_list(u, "\n      ")
+        for v, move in graph.moves(u):
+            if u < v:
+                target = pending.get(v)
+                if target is None:
+                    target = pending[v] = _int_list(v, "\n      ")
+                yield f'"kind": "{move.kind}",\n      ', source, target
 
 
 def write_graph_json(word: Word, graph: RexGraph | ConflatedGraph, out) -> None:
@@ -175,15 +194,16 @@ def write_graph_json(word: Word, graph: RexGraph | ConflatedGraph, out) -> None:
     "vertices": [[word, ...], ...]} of a conflated one, whose edges join
     cloud representatives and whose vertices list each cloud's members.
     Neither the payload nor the whole text is built: each edge is written
-    from the texts of its two words, each built once.
+    from the texts of its two words, each built once.  An expanded edge's
+    target sorts after its source, so a word's text is made when an edge
+    first needs it and dropped once the word's own edges are written.
     """
     if isinstance(graph, RexGraph):
-        in_edge = {w: _int_list(w, "\n      ") for w in graph.words}
-        edges = ((f'"kind": "{m.kind}",\n      ', u, v) for u, v, m in graph.edges)
+        edges = _expanded_edge_texts(graph)
         vertices = (_int_list(w, "\n    ") for w in graph.words)
     else:
-        in_edge = {c.representative: _int_list(c.representative, "\n      ") for c in graph.clouds}
-        edges = (("", e.source.representative, e.target.representative) for e in graph.edges)
+        text = {c.representative: _int_list(c.representative, "\n      ") for c in graph.clouds}
+        edges = (("", text[e.source.representative], text[e.target.representative]) for e in graph.edges)
         vertices = (
             "[\n      " + ",\n      ".join(_int_list(w, "\n      ") for w in c.members) + "\n    ]"
             for c in graph.clouds
@@ -191,8 +211,8 @@ def write_graph_json(word: Word, graph: RexGraph | ConflatedGraph, out) -> None:
     write = out.write
     write('{\n  "edges": [')
     sep = "\n"
-    for kind, u, v in edges:
-        write(f'{sep}    {{\n      {kind}"source": {in_edge[u]},\n      "target": {in_edge[v]}\n    }}')
+    for kind, source, target in edges:
+        write(f'{sep}    {{\n      {kind}"source": {source},\n      "target": {target}\n    }}')
         sep = ",\n"
     write("],\n" if sep == "\n" else "\n  ],\n")
     write(f'  "element": {json.dumps(word_label(word))},\n  "vertices": [')
@@ -432,6 +452,19 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _to_devnull(stream) -> None:
+    """Point a standard stream's file at devnull, so that the flush at interpreter exit cannot fail again."""
+    os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
+
+
+def _report(line: str) -> None:
+    """Print an ``error:`` or ``internal error:`` line on stderr; a stderr that cannot take it changes no exit code."""
+    try:
+        print(line, file=sys.stderr)
+    except OSError:
+        _to_devnull(sys.stderr)
+
+
 def main(argv=None) -> int:
     parser = build_parser()
     try:
@@ -446,27 +479,25 @@ def main(argv=None) -> int:
         sys.stdout.flush()
         return code
     except fpc.BudgetExceededError as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_BUDGET
     except MemoryError:
-        print("error: out of memory; try a smaller element, bound or --budget", file=sys.stderr)
+        _report("error: out of memory; try a smaller element, bound or --budget")
         return EXIT_BUDGET
     except (RuntimeError, AssertionError) as exc:
-        print(f"internal error: {exc}", file=sys.stderr)
+        _report(f"internal error: {exc}")
         return EXIT_INTERNAL
     except (UsageError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _report(f"error: {exc}")
         return EXIT_USAGE
     except BrokenPipeError:
-        # the reader stopped early (say, `| head`); point stdout at devnull so
-        # the flush at interpreter exit does not fail a second time
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the reader stopped early (say, `| head`)
+        _to_devnull(sys.stdout)
         return EXIT_OK
     except OSError as exc:
-        # stdout cannot take the output (say, a full disk): as above, so that
-        # the flush at interpreter exit does not fail a second time
-        print(f"error: cannot write the output: {exc.strerror or exc}", file=sys.stderr)
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # stdout cannot take the output (say, a full disk)
+        _report(f"error: cannot write the output: {exc.strerror or exc}")
+        _to_devnull(sys.stdout)
         return EXIT_BUDGET
 
 

@@ -13,10 +13,18 @@ reduced word under single braid moves is the full set of reduced words:
 neighbours and moves, each word held once, and ``reduced_words`` is its
 key list.
 
-``braid_moves`` rewrites each matching window of a word directly, slicing
-the result together, and takes its ``BraidMove`` values from a small
-interned constructor keyed by (position, kind, i, j): moves are frozen,
-so every word of a graph shares the few instances of each position.
+``_window_move`` states the window rules once, by position and first two
+letters, and takes its ``BraidMove`` values from a small interned
+constructor keyed by (position, kind, i, j): moves are frozen, so every
+word of a graph shares the few instances of each position.
+``braid_moves`` reads it over a word's windows and slices each result
+together.  ``braid_closure`` reads it once per (position, letters) into a
+table on int codes of words, a fixed number of bits per letter, first
+letter highest: all reduced words of an element have one length, so
+code order is word order, and a move adds a fixed change to a code.  A
+move at position p first changes letter p, so a word's neighbours sort
+as the moves that lower letter p by ascending p, then those that raise
+it by descending p, with no sort.
 
 >>> word_to_perm((1, 2, 1), 3).images
 (3, 2, 1)
@@ -29,8 +37,6 @@ so every word of a graph shares the few instances of each position.
 from __future__ import annotations
 
 from functools import cache, reduce
-from itertools import chain
-from operator import itemgetter
 
 Word = tuple[int, ...]
 
@@ -141,11 +147,21 @@ UP = "up"
 DOWN = "down"
 
 
+# byte i to the digit i for 1 <= i <= 9, every other byte to NUL
+_DIGIT_BYTES = bytes(48 + i if 1 <= i <= 9 else 0 for i in range(256))
+
+
 def word_label(word: Word) -> str:
     """Digits run together (12321); with a letter outside 1..9 they are comma-separated."""
     if not word:
         return "e"
-    return ("" if 1 <= min(word) and max(word) <= 9 else ",").join(map(str, word))
+    try:
+        digits = bytes(word).translate(_DIGIT_BYTES)
+    except ValueError:  # a letter outside 0..255
+        digits = b"\0"
+    if 0 in digits:
+        return ",".join(map(str, word))
+    return digits.decode()
 
 
 class BraidMove(Frozen):
@@ -242,6 +258,20 @@ def _move(position: int, kind: str, i: int, j: int = 0) -> BraidMove:
     return BraidMove(position, kind, i, j)
 
 
+def _window_move(position: int, a: int, b: int) -> tuple[BraidMove, Word] | None:
+    """The move whose window starts with the letters a, b at a position, and its rewritten window.
+
+    The one statement of the window rules: distant letters swap, adjacent
+    ones rewrite (a, b, a) -> (b, a, b), which applies only where the
+    third letter of the word is a again.  None for a == b.
+    """
+    if abs(a - b) >= 2:
+        return _move(position, DISTANT, a, b), (b, a)
+    if abs(a - b) == 1:
+        return _move(position, UP if b == a + 1 else DOWN, min(a, b)), (b, a, b)
+    return None
+
+
 def braid_moves(word) -> list[tuple[BraidMove, Word]]:
     """All single braid moves applicable to a word, with their results.
 
@@ -254,12 +284,14 @@ def braid_moves(word) -> list[tuple[BraidMove, Word]]:
     word = tuple(word)
     found: list[tuple[BraidMove, Word]] = []
     for p in range(len(word) - 1):
-        a, b = word[p], word[p + 1]
-        if abs(a - b) >= 2:
-            found.append((_move(p, DISTANT, a, b), word[:p] + (b, a) + word[p + 2:]))
-        elif abs(a - b) == 1 and p + 2 < len(word) and word[p + 2] == a:
-            move = _move(p, UP if b == a + 1 else DOWN, min(a, b))
-            found.append((move, word[:p] + (b, a, b) + word[p + 3:]))
+        a = word[p]
+        rule = _window_move(p, a, word[p + 1])
+        if rule is None:
+            continue
+        move, window = rule
+        if len(window) == 3 and word[p + 2:p + 3] != (a,):
+            continue
+        found.append((move, word[:p] + window + word[p + len(window):]))
     return found
 
 
@@ -276,9 +308,43 @@ def _seed_reduced_word(perm: Permutation) -> Word:
 
 # the most reduced words a closure may hold: above the 48,620 words of the
 # rank-11 line word 1..10..1, below the 292,864 of the longest element of
-# S_6, whose closure alone, built with the limit raised, peaks at 144 MB
-# of process RSS and takes about 6 s
+# S_6, whose closure alone, built with the limit raised, peaks at 155 MB
+# of process RSS and takes about 4 s
 MAX_REDUCED_WORDS = 50_000
+
+
+def _word_code(word: Word, width: int) -> int:
+    """The word as an int, ``width`` bits a letter, its first letter highest."""
+    code = 0
+    for letter in word:
+        code = code << width | letter
+    return code
+
+
+def _coded_moves(length: int, letters: list[int], width: int) -> list[tuple[int, list]]:
+    """The window rules of ``_window_move`` as lookups on the codes of words of a length over some letters.
+
+    One (shift, row) per position p: the shift brings letters p and p+1
+    of a code down to its low 2*width bits, and the row, indexed by those
+    bits, holds for the letters a, b the tuple (move, the change it makes
+    to the code, p, the rewritten window, for an adjacent move the shift
+    of letter p+2 and the a it must equal, else None), or None where no
+    move fits in the word.
+    """
+    rows = []
+    for p in range(length - 1):
+        row: list = [None] * (1 << 2 * width)
+        for a in letters:
+            for b in letters:
+                rule = _window_move(p, a, b)
+                if rule is None or p + len(rule[1]) > length:
+                    continue
+                move, window = rule
+                last = width * (length - p - len(window))  # the shift of the window's last letter
+                delta = (_word_code(window, width) - _word_code((a, b, a)[: len(window)], width)) << last
+                row[a << width | b] = (move, delta, p, window, None if len(window) == 2 else (last, a))
+        rows.append((width * (length - 2 - p), row))
+    return rows
 
 
 def braid_closure(perm: Permutation) -> dict[Word, tuple[Word | BraidMove, ...]]:
@@ -290,31 +356,58 @@ def braid_closure(perm: Permutation) -> dict[Word, tuple[Word | BraidMove, ...]]
     reduced word under braid moves finds each word's moves once; more than
     MAX_REDUCED_WORDS words is a ValueError naming the limit.
 
+    The search runs on int codes (``_word_code``, with the fewest bits
+    that hold the letter n-1).  All reduced words of one element have one
+    length, so code order is word order, and a move adds a fixed change to
+    the code, read off ``_coded_moves`` with the move by position and
+    letters.  A neighbour's tuple is sliced once, when it is first found.
+    A move at position p first changes letter p, so the neighbours come
+    sorted without a sort: the moves that lower letter p by ascending p,
+    then those that raise it by descending p.
+
     >>> braid_closure(word_to_perm((1, 2, 1), 3))[(1, 2, 1)]
     ((2, 1, 2), BraidMove(position=0, kind='up', i=1, j=0))
     """
     seed = _seed_reduced_word(perm)
-    found = {seed: seed}  # each word found so far, to its one stored object
-    closure: dict[Word, tuple[Word | BraidMove, ...]] = {}
-    stack = [seed]
+    width = (perm.n - 1).bit_length()
+    letter, pair = (1 << width) - 1, (1 << 2 * width) - 1
+    # every reduced word of an element spells it with the same letters
+    rows = _coded_moves(len(seed), sorted(set(seed)), width)
+    code = _word_code(seed, width)
+    found = {code: seed}  # the code of each word found so far, to its one stored object
+    closure: dict[int, tuple[Word | BraidMove, ...]] = {}
+    stack = [code]
     while stack:
         if len(found) > MAX_REDUCED_WORDS:
             raise ValueError(
                 f"the element has more than {MAX_REDUCED_WORDS:,} reduced words, "
                 f"the limit on reduced-word closures"
             )
-        w = stack.pop()
-        moves = braid_moves(w)
-        for _, w2 in moves:
-            if w2 not in found:
-                found[w2] = w2
-                stack.append(w2)
-        # no two moves give one word (their windows differ), so sorting by
-        # the neighbour alone keeps the (position, kind) tie-break
-        pairs = sorted([(found[w2], move) for move, w2 in moves], key=itemgetter(0))
-        closure[w] = tuple(chain.from_iterable(pairs))
-    del found, stack  # the closure's keys hold every word: free the rest before sorting
-    return {w: closure[w] for w in sorted(closure)}
+        c = stack.pop()
+        w = found[c]
+        lower: list = []
+        higher: list = []
+        for shift, row in rows:
+            entry = row[c >> shift & pair]
+            if entry is None:
+                continue
+            move, delta, p, window, third = entry
+            if third is not None and c >> third[0] & letter != third[1]:
+                continue
+            c2 = c + delta
+            w2 = found.get(c2)
+            if w2 is None:
+                w2 = found[c2] = w[:p] + window + w[p + len(window):]
+                stack.append(c2)
+            if delta < 0:
+                lower += (w2, move)
+            else:
+                higher[:0] = (w2, move)
+        closure[c] = (*lower, *higher)
+    order = sorted(closure)
+    words = [found[c] for c in order]
+    del found, stack  # free the code map before the result is built
+    return dict(zip(words, map(closure.__getitem__, order)))
 
 
 # no verdict reads reduced_words; it stays while perfbench/tracer.py wraps it

@@ -653,6 +653,38 @@ def test_unwritable_output_is_exit_3_without_a_traceback(argv, monkeypatch):
         assert proc.stderr == "error: cannot write the output: No space left on device\n"
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv, code, stdout_full",
+    [
+        (["graph", "11"], 2, False),
+        (["verify", "fpc-s4", "--budget", "0"], 2, False),
+        (["verify", "refined", "--rank", "3", "--budget", "1"], 3, False),
+        (["graph", "121"], 3, True),
+    ],
+)
+def test_unwritable_stderr_keeps_the_exit_code(argv, code, stdout_full, monkeypatch):
+    # the error line is lost, but the exit code still tells a usage error (2)
+    # or a budget or unwritable output (3) from an unexpected verdict (1)
+    for unbuffered in ("", "1"):
+        monkeypatch.setenv("PYTHONUNBUFFERED", unbuffered)
+        with open("/dev/full", "w") as full:
+            proc = _run_cli(*argv, stdout=full if stdout_full else subprocess.DEVNULL, stderr=full)
+        assert proc.returncode == code, unbuffered
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_unwritable_stderr_keeps_exit_4(monkeypatch):
+    def broken(*args, **kwargs):
+        raise RuntimeError("window rewrite failed for mask 0 of 121")
+
+    monkeypatch.setattr(fpc, "check_family", broken)
+    # line-buffered, as sys.stderr is, so the print itself meets the full disk
+    with open("/dev/full", "w", buffering=1) as full, contextlib.redirect_stdout(io.StringIO()):
+        monkeypatch.setattr(sys, "stderr", full)
+        assert main(["verify", "family", "--rank", "4"]) == cli.EXIT_INTERNAL
+
+
 def test_text_output_is_the_printed_lines(monkeypatch):
     out = io.StringIO()
     monkeypatch.setattr(sys, "stdout", out)
@@ -844,14 +876,35 @@ def assert_graph_json(capsys, word: str, rank: int | None, conflated: bool) -> N
 
 @pytest.mark.parametrize(
     "word, rank",
-    [("e", 3), ("1", None), ("2", 4), ("13", None), ("12321", None), ("121321", None), ("1213214321", None)],
+    [
+        ("e", 3),
+        ("1", None),
+        ("2", 4),
+        ("13", None),
+        ("12321", None),
+        ("121321", None),
+        ("1213214321", None),
+        ("1,2,10", None),
+        ("9,10,9", 11),
+        ("8,9,10,9,8", None),
+    ],
 )
 def test_expanded_graph_json_matches_json_dumps(capsys, word, rank):
     assert_graph_json(capsys, word, rank, conflated=False)
 
 
 @pytest.mark.parametrize(
-    "word, rank", [("e", 3), ("246", None), ("12321", None), ("121321", None), ("1213214321", None)]
+    "word, rank",
+    [
+        ("e", 3),
+        ("246", None),
+        ("12321", None),
+        ("121321", None),
+        ("1213214321", None),
+        ("1,2,10", None),
+        ("9,10,9", 11),
+        ("8,9,10,9,8", None),
+    ],
 )
 def test_conflated_graph_json_matches_json_dumps(capsys, word, rank):
     assert_graph_json(capsys, word, rank, conflated=True)

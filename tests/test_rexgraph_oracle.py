@@ -40,6 +40,7 @@ from rexcalc.rexgraph import (
 from rexcalc.symgroup import (
     Permutation,
     all_permutations,
+    braid_closure,
     braid_moves,
     longest_element,
     reduced_words,
@@ -104,19 +105,72 @@ def test_rank_six_benchmark_element_matches_the_oracle():
 
 
 def test_graph_build_finds_each_words_moves_once(monkeypatch):
-    calls = []
+    # each word is scanned once: one lookup per position of its code
+    lookups = []
 
-    def counting_moves(word):
-        calls.append(word)
-        return braid_moves(word)
+    class CountedRow(list):
+        def __getitem__(self, index):
+            lookups.append(index)
+            return super().__getitem__(index)
 
-    # replace every module's name for it, as a traced run would
-    for module in (symgroup, rexgraph):
-        if getattr(module, "braid_moves", None) is braid_moves:
-            monkeypatch.setattr(module, "braid_moves", counting_moves)
+    coded_moves = symgroup._coded_moves
+    monkeypatch.setattr(
+        symgroup, "_coded_moves", lambda *args: [(shift, CountedRow(row)) for shift, row in coded_moves(*args)]
+    )
     rex = build_rex_graph(word_to_perm((1, 2, 1, 3, 2, 1, 4, 3, 2, 1, 5, 4), 6))
-    assert len(rex.words) == len(calls) == 5775
-    assert sorted(calls) == list(rex.words)
+    assert len(rex.words) == 5775
+    assert len(lookups) == 5775 * 11
+
+
+def assert_closure_matches(perm: Permutation) -> None:
+    """The closure's keys, their order and flat tuples are the oracle's, with one object per word and per move."""
+    closure = braid_closure(perm)
+    ref = oracle.build_rex_graph(perm).adjacency
+    assert list(closure) == list(ref)
+    key = {w: w for w in closure}
+    for w, flat in closure.items():
+        assert flat == tuple(itertools.chain.from_iterable(ref[w]))
+        interned = {v: move for move, v in braid_moves(w)}
+        for v, move in zip(flat[::2], flat[1::2]):
+            assert v is key[v]
+            assert move is interned[v]
+            back = closure[v]
+            assert back[back.index(w) + 1] is move.reversed()
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5])
+def test_closure_of_every_element_matches_the_oracle(n):
+    for perm in all_permutations(n):
+        assert_closure_matches(perm)
+
+
+def test_closure_of_random_rank_six_elements_matches_the_oracle():
+    rng = random.Random(2606)
+    checked = 0
+    while checked < 12:
+        perm = random_permutation(rng, 6)
+        if perm.length() <= 11:
+            assert_closure_matches(perm)
+            checked += 1
+
+
+@pytest.mark.parametrize(
+    "word", [(10,), (1, 2, 10), (9, 10, 9), (8, 9, 10, 9, 8), (2, 10, 9, 10, 3), (10, 9, 8, 1, 2, 9, 10)]
+)
+def test_closure_over_the_letter_ten_matches_the_oracle(word):
+    # rank 11 codes its letters in 4 bits, one more than ranks 5 to 8
+    assert symgroup.is_reduced(word, 11)
+    assert_closure_matches(word_to_perm(word, 11))
+
+
+def test_closure_limit_counts_the_words(monkeypatch):
+    perm = word_to_perm((1, 2, 1, 3, 2, 1), 4)  # 16 reduced words
+    monkeypatch.setattr(symgroup, "MAX_REDUCED_WORDS", 16)
+    assert len(braid_closure(perm)) == 16
+    monkeypatch.setattr(symgroup, "MAX_REDUCED_WORDS", 15)
+    message = "^the element has more than 15 reduced words, the limit on reduced-word closures$"
+    with pytest.raises(ValueError, match=message):
+        braid_closure(perm)
 
 
 def assert_run_matches(conf, x, y, direction) -> bool:

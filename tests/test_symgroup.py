@@ -14,6 +14,7 @@ from rexcalc.symgroup import (
     is_reduced,
     longest_element,
     reduced_words,
+    word_label,
     word_to_perm,
 )
 
@@ -167,3 +168,23 @@ def test_n_statistic_under_moves():
                 assert delta == 1
             else:
                 assert delta == -1
+
+
+def test_word_label_matches_the_joined_letters():
+    # the all-digit path translates bytes; any other letter joins with commas
+    def joined(word):
+        if not word:
+            return "e"
+        return ("" if 1 <= min(word) and max(word) <= 9 else ",").join(map(str, word))
+
+    rng = random.Random(38)
+    letters = [0, 1, 5, 9, 10, 11, 255, 256, 1000, -1]
+    words = [(), (0,), (10,), (9,), (256,), (-3, 4)]
+    for _ in range(2000):
+        length = rng.randint(0, 12)
+        if rng.random() < 0.5:
+            words.append(tuple(rng.randint(1, 9) for _ in range(length)))
+        else:
+            words.append(tuple(rng.choice(letters + [rng.randint(1, 9)]) for _ in range(length)))
+    for word in words:
+        assert word_label(word) == joined(word), word
