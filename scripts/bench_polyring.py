@@ -43,9 +43,16 @@ json`` (``emit_conflated_json``) documents into /dev/null by
 its ``rexcalc graph --format dot`` document (``emit_graph_dot``): the
 lines of ``to_dot`` into /dev/null through ``cli._emit``, the piecewise
 writer ``cmd_graph`` uses for text and DOT.
-``graph_peak_kb`` is the ``tracemalloc`` peak, in kB, of one
-``build_rex_graph`` and ``build_conflated`` of that element, taken after
-the rows: the memory the two graphs and their construction hold at once.
+``graph_peak_kb`` is the peak RSS, in kB (``ru_maxrss``), of a fresh
+child interpreter that imports the package and runs one
+``build_rex_graph`` and ``build_conflated`` of that element: the memory
+the two graphs and their construction hold at once, on top of the
+interpreter and its imports (about 13 MB).  A process peak counts memory
+that ``tracemalloc`` does not see, such as reused blocks of the tuple
+free list, so it compares commits.  Each child of this row and of
+``--w0-rank5`` is spawned under ``perfbench/launch.py``, which reaps it
+and reports its own ``ru_maxrss``; the launcher's speed meter takes
+about 2% of the child's CPU.
 ``emit_graph_json_peak_kb`` is the ``tracemalloc`` peak, in kB, while
 ``cli.write_graph_json`` writes that element's built expanded graph
 into /dev/null, the graph included: where ``rexcalc graph --format
@@ -75,7 +82,7 @@ generator masks of its domain (``bsbimod.bimodule_generator_masks``), so
 columns and column images count those.  ``--w0-rank5`` also builds
 the ``ConflatedMorphisms`` of the longest element of S_5 in a fresh child
 process and reports the build's seconds and the child's peak RSS in MB
-(``ru_maxrss`` from ``os.wait4``), and adds the row
+(``ru_maxrss``), and adds the row
 ``generator_sets_w0_rank5``: ``generator_sets`` on the 62 cloud
 representatives of the longest element of S_5.  The operands are fixed: seeded random
 integer-coefficient polynomials of rank 4 (1-4 terms, exponents up to 2,
@@ -133,6 +140,9 @@ from rexcalc import (
 from rexcalc.polyring import split_terms
 from rexcalc.rexgraph import build_conflated, build_rex_graph, to_dot
 from rexcalc.symgroup import braid_closure, longest_element, word_to_perm
+
+# spawns each fresh child of the peak rows, so their ru_maxrss is the child's own
+LAUNCH = os.path.join(PERFBENCH, "launch.py")
 
 RANK = 4
 
@@ -287,27 +297,38 @@ print(time.perf_counter() - start)
 """
 
 
-def time_w0_rank5() -> tuple[float, float]:
-    """Seconds for one ConflatedMorphisms build of the longest element of S_5, and peak RSS in MB.
+def run_child(program: str) -> tuple[str, int]:
+    """Run a Python program in a fresh child interpreter: what it printed, and its peak RSS in kB.
 
-    The build runs in a fresh child process, so the peak is that of the
-    build alone, with no table or matrix left over from the other rows.
+    A child's ``ru_maxrss`` starts at the resident size of the process that
+    spawned it, so the child is spawned, with ``os.posix_spawn``, under
+    ``perfbench/launch.py``: the launcher stays near 8 MB, reaps the child
+    with ``os.wait4`` and reports its ``ru_maxrss``, which is then the
+    child's own, not this process's.
     """
-    read_end, write_end = os.pipe()
+    out_read, out_write = os.pipe()
+    report_read, report_write = os.pipe()
+    os.set_inheritable(report_write, True)
     pid = os.posix_spawn(
         sys.executable,
-        [sys.executable, "-c", W0_RANK5_CHILD],
+        [sys.executable, "-I", "-S", LAUNCH, str(report_write), sys.executable, "-c", program],
         os.environ,
-        file_actions=[(os.POSIX_SPAWN_DUP2, write_end, 1)],
+        file_actions=[(os.POSIX_SPAWN_DUP2, out_write, 1)],
     )
-    os.close(write_end)
-    with os.fdopen(read_end) as out:
-        printed = out.read()
-    _, status, usage = os.wait4(pid, 0)
-    code = os.waitstatus_to_exitcode(status)
-    if code:
-        raise RuntimeError(f"the rank-5 build exited with status {code}")
-    return float(printed), usage.ru_maxrss / 1024
+    os.close(out_write)
+    os.close(report_write)
+    with os.fdopen(out_read) as out, os.fdopen(report_read) as report:
+        printed, fields = out.read(), report.read().split()
+    os.waitpid(pid, 0)
+    if len(fields) != 5 or fields[1] != "0":
+        raise RuntimeError(f"the child interpreter failed: launcher report {' '.join(fields)!r}")
+    return printed, int(fields[2])
+
+
+def time_w0_rank5() -> tuple[float, float]:
+    """Seconds for one ConflatedMorphisms build of the longest element of S_5, in a fresh child, and its peak RSS in MB."""
+    printed, peak_kb = run_child(W0_RANK5_CHILD)
+    return float(printed), peak_kb / 1024
 
 
 def time_cold_import() -> tuple[float, float]:
@@ -346,15 +367,16 @@ def graph_layer_rows() -> dict:
     }
 
 
-def graph_peak_kb() -> float:
-    """The tracemalloc peak of building both graphs of GRAPH_WORD, in kB."""
-    perm = word_to_perm(GRAPH_WORD, 6)
-    tracemalloc.start()
-    try:
-        build_conflated(build_rex_graph(perm))
-        return tracemalloc.get_traced_memory()[1] / 1024
-    finally:
-        tracemalloc.stop()
+GRAPH_PEAK_CHILD = f"""
+from rexcalc.rexgraph import build_conflated, build_rex_graph
+from rexcalc.symgroup import word_to_perm
+build_conflated(build_rex_graph(word_to_perm({GRAPH_WORD!r}, 6)))
+"""
+
+
+def graph_peak_kb() -> int:
+    """The peak RSS, in kB, of a fresh child interpreter that builds both graphs of GRAPH_WORD."""
+    return run_child(GRAPH_PEAK_CHILD)[1]
 
 
 def emit_graph_json_peak_kb() -> float:

@@ -135,13 +135,11 @@ def parse_path_spec(spec: str, rex: RexGraph, conf: ConflatedGraph) -> Path:
                 vertices.append(_cloud_representative(conf, parse_word(tok)))
         return Path(CONFLATED, tuple(vertices))
     vertices = [parse_word(tok) for tok in raw]
-    if all(v in rex.neighbours for v in vertices):
-        reps = [conf.cloud(v).representative for v in vertices]
-        moves = all(v in dict(rex.moves(u)) for u, v in zip(vertices, vertices[1:]))
-        if not moves and all(b in conf.links[a] for a, b in zip(reps, reps[1:])):
-            return Path(CONFLATED, tuple(reps))
-        return Path(EXPANDED, tuple(vertices))
-    return Path(CONFLATED, tuple(_cloud_representative(conf, v) for v in vertices))
+    reps = [_cloud_representative(conf, v) for v in vertices]
+    moves = all(v in dict(rex.moves(u)) for u, v in zip(vertices, vertices[1:]))
+    if not moves and all(b in conf.links[a] for a, b in zip(reps, reps[1:])):
+        return Path(CONFLATED, tuple(reps))
+    return Path(EXPANDED, tuple(vertices))
 
 
 def parse_element_spec(spec: str, word: Word, rank: int) -> BSElement:

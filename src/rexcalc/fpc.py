@@ -91,18 +91,6 @@ class PathPairWitness(Frozen):
 
     __slots__ = ("start", "end", "path_a", "path_b", "witness_mask", "image_a", "image_b")
 
-    def __init__(
-        self,
-        start: Word,
-        end: Word,
-        path_a: tuple[Word, ...],
-        path_b: tuple[Word, ...],
-        witness_mask: int,
-        image_a: BSElement,
-        image_b: BSElement,
-    ):
-        self._init(start, end, path_a, path_b, witness_mask, image_a, image_b)
-
 
 class FpcVerdict(Frozen):
     __slots__ = ("element", "bound", "holds", "counterexample")
@@ -328,23 +316,13 @@ def check_refined_conjecture(n: int, max_len: int, budget: int = DEFAULT_BUDGET)
 
 
 class CounterexampleReport(Frozen):
-    """Exact reproduction of the two loop morphisms at 13231 separating on x."""
+    """Exact reproduction of the two loop morphisms at 13231 separating on x.
+
+    ``dots_a`` and ``dots_b`` are the images under caps on both outer
+    factors, in B_3 B_2 B_3.
+    """
 
     __slots__ = ("word", "element", "path_a", "path_b", "image_a", "image_b", "matrices_differ", "dots_a", "dots_b")
-
-    def __init__(
-        self,
-        word: Word,
-        element: BSElement,
-        path_a: Path,
-        path_b: Path,
-        image_a: BSElement,
-        image_b: BSElement,
-        matrices_differ: bool,
-        dots_a: BSElement,  # image under caps on both outer factors, in B_3 B_2 B_3
-        dots_b: BSElement,
-    ):
-        self._init(word, element, path_a, path_b, image_a, image_b, matrices_differ, dots_a, dots_b)
 
 
 COUNTEREXAMPLE_PATH_A = Path(
@@ -412,17 +390,9 @@ def reproduce_counterexample() -> CounterexampleReport:
 
 
 class ZamReport(Frozen):
-    __slots__ = ("rank", "z_zb_z_equals_z", "zb_z_zb_equals_zb", "zb_z_idempotent", "zb_z_proper")
+    """``zb_z_idempotent`` is (Zb Z)^2 == Zb Z, and ``zb_z_proper`` is Zb Z != identity."""
 
-    def __init__(
-        self,
-        rank: int,
-        z_zb_z_equals_z: bool,
-        zb_z_zb_equals_zb: bool,
-        zb_z_idempotent: bool,  # (Zb Z)^2 == Zb Z
-        zb_z_proper: bool,  # Zb Z != identity
-    ):
-        self._init(rank, z_zb_z_equals_z, zb_z_zb_equals_zb, zb_z_idempotent, zb_z_proper)
+    __slots__ = ("rank", "z_zb_z_equals_z", "zb_z_zb_equals_zb", "zb_z_idempotent", "zb_z_proper")
 
     @property
     def all_hold(self) -> bool:
@@ -485,9 +455,6 @@ def check_dud_udu_all(n: int) -> bool:
 
 class LemmaReport(Frozen):
     __slots__ = ("results",)
-
-    def __init__(self, results: dict[str, bool]):
-        self._init(results)
 
     @property
     def all_hold(self) -> bool:
@@ -580,24 +547,18 @@ def classify_shape(conf: ConflatedGraph) -> str:
 
 
 class SweepRow(Frozen):
-    __slots__ = ("element", "shape", "expected_shape", "holds", "as_expected")
+    """One element of the S_4 sweep.
 
-    def __init__(
-        self,
-        element: Word,  # lexicographically least reduced word of the element
-        shape: str,
-        expected_shape: str,
-        holds: bool,  # all compared complete paths agree
-        as_expected: bool,  # the shape is the table's and only 12321 fails
-    ):
-        self._init(element, shape, expected_shape, holds, as_expected)
+    ``element`` is the lexicographically least reduced word of the element,
+    ``holds`` says that all compared complete paths agree, and
+    ``as_expected`` that the shape is the table's and only 12321 fails.
+    """
+
+    __slots__ = ("element", "shape", "expected_shape", "holds", "as_expected")
 
 
 class SweepReport(Frozen):
     __slots__ = ("rows", "all_expected")
-
-    def __init__(self, rows: tuple[SweepRow, ...], all_expected: bool):
-        self._init(rows, all_expected)
 
 
 def sweep_max_len(cloud_count: int) -> int:
@@ -632,23 +593,12 @@ def check_s4_sweep(budget: int = DEFAULT_BUDGET) -> SweepReport:
 
 
 class FamilyReport(Frozen):
-    """The two sweeping paths on the line graph of 1 2 .. (n-1) .. 2 1."""
+    """The two sweeping paths on the line graph of 1 2 .. (n-1) .. 2 1.
+
+    ``line`` is the cloud representatives from source to sink.
+    """
 
     __slots__ = ("word", "rank", "line", "path_a", "path_b", "morphisms_differ", "witness_mask", "image_a", "image_b")
-
-    def __init__(
-        self,
-        word: Word,
-        rank: int,
-        line: tuple[Word, ...],  # cloud representatives from source to sink
-        path_a: tuple[Word, ...],
-        path_b: tuple[Word, ...],
-        morphisms_differ: bool,
-        witness_mask: int | None,
-        image_a: BSElement | None,
-        image_b: BSElement | None,
-    ):
-        self._init(word, rank, line, path_a, path_b, morphisms_differ, witness_mask, image_a, image_b)
 
 
 def family_word(n: int) -> Word:

@@ -107,15 +107,6 @@ class RexGraph(Frozen):
     __eq__ = object.__eq__
     __hash__ = object.__hash__
 
-    def __init__(
-        self,
-        rank: int,
-        element: Permutation,
-        words: tuple[Word, ...],
-        neighbours: dict[Word, tuple[Word | BraidMove, ...]],
-    ):
-        self._init(rank, element, words, neighbours)
-
     def moves(self, u: Word) -> Iterator[tuple[Word, BraidMove]]:
         """The pairs (v, move u -> v) of a word u, sorted by v, read off ``neighbours[u]``.
 
@@ -157,19 +148,13 @@ class Cloud(Frozen):
 
 
 class ConflatedEdge(Frozen):
-    """An oriented cloud edge with its retained expanded representative."""
+    """An oriented cloud edge with its retained expanded representative.
+
+    ``expanded_source`` is the word inside source where the retained move
+    applies, and ``move`` the up move expanded_source -> expanded_target.
+    """
 
     __slots__ = ("source", "target", "expanded_source", "expanded_target", "move")
-
-    def __init__(
-        self,
-        source: Cloud,
-        target: Cloud,
-        expanded_source: Word,  # word inside source where the retained move applies
-        expanded_target: Word,
-        move: BraidMove,  # the up move expanded_source -> expanded_target
-    ):
-        self._init(source, target, expanded_source, expanded_target, move)
 
 
 class ConflatedGraph(Frozen):
@@ -183,17 +168,6 @@ class ConflatedGraph(Frozen):
     __slots__ = ("rank", "element", "clouds", "edges", "cloud_of", "links")
     __eq__ = object.__eq__
     __hash__ = object.__hash__
-
-    def __init__(
-        self,
-        rank: int,
-        element: Permutation,
-        clouds: tuple[Cloud, ...],
-        edges: tuple[ConflatedEdge, ...],
-        cloud_of: dict[Word, Cloud],
-        links: dict[Word, dict[Word, tuple[ConflatedEdge, bool]]],
-    ):
-        self._init(rank, element, clouds, edges, cloud_of, links)
 
     def cloud(self, word) -> Cloud:
         return self.cloud_of[tuple(word)]

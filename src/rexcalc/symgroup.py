@@ -36,7 +36,7 @@ it by descending p, with no sort.
 
 from __future__ import annotations
 
-from functools import cache, reduce
+from functools import reduce
 
 Word = tuple[int, ...]
 
@@ -44,8 +44,10 @@ Word = tuple[int, ...]
 class Frozen:
     """Base of the package's records: slots set once, in ``__init__``.
 
-    A record names its fields in ``__slots__`` and ``__init__`` sets them,
-    in that order, through ``_init``; assigning or deleting an attribute
+    A record names its fields in ``__slots__``, and the constructor takes
+    them by position or keyword, in slot order, each once; only a record
+    that checks or normalises its input defines its own ``__init__``, which
+    sets the fields through ``_init``.  Assigning or deleting an attribute
     afterwards raises AttributeError.  Records compare and hash by their
     fields, in slot order, and print as ``Name(field=value, ...)``; a class
     that sets ``__eq__ = object.__eq__`` and ``__hash__ = object.__hash__``
@@ -54,6 +56,16 @@ class Frozen:
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **fields) -> None:
+        names = self.__slots__
+        rest = names[len(values):]  # the fields left to keywords
+        if len(values) + len(fields) != len(names) or not fields.keys() <= set(rest):
+            raise TypeError(
+                f"{type(self).__name__} takes its fields {', '.join(names)} once each, by position or keyword; "
+                f"got {len(values)} by position and {', '.join(fields) or 'none'} by keyword"
+            )
+        self._init(*values, *map(fields.__getitem__, rest))
 
     def _init(self, *values) -> None:
         for name, value in zip(self.__slots__, values):
@@ -252,10 +264,13 @@ def longest_element(n: int) -> Word:
     return tuple(word)
 
 
-@cache
+_MOVES: dict[tuple[int, str, int, int], BraidMove] = {}  # (position, kind, i, j) -> the move's one instance
+
+
 def _move(position: int, kind: str, i: int, j: int = 0) -> BraidMove:
-    # moves are frozen values, so one instance per (position, kind, i, j) is shared
-    return BraidMove(position, kind, i, j)
+    # moves are frozen values, so equal moves share one instance, however the call is written
+    key = (position, kind, i, j)
+    return _MOVES.get(key) or _MOVES.setdefault(key, BraidMove(*key))
 
 
 def _window_move(position: int, a: int, b: int) -> tuple[BraidMove, Word] | None:

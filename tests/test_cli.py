@@ -122,6 +122,22 @@ def test_eval_identity_word_as_path(capsys):
     assert code == 2 and "e is not a reduced word of this element" in err
 
 
+@pytest.mark.parametrize(
+    "spec, bad",
+    [
+        ("12321,99999", "99999"),  # last
+        ("99999,12321", "99999"),  # first
+        ("12321,13231,12213", "12213"),  # a reduced word of another element
+        ("12321,99999,13231", "99999"),  # in the middle
+        ("99999,12213", "99999"),  # the first of two
+        ("s,99999", "99999"),  # beside an alias
+    ],
+)
+def test_eval_path_vertex_outside_the_element_is_a_usage_error(capsys, spec, bad):
+    code, out, err = run(capsys, "eval", "12321", "--path", spec, "--element", "1,1,1,1,1,1")
+    assert (code, out, err) == (2, "", f"error: {bad} is not a reduced word of this element\n")
+
+
 def test_eval_conflated_aliases(capsys):
     code, out, _ = run(
         capsys, "eval", "12321", "--path", "s,c,t,c", "--element", "1,x2,1,1,1,1"

@@ -102,11 +102,15 @@ def test_bench_polyring_times_a_cold_import_and_the_graph_writer(monkeypatch):
         assert once() > 0
 
 
-def test_bench_polyring_reads_the_graph_build_peak():
+def test_bench_polyring_reads_the_graph_build_peak(monkeypatch):
+    monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     script = load_script("bench_polyring")
     peak = script.graph_peak_kb()
-    # both graphs of GRAPH_WORD are built under the trace, and tracing stops after
-    assert peak > 0 and not tracemalloc.is_tracing()
+    # a fresh child's peak RSS: an interpreter, the package and both graphs of GRAPH_WORD
+    assert type(peak) is int and 2_000 < peak < 500_000 and not tracemalloc.is_tracing()
+    # the rank-5 row reads its peak through the same child runner
+    printed, child_peak = script.run_child("print(6 * 7)")
+    assert printed == "42\n" and 0 < child_peak < peak
 
 
 def test_bench_polyring_reads_the_graph_json_writer_peak():

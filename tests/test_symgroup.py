@@ -7,6 +7,7 @@ import random
 import pytest
 from hypothesis import given, strategies as st
 
+from rexcalc import symgroup
 from rexcalc.symgroup import (
     BraidMove,
     Permutation,
@@ -112,6 +113,20 @@ def test_braid_move_reverse_round_trips():
     move = BraidMove(1, "up", 2)
     word = (1, 2, 3, 2, 1)
     assert move.reversed().apply(move.apply(word)) == word
+
+
+def test_equal_braid_moves_are_one_interned_object():
+    # however the call is written, an equal move is the one shared instance
+    up = symgroup._move(0, "up", 1)
+    assert symgroup._move(0, "up", 1, 0) is up
+    assert symgroup._move(position=0, kind="up", i=1, j=0) is up
+    assert symgroup._move(0, "up", i=1) is up
+    assert up.reversed().reversed() is up
+    distant = symgroup._move(2, "distant", 1, 3)
+    assert symgroup._move(2, "distant", i=1, j=3) is distant and distant.reversed().reversed() is distant
+    # and the moves of one word's windows come from the same instances
+    [(move, _)] = braid_moves((1, 2, 1))
+    assert move is up and move == BraidMove(0, "up", 1) and move is not BraidMove(0, "up", 1)
 
 
 def test_braid_moves_preserve_element_and_reducedness():
