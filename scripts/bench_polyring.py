@@ -12,8 +12,8 @@ row's normal forms split, recorded once by wrapping the name ``bsbimod``
 calls, for one warm
 ``fpc.check_zam_identities(4)`` and ``fpc.check_dud_udu_all(4)``
 (``zam_walks``: the source/sink identities and DUD = UDU on the longest
-element of S_4 as pool walks, with the graphs and edge matrices built
-before the row), and for ``MorphismMatrix.for_edge`` on one adjacent move of the
+element of S_4 as pool walks, with the graphs, tables and the step
+columns the walks read built before the row), and for ``MorphismMatrix.for_edge`` on one adjacent move of the
 word 123545321 of the element 123454321 (512 columns), with the package's
 cached tables cleared before each repeat (``for_edge_adjacent``; no
 verdict builds a distant move's matrix: ``path_morphism`` applies runs of
@@ -29,10 +29,16 @@ variables.  ``step_tables`` times one
 cold ``ConflatedMorphisms`` of 123454321 at rank 6, the line6 workload's
 step matrices (4 conflated edges, so 8 steps, whose lifts make 8
 adjacent and 24 distant moves), with its graphs built before the row and
-the cached tables cleared before each repeat.  Its 24 distant moves form
-12 runs, each applied as one mask permutation: 6 lead a step and are
-read through by its edge matrix's columns, and 6 end a step and relabel
-its rows.  The graph rows time, best of
+the cached tables cleared before each repeat.  It lifts each step and
+checks its moves but builds no column: a step builds each column when
+it is first read.  Its 24 distant moves form 12 runs, each one mask
+permutation: 6 lead a step, whose column c is then its edge column at
+the run's image of c, and 6 end a step and move its rows.
+``family_step_columns`` times the same cold build followed by the
+columns that ``fpc.check_family(6)`` builds, read in the order it built
+them (recorded once from a fresh calculus); ``family_step_columns_built``
+gives their count, of the 8 x 512 = 4,096 columns of the 8 steps.
+The graph rows time, best of
 ``GRAPH_REPEAT`` runs and in nanoseconds, ``braid_closure`` (the closure
 ``build_rex_graph`` takes as its neighbour map), ``build_rex_graph`` and
 ``build_conflated`` on the element 121321432154 of S_6 (5,775 words,
@@ -67,8 +73,8 @@ import every CLI call pays once.  The
 child times the meter loop itself, just before and just after its
 import, so its ``per_meter_loop`` divides by the speed of the CPU the
 import ran on.
-The search rows time one ``fpc.check_fpc`` with its graphs and edge
-matrices already built by a first call, so they measure the path search
+The search rows time one ``fpc.check_fpc`` with its graphs, tables and
+step columns already built by a first call, so they measure the path search
 alone: ``value_search`` on 12321, the S_4 counterexample, at bound 9
 (it stops after a few dozen steps), and ``value_search_w0`` on 121321,
 the longest element of S_4 (an 8-cloud cycle), at bound 20.  The
@@ -102,7 +108,8 @@ CPU it starts on, as ``perfbench/launch.py`` does, so the child
 interpreters of ``cold_import`` and ``--w0-rank5`` run on the meter's
 CPU.
 
-Apart from clearing the cached tables, the pool wrapper, the
+Apart from clearing the cached tables and the cached calculi of
+``fpc``, reading a calculus back with ``fpc._calculus``, the pool wrapper, the
 ``split_terms`` recorder and the DOT row's ``cli._emit``, only public
 names are used.
 """
@@ -286,6 +293,27 @@ def time_step_tables(rex, conf) -> float:
     return run_ns(lambda: ConflatedMorphisms(rex, conf), 1)
 
 
+def family_step_columns() -> list[tuple[tuple, int]]:
+    """The (step, mask) of each step column that fpc.check_family(6) builds, read off a fresh calculus."""
+    fpc._element_calculus.cache_clear()
+    fpc.check_family(6)
+    cm = fpc._calculus(STEP_WORD, 6)
+    fpc._element_calculus.cache_clear()
+    return [(step, c) for step, m in {**cm.forward, **cm.backward}.items() for c in m.cols.built]
+
+
+def time_family_step_columns(rex, conf, reads) -> float:
+    """One cold ConflatedMorphisms build over prebuilt graphs, then each step column of ``reads``, in nanoseconds."""
+    clear_tables()
+
+    def once():
+        cm = ConflatedMorphisms(rex, conf)
+        for step, c in reads:
+            cm.step_matrix(*step).cols[c]
+
+    return run_ns(once, 1)
+
+
 W0_RANK5_CHILD = """
 import time
 from rexcalc import ConflatedMorphisms, graph_for_word
@@ -447,7 +475,8 @@ def main() -> int:
     pairs = list(zip(left, right))
     slot_sets = tensor_slots(random.Random(5))  # its own seed: the operands below stay as they were
 
-    zam_walks()  # builds the graphs and edge matrices
+    family_reads = family_step_columns()  # before the warm-up: it clears fpc's cached calculi
+    zam_walks()  # builds the graphs, the tables and the step columns the walks read
     splits = recorded_splits(slot_sets)
     set_words = [(w, 4) for w in cloud_words(longest_element(4), 4)] + [(LINE6_START, 6)]
     rows = {
@@ -465,16 +494,17 @@ def main() -> int:
     }
     step_graphs = graph_for_word(STEP_WORD, rank=6)
     rows["step_tables"] = (lambda: time_step_tables(*step_graphs), args.repeat)
+    rows["family_step_columns"] = (lambda: time_family_step_columns(*step_graphs, family_reads), args.repeat)
     if args.w0_rank5:
         rank5_words = [(w, 5) for w in cloud_words(longest_element(5), 5)]
         rows["generator_sets_w0_rank5"] = (lambda: time_generator_sets(rank5_words), args.repeat)
     rows.update(graph_layer_rows())
     rows["cold_import"] = (time_cold_import, IMPORT_REPEAT)
     for name, (word, bound) in SEARCHES.items():
-        fpc.check_fpc(word, bound, rank=RANK)  # builds its graphs and edge matrices
+        fpc.check_fpc(word, bound, rank=RANK)  # builds its graphs, tables and the step columns it reads
         rows[name] = (lambda word=word, bound=bound: time_value_search(word, bound), args.repeat)
 
-    result = {"unit": "ns/op", "split_calls": len(splits)}
+    result = {"unit": "ns/op", "split_calls": len(splits), "family_step_columns_built": len(family_reads)}
     per_loop = {}
     for name, (once, repeat) in rows.items():
         result[name], per_loop[name] = measure(once, repeat)

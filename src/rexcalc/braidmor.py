@@ -40,30 +40,35 @@ would derive, term for term.
 Whole-word edge morphisms Id (x) f (x) Id act on a stored basis term by
 looking up the window mask in the table, multiplying the image's left
 coefficient into the slot left of the window, and renormalizing
-(``apply_edge``).  The edge matrix is built window-locally from the same
-rule.  A basis column splits into prefix bits p (left of the window),
-window bits wm and suffix bits.  Renormalization runs right to left, and
-every slot right of the window holds 1 or its own letter's variable, so
-the suffix bits pass through unchanged and only the prefix is rewritten:
-each term (imask, icoeff) of the image of wm contributes the normal form
-of the prefix tensor of p with icoeff in its last slot, with imask in the
-window.  So the part of a column left of the suffix is computed once per
-(p, wm), the prefix normal form once per (p, icoeff), and every suffix
-reuses it with shifted row indices.  A distant move has icoeff = 1
-throughout, and its matrix is a permutation built without polynomial
-arithmetic.
+(``apply_edge``).  An edge matrix's columns come one at a time from the
+same rule, stated once in ``_edge_columns``.  A basis column splits into
+prefix bits p (left of the window), window bits wm and suffix bits.
+Renormalization runs right to left, and every slot right of the window
+holds 1 or its own letter's variable, so the suffix bits pass through
+unchanged and only the prefix is rewritten: each term (imask, icoeff) of
+the image of wm contributes the normal form of the prefix tensor of p
+with icoeff in its last slot, with imask in the window.  So the part of a
+column left of the suffix is computed once per (p, wm), the prefix normal
+form once per (p, icoeff), and every suffix reuses it with shifted row
+indices.  ``MorphismMatrix.for_edge`` is that rule at every mask.
 
 Path morphisms are ordered products of edge morphisms over the normal-form
 bases; they are faithful because those bases are free, so path equality
 questions reduce to entrywise polynomial equality.  A distant move sends
 basis mask m to m with its two window bits swapped, with coefficient 1,
 which its shape's derivation verifies, so a run of consecutive distant
-moves is one permutation of the mask bits.  ``path_morphism`` keeps the
-run pending and builds no edge matrix for it: the next adjacent move's
-edge matrix takes the run in by reading each column c from the run's
-image of c, and a run that ends the path relabels the rows of the
-product once.  Only adjacent moves cost an edge matrix, and all but the
-first a product.
+moves is one permutation of the mask bits, and no edge matrix is built
+for it.  ``_adjacent_runs`` splits a path into its adjacent moves and the
+runs around them, for both users below.  ``path_morphism`` builds a whole
+matrix: the next adjacent move's edge matrix takes a run in by reading
+each column c from the run's image of c, and a run that ends the path
+moves the rows of the product once.  A conflated step (``ConflatedMorphisms``)
+lifts to one adjacent move between two runs and multiplies nothing: its
+column c is built when first read, as the edge column at the leading
+run's image of c with its rows moved by the trailing run
+(``ColumnsOnRead``).  A search reads a few columns of each step; whole
+matrices come only from ``path_morphism`` and from reading every column
+of a ``step_matrix``.
 
 A matrix stores each column as one tagged term map (``polyring``: row
 and packed monomial in one int key, the coefficient as value), the
@@ -76,6 +81,7 @@ entries {row: Polynomial}, as ``BSElement.coeffs`` does.
 
 from __future__ import annotations
 
+from collections.abc import Callable, Iterator, Mapping
 from functools import lru_cache
 
 from .bsbimod import BSElement, basis_slots, from_tensor, left_mul, right_mul
@@ -238,6 +244,90 @@ def apply_edge(elem: BSElement, move: BraidMove) -> BSElement:
     return out
 
 
+def _edge_columns(move: BraidMove, word: Word, rank: int) -> Callable[[int], dict[int, Scalar]]:
+    """The columns of apply_edge's matrix on the word's bimodule, one at a time: column(c) is its column c.
+
+    Column bits split into prefix p, window wm and suffix, as the module
+    docstring explains; the suffix bits pass through unchanged.  The
+    prefix normal form is looked up once per (p, icoeff), the part of a
+    column left of the suffix once per set of low bits, and the suffix adds
+    a row offset.  A column is returned shared, so none may be mutated.
+    """
+    pos, m = move.position, move.width
+    prefix = tuple(word[:pos])
+    one = Polynomial.one(rank)
+    # per window mask: the image's (key of its window rows, left coefficient) pairs
+    images = [
+        [(row_key(imask << pos, rank), icoeff) for imask, icoeff in t.coeffs.items()]
+        for t in derive_local_table(move, rank)
+    ]
+    renormalized: dict[tuple[int, Polynomial], dict[int, Scalar]] = {}
+
+    def prefix_normal(p: int, coeff: Polynomial) -> dict[int, Scalar]:
+        """The tagged normal form of the prefix tensor of p with coeff in its last slot."""
+        if coeff.is_one():
+            return {row_key(p, rank): 1}  # a basis tensor is already in normal form
+        found = renormalized.get((p, coeff))
+        if found is None:
+            slots = basis_slots(prefix, p, one)
+            slots[-1] = slots[-1] * coeff
+            found = renormalized[(p, coeff)] = from_tensor(prefix, slots, rank).terms
+        return found
+
+    low_mask = (1 << (pos + m)) - 1
+    partials: dict[int, dict[int, Scalar]] = {}
+
+    def column(c: int) -> dict[int, Scalar]:
+        low, suffix = c & low_mask, c & ~low_mask
+        partial = partials.get(low)
+        if partial is None:
+            p, wm = low & ((1 << pos) - 1), low >> pos
+            partial = partials[low] = {
+                k + window: coeff for window, icoeff in images[wm] for k, coeff in prefix_normal(p, icoeff).items()
+            }
+        offset = row_key(suffix, rank)
+        return {k + offset: v for k, v in partial.items()} if offset else partial
+
+    return column
+
+
+class ColumnsOnRead(Mapping):
+    """The columns 0 .. count - 1 of a matrix, each built by ``column`` when first read and kept in ``built``.
+
+    Reading a column builds that column alone.  Iterating, ``len`` and
+    equality see every column, building the unread ones, so the mapping
+    stands for the whole matrix wherever a ``MorphismMatrix`` reads its
+    ``cols``.  ``column`` gives a column that is never empty.
+    """
+
+    __slots__ = ("column", "count", "built")
+
+    def __init__(self, column: Callable[[int], dict[int, Scalar]], count: int):
+        self.column = column
+        self.count = count
+        self.built: dict[int, dict[int, Scalar]] = {}
+
+    def get(self, c: int, default=None) -> dict[int, Scalar] | None:
+        found = self.built.get(c)
+        if found is None:
+            if c not in range(self.count):
+                return default
+            found = self.built[c] = self.column(c)
+        return found
+
+    def __getitem__(self, c: int) -> dict[int, Scalar]:
+        found = self.get(c)
+        if found is None:
+            raise KeyError(c)
+        return found
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(range(self.count))
+
+    def __len__(self) -> int:
+        return self.count
+
+
 class MorphismMatrix:
     """A left-R-linear map between normal-form bases, stored column-sparse.
 
@@ -246,12 +336,13 @@ class MorphismMatrix:
     no zero coefficient; a zero column is not stored.  Matrices are
     faithful because the bases are free left-module bases, so equality of
     path morphisms is entrywise polynomial equality.  Columns are shared
-    between matrices and never mutated.
+    between matrices and never mutated.  ``cols`` is a dict, or, for a
+    step matrix, a ``ColumnsOnRead`` that builds each column on first read.
     """
 
     __slots__ = ("rank", "domain", "codomain", "cols")
 
-    def __init__(self, rank: int, domain: Word, codomain: Word, cols: dict[int, dict[int, Scalar]]):
+    def __init__(self, rank: int, domain: Word, codomain: Word, cols: Mapping[int, dict[int, Scalar]]):
         """Columns given as {column: tagged term map}, with no zero coefficient and no empty column."""
         if len(domain) != len(codomain):
             raise ValueError("braid moves preserve word length")
@@ -268,46 +359,11 @@ class MorphismMatrix:
 
     @classmethod
     def for_edge(cls, move: BraidMove, word: Word, rank: int) -> MorphismMatrix:
-        """Matrix of apply_edge over all domain basis masks, built window-locally.
-
-        Column bits split into prefix p, window wm and suffix, as the
-        module docstring explains; the suffix bits pass through unchanged.
-        """
+        """Matrix of apply_edge over all domain basis masks: ``_edge_columns`` at every mask."""
         word = tuple(word)
         codomain = move.apply(word)
-        table = derive_local_table(move, rank)
-        pos, m = move.position, move.width
-        prefix = word[:pos]
-        one = Polynomial.one(rank)
-        # per window mask: the image's (key of its window rows, left coefficient) pairs
-        images = [[(row_key(imask << pos, rank), icoeff) for imask, icoeff in t.coeffs.items()] for t in table]
-        renormalized: dict[tuple[int, Polynomial], dict[int, Scalar]] = {}
-
-        def prefix_normal(p: int, coeff: Polynomial) -> dict[int, Scalar]:
-            """The tagged normal form of the prefix tensor of p with coeff in its last slot."""
-            if coeff.is_one():
-                return {row_key(p, rank): 1}  # a basis tensor is already in normal form
-            found = renormalized.get((p, coeff))
-            if found is None:
-                slots = basis_slots(prefix, p, one)
-                slots[-1] = slots[-1] * coeff
-                found = renormalized[(p, coeff)] = from_tensor(prefix, slots, rank).terms
-            return found
-
-        low_mask = (1 << (pos + m)) - 1
-        partials: dict[int, dict[int, Scalar]] = {}
-        cols = {}
-        for c in range(1 << len(word)):
-            low, suffix = c & low_mask, c & ~low_mask
-            partial = partials.get(low)
-            if partial is None:
-                p, wm = low & ((1 << pos) - 1), low >> pos
-                partial = partials[low] = {
-                    k + window: coeff for window, icoeff in images[wm] for k, coeff in prefix_normal(p, icoeff).items()
-                }
-            offset = row_key(suffix, rank)
-            cols[c] = {k + offset: v for k, v in partial.items()} if offset else partial
-        return cls(rank, word, codomain, cols)
+        column = _edge_columns(move, word, rank)
+        return cls(rank, word, codomain, {c: column(c) for c in range(1 << len(word))})
 
     def compose(self, other: MorphismMatrix) -> MorphismMatrix:
         """self after other (matrix product self . other), column by column."""
@@ -368,58 +424,84 @@ def _run_images(slots: list[int]) -> list[int]:
     return images
 
 
-def path_morphism(path: Path, rank: int) -> MorphismMatrix:
-    """Ordered product of the edge morphisms along an expanded-graph path.
+def _adjacent_runs(words, rank: int) -> tuple[list[tuple[list[int] | None, BraidMove, Word]], list[int] | None]:
+    """The adjacent moves of an expanded path, each with the run of distant moves before it, and the run that ends it.
 
-    A distant move at position pos sends basis mask m to the mask with
-    bits pos and pos + 1 swapped, with coefficient 1 (verified when its
-    table is built), so a run of consecutive distant moves is one mask
-    permutation s, and no edge matrix is built for it.  The run is kept
-    pending.  The next adjacent move's edge matrix E takes it in: column c
-    of E after the run is column s(c) of E.  A run that ends the path
-    relabels the rows of the product instead.  The first adjacent move's
-    edge matrix starts the product, so no identity is multiplied in.
+    A distant move at position pos sends basis mask m to the mask with bits
+    pos and pos + 1 swapped, with coefficient 1 (its shape's table, looked
+    up here, checks this), so a run of consecutive distant moves is one
+    mask permutation.  A run comes as its ``_run_images`` list, or None
+    when it is empty.  Each adjacent move comes as (the run before it, the
+    move, the word it rewrites), in path order.
+    """
+    unmoved = list(range(len(words[0])))
+    slots = unmoved[:]  # slots[p]: the bit the pending run has moved to position p
+    adjacent = []
+    for u, v in zip(words, words[1:]):
+        move = move_between(u, v)
+        if move.kind == DISTANT:
+            _window_table(move, rank)
+            pos = move.position
+            slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
+            continue
+        adjacent.append((None if slots == unmoved else _run_images(slots), move, u))
+        slots = unmoved[:]
+    return adjacent, None if slots == unmoved else _run_images(slots)
+
+
+def _row_mover(images: list[int], rank: int) -> Callable[[dict[int, Scalar]], dict[int, Scalar]]:
+    """The map taking a tagged column to the column with each row r moved to row images[r]."""
+    shift = row_key(1, rank).bit_length() - 1
+    # move every key by the row_key distance from its row to that row's image
+    moves = [row_key(m - r, rank) for r, m in enumerate(images)]
+    return lambda col: {k + moves[k >> shift]: a for k, a in col.items()}
+
+
+def path_morphism(path: Path, rank: int) -> MorphismMatrix:
+    """Ordered product of the edge morphisms along an expanded-graph path, as a whole matrix.
+
+    No edge matrix is built for a run of distant moves (``_adjacent_runs``).
+    The next adjacent move's edge matrix E takes the run in: column c of E
+    after a run s is column s(c) of E.  A run that ends the path moves the
+    rows of the product instead.  The first adjacent move's edge matrix
+    starts the product, so no identity is multiplied in.
     """
     if path.kind != EXPANDED:
         raise ValueError("path_morphism expects an expanded path")
     words = path.vertices
-    acc = None  # the product up to the pending run; None before the first adjacent move
-    start = words[0]  # the word the pending run starts from
-    unmoved = list(range(len(start)))
-    slots = unmoved[:]  # slots[p]: the bit of start the run has moved to position p
-    for u, v in zip(words, words[1:]):
-        move = move_between(u, v)
-        if move.kind == DISTANT:
-            _window_table(move, rank)  # its shape's table checks that the move is this bit swap
-            pos = move.position
-            slots[pos], slots[pos + 1] = slots[pos + 1], slots[pos]
-            continue
+    adjacent, tail = _adjacent_runs(words, rank)
+    acc = None  # the product so far; None before the first adjacent move
+    for lead, move, u in adjacent:
         edge = edge_matrix(move, u, rank)
-        if slots != unmoved:
-            cols = {c: col for c, m in enumerate(_run_images(slots)) if (col := edge.cols.get(m)) is not None}
-            edge = MorphismMatrix(rank, start, edge.codomain, cols)
-            slots = unmoved[:]
+        if lead is not None:
+            domain = words[0] if acc is None else acc.codomain
+            edge = MorphismMatrix(rank, domain, edge.codomain, {c: edge.cols[m] for c, m in enumerate(lead)})
         acc = edge if acc is None else edge.compose(acc)
-        start = v
     if acc is None:
         acc = MorphismMatrix.identity(words[0], rank)
-    if slots == unmoved:
+    if tail is None:
         return acc
-    # move every key by the row_key distance from its row to that row's image
-    shift = row_key(1, rank).bit_length() - 1
-    moves = [row_key(m - r, rank) for r, m in enumerate(_run_images(slots))]
-    cols = {c: {k + moves[k >> shift]: a for k, a in col.items()} for c, col in acc.cols.items()}
-    return MorphismMatrix(rank, acc.domain, words[-1], cols)
+    moved = _row_mover(tail, rank)
+    return MorphismMatrix(rank, acc.domain, words[-1], {c: moved(col) for c, col in acc.cols.items()})
 
 
 class ConflatedMorphisms:
-    """Per-edge matrices of a conflated graph, with path composition.
+    """Per-edge step matrices of a conflated graph, with path composition.
 
     Each oriented cloud edge gets a forward and a backward matrix, the
     morphism of that one-step conflated path's lift, whose endpoints are
     the cloud representatives, so conflated paths compose by chaining
     matrices; well-definedness of the conflated path morphism makes this
     agree with lifting the whole path at once.
+
+    A lift is a run of distant moves, one adjacent move and a second run.
+    Building the tables lifts each oriented edge, checks its moves and
+    multiplies nothing: a step's columns are ``ColumnsOnRead``, and column
+    c is built when first read, as the edge column at the leading run's
+    image of c with its rows moved by the trailing run.  A search reads a
+    few columns of each step.  Iterating or comparing a step's columns
+    reads all of them, so ``step_matrix`` is the whole matrix that
+    ``path_morphism`` gives for the lift.
     """
 
     def __init__(self, graph: RexGraph, conflated: ConflatedGraph):
@@ -428,15 +510,22 @@ class ConflatedMorphisms:
         self.rank = graph.rank
         self.forward: dict[tuple[Word, Word], MorphismMatrix] = {}
         self.backward: dict[tuple[Word, Word], MorphismMatrix] = {}
-
-        def step(a: Word, b: Word) -> MorphismMatrix:
-            lifted = lift_conflated_path(conflated, graph, Path(CONFLATED, (a, b)))
-            return path_morphism(lifted, self.rank)
-
         for e in conflated.edges:
             a, b = e.source.representative, e.target.representative
-            self.forward[(a, b)] = step(a, b)
-            self.backward[(b, a)] = step(b, a)
+            self.forward[(a, b)] = self._step(a, b)
+            self.backward[(b, a)] = self._step(b, a)
+
+    def _step(self, a: Word, b: Word) -> MorphismMatrix:
+        lifted = lift_conflated_path(self.conflated, self.graph, Path(CONFLATED, (a, b)))
+        ((lead, move, u),), tail = _adjacent_runs(lifted.vertices, self.rank)
+        edge = _edge_columns(move, u, self.rank)
+        moved = None if tail is None else _row_mover(tail, self.rank)
+
+        def column(c: int) -> dict[int, Scalar]:
+            col = edge(c if lead is None else lead[c])
+            return col if moved is None else moved(col)
+
+        return MorphismMatrix(self.rank, a, b, ColumnsOnRead(column, 1 << len(a)))
 
     def step_matrix(self, a: Word, b: Word) -> MorphismMatrix:
         """The matrix of the one-step conflated path a -> b; ``ConflatedGraph.link`` refuses a missing edge."""

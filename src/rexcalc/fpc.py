@@ -36,8 +36,10 @@ Zb Z on longest elements, the down-up-down equals up-down-up law for all
 vertex pairs, the small-path equivalence lemmas, the simplification
 soundness check, the table of all 24 conflated graphs of S_4 with the
 single failing element 12321, and the family of line-graph
-counterexamples.  Whole matrices are built only where an expanded path
-is evaluated (``reproduce_counterexample``)."""
+counterexamples.  A step matrix builds each column when a walk first
+reads it, so a search builds only the step columns its values reach;
+whole matrices are built only where an expanded path is evaluated
+(``reproduce_counterexample``)."""
 
 from __future__ import annotations
 
@@ -117,8 +119,11 @@ class _MatrixPool:
     maps its column ids through that step's memo of column images, so a
     column shared by many values is multiplied once per step, in one
     multiply-accumulate loop over the tagged terms
-    (``polyring.tagged_image``).  ``walk`` extends a value step by step,
-    so walks share their prefixes' products.  ``carry`` pushes one column
+    (``polyring.tagged_image``).  That loop reads only the step's columns
+    at the rows of the column it multiplies, and the step builds each of
+    them on that first read (``braidmor.ColumnsOnRead``) and keeps it, so
+    a step column no walk reaches is never built.  ``walk`` extends a
+    value step by step, so walks share their prefixes' products.  ``carry`` pushes one column
     along a walk through the same memos, and ``witness`` carries unit
     columns along two, in mask order, up to the first that differs.  The pool
     only interns: a search that must stop at a budget reads

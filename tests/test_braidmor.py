@@ -32,12 +32,21 @@ from rexcalc.rexgraph import (
     CONFLATED,
     EXPANDED,
     Path,
+    build_rex_graph,
     graph_for_word,
     lift_conflated_path,
     source_sink,
 )
 from rexcalc.fpc import family_word
-from rexcalc.symgroup import DISTANT, BraidMove, braid_moves, longest_element, reduced_words, word_to_perm
+from rexcalc.symgroup import (
+    DISTANT,
+    BraidMove,
+    all_permutations,
+    braid_moves,
+    longest_element,
+    reduced_words,
+    word_to_perm,
+)
 
 from conftest import (
     column,
@@ -564,8 +573,9 @@ def test_conflated_step_matrices_compose_like_whole_lift():
 
 
 def test_only_step_matrices_outlive_a_conflated_build():
-    # edge matrices are freed once composed: after a build, every live matrix
-    # over the element's words is a step matrix of some live ConflatedMorphisms
+    # a build multiplies nothing: after it, every live matrix over the
+    # element's words is a step matrix of some live ConflatedMorphisms, and
+    # none of their columns is built yet
     rex, conf = graph_for_word((2, 3, 2, 4, 3, 2), 5)
     cm = ConflatedMorphisms(rex, conf)
     gc.collect()
@@ -579,6 +589,45 @@ def test_only_step_matrices_outlive_a_conflated_build():
     }
     assert len(live) >= 2 * len(cm.forward) > 0
     assert [m for m in live if id(m) not in steps] == []
+    assert [m for m in (*cm.forward.values(), *cm.backward.values()) if m.cols.built] == []
+
+
+# -- step columns built on first read, against the lifted path's whole matrix ------
+
+
+def _step_oracle_words():
+    rng = random.Random(2026)
+    return {
+        "every-s4-element": [(build_rex_graph(perm).words[0], 4) for perm in all_permutations(4)],
+        "line-5-and-6": [(family_word(5), 5), (family_word(6), 6)],
+        "random-rank-5": [(random_reduced_word(rng, 5), 5) for _ in range(6)],
+    }
+
+
+@pytest.mark.parametrize("words", _step_oracle_words().values(), ids=_step_oracle_words().keys())
+def test_step_columns_built_on_read_match_the_lifted_path_morphism(words):
+    # path_morphism of an edge's lift is the direct implementation: each
+    # column a step builds, read in a random order, is the oracle's column,
+    # only the columns read are built, a column the oracle lacks is absent,
+    # and step_matrix is the oracle's whole matrix
+    rng = random.Random(7)
+    checked = 0
+    for word, rank in words:
+        rex, conf = graph_for_word(word, rank)
+        cm = ConflatedMorphisms(rex, conf)
+        for (a, b), step in {**cm.forward, **cm.backward}.items():
+            oracle = path_morphism(lift_conflated_path(conf, rex, Path(CONFLATED, (a, b))), rank)
+            count = 1 << len(a)
+            read = rng.sample(range(count), rng.randint(1, count))
+            for c in read:
+                assert step.cols.get(c) == oracle.cols[c]
+            assert sorted(step.cols.built) == sorted(read)
+            for c in (-1, count, count + 1):
+                assert step.cols.get(c) is None and c not in oracle.cols
+            assert len(step.cols) == len(oracle.cols) == count
+            assert cm.step_matrix(a, b) == oracle and oracle == cm.step_matrix(a, b)
+            checked += 1
+    assert checked >= 8
 
 
 # -- consistency of the orientation ---------------------------------------------

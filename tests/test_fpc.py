@@ -460,6 +460,40 @@ def test_pool_work_counts_are_pinned(monkeypatch, check, work):
     assert _pool_work(monkeypatch, check) == work
 
 
+def _step_columns_built(monkeypatch, check):
+    """Step columns that check() built, and the columns its steps have, over fresh calculi."""
+    made = []
+
+    class Kept(ConflatedMorphisms):
+        def __init__(self, graph, conflated):
+            super().__init__(graph, conflated)
+            made.append(self)
+
+    monkeypatch.setattr(fpc, "ConflatedMorphisms", Kept)
+    fpc._element_calculus.cache_clear()
+    try:
+        check()
+    finally:
+        fpc._element_calculus.cache_clear()
+    steps = [m for cm in made for m in (*cm.forward.values(), *cm.backward.values())]
+    return sum(len(m.cols.built) for m in steps), sum(len(m.cols) for m in steps)
+
+
+@pytest.mark.parametrize(
+    "check, built",
+    [
+        (lambda: fpc.check_family(6), (290, 4_096)),
+        (lambda: (fpc.check_zam_identities(4), fpc.check_dud_udu_all(4)), (304, 1_024)),
+        (fpc.check_s4_sweep, (530, 1_568)),
+    ],
+    ids=["family-6", "zam-dud-4", "s4-sweep"],
+)
+def test_searches_build_only_the_step_columns_they_read(monkeypatch, check, built):
+    # a step builds a column when a walk, a witness or a carry first reads
+    # it; tables built whole would build every column of every step
+    assert _step_columns_built(monkeypatch, check) == built
+
+
 def test_pool_interns_values_by_exact_content():
     # on 23121, whose line is s - c - t, the walks [s,c,t,c] and
     # [s,c,t,c,s,c] have one matrix (lemma P1 == P2) and [s,c,t] another

@@ -89,6 +89,17 @@ def test_bench_polyring_times_cold_step_tables():
     assert shapes.misses == shapes.currsize == 4
 
 
+def test_bench_polyring_times_the_step_columns_of_the_family_check():
+    script = load_script("bench_polyring")
+    reads = script.family_step_columns()
+    # check_family(6) builds 290 of the 4,096 columns of its 8 steps, each once
+    assert len(reads) == len(set(reads)) == 290
+    rex, conf = graph_for_word(script.STEP_WORD, rank=6)
+    assert script.time_family_step_columns(rex, conf, reads) > 0
+    shapes = script.braidmor._shape_table.cache_info()
+    assert shapes.misses == shapes.currsize == 4
+
+
 def test_bench_polyring_times_a_cold_import_and_the_graph_writer(monkeypatch):
     monkeypatch.setenv("PYTHONPATH", str(ROOT / "src"))
     script = load_script("bench_polyring")
