@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import gc
 import random
+import tracemalloc
 from fractions import Fraction
 
+import oracle_braidmor
 import oracle_fpc
 import pytest
 from hypothesis import given, strategies as st
@@ -69,8 +71,8 @@ def one(rank=4):
 
 
 def whole_lift_morphism(conf, rex, path):
-    """Oracle for ConflatedMorphisms.path_matrix: lift the whole path, then compose."""
-    return path_morphism(lift_conflated_path(conf, rex, path), rex.rank)
+    """Oracle for ConflatedMorphisms.path_matrix: lift the whole path, then multiply edge by edge."""
+    return oracle_braidmor.path_morphism(lift_conflated_path(conf, rex, path), rex.rank)
 
 
 UP_MOVE = BraidMove(0, "up", 1)  # window (1,2,1) -> (2,1,2)
@@ -592,6 +594,22 @@ def test_only_step_matrices_outlive_a_conflated_build():
     assert [m for m in (*cm.forward.values(), *cm.backward.values()) if m.cols.built] == []
 
 
+def test_step_set_up_keeps_each_run_as_its_permutation():
+    # the longest element of S_5 has 200 steps over words of length 10; a
+    # run kept as a list of 2^10 mask images per step would hold about
+    # 8 MB, the slot permutations and the columns' rules well under 4 MB
+    rex, conf = graph_for_word(longest_element(5), rank=5)
+    tracemalloc.start()
+    try:
+        cm = ConflatedMorphisms(rex, conf)
+        kept, _ = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(cm.forward) + len(cm.backward) == 200
+    assert kept < 4_000_000
+    assert [m for m in (*cm.forward.values(), *cm.backward.values()) if m.cols.built] == []
+
+
 # -- step columns built on first read, against the lifted path's whole matrix ------
 
 
@@ -606,7 +624,8 @@ def _step_oracle_words():
 
 @pytest.mark.parametrize("words", _step_oracle_words().values(), ids=_step_oracle_words().keys())
 def test_step_columns_built_on_read_match_the_lifted_path_morphism(words):
-    # path_morphism of an edge's lift is the direct implementation: each
+    # the oracle's path_morphism of an edge's lift multiplies edge matrices
+    # and swaps row bits, sharing no column rule with the steps: each
     # column a step builds, read in a random order, is the oracle's column,
     # only the columns read are built, a column the oracle lacks is absent,
     # and step_matrix is the oracle's whole matrix
@@ -616,7 +635,7 @@ def test_step_columns_built_on_read_match_the_lifted_path_morphism(words):
         rex, conf = graph_for_word(word, rank)
         cm = ConflatedMorphisms(rex, conf)
         for (a, b), step in {**cm.forward, **cm.backward}.items():
-            oracle = path_morphism(lift_conflated_path(conf, rex, Path(CONFLATED, (a, b))), rank)
+            oracle = oracle_braidmor.path_morphism(lift_conflated_path(conf, rex, Path(CONFLATED, (a, b))), rank)
             count = 1 << len(a)
             read = rng.sample(range(count), rng.randint(1, count))
             for c in read:
